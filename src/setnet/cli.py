@@ -113,9 +113,15 @@ def cmd_verify_theorem(args) -> int:
     return 0 if verdict else 1
 
 
+# set size check-equivariance probes when --n is not given and the model
+# accepts any cardinality
+_PROBE_SET_SIZE = 8
+
+
 def cmd_check_equivariance(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.demo:
+        n = _PROBE_SET_SIZE if args.n is None else args.n
         if args.demo == "stack":
             from .layers import EquivariantLayer, SetBatch
 
@@ -132,12 +138,12 @@ def cmd_check_equivariance(args) -> int:
                 return batch.values[0]
 
         else:  # an unconstrained dense layer mixing the set axis: not equivariant
-            w = rng.normal(size=(args.n, args.n))
+            w = rng.normal(size=(n, n))
 
             def f(x):
                 return w @ x
 
-        report = theorem.check_equivariance_empirical(f, args.n, args.trials, rng, channels=args.channels)
+        report = theorem.check_equivariance_empirical(f, n, args.trials, rng, channels=args.channels)
     else:
         config = _load_config(args)
         train_data, _ = build_experiment_data(config)
@@ -157,6 +163,8 @@ def cmd_check_equivariance(args) -> int:
 def _probe_model(model, config: ExperimentConfig, train_data, args, rng):
     k = train_data.channels
     n = args.n
+    if n is None:  # mnist_sum models take exactly data.set_size members
+        n = model.set_size if config.experiment == "mnist_sum" else _PROBE_SET_SIZE
 
     if config.experiment == "setregression":
         def f(x):
@@ -297,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", help="experiment name (defaults config)")
     p.add_argument("--checkpoint", help="restore parameters before probing")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override any config key")
-    p.add_argument("--n", type=int, default=8, help="set size to probe")
+    p.add_argument("--n", type=int, help="set size to probe (default: data.set_size for mnist_sum, else 8)")
     p.add_argument("--channels", type=int, default=3)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)

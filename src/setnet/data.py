@@ -13,6 +13,7 @@ All builders are deterministic given their rng.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -283,6 +284,8 @@ def load_off(path) -> TriangleMesh:
         nv, nf = int(counts[0]), int(counts[1])  # third count (edges) unused
     except (ValueError, IndexError) as exc:
         raise FormatError(f"{path}: malformed count line {counts_line!r}") from exc
+    if nv < 0 or nf < 0:
+        raise FormatError(f"{path}: negative element count in {counts_line!r}")
     if len(body) < nv + nf:
         raise FormatError(f"{path}: truncated, expected {nv} vertex and {nf} face lines")
     trailing = 0
@@ -296,6 +299,8 @@ def load_off(path) -> TriangleMesh:
         except ValueError as exc:
             raise FormatError(f"{path}: non-numeric vertex on line {i}") from exc
         trailing += len(toks) - 3
+    if not np.all(np.isfinite(verts)):
+        raise FormatError(f"{path}: non-finite vertex coordinate")
     faces: List[Tuple[int, int, int]] = []
     for i in range(nf):
         toks = body[nv + i].split()
@@ -365,6 +370,7 @@ def save_xyz(path, points: np.ndarray) -> None:
 
 
 def load_xyz(path) -> np.ndarray:
+    """Read the [m, 3] points of an x y z file; m >= 1 and every value finite."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -374,7 +380,15 @@ def load_xyz(path) -> np.ndarray:
             parts = line.split()
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected three coordinates")
-            rows.append([float(v) for v in parts])
+            try:
+                row = [float(v) for v in parts]
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: non-numeric coordinate") from exc
+            if not all(math.isfinite(v) for v in row):
+                raise FormatError(f"{path}:{lineno}: non-finite coordinate")
+            rows.append(row)
+    if not rows:
+        raise FormatError(f"{path}: no points")
     return np.array(rows, dtype=np.float64)
 
 

@@ -22,7 +22,9 @@ forward, set_pool, ...) are the pure value-level surface over the same math.
 
 from __future__ import annotations
 
-import io
+import contextlib
+import math
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -397,62 +399,108 @@ def normalize_sets(batch: SetBatch) -> SetBatch:
 
 
 # --- parameter checkpoints ----------------------------------------------------
+#
+# A checkpoint is line-oriented text, format version 2:
+#
+#     setnet-params 2
+#     meta <key> <value>                          (sorted by key, no whitespace)
+#     param <name> <rank> <dim_1> ... <dim_rank>
+#     <payload>
+#     ...
+#
+# One ``param`` line and one payload line per parameter. The payload is the
+# lowercase hex of the value's little-endian float64 bytes in C order, 16
+# characters per value, so every float64 (-0.0, subnormals and +-1.797e308
+# included) round-trips exactly and a checkpoint encodes and decodes at memory
+# speed. A zero-size parameter has an empty payload line. Files of any other
+# format version are rejected.
 
-_CHECKPOINT_HEADER = "setnet-params 1"
+_CHECKPOINT_MAGIC = "setnet-params"
+_CHECKPOINT_VERSION = "2"
+_CHECKPOINT_HEADER = f"{_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION}"
 
 
 def save_params(path, params: Sequence[Param], meta: Optional[Dict[str, str]] = None) -> None:
-    """Write a versioned textual checkpoint; float64 values round-trip exactly."""
-    buf = io.StringIO()
-    buf.write(_CHECKPOINT_HEADER + "\n")
+    """Write a format-2 checkpoint (see above); float64 values round-trip exactly.
+
+    The whole text is built first, written to a temporary file next to
+    ``path`` and moved onto ``path`` with ``os.replace``. An error or a crash
+    during the write therefore leaves any previous checkpoint at ``path``
+    byte-identical, and a failed write removes its temporary file. There is no
+    fsync, so the replacement is atomic against a crashing process, not
+    against a power loss.
+    """
+    lines = [_CHECKPOINT_HEADER]
     for key, val in sorted((meta or {}).items()):
         if any(ch.isspace() for ch in key) or any(ch.isspace() for ch in str(val)):
             raise FormatError("checkpoint meta keys/values must not contain whitespace")
-        buf.write(f"meta {key} {val}\n")
+        lines.append(f"meta {key} {val}")
     for p in params:
-        dims = " ".join(str(d) for d in p.value.shape)
-        buf.write(f"param {p.name} {p.value.ndim}{(' ' + dims) if dims else ''}\n")
-        buf.write(" ".join(repr(float(v)) for v in p.value.ravel()) + "\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        dims = "".join(f" {d}" for d in p.value.shape)
+        lines.append(f"param {p.name} {p.value.ndim}{dims}")
+        lines.append(np.asarray(p.value, dtype="<f8").tobytes().hex())
+    text = "\n".join(lines) + "\n"
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_params(path):
-    """Read a checkpoint; returns (name -> array, meta dict)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _CHECKPOINT_HEADER:
+    """Read a format-2 checkpoint; returns (name -> float64 array, meta dict).
+
+    Malformed content of any kind, and a checkpoint of another format
+    version, raises ``FormatError`` naming the file and, where there is one,
+    the line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a setnet checkpoint (not UTF-8 text)") from exc
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != _CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a setnet checkpoint (bad header)")
+    if head[1] != _CHECKPOINT_VERSION:
+        raise FormatError(
+            f"{path}: unsupported checkpoint format version {head[1]!r} (expected {_CHECKPOINT_VERSION})"
+        )
     meta: Dict[str, str] = {}
     arrays: Dict[str, np.ndarray] = {}
     i = 1
     while i < len(lines):
-        line = lines[i]
-        if not line.strip():
+        fields = lines[i].split()
+        if not fields:
             i += 1
             continue
-        fields = line.split()
         if fields[0] == "meta":
             if len(fields) != 3:
                 raise FormatError(f"{path}:{i + 1}: malformed meta line")
             meta[fields[1]] = fields[2]
             i += 1
         elif fields[0] == "param":
-            if len(fields) < 3:
-                raise FormatError(f"{path}:{i + 1}: malformed param line")
-            name = fields[1]
-            rank = int(fields[2])
-            dims = tuple(int(d) for d in fields[3 : 3 + rank])
-            if len(dims) != rank or i + 1 >= len(lines):
+            try:
+                name, rank = fields[1], int(fields[2])
+                dims = tuple(int(d) for d in fields[3:])
+            except (IndexError, ValueError) as exc:
+                raise FormatError(f"{path}:{i + 1}: malformed param line") from exc
+            if len(dims) != rank or any(d < 0 for d in dims):
+                raise FormatError(f"{path}:{i + 1}: param {name} needs {rank} non-negative dims, got {fields[3:]}")
+            if i + 1 >= len(lines):
                 raise FormatError(f"{path}:{i + 1}: truncated param entry")
             try:
-                data = np.array([float(tok) for tok in lines[i + 1].split()], dtype=np.float64)
+                data = np.frombuffer(bytes.fromhex(lines[i + 1]), dtype="<f8")
             except ValueError as exc:
-                raise FormatError(f"{path}:{i + 2}: non-numeric value in {name}") from exc
-            expect = int(np.prod(dims, dtype=np.int64)) if dims else 1
+                raise FormatError(f"{path}:{i + 2}: payload of {name} is not float64 hex") from exc
+            expect = math.prod(dims)
             if data.size != expect:
                 raise FormatError(f"{path}:{i + 2}: expected {expect} values for {name}, got {data.size}")
-            arrays[name] = data.reshape(dims)
+            arrays[name] = data.astype(np.float64).reshape(dims)
             i += 2
         else:
             raise FormatError(f"{path}:{i + 1}: unknown record {fields[0]!r}")

@@ -38,7 +38,7 @@ from .data import (
     synth_digits,
     synth_shapes,
 )
-from .errors import ConfigError, ContractError, DimensionError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
 from .layers import (
     Dense,
     Dropout,
@@ -668,8 +668,9 @@ def train_loop(
 
     Emits per-epoch train/validation metrics, tracks the best-validation
     checkpoint, and aborts with a diagnostic if the loss goes non-finite.
-    ``resume_from`` restores parameters, optimizer state and rng streams so a
-    continued run reproduces the uninterrupted one exactly.
+    ``resume_from`` restores parameters, optimizer state, rng streams and the
+    best validation metric and epoch so far, so a continued run reproduces the
+    uninterrupted one exactly, ``checkpoint_best`` included.
     """
     if len(train_data) == 0:
         raise ContractError("training dataset is empty")
@@ -687,18 +688,23 @@ def train_loop(
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)
     start_epoch = 1
+    best_metric = -np.inf if model.higher_is_better else np.inf
+    best_epoch = 0
     if resume_from:
         arrays, meta = load_params(resume_from)
         restore_params(params, {k: v for k, v in arrays.items() if not k.startswith("opt.")})
-        opt.load_state_arrays(arrays, int(meta["opt_t"]))
-        shuffle_rng = _restore_rng(meta["shuffle_rng"])
-        dropout_rng = _restore_rng(meta["dropout_rng"])
-        start_epoch = int(meta["epoch"]) + 1
+        try:
+            opt.load_state_arrays(arrays, int(meta["opt_t"]))
+            shuffle_rng = _restore_rng(meta["shuffle_rng"])
+            dropout_rng = _restore_rng(meta["dropout_rng"])
+            start_epoch = int(meta["epoch"]) + 1
+            best_metric = float(meta["best_metric"])
+            best_epoch = int(meta["best_epoch"])
+        except (KeyError, ValueError) as exc:
+            raise FormatError(f"{resume_from}: checkpoint has no valid resume state ({exc!r})") from exc
 
     classification = train_data.set_labels is not None
     records: List[MetricsRecord] = []
-    best_metric = -np.inf if model.higher_is_better else np.inf
-    best_epoch = 0
 
     def emit(rec: MetricsRecord):
         records.append(rec)
@@ -715,6 +721,8 @@ def train_loop(
             "shuffle_rng": _rng_state_token(shuffle_rng),
             "dropout_rng": _rng_state_token(dropout_rng),
             "val_metric": repr(float(val_metric)),
+            "best_metric": repr(float(best_metric)),
+            "best_epoch": str(best_epoch),
             "metric_name": model.metric_name,
             "experiment": config.experiment,
         }

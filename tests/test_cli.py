@@ -1,0 +1,35 @@
+from setnet.cli import main
+
+SMALL_MNIST = ["--set", "data.source_count=200", "--set", "data.train_sets=8", "--set", "data.val_sets=4"]
+
+
+def test_check_equivariance_mnist_defaults_to_model_set_size(capsys):
+    assert main(["check-equivariance", "--experiment", "mnist_sum", "--trials", "3"] + SMALL_MNIST) == 0
+    assert "verdict=equivariant" in capsys.readouterr().out
+
+
+def test_check_equivariance_explicit_n_is_honoured(capsys):
+    code = main(["check-equivariance", "--experiment", "mnist_sum", "--n", "5", "--trials", "3"] + SMALL_MNIST)
+    assert code == 2  # a variant IV model takes exactly data.set_size members
+    assert "DimensionError" in capsys.readouterr().err
+
+
+def test_bad_mesh_exits_with_format_code(tmp_path, capsys):
+    off = tmp_path / "neg.off"
+    off.write_text("OFF\n-3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    assert main(["sample-mesh", "--off", str(off), "--out", str(tmp_path / "pts.xyz")]) == 3
+    assert "FormatError" in capsys.readouterr().err
+
+
+def test_train_then_eval_reproduces_checkpoint_metric(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["--experiment", "setregression", "--set", "data.train_sets=12", "--set", "data.val_sets=6",
+            "--set", "model.widths=8,1", "--set", "train.epochs=2"]
+    assert main(["train", "--out", str(out), "--quiet"] + args) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "checkpoint_best.txt", "checkpoint_last.txt", "config.resolved.cfg", "metrics.log", "summary.txt",
+    ]
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint_last.txt")] + args) == 0
+    lines = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+    assert float(lines["reproduction_error"]) == 0.0

@@ -229,6 +229,19 @@ class TestOff:
         with pytest.raises(FormatError):
             load_off(path)
 
+    @pytest.mark.parametrize("counts", ["-3 1 0", "3 -1 0"])
+    def test_negative_counts(self, tmp_path, counts):
+        path = tmp_path / "neg.off"
+        path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        with pytest.raises(FormatError, match="negative element count"):
+            load_off(path)
+
+    def test_non_finite_vertex(self, tmp_path):
+        path = tmp_path / "inf.off"
+        path.write_text("OFF\n3 1 0\n0 0 0\ninf 0 0\n0 1 0\n3 0 1 2\n")
+        with pytest.raises(FormatError, match="non-finite"):
+            load_off(path)
+
 
 class TestAugment:
     def test_identity_draw(self):
@@ -266,6 +279,26 @@ class TestXyz:
         path = tmp_path / "bad.xyz"
         path.write_text("1.0 2.0\n")
         with pytest.raises(FormatError):
+            load_xyz(path)
+
+    def test_non_numeric_token(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_text("1.0 2.0 3.0\n1.0 two 3.0\n")
+        with pytest.raises(FormatError, match=":2: non-numeric"):
+            load_xyz(path)
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_coordinate(self, tmp_path, token):
+        path = tmp_path / "inf.xyz"
+        path.write_text(f"1.0 {token} 3.0\n")
+        with pytest.raises(FormatError, match="non-finite"):
+            load_xyz(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_file(self, tmp_path, text):
+        path = tmp_path / "empty.xyz"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="no points"):
             load_xyz(path)
 
 

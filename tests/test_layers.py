@@ -1,6 +1,12 @@
+import builtins
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from setnet import layers as layers_module
 from setnet.errors import (
     DegenerateSetError,
     DimensionError,
@@ -317,6 +323,10 @@ class TestNormalize:
             normalize_sets(SetBatch(np.ones((1, 3, 2)), np.array([1])))
 
 
+def hex_payload(*values):
+    return np.array(values, dtype="<f8").tobytes().hex()
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -332,17 +342,99 @@ class TestCheckpoint:
         for p, q in zip(params, fresh):
             assert np.array_equal(p.value, q.value)
 
+    def test_round_trip_edge_values_bit_exact(self, tmp_path):
+        edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1.0 / 3.0])
+        params = [
+            Param("edge", edge),
+            Param("scalar", np.array(-0.0)),
+            Param("empty", np.zeros((0, 4))),
+            Param("grid", edge[:8].reshape(2, 2, 2)),
+        ]
+        path = tmp_path / "edge.txt"
+        save_params(path, params)
+        arrays, _ = load_params(path)
+        for p in params:
+            got = arrays[p.name]
+            assert got.shape == p.value.shape and got.dtype == np.float64
+            assert got.tobytes() == p.value.tobytes()  # bitwise: keeps the sign of -0.0
+            got[...] = 1.0  # loaded arrays are writable
+
+    def test_payload_is_little_endian_float64_hex(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_params(path, [Param("w", np.array([[1.0, -2.0]]))], {"epoch": "1"})
+        assert path.read_text() == (
+            "setnet-params 2\nmeta epoch 1\nparam w 2 1 2\n000000000000f03f00000000000000c0\n"
+        )
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("something else\n")
         with pytest.raises(FormatError):
             load_params(path)
 
+    def test_format_version_1_rejected(self, tmp_path):
+        path = tmp_path / "v1.txt"
+        path.write_text("setnet-params 1\nparam w 1 2\n1.0 2.0\n")
+        with pytest.raises(FormatError, match="unsupported checkpoint format version '1'"):
+            load_params(path)
+
     def test_truncated_param(self, tmp_path):
         path = tmp_path / "trunc.txt"
-        path.write_text("setnet-params 1\nparam w 1 4\n1.0 2.0\n")
+        path.write_text(f"setnet-params 2\nparam w 1 4\n{hex_payload(1.0, 2.0)}\n")
+        with pytest.raises(FormatError, match="expected 4 values"):
+            load_params(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "param w x 4\n" + hex_payload(1.0) * 4,  # non-integer rank
+            "param w 1 x\n" + hex_payload(1.0) * 4,  # non-integer dim
+            "param w 2 -1 -2\n" + hex_payload(1.0) * 2,  # negative dims
+            "param w 1 2 2\n" + hex_payload(1.0) * 2,  # more dims than the rank
+            "param w\n",  # no rank
+            "param w 1 1\n",  # no payload line
+            "param w 1 1\n3ff000000000000g",  # non-hex digit
+            "param w 1 1\n3ff00000000000000",  # odd length
+            "param w 1 1\n3ff0000000000000ab",  # not a whole float64
+            "meta epoch\n",
+            "weights 1 2\n",
+        ],
+    )
+    def test_malformed_entry_raises_format_error(self, tmp_path, body):
+        path = tmp_path / "bad.txt"
+        path.write_text("setnet-params 2\n" + body + "\n")
         with pytest.raises(FormatError):
             load_params(path)
+
+    def test_non_utf8_raises_format_error(self, tmp_path):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"setnet-params 2\nmeta k \xff\xfe\n")
+        with pytest.raises(FormatError):
+            load_params(path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=40),
+                st.sampled_from(["param w 1 2", "param w 0", "param w 2 1 1", "meta a b", "",
+                                 hex_payload(1.0), hex_payload(1.0, -0.0), "3ff0", "param"]),
+                st.lists(st.sampled_from(["param", "meta", "w", "0", "1", "2", "-1", "x", "1e3", "ff"]),
+                         max_size=5).map(" ".join),
+            ),
+            max_size=8,
+        )
+    )
+    def test_arbitrary_text_loads_or_raises_format_error(self, tmp_path, records):
+        path = tmp_path / "fuzz.txt"
+        path.write_text("setnet-params 2\n" + "\n".join(records), encoding="utf-8")
+        try:
+            arrays, meta = load_params(path)
+        except FormatError:
+            return
+        assert all(a.dtype == np.float64 for a in arrays.values())
+        assert all(isinstance(v, str) for v in meta.values())
 
     def test_missing_param_on_restore(self, tmp_path):
         path = tmp_path / "ok.txt"
@@ -350,6 +442,38 @@ class TestCheckpoint:
         arrays, _ = load_params(path)
         with pytest.raises(FormatError):
             restore_params([Param("v", np.ones(2))], arrays)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.txt"
+        save_params(path, [Param("w", np.arange(4.0))], {"epoch": "1"})
+        before = path.read_bytes()
+
+        class DiskFull(io.StringIO):
+            def write(self, text):
+                with builtins.open(self.target, "w") as fh:
+                    fh.write(text[: len(text) // 2])  # the first half reaches the disk
+                raise OSError(28, "No space left on device")
+
+        def failing_open(target, *args, **kwargs):
+            fh = DiskFull()
+            fh.target = target
+            return fh
+
+        monkeypatch.setattr(layers_module, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_params(path, [Param("w", np.arange(1000.0))], {"epoch": "2"})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.txt"]
+
+    def test_rejected_meta_leaves_file_untouched(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_params(path, [Param("w", np.ones(3))])
+        before = path.read_bytes()
+        with pytest.raises(FormatError):
+            save_params(path, [Param("w", np.zeros(3))], {"note": "two words"})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.txt"]
 
 
 class TestSetBatch:

@@ -3,8 +3,8 @@ import pytest
 
 from setnet import autodiff as ad
 from setnet.data import synth_clusters, synth_digits, build_sum_sets, synth_shapes
-from setnet.errors import ConfigError, ContractError
-from setnet.layers import SetBatch, bind, load_params
+from setnet.errors import ConfigError, ContractError, FormatError
+from setnet.layers import SetBatch, bind, load_params, save_params
 from setnet.tensor import Permutation
 from setnet.train import (
     ClusterRegressionModel,
@@ -302,6 +302,43 @@ class TestTrainLoop:
         for p_straight, p_resumed in zip(straight.final_params, resumed.final_params):
             assert np.array_equal(p_straight.value, p_resumed.value)
 
+    def test_resume_keeps_better_best_checkpoint(self, tmp_path):
+        # sgd at lr=1.0 peaks at epoch 3 and gets worse after it, so a resume
+        # that forgot the best metric would overwrite checkpoint_best at epoch 4
+        def run(epochs, out, resume_from=None):
+            cfg = ExperimentConfig({
+                "experiment": "setregression",
+                "optimizer.kind": "sgd",
+                "optimizer.lr": "1.0",
+                "data.train_sets": "40",
+                "data.val_sets": "20",
+                "model.widths": "16,16,1",
+                "train.epochs": str(epochs),
+            })
+            tr, va = build_experiment_data(cfg)
+            model = build_experiment_model(cfg, tr)
+            out.mkdir(exist_ok=True)
+            return train_loop(model, cfg, tr, va, best_checkpoint_path=str(out / "best.txt"),
+                              last_checkpoint_path=str(out / "last.txt"), resume_from=resume_from)
+
+        straight = run(6, tmp_path / "straight")
+        assert straight.best_epoch == 3
+        run(3, tmp_path / "resumed")
+        resumed = run(6, tmp_path / "resumed", resume_from=str(tmp_path / "resumed" / "last.txt"))
+        assert resumed.best_epoch == 3
+        assert resumed.best_metric == straight.best_metric
+        assert (tmp_path / "resumed" / "best.txt").read_bytes() == (tmp_path / "straight" / "best.txt").read_bytes()
+        assert (tmp_path / "resumed" / "last.txt").read_bytes() == (tmp_path / "straight" / "last.txt").read_bytes()
+
+    def test_resume_without_training_state_is_format_error(self, tmp_path):
+        cfg = tiny_mnist_config()
+        tr, va = build_experiment_data(cfg)
+        model = build_experiment_model(cfg, tr)
+        ckpt = tmp_path / "params_only.txt"
+        save_params(ckpt, model.params(), {"epoch": "1"})
+        with pytest.raises(FormatError, match="no valid resume state"):
+            train_loop(model, cfg, tr, va, resume_from=str(ckpt))
+
     def test_best_checkpoint_metadata(self, tmp_path):
         cfg = tiny_mnist_config()
         tr, va = build_experiment_data(cfg)
@@ -310,6 +347,8 @@ class TestTrainLoop:
         result = train_loop(model, cfg, tr, va, best_checkpoint_path=str(best))
         arrays, meta = load_params(best)
         assert float(meta["val_metric"]) == result.best_metric
+        assert float(meta["best_metric"]) == result.best_metric
+        assert int(meta["best_epoch"]) == int(meta["epoch"]) == result.best_epoch
         assert meta["metric_name"] == "accuracy"
 
 
