@@ -18,15 +18,13 @@ from .errors import (
     SetNetError,
 )
 from .layers import (
-    DropoutSpec,
+    Dense,
+    Dropout,
     EquivariantLayer,
-    PoolSpec,
+    NormalizeSets,
     SetBatch,
-    dense_forward,
-    dropout_forward,
-    equivariant_forward,
-    normalize_sets,
-    set_pool,
+    SetPool,
+    evaluate,
 )
 from .tensor import Permutation
 
@@ -45,13 +43,11 @@ __all__ = [
     "DegenerateMeshError",
     "SetBatch",
     "EquivariantLayer",
-    "PoolSpec",
-    "DropoutSpec",
+    "Dense",
+    "SetPool",
+    "NormalizeSets",
+    "Dropout",
+    "evaluate",
     "Permutation",
-    "equivariant_forward",
-    "set_pool",
-    "dropout_forward",
-    "dense_forward",
-    "normalize_sets",
     "__version__",
 ]

@@ -12,17 +12,20 @@ single-argmax subgradient (lowest index on ties) and ``mean`` distributes
 cross a max-kink (the argmax pattern of any max node differs between the two
 perturbed replays) are flagged as non-differentiable points and excluded
 rather than reported as failures.
+
+``ForwardTape`` computes the same values without recording a graph, for
+evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError
 
 GradientMap = Dict[str, np.ndarray]
 
@@ -111,10 +114,25 @@ class Node:
 
     def reshape(self, shape) -> "Node":
         shape = tuple(shape)
+
+        def fwd(a):
+            try:
+                return a.reshape(shape)
+            except ValueError as exc:
+                raise DimensionError(f"cannot reshape {a.shape} to {shape}") from exc
+
         return self.tape._record(
             "reshape", (self,),
-            fwd=lambda a: T.reshape(a, shape),
+            fwd=fwd,
             vjp=lambda g, pv, out: (g.reshape(pv[0].shape),),
+        )
+
+    def transpose(self, axes) -> "Node":
+        inverse = tuple(np.argsort(axes))
+        return self.tape._record(
+            "transpose", (self,),
+            fwd=lambda a: a.transpose(axes),
+            vjp=lambda g, pv, out: (g.transpose(inverse),),
         )
 
     def sum(self, axis: int, keepdims: bool = False) -> "Node":
@@ -216,6 +234,20 @@ class Tape:
         return self._record(op, (a, b), fwd=fwd, vjp=vjp)
 
 
+class ForwardTape(Tape):
+    """A tape that keeps values only: its nodes have no parents and it holds
+    no nodes, so nothing can be differentiated or replayed, and each
+    intermediate value is freed as soon as nothing uses it.
+
+    A recording tape keeps its whole graph, and since every node refers back
+    to its tape, the graph is a reference cycle that only the cyclic garbage
+    collector frees. Evaluation needs no graph, so it uses this tape.
+    """
+
+    def _append(self, value, parents, op, fwd, vjp, name, is_variable) -> Node:
+        return Node(self, -1, value, (), op, None, None, name, is_variable)
+
+
 def nonlinearity(x: Node, fn: str) -> Node:
     if fn == "identity":
         return x
@@ -223,23 +255,6 @@ def nonlinearity(x: Node, fn: str) -> Node:
         f"nl_{fn}", (x,),
         fwd=lambda a: T.elementwise(a, fn),
         vjp=lambda g, pv, out: (g * T.elementwise_grad(pv[0], fn),),
-    )
-
-
-def concat(parts: Sequence[Node], axis: int) -> Node:
-    if not parts:
-        raise DimensionError("concat needs at least one node")
-    tape = parts[0].tape
-    sizes = [p.value.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def vjp(g, pv, out):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return tape._record(
-        "concat", tuple(parts),
-        fwd=lambda *vals: T.concatenate(vals, axis),
-        vjp=vjp,
     )
 
 
@@ -272,20 +287,6 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
         return (g * p / labels.shape[0],)
 
     return logits.tape._record("softmax_ce", (logits,), fwd=fwd, vjp=vjp)
-
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Plain softmax on the last axis (evaluation-side helper)."""
-    shift = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shift)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def forward(tape: Tape, root: Node) -> np.ndarray:
-    """Value at ``root``; intermediates were cached during construction."""
-    if root.tape is not tape:
-        raise ContractError("root does not belong to this tape")
-    return root.value
 
 
 def backward(tape: Tape, root: Node) -> GradientMap:

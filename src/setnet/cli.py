@@ -20,7 +20,6 @@ import numpy as np
 
 from . import data as datamod
 from . import theorem
-from . import train as trainmod
 from .errors import (
     BudgetError,
     ConfigError,
@@ -30,17 +29,15 @@ from .errors import (
     NumericError,
     SetNetError,
 )
-from .layers import load_params, restore_params
+from .layers import EquivariantLayer, SetBatch, SetPool, evaluate, load_params, restore_params
 from .train import (
     ExperimentConfig,
     activation_maximization,
     build_experiment_data,
     build_experiment_model,
     config_lines,
-    default_config,
     evaluate_classifier,
     evaluate_regressor,
-    make_set_batch,
     parse_config_text,
     train_loop,
 )
@@ -123,8 +120,6 @@ def cmd_check_equivariance(args) -> int:
     if args.demo:
         n = _PROBE_SET_SIZE if args.n is None else args.n
         if args.demo == "stack":
-            from .layers import EquivariantLayer, SetBatch
-
             layers = [
                 EquivariantLayer(args.channels, 8, "channel_full", "tanh", rng=rng, name="d1"),
                 EquivariantLayer(8, 8, "channel_factored", "tanh", rng=rng, name="d2"),
@@ -134,7 +129,7 @@ def cmd_check_equivariance(args) -> int:
             def f(x):
                 batch = SetBatch(x[None], np.array([x.shape[0]]))
                 for layer in layers:
-                    batch = layer.forward(batch)
+                    batch = batch.with_values(evaluate(layer, batch))
                 return batch.values[0]
 
         else:  # an unconstrained dense layer mixing the set axis: not equivariant
@@ -161,41 +156,20 @@ def cmd_check_equivariance(args) -> int:
 
 
 def _probe_model(model, config: ExperimentConfig, train_data, args, rng):
-    k = train_data.channels
     n = args.n
     if n is None:  # mnist_sum models take exactly data.set_size members
-        n = model.set_size if config.experiment == "mnist_sum" else _PROBE_SET_SIZE
-
-    if config.experiment == "setregression":
-        def f(x):
-            from .layers import SetBatch
-
-            batch = SetBatch(x[None], np.array([x.shape[0]]))
-            return model.predict(batch)[0][:, None]
-
-        return theorem.check_equivariance_empirical(f, n, args.trials, rng, channels=k)
+        n = model.set_size or _PROBE_SET_SIZE
+    # pointcloud is probed on its equivariant stack, the others on their
+    # output; a pooled output is repeated once per member
+    upto = None
     if config.experiment == "pointcloud":
-        def f(x):
-            import numpy as _np
+        upto = next(i for i, layer in enumerate(model.layers) if isinstance(layer, SetPool))
 
-            from . import autodiff as ad
-            from .layers import SetBatch
-
-            batch = SetBatch(x[None], _np.array([x.shape[0]]))
-            tape = ad.Tape()
-            xs = tape.constant(batch.values)
-            bound = {p.name: tape.constant(p.value) for p in model.params()}
-            return model.equivariant_stack(tape, xs, batch.cardinalities, bound).value[0]
-
-        return theorem.check_equivariance_empirical(f, n, args.trials, rng, channels=k)
-    # mnist: the pooled logits should be permutation-invariant for III/IV
     def f(x):
-        from .layers import SetBatch
+        out = evaluate(model, SetBatch(x[None], np.array([x.shape[0]])), upto=upto)
+        return out[0] if out.ndim == 3 else np.repeat(out, x.shape[0], axis=0)
 
-        batch = SetBatch(x[None], np.array([x.shape[0]]))
-        return np.repeat(model.predict_logits(batch), x.shape[0], axis=0)
-
-    return theorem.check_equivariance_empirical(f, n, args.trials, rng, channels=k)
+    return theorem.check_equivariance_empirical(f, n, args.trials, rng, channels=train_data.channels)
 
 
 def cmd_train(args) -> int:

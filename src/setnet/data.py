@@ -13,6 +13,7 @@ All builders are deterministic given their rng.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 import warnings
@@ -258,14 +259,22 @@ class TriangleMesh:
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
+def _read_text(path, newline=None) -> str:
+    """The whole file as UTF-8 text; any other bytes raise ``FormatError``."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def load_off(path) -> TriangleMesh:
     """Parse an ASCII OFF mesh, tolerating the dialect where the counts share
     the header line (with or without a space after "OFF"). Faces with more
     than three vertices are fan-triangulated; unknown trailing tokens on
     vertex or face lines (e.g. per-element colors) are ignored with a warning.
     """
-    with open(path) as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
+    lines = [ln.split("#", 1)[0].strip() for ln in _read_text(path).split("\n")]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise FormatError(f"{path}: empty file")
@@ -372,21 +381,20 @@ def save_xyz(path, points: np.ndarray) -> None:
 def load_xyz(path) -> np.ndarray:
     """Read the [m, 3] points of an x y z file; m >= 1 and every value finite."""
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected three coordinates")
-            try:
-                row = [float(v) for v in parts]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric coordinate") from exc
-            if not all(math.isfinite(v) for v in row):
-                raise FormatError(f"{path}:{lineno}: non-finite coordinate")
-            rows.append(row)
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{lineno}: expected three coordinates")
+        try:
+            row = [float(v) for v in parts]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-numeric coordinate") from exc
+        if not all(math.isfinite(v) for v in row):
+            raise FormatError(f"{path}:{lineno}: non-finite coordinate")
+        rows.append(row)
     if not rows:
         raise FormatError(f"{path}: no points")
     return np.array(rows, dtype=np.float64)
@@ -506,8 +514,7 @@ def load_cluster_catalog(
     label is an observed ground-truth estimate; other rows carry a zero label
     and an unset mask.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(_read_text(path, newline=""), newline="")))
     if not rows:
         raise FormatError(f"{path}: empty file")
 
@@ -554,6 +561,8 @@ def load_cluster_catalog(
             label = float(row[label_idx]) if masked else 0.0
         except ValueError as exc:
             raise FormatError(f"{path}: non-numeric cell in row {lineno}") from exc
+        if not all(math.isfinite(v) for v in feats + [label]):
+            raise FormatError(f"{path}: non-finite cell in row {lineno}")
         cid = row[id_idx].strip()
         if cid not in clusters:
             clusters[cid] = []

@@ -13,11 +13,15 @@ set axis then gives a permutation-invariant set representation.
 Batches are dense [B, N_max, K] arrays with an explicit per-set cardinality;
 padding rows are masked out of every aggregate (zero weight in sums and mean
 denominators, a large negative surrogate for max) so enlarging N_max never
-changes a real row's output.
+changes a real row's output beyond rounding: a longer sum or matrix product
+may group its additions differently, which can move the last bit.
 
-Layers hold their parameters as named ``Param`` objects and build autodiff
-graph nodes through ``apply``; the module-level functions (equivariant
-forward, set_pool, ...) are the pure value-level surface over the same math.
+Every layer has the same protocol: ``params()`` lists its named ``Param``
+objects (none for pooling, normalisation, flattening and dropout) and
+``apply(tape, x, cards, bound, rng=None)`` builds its autodiff nodes from the
+input node, the set cardinalities and the tape nodes bound to the parameters.
+Dropout is active exactly when an ``rng`` is passed. ``evaluate`` runs any
+such module on a batch with the parameters held constant.
 """
 
 from __future__ import annotations
@@ -214,7 +218,7 @@ class EquivariantLayer:
     def params(self) -> List[Param]:
         return [p for p in (self.lam, self.gam, self.beta) if p is not None]
 
-    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node]) -> ad.Node:
+    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if x.value.shape[2] != self.k_in:
             raise DimensionError(
                 f"{self.name}: expected {self.k_in} input channels, got {x.value.shape[2]}"
@@ -227,14 +231,6 @@ class EquivariantLayer:
             lam = bound[self.lam.name]
             pre = _per_member_matmul(x, lam) + self.sign * _per_member_matmul(agg, gam)
         return ad.nonlinearity(pre, self.activation)
-
-    def forward(self, batch: SetBatch) -> SetBatch:
-        """Pure value-level forward (parameters treated as constants)."""
-        tape = ad.Tape()
-        x = tape.constant(batch.values)
-        bound = {p.name: tape.constant(p.value) for p in self.params()}
-        y = self.apply(tape, x, batch.cardinalities, bound)
-        return batch.with_values(y.value)
 
 
 class Dense:
@@ -254,7 +250,7 @@ class Dense:
     def params(self) -> List[Param]:
         return [self.w, self.b]
 
-    def apply(self, tape: ad.Tape, x: ad.Node, bound: Dict[str, ad.Node]) -> ad.Node:
+    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if x.value.shape[-1] != self.k_in:
             raise DimensionError(f"{self.name}: expected {self.k_in} inputs, got {x.value.shape[-1]}")
         w, b = bound[self.w.name], bound[self.b.name]
@@ -275,7 +271,10 @@ class SetPool:
             raise DimensionError(f"unknown pool kind {kind!r}")
         self.kind = kind
 
-    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray) -> ad.Node:
+    def params(self) -> List[Param]:
+        return []
+
+    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         b, _, k = x.value.shape
         return _masked_aggregate(tape, x, cards, self.kind).reshape((b, k))
 
@@ -284,9 +283,8 @@ class Dropout:
     """Inverted dropout over channels; optionally one shared mask per set.
 
     With ``simultaneous`` the same channels are dropped for every member of a
-    set, so members cannot fill in each other's missing features. At
-    evaluation time the layer is the identity. The mask used by the last
-    training application is kept on ``last_mask`` for inspection.
+    set, so members cannot fill in each other's missing features. Without an
+    ``rng`` (evaluation) the layer is the identity.
     """
 
     def __init__(self, rate: float, simultaneous: bool = True):
@@ -294,7 +292,9 @@ class Dropout:
             raise DimensionError("dropout rate must be in [0, 1)")
         self.rate = rate
         self.simultaneous = simultaneous
-        self.last_mask: Optional[np.ndarray] = None
+
+    def params(self) -> List[Param]:
+        return []
 
     def sample_mask(self, rng: np.random.Generator, shape) -> np.ndarray:
         if len(shape) == 3 and self.simultaneous:
@@ -305,14 +305,10 @@ class Dropout:
         keep = (rng.random(draw_shape) >= self.rate).astype(np.float64)
         return keep / (1.0 - self.rate)
 
-    def apply(self, tape: ad.Tape, x: ad.Node, rng: Optional[np.random.Generator], training: bool) -> ad.Node:
-        if not training or self.rate == 0.0:
+    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
+        if rng is None or self.rate == 0.0:
             return x
-        if rng is None:
-            raise DimensionError("training-time dropout needs an rng")
-        mask = self.sample_mask(rng, x.value.shape)
-        self.last_mask = mask
-        return x * tape.constant(mask)
+        return x * tape.constant(self.sample_mask(rng, x.value.shape))
 
 
 class NormalizeSets:
@@ -325,7 +321,10 @@ class NormalizeSets:
 
     eps = 1e-8
 
-    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray) -> ad.Node:
+    def params(self) -> List[Param]:
+        return []
+
+    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if np.any(cards < 2):
             raise DegenerateSetError("normalization needs sets of at least two members")
         _, n_max, k = x.value.shape
@@ -339,63 +338,32 @@ class NormalizeSets:
         return centered * inv_std
 
 
-# --- pure value-level surface ------------------------------------------------
+class Flatten:
+    """Join each set's members into one vector: [B, N, K] -> [B, N*K].
+
+    Members follow each other, or with ``interleave`` the vector runs feature
+    by feature across members (channel stacking). Either way the result
+    depends on member order.
+    """
+
+    def __init__(self, interleave: bool = False):
+        self.interleave = interleave
+
+    def params(self) -> List[Param]:
+        return []
+
+    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
+        b = x.value.shape[0]
+        return (x.transpose((0, 2, 1)) if self.interleave else x).reshape((b, -1))
 
 
-@dataclass(frozen=True)
-class PoolSpec:
-    kind: str = "sum"
-
-    def __post_init__(self):
-        if self.kind not in POOL_KINDS:
-            raise DimensionError(f"unknown pool kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class DropoutSpec:
-    rate: float = 0.0
-    simultaneous: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate < 1.0:
-            raise DimensionError("dropout rate must be in [0, 1)")
-
-
-def equivariant_forward(layer: EquivariantLayer, batch: SetBatch) -> SetBatch:
-    return layer.forward(batch)
-
-
-def set_pool(batch: SetBatch, spec: PoolSpec) -> np.ndarray:
-    """Permutation-invariant per-set reduction over real rows; [B, K]."""
-    tape = ad.Tape()
-    x = tape.constant(batch.values)
-    return SetPool(spec.kind).apply(tape, x, batch.cardinalities).value
-
-
-def dropout_forward(
-    batch: SetBatch, spec: DropoutSpec, rng: Optional[np.random.Generator], training: bool
-) -> SetBatch:
-    layer = Dropout(spec.rate, spec.simultaneous)
-    tape = ad.Tape()
-    x = tape.constant(batch.values)
-    return batch.with_values(layer.apply(tape, x, rng, training).value)
-
-
-def dense_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray, activation: str = "identity") -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != w.shape[0]:
-        raise DimensionError(f"dense input has {x.shape[-1]} features, weight expects {w.shape[0]}")
-    if b.shape != (w.shape[1],):
-        raise DimensionError("bias length must match output width")
-    return T.elementwise(x @ w + b, activation)
-
-
-def normalize_sets(batch: SetBatch) -> SetBatch:
-    tape = ad.Tape()
-    x = tape.constant(batch.values)
-    return batch.with_values(NormalizeSets().apply(tape, x, batch.cardinalities).value)
+def evaluate(module, batch: SetBatch, **options) -> np.ndarray:
+    """Value of ``module.apply`` on ``batch``: parameters are constants on a
+    ``ForwardTape`` and no rng is passed, so dropout is off. ``options`` go on
+    to ``apply`` (a model's ``upto``)."""
+    tape = ad.ForwardTape()
+    bound = {p.name: tape.constant(p.value) for p in module.params()}
+    return module.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, **options).value
 
 
 # --- parameter checkpoints ----------------------------------------------------

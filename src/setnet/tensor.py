@@ -1,23 +1,23 @@
-"""Dense float64 tensor values and the small operation set the library builds on.
+"""Float64 tensor contracts shared by the autodiff tape.
 
-A "tensor" here is simply a C-contiguous ``numpy.ndarray`` of dtype float64:
-row-major flat storage, no views or strides exposed. numpy supplies the
-arithmetic; this module owns the contracts around it — every operation
-validates shapes, and every produced value is checked to be finite so NaN/Inf
-surface as :class:`~setnet.errors.NumericError` instead of propagating.
+A "tensor" here is simply a ``numpy.ndarray`` of dtype float64, and numpy
+supplies the arithmetic. This module holds what the tape's nodes rely on:
+the finiteness check every node value passes (so NaN/Inf surface as
+:class:`~setnet.errors.NumericError` instead of propagating), the shape-checked
+matrix product, the pointwise nonlinearities with their derivatives, and the
+``Permutation`` type that fixes the library's reordering convention.
 
-Reference oracles for these operations (triple-loop matmul and friends) live
-in the test suite, deliberately independent of this module.
+Reference oracles (a triple-loop matmul) live in the test suite,
+deliberately independent of this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, EmptyReductionError, NumericError
+from .errors import DimensionError, NumericError
 
 Tensor = np.ndarray
 
@@ -42,7 +42,9 @@ class Permutation:
     """A bijection on {0, ..., n-1}, stored as an index array.
 
     The convention, fixed once for the whole library: applying ``p`` to a
-    tensor along an axis produces ``out[i] = x[p.mapping[i]]``.
+    tensor along an axis produces ``out[i] = x[p.mapping[i]]``, that is
+    ``x[p.mapping]`` along the first axis (``SetBatch.permute_members``
+    reorders members this way).
     """
 
     mapping: np.ndarray
@@ -73,22 +75,17 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Permutation equivalent to applying ``other`` first, then ``self``:
-        ``apply(apply(x, p), q) == apply(x, q.compose(p))``.
+        ``x[p.mapping][q.mapping] == x[q.compose(p).mapping]``.
         """
         if self.n != other.n:
             raise DimensionError(f"cannot compose permutations of sizes {self.n} and {other.n}")
         return Permutation(other.mapping[self.mapping])
 
     def matrix(self) -> Tensor:
-        """The n-by-n 0/1 matrix M with M @ x == apply_permutation(x, p, 0)."""
+        """The n-by-n 0/1 matrix M with ``M @ x == x[self.mapping]``."""
         m = np.zeros((self.n, self.n))
         m[np.arange(self.n), self.mapping] = 1.0
         return m
-
-
-class ReduceResult(NamedTuple):
-    values: Tensor
-    argmax: Optional[np.ndarray]  # set only for kind="max"; ties broken by lowest index
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -100,41 +97,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
     return ensure_finite(a @ b, "matmul")
-
-
-def reduce_over_axis(x: Tensor, axis: int, kind: str) -> ReduceResult:
-    """Reduce one axis by sum, max or mean; the reduced axis is dropped.
-
-    For ``kind="max"`` the argmax indices along the axis are returned as well
-    (lowest index on ties) so gradients can be routed to a single entry.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not 0 <= axis < x.ndim:
-        raise DimensionError(f"axis {axis} out of range for rank-{x.ndim} tensor")
-    if x.shape[axis] == 0:
-        raise EmptyReductionError(f"cannot reduce zero-length axis {axis}")
-    if kind == "sum":
-        out = np.sum(x, axis=axis)
-        idx = None
-    elif kind == "mean":
-        out = np.mean(x, axis=axis)
-        idx = None
-    elif kind == "max":
-        idx = np.argmax(x, axis=axis)
-        out = np.max(x, axis=axis)
-    else:
-        raise DimensionError(f"unknown reduction kind {kind!r}")
-    return ReduceResult(ensure_finite(out, f"reduce_over_axis[{kind}]"), idx)
-
-
-def apply_permutation(x: Tensor, p: Permutation, axis: int) -> Tensor:
-    """Reorder ``x`` along ``axis``: out[i] = x[p.mapping[i]]."""
-    x = np.asarray(x, dtype=np.float64)
-    if not 0 <= axis < x.ndim:
-        raise DimensionError(f"axis {axis} out of range for rank-{x.ndim} tensor")
-    if x.shape[axis] != p.n:
-        raise DimensionError(f"axis {axis} has length {x.shape[axis]}, permutation has n={p.n}")
-    return np.take(x, p.mapping, axis=axis)
 
 
 def elementwise(x: Tensor, fn: str) -> Tensor:
@@ -172,46 +134,3 @@ def elementwise_grad(x: Tensor, fn: str) -> Tensor:
     if fn == "identity":
         return np.ones_like(x)
     raise DimensionError(f"unknown nonlinearity {fn!r}")
-
-
-def _broadcast_op(a: Tensor, b: Tensor, op, name: str) -> Tensor:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # ensure_finite surfaces these
-            out = op(a, b)
-    except ValueError as exc:
-        raise DimensionError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from exc
-    return ensure_finite(out, name)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_op(a, b, np.add, "add")
-
-
-def subtract(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_op(a, b, np.subtract, "subtract")
-
-
-def multiply(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_op(a, b, np.multiply, "multiply")
-
-
-def concatenate(parts: Sequence[Tensor], axis: int) -> Tensor:
-    arrs = [np.asarray(p, dtype=np.float64) for p in parts]
-    if not arrs:
-        raise DimensionError("concatenate needs at least one tensor")
-    try:
-        out = np.concatenate(arrs, axis=axis)
-    except ValueError as exc:
-        raise DimensionError(f"concatenate: incompatible shapes {[a.shape for a in arrs]}") from exc
-    return ensure_finite(out, "concatenate")
-
-
-def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
-    x = np.asarray(x, dtype=np.float64)
-    shape = tuple(shape)
-    try:
-        return x.reshape(shape)
-    except ValueError as exc:
-        raise DimensionError(f"cannot reshape {x.shape} to {shape}") from exc

@@ -43,12 +43,14 @@ from .layers import (
     Dense,
     Dropout,
     EquivariantLayer,
+    Flatten,
     NormalizeSets,
     Param,
     SetBatch,
     SetPool,
     bind,
     count_params,
+    evaluate,
     load_params,
     restore_params,
     save_params,
@@ -272,10 +274,6 @@ def scatter_metric(z_pred: np.ndarray, z_spec: np.ndarray) -> float:
     return float(np.mean(np.abs(z_spec - z_pred) / (1.0 + z_spec)))
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
-
-
 # --- batching ---------------------------------------------------------------------
 
 
@@ -313,302 +311,97 @@ def batch_indices(count: int, batch_size: int, order: Optional[np.ndarray] = Non
 # --- models -----------------------------------------------------------------------
 
 
-class MnistSumModel:
+class SetModel:
+    """An ordered list of layers applied in turn to a set batch.
+
+    Layers before a ``SetPool`` act on every member and layers after it on
+    the pooled set vector; a model without one predicts per member.
+    """
+
+    def __init__(self, layers: Sequence, metric_name: str, higher_is_better: bool, set_size: Optional[int] = None):
+        self.layers = list(layers)
+        self.metric_name = metric_name
+        self.higher_is_better = higher_is_better
+        self.set_size = set_size  # the cardinality every set must have, if fixed
+
+    def params(self) -> List[Param]:
+        return [p for layer in self.layers for p in layer.params()]
+
+    def apply(self, tape, x: ad.Node, cards, bound, rng=None, upto: Optional[int] = None) -> ad.Node:
+        """Output of the first ``upto`` layers (all by default); dropout is on when ``rng`` is given."""
+        if self.set_size is not None and np.any(cards != self.set_size):
+            raise DimensionError(f"model expects exactly {self.set_size} members per set")
+        for layer in self.layers[:upto]:
+            x = layer.apply(tape, x, cards, bound, rng)
+        return x
+
+
+def masked_mse(pred: ad.Node, targets: np.ndarray, mask: np.ndarray) -> ad.Node:
+    """Mean squared error of [B, N, 1] member predictions over the observed members."""
+    labeled = float(mask.sum())
+    if labeled == 0:
+        raise ContractError("batch has no labeled members")
+    b, n, _ = pred.value.shape
+    tape = pred.tape
+    diff = (pred.reshape((b, n)) - tape.constant(targets)) * tape.constant(mask)
+    return (diff * diff).sum_all() * (1.0 / labeled)
+
+
+def _mnist_model(config: ExperimentConfig, input_dim: int, rng: np.random.Generator) -> SetModel:
     """Digit-sum classifier over sets of flattened images, four variants.
 
     I concatenates members into one long vector, II interleaves members
     pixel-major (channel stacking), III runs a shared per-member encoder and
     pools, IV inserts an equivariant layer between encoder and pooling.
     """
-
-    metric_name = "accuracy"
-    higher_is_better = True
-
-    def __init__(
-        self,
-        variant: str,
-        set_size: int,
-        input_dim: int = 784,
-        width: int = 0,
-        trunk: int = 128,
-        activation: str = "elu",
-        pool: str = "sum",
-        dropout: float = 0.2,
-        simultaneous: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        if variant not in MNIST_VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}")
-        rng = rng or np.random.default_rng(0)
-        self.variant = variant
-        self.set_size = set_size
-        self.input_dim = input_dim
-        self.num_classes = 9 * set_size + 1
-        self.width = width if width > 0 else _MNIST_AUTO_WIDTH[variant]
-        self.trunk = trunk
-        self.activation = activation
-        self.pool = SetPool(pool)
-        self.drop = Dropout(dropout, simultaneous)
-        self.flat_drop = Dropout(dropout, simultaneous=False)
-        w = self.width
-        if variant in ("I", "II"):
-            self.fc1 = Dense(set_size * input_dim, w, activation, rng, "fc1")
-            self.fc2 = Dense(w, trunk, activation, rng, "fc2")
-            self.out = Dense(trunk, self.num_classes, "identity", rng, "out")
-            self._layers = [self.fc1, self.fc2, self.out]
-        elif variant == "III":
-            self.enc = Dense(input_dim, w, activation, rng, "enc")
-            self.fc2 = Dense(w, trunk, activation, rng, "fc2")
-            self.out = Dense(trunk, self.num_classes, "identity", rng, "out")
-            self._layers = [self.enc, self.fc2, self.out]
-        else:  # IV
-            self.enc = Dense(input_dim, w, activation, rng, "enc")
-            self.eq = EquivariantLayer(w, trunk, "channel_factored", activation, rng=rng, name="eq")
-            self.fc2 = Dense(trunk, trunk, activation, rng, "fc2")
-            self.out = Dense(trunk, self.num_classes, "identity", rng, "out")
-            self._layers = [self.enc, self.eq, self.fc2, self.out]
-
-    def params(self) -> List[Param]:
-        out: List[Param] = []
-        for layer in self._layers:
-            out.extend(layer.params())
-        return out
-
-    def logits(
-        self,
-        tape: ad.Tape,
-        batch: SetBatch,
-        bound: Dict[str, ad.Node],
-        rng: Optional[np.random.Generator] = None,
-        training: bool = False,
-    ) -> ad.Node:
-        if np.any(batch.cardinalities != self.set_size):
-            raise DimensionError(f"variant {self.variant} expects exactly {self.set_size} members per set")
-        values, cards = batch.values, batch.cardinalities
-        b = batch.num_sets
-        if self.variant in ("I", "II"):
-            flat = values.reshape(b, -1) if self.variant == "I" else values.transpose(0, 2, 1).reshape(b, -1)
-            h = self.fc1.apply(tape, tape.constant(flat), bound)
-            h = self.flat_drop.apply(tape, h, rng, training)
-            h = self.fc2.apply(tape, h, bound)
-            h = self.flat_drop.apply(tape, h, rng, training)
-            return self.out.apply(tape, h, bound)
-        x = tape.constant(values)
-        h = self.enc.apply(tape, x, bound)
-        h = self.drop.apply(tape, h, rng, training)
-        if self.variant == "IV":
-            h = self.eq.apply(tape, h, cards, bound)
-            h = self.drop.apply(tape, h, rng, training)
-        pooled = self.pool.apply(tape, h, cards)
-        t = self.fc2.apply(tape, pooled, bound)
-        t = self.flat_drop.apply(tape, t, rng, training)
-        return self.out.apply(tape, t, bound)
-
-    def loss(self, tape, batch: SetBatch, labels, bound, rng=None, training=False) -> ad.Node:
-        return ad.softmax_cross_entropy(self.logits(tape, batch, bound, rng, training), labels)
-
-    def predict_logits(self, batch: SetBatch) -> np.ndarray:
-        tape = ad.Tape()
-        bound = {p.name: tape.constant(p.value) for p in self.params()}
-        return self.logits(tape, batch, bound).value
-
-
-class PointCloudModel:
-    """normalize -> equivariant stack -> set max-pool -> dense classifier."""
-
-    metric_name = "accuracy"
-    higher_is_better = True
-
-    def __init__(
-        self,
-        num_classes: int,
-        widths: Sequence[int] = (64, 64, 64),
-        trunk: int = 64,
-        activation: str = "tanh",
-        pool: str = "max",
-        dropout: float = 0.0,
-        simultaneous: bool = True,
-        input_dim: int = 3,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        rng = rng or np.random.default_rng(0)
-        self.num_classes = num_classes
-        self.normalize = NormalizeSets()
-        self.eq_layers: List[EquivariantLayer] = []
-        k = input_dim
-        for i, w in enumerate(widths):
-            self.eq_layers.append(
-                EquivariantLayer(k, w, "channel_factored", activation, rng=rng, name=f"eq{i + 1}")
-            )
-            k = w
-        self.pool = SetPool(pool)
-        self.fc = Dense(k, trunk, activation, rng, "fc")
-        self.out = Dense(trunk, num_classes, "identity", rng, "out")
-        self.drop = Dropout(dropout, simultaneous=False)
-
-    def params(self) -> List[Param]:
-        out: List[Param] = []
-        for layer in self.eq_layers:
-            out.extend(layer.params())
-        out.extend(self.fc.params())
-        out.extend(self.out.params())
-        return out
-
-    def equivariant_stack(self, tape, x: ad.Node, cards, bound, upto: Optional[int] = None) -> ad.Node:
-        h = self.normalize.apply(tape, x, cards)
-        layers = self.eq_layers if upto is None else self.eq_layers[: upto + 1]
-        for layer in layers:
-            h = layer.apply(tape, h, cards, bound)
-        return h
-
-    def logits(self, tape, batch: SetBatch, bound, rng=None, training=False) -> ad.Node:
-        x = tape.constant(batch.values)
-        h = self.equivariant_stack(tape, x, batch.cardinalities, bound)
-        pooled = self.pool.apply(tape, h, batch.cardinalities)
-        pooled = self.drop.apply(tape, pooled, rng, training)
-        t = self.fc.apply(tape, pooled, bound)
-        t = self.drop.apply(tape, t, rng, training)
-        return self.out.apply(tape, t, bound)
-
-    def loss(self, tape, batch, labels, bound, rng=None, training=False) -> ad.Node:
-        return ad.softmax_cross_entropy(self.logits(tape, batch, bound, rng, training), labels)
-
-    def predict_logits(self, batch: SetBatch) -> np.ndarray:
-        tape = ad.Tape()
-        bound = {p.name: tape.constant(p.value) for p in self.params()}
-        return self.logits(tape, batch, bound).value
-
-    def unit_activation(self, tape, x: ad.Node, cards, bound, layer_index: int, unit: int) -> ad.Node:
-        """Mean activation of one channel of one equivariant layer, pre-pool."""
-        if not 0 <= layer_index < len(self.eq_layers):
-            raise ContractError(f"layer index {layer_index} out of range")
-        h = self.equivariant_stack(tape, x, cards, bound, upto=layer_index)
-        width = self.eq_layers[layer_index].k_out
-        if not 0 <= unit < width:
-            raise ContractError(f"unit {unit} out of range for width {width}")
-        selector = np.zeros((width, 1))
-        selector[unit, 0] = 1.0
-        b, n, _ = h.value.shape
-        picked = (h.reshape((b * n, width)) @ tape.constant(selector)).reshape((b, n))
-        return picked.mean(axis=1).sum_all()
-
-
-class ClusterRegressionModel:
-    """Per-member regression over clusters; equivariant or per-member MLP.
-
-    The two variants have identical parameter counts layer for layer: an
-    equivariant layer with max-normalisation carries exactly one weight
-    matrix plus one bias, same as a dense layer.
-    """
-
-    metric_name = "scatter"
-    higher_is_better = False
-
-    def __init__(
-        self,
-        variant: str = "equivariant",
-        input_dim: int = 17,
-        widths: Sequence[int] = (128, 128, 128, 1),
-        activation: str = "tanh",
-        dropout: float = 0.5,
-        simultaneous: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        if variant not in ("equivariant", "baseline_mlp"):
-            raise ConfigError(f"unknown regression variant {variant!r}")
-        if widths[-1] != 1:
-            raise ConfigError("last width must be 1 (one output per member)")
-        rng = rng or np.random.default_rng(0)
-        self.variant = variant
-        self.layers: List = []
-        k = input_dim
-        for i, w in enumerate(widths):
-            act = "identity" if i == len(widths) - 1 else activation
-            if variant == "equivariant":
-                self.layers.append(EquivariantLayer(k, w, "channel_factored", act, rng=rng, name=f"eq{i + 1}"))
-            else:
-                self.layers.append(Dense(k, w, act, rng, name=f"fc{i + 1}"))
-            k = w
-        # dropout between hidden layers; shared per set only for the set-aware variant
-        self.drop = Dropout(dropout, simultaneous=simultaneous and variant == "equivariant")
-
-    def params(self) -> List[Param]:
-        out: List[Param] = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
-
-    def predictions(self, tape, batch: SetBatch, bound, rng=None, training=False) -> ad.Node:
-        h: ad.Node = tape.constant(batch.values)
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, EquivariantLayer):
-                h = layer.apply(tape, h, batch.cardinalities, bound)
-            else:
-                h = layer.apply(tape, h, bound)
-            if i < len(self.layers) - 1:
-                h = self.drop.apply(tape, h, rng, training)
-        b, n, _ = h.value.shape
-        return h.reshape((b, n))
-
-    def loss(self, tape, batch: SetBatch, targets: np.ndarray, mask: np.ndarray, bound, rng=None, training=False) -> ad.Node:
-        labeled = float(mask.sum())
-        if labeled == 0:
-            raise ContractError("batch has no labeled members")
-        pred = self.predictions(tape, batch, bound, rng, training)
-        diff = (pred - tape.constant(targets)) * tape.constant(mask)
-        return (diff * diff).sum_all() * (1.0 / labeled)
-
-    def predict(self, batch: SetBatch) -> np.ndarray:
-        tape = ad.Tape()
-        bound = {p.name: tape.constant(p.value) for p in self.params()}
-        return self.predictions(tape, batch, bound).value
-
-
-def build_mnist_model(variant: str, set_size: int, rng: np.random.Generator, **kwargs) -> MnistSumModel:
-    return MnistSumModel(variant, set_size, rng=rng, **kwargs)
-
-
-def build_pointcloud_model(num_classes: int, rng: np.random.Generator, **kwargs) -> PointCloudModel:
-    return PointCloudModel(num_classes, rng=rng, **kwargs)
-
-
-def build_regression_model(variant: str, rng: np.random.Generator, **kwargs) -> ClusterRegressionModel:
-    return ClusterRegressionModel(variant, rng=rng, **kwargs)
+    variant, act = config.variant, config.activation
+    n = config._int("data.set_size", minimum=1)
+    width = config._int("model.width", minimum=0) or _MNIST_AUTO_WIDTH[variant]
+    trunk = config._int("model.trunk", minimum=1)
+    # member rows share one mask per set if dropout_simultaneous; pooled rows draw every entry
+    drop = Dropout(config.dropout, config.dropout_simultaneous)
+    if variant in ("I", "II"):
+        layers = [Flatten(interleave=variant == "II"), Dense(n * input_dim, width, act, rng, "fc1"), drop,
+                  Dense(width, trunk, act, rng, "fc2")]
+    else:
+        layers = [Dense(input_dim, width, act, rng, "enc"), drop]
+        if variant == "IV":
+            layers += [EquivariantLayer(width, trunk, "channel_factored", act, rng=rng, name="eq"), drop]
+        layers += [SetPool(config.pool), Dense(trunk if variant == "IV" else width, trunk, act, rng, "fc2")]
+    layers += [drop, Dense(trunk, 9 * n + 1, "identity", rng, "out")]
+    return SetModel(layers, "accuracy", True, set_size=n)
 
 
 def mnist_parameter_report(set_size: int, trunk: int = 128) -> Dict[str, int]:
     """Parameter counts of the four variants at their default widths."""
     rng = np.random.default_rng(0)
-    return {
-        v: count_params(MnistSumModel(v, set_size, trunk=trunk, rng=rng).params())
-        for v in MNIST_VARIANTS
-    }
+    report = {}
+    for v in MNIST_VARIANTS:
+        config = ExperimentConfig(
+            {"experiment": "mnist_sum", "model.variant": v, "data.set_size": str(set_size), "model.trunk": str(trunk)}
+        )
+        report[v] = count_params(_mnist_model(config, 784, rng).params())
+    return report
 
 
 # --- evaluation -------------------------------------------------------------------
 
 
-def evaluate_classifier(model, dataset: LabeledSetDataset, batch_size: int = 64) -> Tuple[float, float]:
+def evaluate_classifier(model: SetModel, dataset: LabeledSetDataset, batch_size: int = 64) -> Tuple[float, float]:
+    """Returns (mean cross-entropy, accuracy)."""
     total_loss = 0.0
     hits = 0
     for idx in batch_indices(len(dataset), batch_size):
         batch = make_set_batch(dataset, idx)
         labels = dataset.set_labels[idx]
-        logits = model.predict_logits(batch)
-        probs_loss = _ce_loss_value(logits, labels)
-        total_loss += probs_loss * len(idx)
+        logits = evaluate(model, batch)
+        total_loss += float(ad.softmax_cross_entropy(ad.ForwardTape().constant(logits), labels).value) * len(idx)
         hits += int(np.sum(np.argmax(logits, axis=1) == labels))
     n = len(dataset)
     return total_loss / n, hits / n
 
 
-def _ce_loss_value(logits: np.ndarray, labels: np.ndarray) -> float:
-    shift = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shift), axis=1))
-    return float(np.mean(lse - shift[np.arange(len(labels)), labels]))
-
-
-def evaluate_regressor(model, dataset: LabeledSetDataset, batch_size: int = 64, observed_only: bool = False):
+def evaluate_regressor(model: SetModel, dataset: LabeledSetDataset, batch_size: int = 64, observed_only: bool = False):
     """Returns (masked-mse loss, scatter). Scatter scores every member with a
     ground-truth label unless ``observed_only`` restricts it to the observed
     (training-visible) subset, as with an ingested catalog."""
@@ -619,7 +412,7 @@ def evaluate_regressor(model, dataset: LabeledSetDataset, batch_size: int = 64, 
     for idx in batch_indices(len(dataset), batch_size):
         batch = make_set_batch(dataset, idx)
         targets, mask = member_targets(dataset, idx, batch.max_size)
-        pred = model.predict(batch)
+        pred = evaluate(model, batch)[:, :, 0]
         diff = (pred - targets) * mask
         sq_sum += float(np.sum(diff * diff))
         sq_count += float(mask.sum())
@@ -654,7 +447,7 @@ def _restore_rng(token: str) -> np.random.Generator:
 
 
 def train_loop(
-    model,
+    model: SetModel,
     config: ExperimentConfig,
     train_data: LabeledSetDataset,
     val_data: LabeledSetDataset,
@@ -738,14 +531,15 @@ def train_loop(
             tape = ad.Tape()
             bound = bind(tape, params)
             try:
-                if classification:
-                    labels = train_data.set_labels[idx]
-                    loss = model.loss(tape, batch, labels, bound, rng=dropout_rng, training=True)
-                else:
+                if not classification:
                     targets, mask = member_targets(train_data, idx, batch.max_size)
                     if mask.sum() == 0:
                         continue  # nothing labeled in this batch
-                    loss = model.loss(tape, batch, targets, mask, bound, rng=dropout_rng, training=True)
+                out = model.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, dropout_rng)
+                if classification:
+                    loss = ad.softmax_cross_entropy(out, train_data.set_labels[idx])
+                else:
+                    loss = masked_mse(out, targets, mask)
                 grads = ad.backward(tape, loss)
                 opt.step(grads)
             except NumericError as exc:
@@ -828,43 +622,44 @@ def build_experiment_data(config: ExperimentConfig) -> Tuple[LabeledSetDataset, 
     raise ConfigError(f"unknown experiment {config.experiment!r}")
 
 
-def build_experiment_model(config: ExperimentConfig, train_data: LabeledSetDataset):
+def build_experiment_model(config: ExperimentConfig, train_data: LabeledSetDataset) -> SetModel:
     seq = np.random.SeedSequence(config.seed)
     init_rng = np.random.default_rng(seq.spawn(4)[3])
+    act, k = config.activation, train_data.channels
     if config.experiment == "mnist_sum":
-        return MnistSumModel(
-            config.variant,
-            config._int("data.set_size", minimum=1),
-            input_dim=train_data.channels,
-            width=config._int("model.width", minimum=0),
-            trunk=config._int("model.trunk", minimum=1),
-            activation=config.activation,
-            pool=config.pool,
-            dropout=config.dropout,
-            simultaneous=config.dropout_simultaneous,
-            rng=init_rng,
-        )
+        return _mnist_model(config, k, init_rng)
     if config.experiment == "pointcloud":
-        return PointCloudModel(
-            train_data.num_classes,
-            widths=config.int_list("model.widths"),
-            trunk=config._int("model.trunk", minimum=1),
-            activation=config.activation,
-            pool=config.pool,
-            dropout=config.dropout,
-            input_dim=train_data.channels,
-            rng=init_rng,
-        )
+        # normalize -> equivariant stack -> set pool -> dense classifier
+        layers: List = [NormalizeSets()]
+        for i, w in enumerate(config.int_list("model.widths")):
+            layers.append(EquivariantLayer(k, w, "channel_factored", act, rng=init_rng, name=f"eq{i + 1}"))
+            k = w
+        trunk = config._int("model.trunk", minimum=1)
+        drop = Dropout(config.dropout)  # on pooled rows: every entry draws its own mask
+        layers += [SetPool(config.pool), drop, Dense(k, trunk, act, init_rng, "fc"), drop,
+                   Dense(trunk, train_data.num_classes, "identity", init_rng, "out")]
+        return SetModel(layers, "accuracy", True)
     if config.experiment == "setregression":
-        return ClusterRegressionModel(
-            config.variant,
-            input_dim=train_data.channels,
-            widths=config.int_list("model.widths"),
-            activation=config.activation,
-            dropout=config.dropout,
-            simultaneous=config.dropout_simultaneous,
-            rng=init_rng,
-        )
+        # per-member regression; the equivariant and per-member MLP variants
+        # have the same parameter count layer for layer (one weight matrix
+        # plus one bias each)
+        widths = config.int_list("model.widths")
+        if not widths or widths[-1] != 1:
+            raise ConfigError("last width must be 1 (one output per member)")
+        equivariant = config.variant == "equivariant"
+        # dropout between hidden layers; shared per set only for the set-aware variant
+        drop = Dropout(config.dropout, simultaneous=config.dropout_simultaneous and equivariant)
+        layers = []
+        for i, w in enumerate(widths):
+            a = "identity" if i == len(widths) - 1 else act
+            if i:
+                layers.append(drop)
+            if equivariant:
+                layers.append(EquivariantLayer(k, w, "channel_factored", a, rng=init_rng, name=f"eq{i + 1}"))
+            else:
+                layers.append(Dense(k, w, a, init_rng, name=f"fc{i + 1}"))
+            k = w
+        return SetModel(layers, "scatter", False)
     raise ConfigError(f"unknown experiment {config.experiment!r}")
 
 
@@ -881,7 +676,7 @@ class ActMaxResult:
 
 
 def activation_maximization(
-    model: PointCloudModel,
+    model: SetModel,
     layer_index: int,
     unit: int,
     m: int,
@@ -895,29 +690,44 @@ def activation_maximization(
 ) -> ActMaxResult:
     """Optimize particle coordinates to excite one hidden unit.
 
-    Runs Adamax on the input coordinates, starting from uniformly scattered
-    particles; the first network layer normalizes its input, so the
-    coordinates need no box constraint. Units that never rise above
-    ``threshold`` are reported as not activated.
+    The objective is the mean, over the points, of one channel of the
+    ``layer_index``-th equivariant layer (before pooling). Runs Adamax on the
+    input coordinates, starting from uniformly scattered particles; the first
+    network layer normalizes its input, so the coordinates need no box
+    constraint. Units that never rise above ``threshold`` are reported as not
+    activated.
     """
     if iterations < 0:
         raise ContractError("iteration budget must be >= 0")
+    ends = [i + 1 for i, layer in enumerate(model.layers) if isinstance(layer, EquivariantLayer)]
+    if not 0 <= layer_index < len(ends):
+        raise ContractError(f"layer index {layer_index} out of range")
+    width = model.layers[ends[layer_index] - 1].k_out
+    if not 0 <= unit < width:
+        raise ContractError(f"unit {unit} out of range for width {width}")
+    selector = np.zeros((width, 1))
+    selector[unit, 0] = 1.0
     coords = Param("input.points", rng.uniform(-1.0, 1.0, size=(1, m, 3)))
     cards = np.array([m])
+
+    def unit_mean(tape: ad.Tape, x: ad.Node) -> ad.Node:
+        bound = {p.name: tape.constant(p.value) for p in model.params()}
+        h = model.apply(tape, x, cards, bound, upto=ends[layer_index])
+        picked = (h.reshape((m, width)) @ tape.constant(selector)).reshape((1, m))
+        return picked.mean(axis=1).sum_all()
+
     opt = Optimizer("adamax", [coords], lr=lr, beta1=beta1, beta2=beta2)
     history: List[float] = []
     for it in range(iterations):
         tape = ad.Tape()
-        x = tape.variable(coords.value, coords.name)
-        bound = {p.name: tape.constant(p.value) for p in model.params()}
-        objective = model.unit_activation(tape, x, cards, bound, layer_index, unit)
-        negated = -objective
-        grads = ad.backward(tape, negated)
+        objective = unit_mean(tape, tape.variable(coords.value, coords.name))
+        grads = ad.backward(tape, -objective)
         opt.step(grads)
         act = float(objective.value)
         if it % history_every == 0:
             history.append(act)
-    final = _unit_activation_value(model, coords.value, cards, layer_index, unit)
+    tape = ad.Tape()
+    final = float(unit_mean(tape, tape.constant(coords.value)).value)
     return ActMaxResult(
         points=coords.value[0].copy(),
         activation=final,
@@ -925,10 +735,3 @@ def activation_maximization(
         iterations=iterations,
         history=history,
     )
-
-
-def _unit_activation_value(model, values, cards, layer_index, unit) -> float:
-    tape = ad.Tape()
-    x = tape.constant(values)
-    bound = {p.name: tape.constant(p.value) for p in model.params()}
-    return float(model.unit_activation(tape, x, cards, bound, layer_index, unit).value)

@@ -3,7 +3,7 @@ import pytest
 
 from setnet import autodiff as ad
 from setnet.errors import ContractError, NumericError
-from setnet.layers import Dense, EquivariantLayer, SetBatch, SetPool, bind
+from setnet.layers import Dense, EquivariantLayer, SetPool, bind
 from setnet.tensor import Permutation
 
 
@@ -12,7 +12,7 @@ class TestForward:
         tape = ad.Tape()
         x = tape.variable(np.array(3.0), "x")
         y = x * 2.0
-        assert ad.forward(tape, y) == 6.0
+        assert y.value == 6.0
 
     def test_max_of_vector(self):
         tape = ad.Tape()
@@ -25,6 +25,16 @@ class TestForward:
         x = tape.variable(np.array([[1.0], [2.0]]), "x")
         y = x - x.max(axis=0, keepdims=True)
         assert np.array_equal(y.value, [[-1.0], [0.0]])
+
+    def test_forward_tape_keeps_values_only(self):
+        outs = []
+        for tape in (ad.Tape(), ad.ForwardTape()):
+            x = tape.constant(np.arange(6.0).reshape(2, 3))
+            outs.append(((x * 2.0 - 1.0).max(axis=1) * x.sum(axis=1)).sum_all())
+        recorded, forward = outs
+        assert forward.value == recorded.value
+        assert forward.parents == () and forward.tape.nodes == []
+        assert len(recorded.tape.nodes) == 9
 
     def test_nonfinite_names_node(self):
         tape = ad.Tape()
@@ -92,7 +102,7 @@ class TestBackward:
         bound = bind(tape, params)
         h = tape.constant(x_val)
         for layer in layers:
-            h = layer.apply(tape, h, bound)
+            h = layer.apply(tape, h, None, bound)
         loss = ad.softmax_cross_entropy(h, labels)
         report = ad.gradient_check(tape, loss, step=1e-5, tolerance=1e-4)
         assert report.passed, report.failures[:3]
@@ -139,10 +149,21 @@ class TestGradientCheck:
         bound = bind(tape, layer.params())
         x = tape.variable(rng.normal(size=(2, 5, 3)), "x")
         h = layer.apply(tape, x, cards, bound)
-        pooled = SetPool("max").apply(tape, h, cards)
+        pooled = SetPool("max").apply(tape, h, cards, bound)
         loss = ad.softmax_cross_entropy(pooled, np.array([1, 0]))
         report = ad.gradient_check(tape, loss, step=1e-5, tolerance=1e-4)
         assert report.passed, report.failures[:3]
+
+    def test_transpose_and_reshape(self):
+        rng = np.random.default_rng(6)
+        tape = ad.Tape()
+        x = tape.variable(rng.normal(size=(2, 3, 4)), "x")
+        flat = x.transpose((0, 2, 1)).reshape((2, 12))
+        assert np.array_equal(flat.value, x.value.transpose(0, 2, 1).reshape(2, 12))
+        loss = (flat * tape.constant(rng.normal(size=(2, 12)))).sum_all()
+        report = ad.gradient_check(tape, loss, step=1e-5, tolerance=1e-4)
+        assert report.passed
+        assert report.max_rel_error < 1e-8
 
     def test_tie_point_flagged_and_excluded(self):
         tape = ad.Tape()

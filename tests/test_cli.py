@@ -1,3 +1,5 @@
+import pytest
+
 from setnet.cli import main
 
 SMALL_MNIST = ["--set", "data.source_count=200", "--set", "data.train_sets=8", "--set", "data.val_sets=4"]
@@ -14,9 +16,14 @@ def test_check_equivariance_explicit_n_is_honoured(capsys):
     assert "DimensionError" in capsys.readouterr().err
 
 
-def test_bad_mesh_exits_with_format_code(tmp_path, capsys):
-    off = tmp_path / "neg.off"
-    off.write_text("OFF\n-3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+@pytest.mark.parametrize(
+    "content",
+    [b"OFF\n-3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", b"OFF\n3 1 0\n0 0 0\n1 \xff 0\n0 1 0\n3 0 1 2\n"],
+    ids=["negative_count", "non_utf8"],
+)
+def test_bad_mesh_exits_with_format_code(tmp_path, capsys, content):
+    off = tmp_path / "bad.off"
+    off.write_bytes(content)
     assert main(["sample-mesh", "--off", str(off), "--out", str(tmp_path / "pts.xyz")]) == 3
     assert "FormatError" in capsys.readouterr().err
 

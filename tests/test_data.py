@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -302,6 +304,26 @@ class TestXyz:
             load_xyz(path)
 
 
+CATALOG_HEADER = b"cluster_id,f0,target,has_target\n"
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_off, b"OFF\n3 1 0\n0 0 0\n1 \xff 0\n0 1 0\n3 0 1 2\n"),
+        (load_xyz, b"1.0 2.0 3.0\n1.0 \xff 3.0\n"),
+        (lambda path: load_cluster_catalog(path, ["f0"], "target", "has_target", "cluster_id"),
+         CATALOG_HEADER + b"a,1.0,0.5,1\na,\xff,0.5,1\n"),
+    ],
+    ids=["off", "xyz", "catalog"],
+)
+def test_non_utf8_file_raises_format_error(tmp_path, load, text):
+    path = tmp_path / "bad"
+    path.write_bytes(text)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: not UTF-8")):
+        load(path)
+
+
 class TestSynthShapes:
     def test_labels_and_shapes(self):
         ds = synth_shapes(["sphere", "cube"], m=50, count=12, rng=np.random.default_rng(0))
@@ -367,6 +389,15 @@ class TestClusterCatalog:
         path = tmp_path / "n.csv"
         path.write_text("cluster_id,f0,target,has_target\na,1.0,0.5,1\na,oops,0.5,1\n")
         with pytest.raises(FormatError, match="row 3"):
+            load_cluster_catalog(path, ["f0"], "target", "has_target", "cluster_id")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["feature", "label"])
+    def test_non_finite_cell_reports_row(self, tmp_path, token, column):
+        feature, label = (token, "0.5") if column == "feature" else ("1.0", token)
+        path = tmp_path / "f.csv"
+        path.write_text(f"cluster_id,f0,target,has_target\na,1.0,0.5,1\na,{feature},{label},1\n")
+        with pytest.raises(FormatError, match="non-finite cell in row 3"):
             load_cluster_catalog(path, ["f0"], "target", "has_target", "cluster_id")
 
     def test_index_columns_without_header(self, tmp_path):

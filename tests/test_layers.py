@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from setnet import autodiff as ad
 from setnet import layers as layers_module
 from setnet.errors import (
     DegenerateSetError,
@@ -14,25 +15,26 @@ from setnet.errors import (
     FormatError,
 )
 from setnet.layers import (
+    Dense,
     Dropout,
-    DropoutSpec,
     EquivariantLayer,
+    NormalizeSets,
     Param,
-    PoolSpec,
     SetBatch,
+    SetPool,
     count_params,
-    dense_forward,
-    dropout_forward,
-    equivariant_forward,
+    evaluate,
     load_params,
-    normalize_sets,
     restore_params,
     save_params,
-    set_pool,
 )
+from setnet.data import LabeledSetDataset
 from setnet.tensor import Permutation
+from setnet.train import ExperimentConfig, build_experiment_model
 
 VARIANTS = ["scalar_sum", "scalar_max", "channel_full", "channel_factored"]
+
+PROPERTY = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def single_set(values):
@@ -40,6 +42,11 @@ def single_set(values):
     if values.ndim == 1:
         values = values[:, None]
     return SetBatch(values[None], np.array([values.shape[0]]))
+
+
+def forward(layer, batch):
+    """A per-member layer's output as a batch (padding rows zeroed)."""
+    return batch.with_values(evaluate(layer, batch))
 
 
 def random_layer(variant, k_in, k_out, rng, activation="tanh", aggregate=None):
@@ -58,13 +65,46 @@ def random_padded_batch(rng, n_max=8, k=3, batch=3):
     return SetBatch(values, cards)
 
 
-def permute_and_compare(layer_fn, batch, rng, tol=1e-9):
-    """max |f(perm x) - perm f(x)| over one random per-set permutation."""
-    out = layer_fn(batch)
+@st.composite
+def padded_batches(draw, channels=None):
+    """(batch, rng): 1-4 sets of 2-32 members, N_max up to max(cards) + 3, 1-8 channels."""
+    cards = draw(st.lists(st.integers(2, 32), min_size=1, max_size=4))
+    n_max = max(cards) + draw(st.integers(0, 3))
+    k = channels or draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SetBatch(rng.normal(size=(len(cards), n_max, k)), np.array(cards)), rng
+
+
+def layer_case(draw, variant, k_in):
+    aggregate = None if variant == "channel_factored" else draw(st.sampled_from([None, "sum", "max"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_layer(variant, k_in, draw(st.integers(1, 8)), rng, aggregate=aggregate)
+
+
+def assert_equivariant(fn, batch, rng, tol=1e-12):
+    """fn maps a batch to [B, N, K'] (per member) or [B, K'] (pooled); per-member
+    outputs must permute with the members, pooled ones must not change."""
     perms = [Permutation.random(int(n), rng) for n in batch.cardinalities]
-    out_permuted = layer_fn(batch.permute_members(perms))
-    want = out.permute_members(perms)
-    return float(np.max(np.abs(out_permuted.values - want.values)))
+    base, permuted = fn(batch), fn(batch.permute_members(perms))
+    if base.ndim == 3:
+        base = batch.with_values(base).permute_members(perms).values
+        permuted = batch.with_values(permuted).values
+    assert np.max(np.abs(permuted - base)) <= tol
+
+
+def assert_padding_neutral(fn, batch, extra, tol=1e-12):
+    """Adding ``extra`` padding rows leaves every real output unchanged to ``tol``.
+
+    Not to the bit: numpy regroups the additions of a sum over a contiguous
+    axis (one channel) when its length changes, and BLAS may do the same for
+    a product with more rows, so the last bit of a real row can move.
+    """
+    b, n_max, k = batch.values.shape
+    bigger = SetBatch(np.concatenate([batch.values, np.zeros((b, extra, k))], axis=1), batch.cardinalities)
+    small, big = fn(batch), fn(bigger)
+    if small.ndim == 3:
+        small, big = batch.with_values(small).values, batch.with_values(big[:, :n_max]).values
+    assert np.max(np.abs(small - big)) <= tol
 
 
 class TestEquivariantExamples:
@@ -73,21 +113,21 @@ class TestEquivariantExamples:
         layer.lam.value = np.array([[1.0]])
         layer.gam.value = np.array([[0.0]])
         batch = single_set([1.0, 2.0, 3.0])
-        out = equivariant_forward(layer, batch)
+        out = forward(layer, batch)
         assert np.allclose(out.values, batch.values)
 
     def test_scalar_sum_adds_total(self):
         layer = EquivariantLayer(1, 1, "scalar_sum", "identity")
         layer.lam.value = np.array([[1.0]])
         layer.gam.value = np.array([[1.0]])
-        out = equivariant_forward(layer, single_set([1.0, 2.0, 3.0]))
+        out = forward(layer, single_set([1.0, 2.0, 3.0]))
         assert np.allclose(out.values[0, :, 0], [7.0, 8.0, 9.0])
 
     def test_factored_subtracts_column_max(self):
         layer = EquivariantLayer(2, 2, "channel_factored", "identity")
         layer.gam.value = np.eye(2)
         layer.beta.value = np.zeros(2)
-        out = equivariant_forward(layer, single_set([[1.0, 5.0], [3.0, 2.0]]))
+        out = forward(layer, single_set([[1.0, 5.0], [3.0, 2.0]]))
         assert np.allclose(out.values[0], [[-2.0, 0.0], [0.0, -3.0]])
 
     def test_scalar_variants_reject_channels(self):
@@ -97,7 +137,7 @@ class TestEquivariantExamples:
     def test_channel_mismatch(self):
         layer = EquivariantLayer(3, 2, "channel_full")
         with pytest.raises(DimensionError):
-            equivariant_forward(layer, single_set([[1.0, 2.0]]))
+            evaluate(layer, single_set([[1.0, 2.0]]))
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyReductionError):
@@ -112,16 +152,13 @@ class TestEquivariantExamples:
 
 class TestEquivarianceProperty:
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_single_layer_equivariant(self, variant):
-        rng = np.random.default_rng(17)
-        for trial in range(30):
-            n = int(rng.integers(1, 33))
-            k_out = int(rng.integers(1, 9))
-            k_in = 1 if variant.startswith("scalar") else int(rng.integers(1, 9))
-            layer = random_layer(variant, k_in, k_out, rng)
-            batch = SetBatch(rng.normal(size=(2, n, layer.k_in)), np.array([n, max(1, n // 2)]))
-            dev = permute_and_compare(lambda b: equivariant_forward(layer, b), batch, rng)
-            assert dev < 1e-9
+    @PROPERTY
+    @given(st.data())
+    def test_single_layer_equivariant(self, variant, data):
+        channels = 1 if variant.startswith("scalar") else None
+        batch, rng = data.draw(padded_batches(channels))
+        layer = layer_case(data.draw, variant, batch.channels)
+        assert_equivariant(lambda b: evaluate(layer, b), batch, rng)
 
     def test_three_layer_composition_equivariant(self):
         rng = np.random.default_rng(23)
@@ -134,11 +171,11 @@ class TestEquivarianceProperty:
 
             def stack(batch):
                 for layer in layers:
-                    batch = equivariant_forward(layer, batch)
-                return batch
+                    batch = forward(layer, batch)
+                return batch.values
 
             batch = random_padded_batch(rng, n_max=10, k=3)
-            assert permute_and_compare(stack, batch, rng) < 1e-9
+            assert_equivariant(stack, batch, rng, tol=1e-9)
 
     def test_invariance_of_pooled_stack(self):
         rng = np.random.default_rng(31)
@@ -148,13 +185,23 @@ class TestEquivarianceProperty:
 
             def pooled(b):
                 for layer in layers:
-                    b = equivariant_forward(layer, b)
-                return set_pool(b, PoolSpec(kind))
+                    b = forward(layer, b)
+                return evaluate(SetPool(kind), b)
 
-            base = pooled(batch)
-            perms = [Permutation.random(int(n), rng) for n in batch.cardinalities]
-            permuted = pooled(batch.permute_members(perms))
-            assert np.max(np.abs(base - permuted)) < 1e-9
+            assert_equivariant(pooled, batch, rng, tol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["sum", "max", "mean"])
+    @PROPERTY
+    @given(padded_batches())
+    def test_pool_invariant(self, kind, case):
+        batch, rng = case
+        assert_equivariant(lambda b: evaluate(SetPool(kind), b), batch, rng)
+
+    @PROPERTY
+    @given(padded_batches())
+    def test_normalize_equivariant(self, case):
+        batch, rng = case
+        assert_equivariant(lambda b: evaluate(NormalizeSets(), b), batch, rng)
 
     def test_max_reparametrization(self):
         # subtracting gamma * max equals adding (-gamma) * max in the sum-family form
@@ -167,72 +214,124 @@ class TestEquivarianceProperty:
         plus_form.lam.value = np.array([[lam]])
         plus_form.gam.value = np.array([[-gam]])
         batch = random_padded_batch(rng, n_max=7, k=1)
-        a = equivariant_forward(max_form, batch)
-        b = equivariant_forward(plus_form, batch)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(evaluate(max_form, batch), evaluate(plus_form, batch))
 
 
 class TestPaddingNeutrality:
-    def test_enlarging_padding_changes_nothing(self):
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_enlarging_padding_changes_nothing(self, data):
+        variant = data.draw(st.sampled_from(VARIANTS))
+        channels = 1 if variant.startswith("scalar") else None
+        batch, _ = data.draw(padded_batches(channels))
+        layer = layer_case(data.draw, variant, batch.channels)
+        assert_padding_neutral(lambda b: evaluate(layer, b), batch, data.draw(st.integers(1, 3)))
+
+    @PROPERTY
+    @given(st.sampled_from(["sum", "max", "mean"]), padded_batches(), st.integers(1, 3))
+    def test_pool_and_normalize_ignore_padding(self, kind, case, extra):
+        batch, _ = case
+        assert_padding_neutral(lambda b: evaluate(SetPool(kind), b), batch, extra)
+        assert_padding_neutral(lambda b: evaluate(NormalizeSets(), b), batch, extra)
+
+    def test_max_path_fixed_example(self):
         rng = np.random.default_rng(53)
         cards = np.array([4, 2])
         vals = rng.normal(size=(2, 4, 3))
         small = SetBatch(vals, cards)
         big = SetBatch(np.concatenate([vals, np.zeros((2, 3, 3))], axis=1), cards)
-
         max_layer = random_layer("channel_factored", 3, 4, rng)
-        a = equivariant_forward(max_layer, small).values
-        b = equivariant_forward(max_layer, big).values
-        for s in range(2):
-            n = cards[s]
-            assert np.array_equal(a[s, :n], b[s, :n])  # bit-level for the max path
-
-        sum_layer = random_layer("channel_full", 3, 4, rng, aggregate="sum")
-        a = equivariant_forward(sum_layer, small).values
-        b = equivariant_forward(sum_layer, big).values
-        for s in range(2):
-            n = cards[s]
-            assert np.max(np.abs(a[s, :n] - b[s, :n])) < 1e-12
+        a, b = evaluate(max_layer, small), evaluate(max_layer, big)
+        for s, n in enumerate(cards):
+            assert np.array_equal(a[s, :n], b[s, :n])  # bit-level for this max-path example
 
     def test_pool_ignores_padding(self):
         batch = SetBatch(np.array([[[1.0, 2.0], [3.0, 4.0], [0.0, 0.0], [0.0, 0.0]]]), np.array([2]))
-        assert np.array_equal(set_pool(batch, PoolSpec("sum")), [[4.0, 6.0]])
-        assert np.array_equal(set_pool(batch, PoolSpec("mean")), [[2.0, 3.0]])
+        assert np.array_equal(evaluate(SetPool("sum"), batch), [[4.0, 6.0]])
+        assert np.array_equal(evaluate(SetPool("mean"), batch), [[2.0, 3.0]])
         negatives = SetBatch(
             np.array([[[-1.0, -2.0], [-3.0, -4.0], [0.0, 0.0], [0.0, 0.0]]]), np.array([2])
         )
-        assert np.array_equal(set_pool(negatives, PoolSpec("max")), [[-1.0, -2.0]])
+        assert np.array_equal(evaluate(SetPool("max"), negatives), [[-1.0, -2.0]])
+
+
+# small versions of each experiment's default model, for datasets of these channel counts
+MODEL_CASES = {
+    "mnist_sum": ({"model.width": "8", "model.trunk": "8"}, 5),
+    "pointcloud": ({"model.widths": "8,8", "model.trunk": "6"}, 3),
+    "setregression": ({"model.widths": "8,8,1"}, 4),
+}
+
+
+@st.composite
+def model_cases(draw, experiment):
+    """(model, batch, rng) for the experiment; mnist_sum sets have exactly three members."""
+    settings, k = MODEL_CASES[experiment]
+    if experiment == "mnist_sum":
+        cards = [3] * draw(st.integers(1, 4))
+        data = LabeledSetDataset(sets=[np.zeros((3, k))], set_labels=np.array([0]), num_classes=28)
+    else:
+        cards = draw(st.lists(st.integers(2, 9), min_size=1, max_size=4))
+        data = LabeledSetDataset(sets=[np.zeros((2, k))], set_labels=np.array([0]), num_classes=4)
+    seed = draw(st.integers(0, 1000))
+    model = build_experiment_model(ExperimentConfig({"experiment": experiment, "seed": str(seed), **settings}), data)
+    n_max = max(cards) + draw(st.integers(0, 3))
+    rng = np.random.default_rng(seed)
+    return model, SetBatch(rng.normal(size=(len(cards), n_max, k)), np.array(cards)), rng
+
+
+class TestModelProperties:
+    @pytest.mark.parametrize("experiment", list(MODEL_CASES))
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_model_equivariant_or_invariant(self, experiment, data):
+        model, batch, rng = data.draw(model_cases(experiment))
+        assert_equivariant(lambda b: evaluate(model, b), batch, rng)
+
+    @pytest.mark.parametrize("experiment", list(MODEL_CASES))
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_model_ignores_padding(self, experiment, data):
+        model, batch, _ = data.draw(model_cases(experiment))
+        assert_padding_neutral(lambda b: evaluate(model, b), batch, data.draw(st.integers(1, 3)))
 
 
 class TestSetPool:
     def test_sum_example(self):
-        assert np.array_equal(set_pool(single_set([[1.0, 2.0], [3.0, 4.0]]), PoolSpec("sum")), [[4.0, 6.0]])
+        assert np.array_equal(evaluate(SetPool("sum"), single_set([[1.0, 2.0], [3.0, 4.0]])), [[4.0, 6.0]])
 
     def test_max_invariant_under_permutation(self):
         rng = np.random.default_rng(3)
         batch = single_set(rng.normal(size=(6, 2)))
-        base = set_pool(batch, PoolSpec("max"))
+        base = evaluate(SetPool("max"), batch)
         for _ in range(10):
             p = Permutation.random(6, rng)
-            assert np.array_equal(set_pool(batch.permute_members([p]), PoolSpec("max")), base)
+            assert np.array_equal(evaluate(SetPool("max"), batch.permute_members([p])), base)
 
     def test_unknown_kind(self):
         with pytest.raises(DimensionError):
-            PoolSpec("median")
+            SetPool("median")
 
 
 class TestDropout:
     def test_rate_zero_identity(self):
-        rng = np.random.default_rng(0)
         batch = single_set(np.arange(6.0).reshape(3, 2))
-        out = dropout_forward(batch, DropoutSpec(0.0, True), rng, training=True)
-        assert np.array_equal(out.values, batch.values)
+        tape = ad.Tape()
+        x = tape.constant(batch.values)
+        assert Dropout(0.0, True).apply(tape, x, batch.cardinalities, {}, np.random.default_rng(0)) is x
 
     def test_eval_time_identity(self):
-        rng = np.random.default_rng(0)
         batch = single_set(np.arange(6.0).reshape(3, 2))
-        out = dropout_forward(batch, DropoutSpec(0.9, True), rng, training=False)
-        assert np.array_equal(out.values, batch.values)
+        assert np.array_equal(evaluate(Dropout(0.9, True), batch), batch.values)
+
+    def test_training_drops_whole_channels_per_set(self):
+        rate = 0.5
+        batch = SetBatch(np.ones((4, 5, 6)), np.full(4, 5))
+        tape = ad.Tape()
+        out = Dropout(rate, True).apply(tape, tape.constant(batch.values), batch.cardinalities, {},
+                                        np.random.default_rng(3)).value
+        assert set(np.unique(out)) <= {0.0, 1.0 / (1.0 - rate)}
+        assert np.array_equal(out, np.broadcast_to(out[:, :1], out.shape))  # same mask for every member
 
     def test_simultaneous_mask_constant_across_members(self):
         rng = np.random.default_rng(1)
@@ -265,31 +364,35 @@ class TestDropout:
 
 class TestDense:
     def test_identity_case(self):
-        out = dense_forward(np.eye(3), np.zeros(3), np.arange(3.0))
-        assert np.array_equal(out, np.arange(3.0))
+        layer = Dense(3, 3)
+        layer.w.value = np.eye(3)
+        x = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(evaluate(layer, SetBatch(x[None], np.array([2])))[0], x)
 
     def test_zero_bias_matches_matmul(self):
         rng = np.random.default_rng(0)
-        w = rng.normal(size=(4, 2))
-        x = rng.normal(size=(5, 4))
-        assert np.allclose(dense_forward(w, np.zeros(2), x), x @ w)
+        layer = Dense(4, 2, rng=rng)
+        x = rng.normal(size=(1, 5, 4))
+        assert np.allclose(evaluate(layer, SetBatch(x, np.array([5]))), x @ layer.w.value)
 
     def test_reference_loop(self):
         rng = np.random.default_rng(1)
-        w = rng.normal(size=(3, 2))
-        b = rng.normal(size=2)
+        layer = Dense(3, 2, "tanh")
+        w = layer.w.value = rng.normal(size=(3, 2))
+        b = layer.b.value = rng.normal(size=2)
         x = rng.normal(size=(4, 3))
         want = np.empty((4, 2))
         for i in range(4):
             for j in range(2):
                 want[i, j] = np.tanh(sum(x[i, k] * w[k, j] for k in range(3)) + b[j])
-        assert np.max(np.abs(dense_forward(w, b, x, "tanh") - want)) < 1e-12
+        got = evaluate(layer, SetBatch(x[None], np.array([4])))[0]
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_shape_errors(self):
         with pytest.raises(DimensionError):
-            dense_forward(np.eye(3), np.zeros(3), np.ones((2, 4)))
+            evaluate(Dense(3, 3), SetBatch(np.ones((1, 2, 4)), np.array([2])))
         with pytest.raises(DimensionError):
-            dense_forward(np.eye(3), np.zeros(2), np.ones((2, 3)))
+            Dense(3, 3, "relu")
 
 
 class TestNormalize:
@@ -298,15 +401,15 @@ class TestNormalize:
         x = rng.normal(size=(5, 3))
         x = x - x.mean(axis=0)
         x = x / np.sqrt((x**2).mean())
-        out = normalize_sets(single_set(x))
-        assert np.max(np.abs(out.values[0] - x)) < 1e-6
+        out = evaluate(NormalizeSets(), single_set(x))
+        assert np.max(np.abs(out[0] - x)) < 1e-6
 
     def test_postconditions(self):
         rng = np.random.default_rng(8)
         batch = SetBatch(rng.normal(2.0, 3.0, size=(3, 9, 4)), np.array([9, 5, 2]))
-        out = normalize_sets(batch)
+        out = evaluate(NormalizeSets(), batch)
         for s, n in enumerate(batch.cardinalities):
-            real = out.values[s, :n]
+            real = out[s, :n]
             assert np.max(np.abs(real.mean(axis=0))) < 1e-9
             assert (real**2).mean() == pytest.approx(1.0, abs=1e-6)
 
@@ -314,13 +417,13 @@ class TestNormalize:
         rng = np.random.default_rng(9)
         vals = rng.normal(size=(1, 6, 3))
         shift = np.array([5.0, -2.0, 100.0])
-        a = normalize_sets(SetBatch(vals, np.array([6])))
-        b = normalize_sets(SetBatch(vals + shift, np.array([6])))
-        assert np.max(np.abs(a.values - b.values)) < 1e-6
+        a = evaluate(NormalizeSets(), SetBatch(vals, np.array([6])))
+        b = evaluate(NormalizeSets(), SetBatch(vals + shift, np.array([6])))
+        assert np.max(np.abs(a - b)) < 1e-6
 
     def test_singleton_set_rejected(self):
         with pytest.raises(DegenerateSetError):
-            normalize_sets(SetBatch(np.ones((1, 3, 2)), np.array([1])))
+            evaluate(NormalizeSets(), SetBatch(np.ones((1, 3, 2)), np.array([1])))
 
 
 def hex_payload(*values):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from setnet.errors import BudgetError, DimensionError
-from setnet.layers import EquivariantLayer, SetBatch
+from setnet.layers import EquivariantLayer, SetBatch, evaluate
 from setnet.theorem import (
     check_equivariance_empirical,
     commutant_basis,
@@ -121,7 +121,7 @@ class TestEmpiricalChecker:
         def f(x):
             batch = SetBatch(x[None], np.array([x.shape[0]]))
             for layer in layers:
-                batch = layer.forward(batch)
+                batch = batch.with_values(evaluate(layer, batch))
             return batch.values[0]
 
         report = check_equivariance_empirical(f, n=7, trials=50, rng=rng, channels=2)

@@ -2,27 +2,23 @@ import numpy as np
 import pytest
 
 from setnet import autodiff as ad
-from setnet.data import synth_clusters, synth_digits, build_sum_sets, synth_shapes
-from setnet.errors import ConfigError, ContractError, FormatError
-from setnet.layers import SetBatch, bind, load_params, save_params
+from setnet.data import LabeledSetDataset, synth_clusters, synth_digits, build_sum_sets, synth_shapes
+from setnet.errors import ConfigError, ContractError, DimensionError, FormatError
+from setnet.layers import Dense, SetBatch, SetPool, bind, evaluate, load_params, save_params
 from setnet.tensor import Permutation
 from setnet.train import (
-    ClusterRegressionModel,
     ExperimentConfig,
     MetricsRecord,
-    MnistSumModel,
-    PointCloudModel,
-    accuracy,
+    SetModel,
     activation_maximization,
     build_experiment_data,
     build_experiment_model,
-    build_mnist_model,
-    build_pointcloud_model,
-    build_regression_model,
     config_lines,
     default_config,
+    evaluate_classifier,
     evaluate_regressor,
     make_set_batch,
+    masked_mse,
     member_targets,
     mnist_parameter_report,
     parse_config_text,
@@ -30,6 +26,19 @@ from setnet.train import (
     scatter_metric,
     train_loop,
 )
+
+
+def model_for(experiment, dataset, **settings):
+    """The experiment's model for ``dataset``; ``settings`` maps config keys
+    with ``_`` for ``.`` (model_widths="8,1") to values."""
+    values = {"experiment": experiment}
+    values.update({k.replace("_", ".", 1): str(v) for k, v in settings.items()})
+    return build_experiment_model(ExperimentConfig(values), dataset)
+
+
+def training_output(model, tape, batch, rng=None):
+    bound = bind(tape, model.params())
+    return model.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, rng)
 
 
 def tiny_mnist_config(**extra):
@@ -84,32 +93,31 @@ class TestMnistModels:
         return build_sum_sets(images, labels, 3, 40, rng)
 
     def test_output_dimension_is_28_for_n3(self, digit_sets):
-        rng = np.random.default_rng(0)
-        model = build_mnist_model("IV", 3, rng)
+        model = model_for("mnist_sum", digit_sets, model_variant="IV")
         batch = make_set_batch(digit_sets, range(4))
-        assert model.predict_logits(batch).shape == (4, 28)
+        assert evaluate(model, batch).shape == (4, 28)
 
     @pytest.mark.parametrize("variant", ["III", "IV"])
     def test_pooled_variants_are_permutation_invariant(self, digit_sets, variant):
         rng = np.random.default_rng(1)
-        model = build_mnist_model(variant, 3, rng)
+        model = model_for("mnist_sum", digit_sets, model_variant=variant, seed=1)
         batch = make_set_batch(digit_sets, range(6))
-        base = model.predict_logits(batch)
+        base = evaluate(model, batch)
         for _ in range(5):
             perms = [Permutation.random(3, rng) for _ in range(6)]
-            permuted = model.predict_logits(batch.permute_members(perms))
+            permuted = evaluate(model, batch.permute_members(perms))
             assert np.max(np.abs(permuted - base)) < 1e-8
 
     @pytest.mark.parametrize("variant", ["I", "II"])
     def test_flat_variants_are_not_invariant(self, digit_sets, variant):
         rng = np.random.default_rng(2)
-        model = build_mnist_model(variant, 3, rng)
+        model = model_for("mnist_sum", digit_sets, model_variant=variant, seed=2)
         batch = make_set_batch(digit_sets, range(6))
-        base = model.predict_logits(batch)
+        base = evaluate(model, batch)
         deviations = []
         for _ in range(5):
             perms = [Permutation.random(3, rng) for _ in range(6)]
-            permuted = model.predict_logits(batch.permute_members(perms))
+            permuted = evaluate(model, batch.permute_members(perms))
             deviations.append(np.max(np.abs(permuted - base)))
         assert max(deviations) > 1e-3
 
@@ -119,42 +127,39 @@ class TestMnistModels:
         assert max(counts) <= 1.1 * min(counts), report
 
     def test_wrong_cardinality_rejected(self, digit_sets):
-        model = build_mnist_model("III", 3, np.random.default_rng(0))
+        model = model_for("mnist_sum", digit_sets, model_variant="III")
         batch = SetBatch(np.zeros((2, 4, 784)), np.array([4, 2]))
-        with pytest.raises(Exception):
-            model.predict_logits(batch)
+        with pytest.raises(DimensionError):
+            evaluate(model, batch)
 
 
 class TestPointCloudModel:
     def test_prepool_shape_and_logits(self):
         rng = np.random.default_rng(0)
-        model = build_pointcloud_model(4, rng, widths=(16, 16), trunk=8)
         ds = synth_shapes(["sphere", "cube", "cylinder", "torus"], 30, 6, rng)
+        model = model_for("pointcloud", ds, model_widths="16,16", model_trunk=8)
         batch = make_set_batch(ds, range(6))
-        tape = ad.Tape()
-        bound = {p.name: tape.constant(p.value) for p in model.params()}
-        pre = model.equivariant_stack(tape, tape.constant(batch.values), batch.cardinalities, bound)
-        assert pre.value.shape == (6, 30, 16)
-        assert model.predict_logits(batch).shape == (6, 4)
+        # the first three layers: NormalizeSets and the two equivariant layers
+        assert evaluate(model, batch, upto=3).shape == (6, 30, 16)
+        assert evaluate(model, batch).shape == (6, 4)
 
     def test_logits_invariant_under_permutation(self):
         rng = np.random.default_rng(1)
-        model = build_pointcloud_model(4, rng, widths=(16, 16), trunk=8)
         ds = synth_shapes(["sphere", "cube", "cylinder", "torus"], 25, 4, rng)
+        model = model_for("pointcloud", ds, model_widths="16,16", model_trunk=8, seed=1)
         batch = make_set_batch(ds, range(4))
-        base = model.predict_logits(batch)
+        base = evaluate(model, batch)
         perms = [Permutation.random(25, rng) for _ in range(4)]
-        permuted = model.predict_logits(batch.permute_members(perms))
+        permuted = evaluate(model, batch.permute_members(perms))
         assert np.max(np.abs(permuted - base)) < 1e-9
 
     def test_gradient_check_passes(self):
         rng = np.random.default_rng(2)
-        model = build_pointcloud_model(3, rng, widths=(5, 4), trunk=4)
         ds = synth_shapes(["sphere", "cube", "cylinder"], 6, 2, rng)
+        model = model_for("pointcloud", ds, model_widths="5,4", model_trunk=4, seed=2)
         batch = make_set_batch(ds, range(2))
         tape = ad.Tape()
-        bound = bind(tape, model.params())
-        loss = model.loss(tape, batch, ds.set_labels[:2], bound)
+        loss = ad.softmax_cross_entropy(training_output(model, tape, batch), ds.set_labels[:2])
         report = ad.gradient_check(tape, loss, step=1e-5, tolerance=1e-4)
         assert report.passed, report.failures[:3]
 
@@ -162,62 +167,59 @@ class TestPointCloudModel:
 class TestRegressionModel:
     def test_per_member_output_shape(self):
         rng = np.random.default_rng(0)
-        model = build_regression_model("equivariant", rng, widths=(8, 1))
         ds = synth_clusters(3, (4, 7), rng)
+        model = model_for("setregression", ds, model_widths="8,1")
         batch = make_set_batch(ds, range(3))
-        assert model.predict(batch).shape == (3, batch.max_size)
+        assert evaluate(model, batch).shape == (3, batch.max_size, 1)
 
     def test_predictions_equivariant(self):
         rng = np.random.default_rng(1)
-        model = build_regression_model("equivariant", rng, widths=(8, 8, 1))
         ds = synth_clusters(2, (6, 6), rng)
+        model = model_for("setregression", ds, model_widths="8,8,1", seed=1)
         batch = make_set_batch(ds, range(2))
-        base = model.predict(batch)
+        base = evaluate(model, batch)
         perms = [Permutation.random(6, rng) for _ in range(2)]
-        permuted = model.predict(batch.permute_members(perms))
+        permuted = evaluate(model, batch.permute_members(perms))
         for b, p in enumerate(perms):
             assert np.max(np.abs(permuted[b] - base[b][p.mapping])) < 1e-9
 
     def test_masked_loss_ignores_unlabeled(self):
         rng = np.random.default_rng(2)
-        model = build_regression_model("equivariant", rng, widths=(6, 1))
         ds = synth_clusters(2, (5, 5), rng)
+        model = model_for("setregression", ds, model_widths="6,1", seed=2)
         batch = make_set_batch(ds, range(2))
         targets, mask = member_targets(ds, range(2), batch.max_size)
         crazy = targets.copy()
         crazy[mask == 0.0] = 1e6  # unlabeled targets must not matter
         def loss_value(t):
             tape = ad.Tape()
-            bound = bind(tape, model.params())
-            return float(model.loss(tape, batch, t, mask, bound).value)
+            return float(masked_mse(training_output(model, tape, batch), t, mask).value)
         assert loss_value(targets) == loss_value(crazy)
 
     def test_loss_requires_labels(self):
         rng = np.random.default_rng(3)
-        model = build_regression_model("equivariant", rng, widths=(4, 1))
         ds = synth_clusters(1, (4, 4), rng)
+        model = model_for("setregression", ds, model_widths="4,1", seed=3)
         batch = make_set_batch(ds, range(1))
         targets, _ = member_targets(ds, range(1), batch.max_size)
         tape = ad.Tape()
-        bound = bind(tape, model.params())
         with pytest.raises(ContractError):
-            model.loss(tape, batch, targets, np.zeros_like(targets), bound)
+            masked_mse(training_output(model, tape, batch), targets, np.zeros_like(targets))
 
     def test_parameter_matched_baseline(self):
-        rng = np.random.default_rng(4)
-        eq = build_regression_model("equivariant", rng, widths=(32, 32, 1))
-        mlp = build_regression_model("baseline_mlp", rng, widths=(32, 32, 1))
+        ds = synth_clusters(2, (4, 4), np.random.default_rng(4))
+        eq = model_for("setregression", ds, model_widths="32,32,1")
+        mlp = model_for("setregression", ds, model_widths="32,32,1", model_variant="baseline_mlp")
         assert sum(p.size for p in eq.params()) == sum(p.size for p in mlp.params())
 
     def test_gradient_check_with_fixed_dropout_mask(self):
         rng = np.random.default_rng(5)
-        model = build_regression_model("equivariant", rng, widths=(5, 1), dropout=0.4)
         ds = synth_clusters(2, (4, 4), rng, num_features=17)
+        model = model_for("setregression", ds, model_widths="5,1", model_dropout=0.4, seed=5)
         batch = make_set_batch(ds, range(2))
         targets, mask = member_targets(ds, range(2), batch.max_size)
         tape = ad.Tape()
-        bound = bind(tape, model.params())
-        loss = model.loss(tape, batch, targets, mask, bound, rng=np.random.default_rng(0), training=True)
+        loss = masked_mse(training_output(model, tape, batch, rng=np.random.default_rng(0)), targets, mask)
         report = ad.gradient_check(tape, loss, step=1e-5, tolerance=1e-4)
         assert report.passed, report.failures[:3]
 
@@ -244,8 +246,17 @@ class TestMetrics:
             scatter_metric(np.array([0.0]), np.array([-1.5]))
 
     def test_accuracy(self):
-        logits = np.array([[0.9, 0.1], [0.2, 0.8]])
-        assert accuracy(logits, np.array([0, 1])) == 1.0
+        # pooled sums are the logits: rows [0.9, 0.1] and [0.2, 0.8]
+        out = Dense(2, 2, name="out")
+        out.w.value = np.eye(2)
+        model = SetModel([SetPool("sum"), out], "accuracy", True)
+        sets = [np.array([[0.5, 0.1], [0.4, 0.0]]), np.array([[0.2, 0.8]]), np.array([[0.2, 0.8]])]
+        ds = LabeledSetDataset(sets=sets, set_labels=np.array([0, 1, 0]), num_classes=2)
+        loss, accuracy = evaluate_classifier(model, ds)
+        assert accuracy == pytest.approx(2 / 3)
+        logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.2, 0.8]])
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        assert loss == pytest.approx(-np.mean(np.log(probs[np.arange(3), [0, 1, 0]])), rel=1e-12)
 
     def test_metrics_line_has_no_wall_time(self):
         rec = MetricsRecord(3, "val", 0.5, "accuracy", 0.75, wall_time=12.3)
@@ -355,8 +366,8 @@ class TestTrainLoop:
 class TestActivationMaximization:
     @pytest.fixture(scope="class")
     def small_model(self):
-        rng = np.random.default_rng(0)
-        return build_pointcloud_model(3, rng, widths=(8, 8), trunk=6)
+        ds = synth_shapes(["sphere", "cube", "cylinder"], 10, 3, np.random.default_rng(0))
+        return model_for("pointcloud", ds, model_widths="8,8", model_trunk=6)
 
     def test_zero_budget_returns_initialization(self, small_model):
         rng_a = np.random.default_rng(42)
@@ -387,7 +398,7 @@ class TestEvaluateRegressor:
     def test_observed_only_restricts_scoring(self):
         rng = np.random.default_rng(0)
         ds = synth_clusters(4, (5, 8), rng, labeled_fraction=0.5)
-        model = build_regression_model("equivariant", rng, widths=(6, 1))
+        model = model_for("setregression", ds, model_widths="6,1")
         loss_all, scatter_all = evaluate_regressor(model, ds)
         loss_obs, scatter_obs = evaluate_regressor(model, ds, observed_only=True)
         assert loss_all == loss_obs  # loss is always masked
