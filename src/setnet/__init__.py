@@ -1,7 +1,7 @@
 """Deep learning on set-structured data with permutation-equivariant layers.
 
 Self-contained: a float64 tensor core, tape-based reverse-mode autodiff,
-equivariant set layers with masked variable-cardinality batches, optimizers,
+equivariant set layers over packed variable-cardinality batches, optimizers,
 data pipelines, training experiments, and a CLI.
 """
 

@@ -3,14 +3,18 @@
 Execution is define-by-run: building a node computes its value eagerly and
 appends it to the tape, so node references only ever point backward and the
 reverse sweep visits each node exactly once, in reverse creation order.
-Gradients are exact for every differentiable composite; ``max`` is given the
-single-argmax subgradient (lowest index on ties) and ``mean`` distributes
-1/N, so training runs are deterministic.
+Gradients are exact for every differentiable composite; ``segment_max`` is
+given the single-argmax subgradient (lowest index on ties) and ``mean``
+distributes 1/N, so training runs are deterministic.
+
+Set batches store their members as stacked rows, one set after another; the
+segment ops (``segment_sum``, ``segment_max`` and ``repeat``) move between
+those member rows and one row per set.
 
 ``gradient_check`` re-executes the recorded graph with perturbed leaf values
 (central differences) and compares against the reverse sweep. Probes that
-cross a max-kink (the argmax pattern of any max node differs between the two
-perturbed replays) are flagged as non-differentiable points and excluded
+cross a max-kink (the winning rows of any ``segment_max`` node differ between
+the two perturbed replays) are flagged as non-differentiable points and excluded
 rather than reported as failures.
 
 ``ForwardTape`` computes the same values without recording a graph, for
@@ -20,12 +24,12 @@ evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, EmptyReductionError
 
 GradientMap = Dict[str, np.ndarray]
 
@@ -39,6 +43,23 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         if s == 1 and g.shape[i] != 1:
             g = g.sum(axis=i, keepdims=True)
     return g
+
+
+def _bounds(cards, rows: int) -> np.ndarray:
+    """[0, end of set 0, end of set 1, ...] for the member rows of sets with
+    ``cards`` members each, stored one set after another."""
+    cards = np.asarray(cards)
+    if np.any(cards < 1):
+        raise EmptyReductionError("sets must have at least one member")
+    if rows != cards.sum():
+        raise DimensionError(f"{rows} member rows for cardinalities summing to {cards.sum()}")
+    return np.concatenate(([0], np.cumsum(cards)))
+
+
+def _reduce_rows(ufunc, a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced over each set's rows: [M, K] -> [B, K]. Over several
+    channels numpy adds a set's members one after another, in row order."""
+    return np.array([ufunc.reduce(a[s:e], axis=0) for s, e in zip(bounds[:-1], bounds[1:])])
 
 
 class Node:
@@ -74,17 +95,11 @@ class Node:
             lambda g, pv, out: (_unbroadcast(g, pv[0].shape), _unbroadcast(g, pv[1].shape)),
         )
 
-    def __radd__(self, other):
-        return self._coerce(other).__add__(self)
-
     def __sub__(self, other):
         return self.tape._binary(
             "sub", self, self._coerce(other), np.subtract,
             lambda g, pv, out: (_unbroadcast(g, pv[0].shape), _unbroadcast(-g, pv[1].shape)),
         )
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         return self.tape._binary(
@@ -135,44 +150,63 @@ class Node:
             vjp=lambda g, pv, out: (g.transpose(inverse),),
         )
 
-    def sum(self, axis: int, keepdims: bool = False) -> "Node":
-        def fwd(a):
-            return np.sum(a, axis=axis, keepdims=keepdims)
+    def sum(self, axis: int) -> "Node":
+        """Sum over ``axis``, kept with length 1."""
+        return self.tape._record(
+            "sum_axis", (self,),
+            fwd=lambda a: np.sum(a, axis=axis, keepdims=True),
+            vjp=lambda g, pv, out: (np.broadcast_to(g, pv[0].shape).copy(),),
+        )
+
+    def mean(self, axis: int) -> "Node":
+        """Mean over ``axis``, kept with length 1."""
+        return self.tape._record(
+            "mean_axis", (self,),
+            fwd=lambda a: np.mean(a, axis=axis, keepdims=True),
+            vjp=lambda g, pv, out: (np.broadcast_to(g / pv[0].shape[axis], pv[0].shape).copy(),),
+        )
+
+    def segment_sum(self, cards) -> "Node":
+        """Per-set sums of member rows, [M, K] -> [B, K]; with several channels
+        each set's members are added one after another, in row order."""
+        bounds = _bounds(cards, self.value.shape[0])
+        return self.tape._record(
+            "segment_sum", (self,),
+            fwd=lambda a: _reduce_rows(np.add, a, bounds),
+            vjp=lambda g, pv, out: (np.repeat(g, cards, axis=0),),
+        )
+
+    def repeat(self, cards) -> "Node":
+        """Each set's row once per member, [B, K] -> [M, K]: the vjp of ``segment_sum`` and vice versa."""
+        if self.value.shape[0] != len(cards):
+            raise DimensionError(f"repeat: {self.value.shape[0]} rows for {len(cards)} sets")
+        bounds = _bounds(cards, int(np.sum(cards)))
+        return self.tape._record(
+            "repeat", (self,),
+            fwd=lambda a: np.repeat(a, cards, axis=0),
+            vjp=lambda g, pv, out: (_reduce_rows(np.add, g, bounds),),
+        )
+
+    def segment_max(self, cards) -> "Node":
+        """Per-set maxima of member rows, [M, K] -> [B, K]; the subgradient goes
+        to the lowest-index member that attains the max."""
+        bounds = _bounds(cards, self.value.shape[0])
+
+        def first_hits(a, out):  # the row each (set, channel) max came from, lowest on ties
+            rows = np.arange(len(a)).reshape((-1,) + (1,) * (a.ndim - 1))
+            hit = a == np.repeat(out, cards, axis=0)
+            return _reduce_rows(np.minimum, np.where(hit, rows, len(a)), bounds)
 
         def vjp(g, pv, out):
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, pv[0].shape).copy(),)
-
-        return self.tape._record("sum_axis", (self,), fwd=fwd, vjp=vjp)
-
-    def mean(self, axis: int, keepdims: bool = False) -> "Node":
-        def fwd(a):
-            return np.mean(a, axis=axis, keepdims=keepdims)
-
-        def vjp(g, pv, out):
-            n = pv[0].shape[axis]
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g / n, pv[0].shape).copy(),)
-
-        return self.tape._record("mean_axis", (self,), fwd=fwd, vjp=vjp)
-
-    def max(self, axis: int, keepdims: bool = False) -> "Node":
-        def fwd(a):
-            return np.max(a, axis=axis, keepdims=keepdims)
-
-        def vjp(g, pv, out):
-            a = pv[0]
-            idx = np.expand_dims(np.argmax(a, axis=axis), axis)
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            grad = np.zeros_like(a)
-            np.put_along_axis(grad, idx, g, axis)
+            grad = np.zeros_like(pv[0])
+            np.put_along_axis(grad, first_hits(pv[0], out), g, axis=0)
             return (grad,)
 
-        node = self.tape._record("max_axis", (self,), fwd=fwd, vjp=vjp)
-        node.tape._max_axes[node.index] = axis
+        node = self.tape._record(
+            "segment_max", (self,), fwd=lambda a: _reduce_rows(np.maximum, a, bounds), vjp=vjp
+        )
+        if node.index >= 0:  # a ForwardTape keeps no graph to replay
+            self.tape._kinks[node.index] = first_hits
         return node
 
     def sum_all(self) -> "Node":
@@ -197,7 +231,7 @@ class Tape:
         self.nodes: List[Node] = []
         self.variables: List[Node] = []
         self._var_names = set()
-        self._max_axes: Dict[int, int] = {}  # node index -> reduced axis, for kink detection
+        self._kinks: Dict[int, Callable] = {}  # node index -> fn(input, output): the rows its max took
 
     def _append(self, value, parents, op, fwd, vjp, name, is_variable) -> Node:
         node = Node(self, len(self.nodes), value, parents, op, fwd, vjp, name, is_variable)
@@ -321,8 +355,9 @@ def backward(tape: Tape, root: Node) -> GradientMap:
 def replay(tape: Tape, overrides: Optional[Dict[int, np.ndarray]] = None):
     """Recompute all node values, substituting leaf values from ``overrides``.
 
-    Returns (values, max_signatures) where max_signatures maps each max
-    node's index to its argmax pattern, used to detect kink crossings.
+    Returns (values, max_signatures) where max_signatures maps each
+    ``segment_max`` node's index to the rows that won its maxima, used to
+    detect kink crossings.
     """
     overrides = overrides or {}
     values: List[np.ndarray] = []
@@ -333,9 +368,9 @@ def replay(tape: Tape, overrides: Optional[Dict[int, np.ndarray]] = None):
         else:
             pv = tuple(values[p.index] for p in node.parents)
             values.append(np.asarray(node.fwd(*pv), dtype=np.float64))
-            ax = tape._max_axes.get(node.index)
-            if ax is not None:
-                signatures[node.index] = np.argmax(pv[0], axis=ax)
+            kink = tape._kinks.get(node.index)
+            if kink is not None:
+                signatures[node.index] = kink(pv[0], values[-1])
     return values, signatures
 
 

@@ -5,8 +5,9 @@ sample-mesh. Every run derives all randomness from one seed; training runs
 write their fully resolved config next to their outputs so any artifact can
 be reproduced exactly.
 
-Exit codes: 0 success, 2 config/usage error, 3 file-format error, 4 numeric
-error, 5 budget exceeded, 1 anything else.
+Exit codes: 0 success, 2 config/usage error or an input file that cannot be
+opened or read, 3 file-format error, 4 numeric error, 5 budget exceeded,
+1 anything else.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ _EXIT_CODES = (
     (FormatError, 3),
     (NumericError, 4),
     (BudgetError, 5),
+    (OSError, 2),  # e.g. a missing --config, --off or --checkpoint file
 )
 
 
-def _fail_code(exc: SetNetError) -> int:
+def _fail_code(exc: Exception) -> int:
     for cls, code in _EXIT_CODES:
         if isinstance(exc, cls):
             return code
@@ -62,8 +64,7 @@ def _fail_code(exc: SetNetError) -> int:
 def _load_config(args) -> ExperimentConfig:
     values: Dict[str, str] = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            values = parse_config_text(fh.read())
+        values = parse_config_text(datamod._read_text(args.config))
     if getattr(args, "experiment", None):
         values.setdefault("experiment", args.experiment)
     for item in getattr(args, "set", None) or []:
@@ -127,10 +128,10 @@ def cmd_check_equivariance(args) -> int:
             ]
 
             def f(x):
-                batch = SetBatch(x[None], np.array([x.shape[0]]))
+                batch = SetBatch(x, [x.shape[0]])
                 for layer in layers:
                     batch = batch.with_values(evaluate(layer, batch))
-                return batch.values[0]
+                return batch.values
 
         else:  # an unconstrained dense layer mixing the set axis: not equivariant
             w = rng.normal(size=(n, n))
@@ -145,7 +146,7 @@ def cmd_check_equivariance(args) -> int:
         model = build_experiment_model(config, train_data)
         if args.checkpoint:
             arrays, _ = load_params(args.checkpoint)
-            restore_params(model.params(), {k: v for k, v in arrays.items() if not k.startswith("opt.")})
+            restore_params(model.params(), arrays)
         report = _probe_model(model, config, train_data, args, rng)
     for line in report.lines():
         print(line)
@@ -160,14 +161,14 @@ def _probe_model(model, config: ExperimentConfig, train_data, args, rng):
     if n is None:  # mnist_sum models take exactly data.set_size members
         n = model.set_size or _PROBE_SET_SIZE
     # pointcloud is probed on its equivariant stack, the others on their
-    # output; a pooled output is repeated once per member
+    # output; a pooled output (one row for the set) is repeated once per member
     upto = None
     if config.experiment == "pointcloud":
         upto = next(i for i, layer in enumerate(model.layers) if isinstance(layer, SetPool))
 
     def f(x):
-        out = evaluate(model, SetBatch(x[None], np.array([x.shape[0]])), upto=upto)
-        return out[0] if out.ndim == 3 else np.repeat(out, x.shape[0], axis=0)
+        out = evaluate(model, SetBatch(x, [x.shape[0]]), upto=upto)
+        return np.repeat(out, x.shape[0], axis=0) if out.shape[0] == 1 else out
 
     return theorem.check_equivariance_empirical(f, n, args.trials, rng, channels=train_data.channels)
 
@@ -214,7 +215,7 @@ def cmd_eval(args) -> int:
     _, val_data = build_experiment_data(config)
     model = build_experiment_model(config, val_data)
     arrays, meta = load_params(args.checkpoint)
-    restore_params(model.params(), {k: v for k, v in arrays.items() if not k.startswith("opt.")})
+    restore_params(model.params(), arrays)
     if val_data.set_labels is not None:
         loss, metric = evaluate_classifier(model, val_data)
     else:
@@ -236,7 +237,7 @@ def cmd_actmax(args) -> int:
     model = build_experiment_model(config, train_data)
     if args.checkpoint:
         arrays, _ = load_params(args.checkpoint)
-        restore_params(model.params(), {k: v for k, v in arrays.items() if not k.startswith("opt.")})
+        restore_params(model.params(), arrays)
     rng = np.random.default_rng(args.seed if args.seed is not None else config.seed)
     result = activation_maximization(
         model, args.layer, args.unit, args.points, args.iters, rng, threshold=args.threshold
@@ -333,7 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SetNetError as exc:
+    except (SetNetError, OSError) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return _fail_code(exc)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -93,10 +94,11 @@ class LabeledSetDataset:
 
 
 def _read_exact(fh, nbytes: int, path, what: str) -> bytes:
-    data = fh.read(nbytes)
-    if len(data) != nbytes:
-        raise FormatError(f"{path}: truncated while reading {what} at byte offset {fh.tell() - len(data)}")
-    return data
+    """The next ``nbytes``; a size the file cannot hold is refused before any allocation."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes > left:
+        raise FormatError(f"{path}: truncated: {what} needs {nbytes} bytes, {left} remain at byte offset {fh.tell()}")
+    return fh.read(nbytes)
 
 
 def load_idx_images(path) -> np.ndarray:
@@ -109,7 +111,10 @@ def load_idx_images(path) -> np.ndarray:
         extra = fh.read(1)
         if extra:
             raise FormatError(f"{path}: trailing bytes after pixel data at byte offset {16 + count * rows * cols}")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
+    try:  # zero images of a declared size too large for any array
+        arr = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
+    except ValueError as exc:
+        raise FormatError(f"{path}: cannot hold {count} images of {rows}x{cols} pixels") from exc
     return arr.astype(np.float64) / 255.0
 
 
@@ -320,6 +325,8 @@ def load_off(path) -> TriangleMesh:
             raise FormatError(f"{path}: malformed face on line {nv + i}") from exc
         if len(ids) != cnt or cnt < 3:
             raise FormatError(f"{path}: face on line {nv + i} declares {cnt} vertices")
+        if not all(0 <= j < nv for j in ids):
+            raise FormatError(f"{path}: face on line {nv + i} has a vertex index outside 0..{nv - 1}")
         trailing += len(toks) - 1 - cnt
         for k in range(1, cnt - 1):  # fan triangulation
             faces.append((ids[0], ids[k], ids[k + 1]))

@@ -4,22 +4,24 @@ The equivariant layers come in four variants built around one template:
 
     y = sigma(x A  +  s * (1 agg(x)) G  [+ beta])
 
-where ``agg`` is a masked sum or max over the set axis, ``s`` is +1 for the
+where ``agg`` is a sum or max over each set's members, ``s`` is +1 for the
 sum family and -1 for the max-normalising family, and the scalar variants tie
 A, G to single numbers with one channel. Because the aggregate ignores member
-order, every variant is permutation-equivariant; pooling the output over the
-set axis then gives a permutation-invariant set representation.
+order, every variant is permutation-equivariant; pooling the output over each
+set then gives a permutation-invariant set representation.
 
-Batches are dense [B, N_max, K] arrays with an explicit per-set cardinality;
-padding rows are masked out of every aggregate (zero weight in sums and mean
-denominators, a large negative surrogate for max) so enlarging N_max never
-changes a real row's output beyond rounding: a longer sum or matrix product
-may group its additions differently, which can move the last bit.
+A batch is packed: the member rows of all its sets stacked one set after
+another, [M, K] with M the total number of members, plus each set's
+cardinality. Per-member maps are one [M, K] matrix product; an aggregate is a
+segment reduction to one row per set ([B, K]) and goes back to the members
+with ``repeat``. No row belongs to more than one set and there are no padding
+rows, so a set's outputs depend on its own members only.
 
 Every layer has the same protocol: ``params()`` lists its named ``Param``
 objects (none for pooling, normalisation, flattening and dropout) and
 ``apply(tape, x, cards, bound, rng=None)`` builds its autodiff nodes from the
 input node, the set cardinalities and the tape nodes bound to the parameters.
+Layers before a ``SetPool`` see member rows, layers after it one row per set.
 Dropout is active exactly when an ``rng`` is passed. ``evaluate`` runs any
 such module on a batch with the parameters held constant.
 """
@@ -46,33 +48,28 @@ from .errors import (
 EQ_VARIANTS = ("scalar_sum", "scalar_max", "channel_full", "channel_factored")
 POOL_KINDS = ("sum", "max", "mean")
 
-# additive surrogate that loses every masked max against any real float we use
-_NEG_SURROGATE = -1e30
-
 
 @dataclass(frozen=True)
 class SetBatch:
-    """A batch of sets: values [B, N_max, K] plus per-set cardinalities.
-
-    Rows at index >= cardinality are padding; they are stored as zeros and
-    must never influence a real row's output.
+    """A packed batch of sets: ``values`` [M, K] holds every member as one row,
+    the sets one after another, and ``cardinalities`` [B] says how many rows
+    each set has (M is their sum, every set has at least one member).
     """
 
     values: np.ndarray
     cardinalities: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 3:
-            raise DimensionError(f"SetBatch values must be [B, N, K], got shape {vals.shape}")
-        cards = np.asarray(self.cardinalities, dtype=np.intp)
-        if cards.shape != (vals.shape[0],):
+        vals = np.array(self.values, dtype=np.float64)
+        if vals.ndim != 2:
+            raise DimensionError(f"SetBatch values must be [M, K], got shape {vals.shape}")
+        cards = np.array(self.cardinalities, dtype=np.intp)
+        if cards.ndim != 1:
             raise DimensionError("need one cardinality per set")
         if np.any(cards < 1):
             raise EmptyReductionError("sets must have at least one member")
-        if np.any(cards > vals.shape[1]):
-            raise DimensionError("cardinality exceeds N_max")
-        vals = vals * padding_mask(cards, vals.shape[1])  # canonical zero padding
+        if cards.sum() != vals.shape[0]:
+            raise DimensionError(f"cardinalities sum to {cards.sum()} but there are {vals.shape[0]} member rows")
         T.ensure_finite(vals, "SetBatch")
         vals.setflags(write=False)
         cards.setflags(write=False)
@@ -81,36 +78,32 @@ class SetBatch:
 
     @property
     def num_sets(self) -> int:
-        return self.values.shape[0]
+        return self.cardinalities.shape[0]
 
     @property
     def max_size(self) -> int:
-        return self.values.shape[1]
+        """The largest cardinality."""
+        return int(self.cardinalities.max())
 
     @property
     def channels(self) -> int:
-        return self.values.shape[2]
+        return self.values.shape[1]
 
     def with_values(self, values: np.ndarray) -> "SetBatch":
         return SetBatch(values, self.cardinalities)
 
+    def sets(self) -> List[np.ndarray]:
+        """Each set's member rows, in batch order."""
+        return np.split(self.values, np.cumsum(self.cardinalities)[:-1])
+
     def permute_members(self, perms: Sequence[T.Permutation]) -> "SetBatch":
-        """Reorder the real rows of each set; padding stays in place."""
+        """Reorder the members of each set by its permutation."""
         if len(perms) != self.num_sets:
             raise DimensionError("need one permutation per set")
-        out = np.array(self.values)
-        for b, p in enumerate(perms):
-            n = int(self.cardinalities[b])
+        for b, (p, n) in enumerate(zip(perms, self.cardinalities)):
             if p.n != n:
                 raise DimensionError(f"set {b} has {n} members, permutation has n={p.n}")
-            out[b, :n] = self.values[b, p.mapping]
-        return SetBatch(out, self.cardinalities)
-
-
-def padding_mask(cards: np.ndarray, n_max: int) -> np.ndarray:
-    """1.0 on real rows, 0.0 on padding; shape [B, N_max, 1]."""
-    cards = np.asarray(cards)
-    return (np.arange(n_max)[None, :, None] < cards[:, None, None]).astype(np.float64)
+        return self.with_values(np.concatenate([s[p.mapping] for s, p in zip(self.sets(), perms)]))
 
 
 class Param:
@@ -137,30 +130,19 @@ def bind(tape: ad.Tape, params: Sequence[Param]) -> Dict[str, ad.Node]:
     return {p.name: tape.variable(p.value, p.name) for p in params}
 
 
-def _masked_aggregate(tape: ad.Tape, x: ad.Node, cards: np.ndarray, kind: str) -> ad.Node:
-    """Masked reduction over the set axis; [B, N, K] -> [B, 1, K]."""
-    n_max = x.value.shape[1]
-    mask = tape.constant(padding_mask(cards, n_max))
+def _aggregate(tape: ad.Tape, x: ad.Node, cards: np.ndarray, kind: str) -> ad.Node:
+    """Reduction over each set's member rows: [M, K] -> [B, K]."""
     if kind == "sum":
-        return (x * mask).sum(axis=1, keepdims=True)
+        return x.segment_sum(cards)
     if kind == "mean":
-        inv_n = tape.constant(1.0 / cards.astype(np.float64)[:, None, None])
-        return (x * mask).sum(axis=1, keepdims=True) * inv_n
+        return x.segment_sum(cards) * tape.constant(1.0 / cards.astype(np.float64)[:, None])
     if kind == "max":
-        # 0 on real rows, the large negative surrogate on padding
-        offset = tape.constant((1.0 - padding_mask(cards, n_max)) * _NEG_SURROGATE)
-        return (x * mask + offset).max(axis=1, keepdims=True)
+        return x.segment_max(cards)
     raise DimensionError(f"unknown aggregate {kind!r}")
 
 
-def _per_member_matmul(x: ad.Node, w: ad.Node) -> ad.Node:
-    """[B, N, K] @ [K, K'] applied to every member row."""
-    b, n, k = x.value.shape
-    return (x.reshape((b * n, k)) @ w).reshape((b, n, w.value.shape[1]))
-
-
 class EquivariantLayer:
-    """One permutation-equivariant layer over [B, N, K] set batches.
+    """One permutation-equivariant layer over the member rows of set batches.
 
     variant:
       scalar_sum       1 channel, y = sigma(lam*x + gam*agg(x)); agg defaults to sum
@@ -219,22 +201,21 @@ class EquivariantLayer:
         return [p for p in (self.lam, self.gam, self.beta) if p is not None]
 
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
-        if x.value.shape[2] != self.k_in:
+        if x.value.shape[1] != self.k_in:
             raise DimensionError(
-                f"{self.name}: expected {self.k_in} input channels, got {x.value.shape[2]}"
+                f"{self.name}: expected {self.k_in} input channels, got {x.value.shape[1]}"
             )
-        agg = _masked_aggregate(tape, x, cards, self.aggregate)  # [B, 1, K]
+        agg = _aggregate(tape, x, cards, self.aggregate)  # [B, K]
         gam = bound[self.gam.name]
         if self.variant == "channel_factored":
-            pre = _per_member_matmul(x + (-1.0) * agg, gam) + bound[self.beta.name]
+            pre = (x - agg.repeat(cards)) @ gam + bound[self.beta.name]
         else:
-            lam = bound[self.lam.name]
-            pre = _per_member_matmul(x, lam) + self.sign * _per_member_matmul(agg, gam)
+            pre = x @ bound[self.lam.name] + (self.sign * (agg @ gam)).repeat(cards)
         return ad.nonlinearity(pre, self.activation)
 
 
 class Dense:
-    """Affine map plus nonlinearity on the last axis (shared across members)."""
+    """Affine map plus nonlinearity on each row (shared across members)."""
 
     def __init__(self, k_in, k_out, activation="identity", rng=None, name="dense"):
         if activation not in T.NONLINEARITIES:
@@ -253,18 +234,11 @@ class Dense:
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if x.value.shape[-1] != self.k_in:
             raise DimensionError(f"{self.name}: expected {self.k_in} inputs, got {x.value.shape[-1]}")
-        w, b = bound[self.w.name], bound[self.b.name]
-        if x.value.ndim == 2:
-            pre = x @ w + b
-        else:
-            lead = x.value.shape[:-1]
-            flat = x.reshape((int(np.prod(lead)), self.k_in))
-            pre = (flat @ w + b).reshape(lead + (self.k_out,))
-        return ad.nonlinearity(pre, self.activation)
+        return ad.nonlinearity(x @ bound[self.w.name] + bound[self.b.name], self.activation)
 
 
 class SetPool:
-    """Commutative reduction over the set axis: [B, N, K] -> [B, K]."""
+    """Commutative reduction over each set's members: [M, K] -> [B, K]."""
 
     def __init__(self, kind: str = "sum"):
         if kind not in POOL_KINDS:
@@ -275,8 +249,7 @@ class SetPool:
         return []
 
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
-        b, _, k = x.value.shape
-        return _masked_aggregate(tape, x, cards, self.kind).reshape((b, k))
+        return _aggregate(tape, x, cards, self.kind)
 
 
 class Dropout:
@@ -296,26 +269,35 @@ class Dropout:
     def params(self) -> List[Param]:
         return []
 
-    def sample_mask(self, rng: np.random.Generator, shape) -> np.ndarray:
-        if len(shape) == 3 and self.simultaneous:
-            b, _, k = shape
-            draw_shape = (b, 1, k)  # one mask per (set, channel), shared across members
-        else:
-            draw_shape = tuple(shape)
-        keep = (rng.random(draw_shape) >= self.rate).astype(np.float64)
-        return keep / (1.0 - self.rate)
+    def sample_mask(self, rng: np.random.Generator, cards: np.ndarray, shape) -> np.ndarray:
+        """Scaled keep mask for [rows, K] member rows or, when rows == B, set rows.
+
+        Set rows draw [B, K]; member rows share a [B, K] draw within each set
+        if ``simultaneous``, else draw [B, max cardinality, K] and keep each
+        set's first rows. With one member per set both draws are the same.
+        """
+        rows, k = shape
+        b = len(cards)
+        per_member = rows != b and not self.simultaneous
+        draw = rng.random((b, int(cards.max()), k) if per_member else (b, k))
+        keep = (draw >= self.rate).astype(np.float64) / (1.0 - self.rate)
+        if rows == b:
+            return keep
+        if per_member:
+            return keep[np.arange(keep.shape[1]) < cards[:, None]]  # each set's first rows
+        return np.repeat(keep, cards, axis=0)
 
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if rng is None or self.rate == 0.0:
             return x
-        return x * tape.constant(self.sample_mask(rng, x.value.shape))
+        return x * tape.constant(self.sample_mask(rng, cards, x.value.shape))
 
 
 class NormalizeSets:
     """Center each set per axis and scale to unit global variance.
 
-    Means and the (single, global) standard deviation are computed over the
-    real rows only; every axis is divided by the same deviation. Sets need at
+    Means and the (single, per-set) standard deviation are computed over the
+    set's members; every axis is divided by the same deviation. Sets need at
     least two members.
     """
 
@@ -327,19 +309,19 @@ class NormalizeSets:
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if np.any(cards < 2):
             raise DegenerateSetError("normalization needs sets of at least two members")
-        _, n_max, k = x.value.shape
-        mask = tape.constant(padding_mask(cards, n_max))
-        inv_n = tape.constant(1.0 / cards.astype(np.float64)[:, None, None])
-        mean = (x * mask).sum(axis=1, keepdims=True) * inv_n  # [B, 1, K]
-        centered = x - mean
-        sq = centered * centered * mask
-        var = sq.sum(axis=1, keepdims=True).sum(axis=2, keepdims=True) * inv_n * (1.0 / k)
-        inv_std = (var + self.eps).pow_const(-0.5)
-        return centered * inv_std
+        k = x.value.shape[1]
+        inv_n = tape.constant(1.0 / cards.astype(np.float64)[:, None])
+        centered = x - (x.segment_sum(cards) * inv_n).repeat(cards)
+        var = (centered * centered).segment_sum(cards).sum(axis=1) * inv_n * (1.0 / k)  # [B, 1]
+        # widened to [B, K] before it goes to the members, so the gradient of
+        # the deviation adds each channel over the members, then the channels
+        inv_std = (var + self.eps).pow_const(-0.5) * tape.constant(np.ones((1, k)))
+        return centered * inv_std.repeat(cards)
 
 
 class Flatten:
-    """Join each set's members into one vector: [B, N, K] -> [B, N*K].
+    """Join each set's members into one vector: [B*N, K] -> [B, N*K], for
+    sets that all have N members.
 
     Members follow each other, or with ``interleave`` the vector runs feature
     by feature across members (channel stacking). Either way the result
@@ -353,8 +335,12 @@ class Flatten:
         return []
 
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
-        b = x.value.shape[0]
-        return (x.transpose((0, 2, 1)) if self.interleave else x).reshape((b, -1))
+        if np.any(cards != cards[0]):
+            raise DimensionError("Flatten needs sets of equal cardinality")
+        b, k = len(cards), x.value.shape[1]
+        if self.interleave:
+            return x.reshape((b, -1, k)).transpose((0, 2, 1)).reshape((b, -1))
+        return x.reshape((b, -1))
 
 
 def evaluate(module, batch: SetBatch, **options) -> np.ndarray:

@@ -89,14 +89,15 @@ class Permutation:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard rank-2 matrix product."""
+    """Standard rank-2 matrix product. Like ``elementwise`` it does not check
+    its result for finiteness: the tape checks every node value once."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul expects rank-2 operands, got ranks {a.ndim} and {b.ndim}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    return ensure_finite(a @ b, "matmul")
+    return a @ b
 
 
 def elementwise(x: Tensor, fn: str) -> Tensor:
@@ -117,7 +118,7 @@ def elementwise(x: Tensor, fn: str) -> Tensor:
         out = x.copy()
     else:
         raise DimensionError(f"unknown nonlinearity {fn!r}")
-    return ensure_finite(out, f"elementwise[{fn}]")
+    return out
 
 
 def elementwise_grad(x: Tensor, fn: str) -> Tensor:

@@ -278,27 +278,15 @@ def scatter_metric(z_pred: np.ndarray, z_spec: np.ndarray) -> float:
 
 
 def make_set_batch(dataset: LabeledSetDataset, indices: Sequence[int]) -> SetBatch:
-    idx = list(indices)
-    n_max = max(dataset.sets[i].shape[0] for i in idx)
-    k = dataset.channels
-    values = np.zeros((len(idx), n_max, k))
-    cards = np.empty(len(idx), dtype=np.intp)
-    for row, i in enumerate(idx):
-        s = dataset.sets[i]
-        values[row, : s.shape[0]] = s
-        cards[row] = s.shape[0]
-    return SetBatch(values, cards)
+    sets = [dataset.sets[i] for i in indices]
+    return SetBatch(np.concatenate(sets), [s.shape[0] for s in sets])
 
 
-def member_targets(dataset: LabeledSetDataset, indices: Sequence[int], n_max: int):
-    """Padded [B, n_max] target and observed-mask arrays."""
-    idx = list(indices)
-    targets = np.zeros((len(idx), n_max))
-    mask = np.zeros((len(idx), n_max))
-    for row, i in enumerate(idx):
-        n = dataset.sets[i].shape[0]
-        targets[row, :n] = dataset.member_labels[i]
-        mask[row, :n] = dataset.member_mask[i].astype(np.float64)
+def member_targets(dataset: LabeledSetDataset, indices: Sequence[int]):
+    """[M] targets and observed-mask (0/1) arrays, one entry per member row of
+    ``make_set_batch(dataset, indices)``."""
+    targets = np.concatenate([dataset.member_labels[i] for i in indices])
+    mask = np.concatenate([dataset.member_mask[i] for i in indices]).astype(np.float64)
     return targets, mask
 
 
@@ -312,10 +300,11 @@ def batch_indices(count: int, batch_size: int, order: Optional[np.ndarray] = Non
 
 
 class SetModel:
-    """An ordered list of layers applied in turn to a set batch.
+    """An ordered list of layers applied in turn to a packed set batch.
 
-    Layers before a ``SetPool`` act on every member and layers after it on
-    the pooled set vector; a model without one predicts per member.
+    Layers before a ``SetPool`` (or a ``Flatten``) act on the [M, K] member
+    rows and layers after it on the [B, K] set rows; a model without one
+    predicts per member, one output row per member row.
     """
 
     def __init__(self, layers: Sequence, metric_name: str, higher_is_better: bool, set_size: Optional[int] = None):
@@ -337,13 +326,12 @@ class SetModel:
 
 
 def masked_mse(pred: ad.Node, targets: np.ndarray, mask: np.ndarray) -> ad.Node:
-    """Mean squared error of [B, N, 1] member predictions over the observed members."""
+    """Mean squared error of [M, 1] member predictions over the observed members."""
     labeled = float(mask.sum())
     if labeled == 0:
         raise ContractError("batch has no labeled members")
-    b, n, _ = pred.value.shape
     tape = pred.tape
-    diff = (pred.reshape((b, n)) - tape.constant(targets)) * tape.constant(mask)
+    diff = (pred - tape.constant(targets[:, None])) * tape.constant(mask[:, None])
     return (diff * diff).sum_all() * (1.0 / labeled)
 
 
@@ -411,16 +399,14 @@ def evaluate_regressor(model: SetModel, dataset: LabeledSetDataset, batch_size: 
     truths: List[np.ndarray] = []
     for idx in batch_indices(len(dataset), batch_size):
         batch = make_set_batch(dataset, idx)
-        targets, mask = member_targets(dataset, idx, batch.max_size)
-        pred = evaluate(model, batch)[:, :, 0]
+        targets, mask = member_targets(dataset, idx)
+        pred = evaluate(model, batch)[:, 0]
         diff = (pred - targets) * mask
         sq_sum += float(np.sum(diff * diff))
         sq_count += float(mask.sum())
-        for row, i in enumerate(idx):
-            n = dataset.sets[i].shape[0]
-            keep = dataset.member_mask[i] if observed_only else np.ones(n, dtype=bool)
-            preds.append(pred[row, :n][keep])
-            truths.append(dataset.member_labels[i][keep])
+        keep = mask > 0 if observed_only else slice(None)
+        preds.append(pred[keep])
+        truths.append(targets[keep])
     loss = sq_sum / max(sq_count, 1.0)
     return loss, scatter_metric(np.concatenate(preds), np.concatenate(truths))
 
@@ -485,7 +471,7 @@ def train_loop(
     best_epoch = 0
     if resume_from:
         arrays, meta = load_params(resume_from)
-        restore_params(params, {k: v for k, v in arrays.items() if not k.startswith("opt.")})
+        restore_params(params, arrays)
         try:
             opt.load_state_arrays(arrays, int(meta["opt_t"]))
             shuffle_rng = _restore_rng(meta["shuffle_rng"])
@@ -532,7 +518,7 @@ def train_loop(
             bound = bind(tape, params)
             try:
                 if not classification:
-                    targets, mask = member_targets(train_data, idx, batch.max_size)
+                    targets, mask = member_targets(train_data, idx)
                     if mask.sum() == 0:
                         continue  # nothing labeled in this batch
                 out = model.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, dropout_rng)
@@ -707,14 +693,13 @@ def activation_maximization(
         raise ContractError(f"unit {unit} out of range for width {width}")
     selector = np.zeros((width, 1))
     selector[unit, 0] = 1.0
-    coords = Param("input.points", rng.uniform(-1.0, 1.0, size=(1, m, 3)))
+    coords = Param("input.points", rng.uniform(-1.0, 1.0, size=(m, 3)))
     cards = np.array([m])
 
     def unit_mean(tape: ad.Tape, x: ad.Node) -> ad.Node:
         bound = {p.name: tape.constant(p.value) for p in model.params()}
         h = model.apply(tape, x, cards, bound, upto=ends[layer_index])
-        picked = (h.reshape((m, width)) @ tape.constant(selector)).reshape((1, m))
-        return picked.mean(axis=1).sum_all()
+        return (h @ tape.constant(selector)).mean(axis=0).sum_all()
 
     opt = Optimizer("adamax", [coords], lr=lr, beta1=beta1, beta2=beta2)
     history: List[float] = []
@@ -729,7 +714,7 @@ def activation_maximization(
     tape = ad.Tape()
     final = float(unit_mean(tape, tape.constant(coords.value)).value)
     return ActMaxResult(
-        points=coords.value[0].copy(),
+        points=coords.value.copy(),
         activation=final,
         activated=final > threshold,
         iterations=iterations,

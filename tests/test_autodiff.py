@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from setnet import autodiff as ad
-from setnet.errors import ContractError, NumericError
+from setnet.errors import ContractError, DimensionError, EmptyReductionError, NumericError
 from setnet.layers import Dense, EquivariantLayer, SetPool, bind
 from setnet.tensor import Permutation
 
@@ -17,20 +17,20 @@ class TestForward:
     def test_max_of_vector(self):
         tape = ad.Tape()
         x = tape.variable(np.array([1.0, 5.0, 2.0]), "x")
-        assert float(x.max(axis=0).value) == 5.0
+        assert np.array_equal(x.segment_max([3]).value, [5.0])
 
     def test_max_normalized_identity_layer(self):
-        # one channel, weight 1, no bias: y = x - max(x)
+        # one channel, weight 1, no bias: y = x - max(x), per set
         tape = ad.Tape()
-        x = tape.variable(np.array([[1.0], [2.0]]), "x")
-        y = x - x.max(axis=0, keepdims=True)
-        assert np.array_equal(y.value, [[-1.0], [0.0]])
+        x = tape.variable(np.array([[1.0], [2.0], [7.0]]), "x")
+        y = x - x.segment_max([2, 1]).repeat([2, 1])
+        assert np.array_equal(y.value, [[-1.0], [0.0], [0.0]])
 
     def test_forward_tape_keeps_values_only(self):
         outs = []
         for tape in (ad.Tape(), ad.ForwardTape()):
-            x = tape.constant(np.arange(6.0).reshape(2, 3))
-            outs.append(((x * 2.0 - 1.0).max(axis=1) * x.sum(axis=1)).sum_all())
+            x = tape.constant(np.arange(6.0).reshape(3, 2))
+            outs.append(((x * 2.0 - 1.0).segment_max([2, 1]) * x.segment_sum([2, 1])).sum_all())
         recorded, forward = outs
         assert forward.value == recorded.value
         assert forward.parents == () and forward.tape.nodes == []
@@ -39,8 +39,11 @@ class TestForward:
     def test_nonfinite_names_node(self):
         tape = ad.Tape()
         x = tape.variable(np.array([1e308]), "x")
-        with pytest.raises(NumericError, match="node#"):
+        with pytest.raises(NumericError, match=r"node#\d+\[mul\]"):
             _ = x * x
+        w = tape.variable(np.array([[1e200]]), "w")
+        with pytest.raises(NumericError, match=r"node#\d+\[matmul\]: 1 non-finite"):
+            _ = w @ w
 
 
 class TestBackward:
@@ -51,17 +54,17 @@ class TestBackward:
         assert grads["x"] == pytest.approx(6.0)
 
     def test_max_subgradient_routing(self):
-        # gradient of sum(max over set axis) hits one argmax row per channel
+        # gradient of sum(max over the set's members) hits one argmax row per channel
         tape = ad.Tape()
         x = tape.variable(np.array([[1.0, 9.0], [5.0, 2.0], [5.0, 2.0]]), "x")
-        loss = x.max(axis=0).sum_all()
+        loss = x.segment_max([3]).sum_all()
         grads = ad.backward(tape, loss)
         assert np.array_equal(grads["x"], [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
 
     def test_mean_distributes(self):
         tape = ad.Tape()
         x = tape.variable(np.arange(4.0), "x")
-        grads = ad.backward(tape, x.mean(axis=0))
+        grads = ad.backward(tape, x.mean(axis=0).sum_all())
         assert np.allclose(grads["x"], 0.25)
 
     def test_matmul_and_broadcast_bias(self):
@@ -109,6 +112,67 @@ class TestBackward:
         assert report.max_rel_error < 1e-4
 
 
+class TestSegmentOps:
+    CARDS = [3, 1, 4]
+
+    def test_segment_sum_adds_members_in_row_order(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(8, 5)) * 10.0 ** rng.integers(-8, 8, size=(8, 5))
+        tape = ad.Tape()
+        got = tape.constant(x).segment_sum(self.CARDS).value
+        want = np.zeros((3, 5))
+        for row, s in zip(x, np.repeat(np.arange(3), self.CARDS)):
+            want[s] = want[s] + row  # one member after another
+        assert np.array_equal(got, want)
+
+    def test_repeat_and_segment_sum_are_each_others_vjp(self):
+        rng = np.random.default_rng(13)
+        per_set, per_member = rng.normal(size=(3, 2)), rng.normal(size=(8, 2))
+        tape = ad.Tape()
+        y = tape.variable(per_set, "y")
+        x = tape.variable(per_member, "x")
+        loss = (y.repeat(self.CARDS) * per_member).sum_all() + (x.segment_sum(self.CARDS) * per_set).sum_all()
+        grads = ad.backward(tape, loss)
+        assert np.array_equal(grads["y"], tape.constant(per_member).segment_sum(self.CARDS).value)
+        assert np.array_equal(grads["x"], tape.constant(per_set).repeat(self.CARDS).value)
+
+    def test_segment_max_routes_to_first_hit_in_each_set(self):
+        x_val = np.array([[2.0, 0.0], [2.0, 1.0], [1.0, 1.0],  # set 0: ties in channel 0
+                          [-3.0, -3.0],  # set 1: one member
+                          [0.0, 5.0], [4.0, 5.0], [4.0, 1.0], [0.0, 0.0]])  # set 2: ties in both channels
+        tape = ad.Tape()
+        x = tape.variable(x_val, "x")
+        top = x.segment_max(self.CARDS)
+        assert np.array_equal(top.value, [[2.0, 1.0], [-3.0, -3.0], [4.0, 5.0]])
+        want = np.zeros((8, 2))
+        want[[0, 3, 5], 0] = 1.0
+        want[[1, 3, 4], 1] = 1.0
+        assert np.array_equal(ad.backward(tape, top.sum_all())["x"], want)
+        _, signatures = ad.replay(tape)
+        assert np.array_equal(signatures[top.index], [[0, 1], [3, 3], [5, 4]])
+
+    def test_segment_ops_pass_gradient_check(self):
+        rng = np.random.default_rng(14)
+        tape = ad.Tape()
+        x = tape.variable(rng.normal(size=(8, 3)), "x")
+        y = x.segment_max(self.CARDS) * x.segment_sum(self.CARDS)
+        loss = ((x - y.repeat(self.CARDS)) * rng.normal(size=(8, 3))).sum_all()
+        report = ad.gradient_check(tape, loss)
+        assert report.passed and report.entries_checked == 24
+
+    def test_rows_must_match_cardinalities(self):
+        tape = ad.Tape()
+        x = tape.constant(np.ones((5, 2)))
+        with pytest.raises(DimensionError):
+            x.segment_sum([2, 2])
+        with pytest.raises(DimensionError):
+            x.segment_max([4, 2])
+        with pytest.raises(DimensionError):
+            x.repeat([2, 3])
+        with pytest.raises(EmptyReductionError):
+            x.segment_sum([5, 0])
+
+
 class TestSoftmaxCrossEntropy:
     def test_matches_manual_computation(self):
         logits = np.array([[2.0, 1.0, 0.1], [0.0, 0.0, 0.0]])
@@ -147,7 +211,7 @@ class TestGradientCheck:
         cards = np.array([5, 3])
         tape = ad.Tape()
         bound = bind(tape, layer.params())
-        x = tape.variable(rng.normal(size=(2, 5, 3)), "x")
+        x = tape.variable(rng.normal(size=(8, 3)), "x")
         h = layer.apply(tape, x, cards, bound)
         pooled = SetPool("max").apply(tape, h, cards, bound)
         loss = ad.softmax_cross_entropy(pooled, np.array([1, 0]))
@@ -168,7 +232,7 @@ class TestGradientCheck:
     def test_tie_point_flagged_and_excluded(self):
         tape = ad.Tape()
         x = tape.variable(np.array([1.0, 1.0, 0.0]), "x")  # exact tie at the max
-        loss = x.max(axis=0)
+        loss = x.segment_max([3]).sum_all()
         report = ad.gradient_check(tape, loss, step=1e-5, tolerance=1e-4)
         assert report.entries_flagged >= 2
         assert report.passed
@@ -185,8 +249,8 @@ class TestGradientEquivariance:
         rng = np.random.default_rng(9)
         layer = EquivariantLayer(3, 4, "channel_factored", "tanh", rng=rng)
         n = 6
-        x_val = rng.normal(size=(1, n, 3))
-        upstream = rng.normal(size=(1, n, 4))
+        x_val = rng.normal(size=(n, 3))
+        upstream = rng.normal(size=(n, 4))
         perm = Permutation.random(n, rng)
 
         def grads_for(xv, gv):
@@ -198,7 +262,7 @@ class TestGradientEquivariance:
             return ad.backward(tape, loss)
 
         base = grads_for(x_val, upstream)
-        permuted = grads_for(x_val[:, perm.mapping], upstream[:, perm.mapping])
-        assert np.max(np.abs(permuted["x"] - base["x"][:, perm.mapping])) < 1e-9
+        permuted = grads_for(x_val[perm.mapping], upstream[perm.mapping])
+        assert np.max(np.abs(permuted["x"] - base["x"][perm.mapping])) < 1e-9
         for p in layer.params():
             assert np.max(np.abs(permuted[p.name] - base[p.name])) < 1e-9

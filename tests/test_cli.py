@@ -28,6 +28,25 @@ def test_bad_mesh_exits_with_format_code(tmp_path, capsys, content):
     assert "FormatError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, code, error",
+    [
+        (["train", "--config", "{missing}", "--out", "{tmp}/run"], 2, "FileNotFoundError"),
+        (["train", "--config", "{latin1}", "--out", "{tmp}/run"], 3, "FormatError"),
+        (["sample-mesh", "--off", "{missing}", "--out", "{tmp}/pts.xyz"], 2, "FileNotFoundError"),
+        (["eval", "--experiment", "setregression", "--checkpoint", "{missing}"], 2, "FileNotFoundError"),
+    ],
+    ids=["train_missing_config", "train_non_utf8_config", "sample_mesh_missing_off", "eval_missing_checkpoint"],
+)
+def test_unreadable_input_gives_error_line(tmp_path, capsys, command, code, error):
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"experiment=setregression\n# caf\xe9\n")
+    paths = {"missing": tmp_path / "absent.txt", "latin1": latin1, "tmp": tmp_path}
+    assert main([arg.format(**paths) for arg in command]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({error}): ") and "Traceback" not in err
+
+
 def test_train_then_eval_reproduces_checkpoint_metric(tmp_path, capsys):
     out = tmp_path / "run"
     args = ["--experiment", "setregression", "--set", "data.train_sets=12", "--set", "data.val_sets=6",

@@ -1,7 +1,14 @@
+import functools
+import os
 import re
+import struct
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from setnet.data import (
@@ -12,6 +19,7 @@ from setnet.data import (
     exact_sum_distribution,
     load_cluster_catalog,
     load_idx_images,
+    load_idx_labels,
     load_mnist_idx,
     load_off,
     load_xyz,
@@ -56,6 +64,21 @@ class TestIdx:
         path = tmp_path / "bad.idx"
         path.write_bytes(b"\x00\x00\x08\x05" + b"\x00" * 12)
         with pytest.raises(FormatError, match="magic"):
+            load_idx_images(path)
+
+    def test_header_larger_than_file(self, tmp_path):
+        images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF) + b"\x00" * 7)
+        with pytest.raises(FormatError, match=f"needs {0xFFFFFFFF ** 3} bytes, 7 remain"):
+            load_idx_images(images)
+        labels.write_bytes(struct.pack(">II", 0x801, 1000) + b"\x01" * 10)
+        with pytest.raises(FormatError, match="needs 1000 bytes, 10 remain"):
+            load_idx_labels(labels)
+
+    def test_zero_images_of_unrepresentable_size(self, tmp_path):
+        path = tmp_path / "i.idx"
+        path.write_bytes(struct.pack(">IIII", 0x803, 0, 0xFFFFFFFF, 0xFFFFFFFF))
+        with pytest.raises(FormatError, match="cannot hold 0 images"):
             load_idx_images(path)
 
     def test_count_mismatch(self, tmp_path):
@@ -236,6 +259,13 @@ class TestOff:
         path = tmp_path / "neg.off"
         path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
         with pytest.raises(FormatError, match="negative element count"):
+            load_off(path)
+
+    @pytest.mark.parametrize("index", ["3", "-1", "99999999999999999999"])
+    def test_face_index_out_of_range(self, tmp_path, index):
+        path = tmp_path / "far.off"
+        path.write_text(f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 {index}\n")
+        with pytest.raises(FormatError, match="vertex index outside 0..2"):
             load_off(path)
 
     def test_non_finite_vertex(self, tmp_path):
@@ -441,3 +471,133 @@ class TestLabeledSetDataset:
         sub = ds.subset([1, 3])
         assert len(sub) == 2
         assert np.array_equal(sub.sets[0], ds.sets[1])
+
+
+# --- loader fuzzing: every input loads to finite, well-shaped data or raises
+# FormatError (DegenerateMeshError for a well-formed mesh with no area)
+
+
+def _catalog(path):
+    return load_cluster_catalog(path, ["f0", "f1"], "target", "has_target", "cluster_id")
+
+
+def _check_mesh(mesh):
+    assert mesh.vertices.ndim == 2 and mesh.vertices.shape[1] == 3 and np.all(np.isfinite(mesh.vertices))
+    assert mesh.faces.ndim == 2 and mesh.faces.shape[1] == 3
+    assert mesh.faces.min() >= 0 and mesh.faces.max() < len(mesh.vertices)
+
+
+def _check_points(points):
+    assert points.ndim == 2 and points.shape[1] == 3 and len(points) >= 1 and np.all(np.isfinite(points))
+
+
+def _check_catalog(ds):
+    for s, y, m in zip(ds.sets, ds.member_labels, ds.member_mask):
+        assert s.ndim == 2 and s.shape[1] == 2 and np.all(np.isfinite(s)) and np.all(np.isfinite(y))
+        assert y.shape == m.shape == (len(s),) and m.dtype == bool
+
+
+def _check_images(images):
+    assert images.ndim == 3 and np.all((images >= 0.0) & (images <= 1.0))
+
+
+def _check_labels(labels):
+    assert labels.ndim == 1 and np.all((labels >= 0) & (labels <= 255))
+
+
+# loader name -> (load, check of what it returns)
+LOADERS = {
+    "off": (load_off, _check_mesh),
+    "xyz": (load_xyz, _check_points),
+    "catalog": (_catalog, _check_catalog),
+    "idx_images": (load_idx_images, _check_images),
+    "idx_labels": (load_idx_labels, _check_labels),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_bytes(loader):
+    """The bytes of one small valid file for ``loader``."""
+    rng = np.random.default_rng(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "valid")
+        if loader == "off":
+            save_off(path, TriangleMesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                                        np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])))
+        elif loader == "xyz":
+            save_xyz(path, rng.normal(size=(3, 3)))
+        elif loader == "catalog":
+            save_cluster_catalog(path, synth_clusters(2, (2, 3), rng, num_features=2, informative=1))
+        elif loader == "idx_images":
+            write_idx_images(path, rng.integers(0, 256, size=(2, 3, 3)))
+        else:
+            write_idx_labels(path, np.array([3, 7]))
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _declared_bytes(loader, data):
+    """Payload size an IDX header declares (0 when there is no full header)."""
+    if loader == "idx_images" and len(data) >= 16:
+        _, count, rows, cols = struct.unpack(">IIII", data[:16])
+        return count * rows * cols
+    if loader == "idx_labels" and len(data) >= 8:
+        return struct.unpack(">II", data[:8])[1]
+    return 0
+
+
+def _load_or_format_error(tmp, loader, data):
+    # Declared sizes either fit the fuzzed file or are too large for any
+    # machine to allocate, so a loader that trusted its header would fail
+    # here rather than allocate gigabytes.
+    declared = _declared_bytes(loader, data)
+    assume(declared <= 4096 or declared >= 2**64)
+    load, check = LOADERS[loader]
+    path = tmp / f"fuzz.{loader}"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # OFF trailing tokens
+        try:
+            out = load(path)
+        except FormatError:
+            return
+        except DegenerateMeshError:
+            assert loader == "off"
+            return
+    check(out)
+
+
+# bytes that make a mutation likely to reach a parser's edge cases
+TOKENS = [b"0", b"-1", b"3", b"4", b"1e999", b"nan", b"-inf", b" ", b"\n", b"#", b",", b"\xff", b"\x00",
+          b"99999999999999999999", b"OFF", b"\xff\xff\xff\xff"]
+
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def mutated(draw, valid):
+    """``valid`` with one to four short byte spans replaced, inserted or deleted."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        piece = draw(st.one_of(st.sampled_from(TOKENS), st.binary(min_size=1, max_size=4)))
+        how = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if how == "insert":
+            data[at:at] = piece
+        else:
+            data[at : at + len(piece)] = piece if how == "replace" else b""
+    return bytes(data)
+
+
+@pytest.mark.parametrize("loader", list(LOADERS))
+@FUZZ
+@given(data=st.binary(max_size=200))
+def test_loader_on_arbitrary_bytes(tmp_path, loader, data):
+    _load_or_format_error(tmp_path, loader, data)
+
+
+@pytest.mark.parametrize("loader", list(LOADERS))
+@FUZZ
+@given(st.data())
+def test_loader_on_mutated_valid_file(tmp_path, loader, data):
+    _load_or_format_error(tmp_path, loader, data.draw(mutated(_valid_bytes(loader))))

@@ -22,6 +22,7 @@ from setnet.layers import (
     Param,
     SetBatch,
     SetPool,
+    bind,
     count_params,
     evaluate,
     load_params,
@@ -41,11 +42,11 @@ def single_set(values):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values[:, None]
-    return SetBatch(values[None], np.array([values.shape[0]]))
+    return SetBatch(values, [values.shape[0]])
 
 
 def forward(layer, batch):
-    """A per-member layer's output as a batch (padding rows zeroed)."""
+    """A per-member layer's output as a batch."""
     return batch.with_values(evaluate(layer, batch))
 
 
@@ -58,53 +59,54 @@ def random_layer(variant, k_in, k_out, rng, activation="tanh", aggregate=None):
     return layer
 
 
-def random_padded_batch(rng, n_max=8, k=3, batch=3):
+def random_batch(rng, n_max=8, k=3, batch=3):
     cards = rng.integers(1, n_max + 1, size=batch)
-    cards[0] = n_max  # keep at least one full set
-    values = rng.normal(size=(batch, n_max, k))
-    return SetBatch(values, cards)
+    cards[0] = n_max  # keep at least one set of n_max members
+    return SetBatch(rng.normal(size=(cards.sum(), k)), cards)
 
 
 @st.composite
-def padded_batches(draw, channels=None):
-    """(batch, rng): 1-4 sets of 2-32 members, N_max up to max(cards) + 3, 1-8 channels."""
-    cards = draw(st.lists(st.integers(2, 32), min_size=1, max_size=4))
-    n_max = max(cards) + draw(st.integers(0, 3))
-    k = channels or draw(st.integers(1, 8))
+def packed_batches(draw, channels=None, max_size=32, max_channels=8):
+    """(batch, rng): 1-4 sets of 2-``max_size`` members, 1-``max_channels`` channels."""
+    cards = draw(st.lists(st.integers(2, max_size), min_size=1, max_size=4))
+    k = channels or draw(st.integers(1, max_channels))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return SetBatch(rng.normal(size=(len(cards), n_max, k)), np.array(cards)), rng
+    return SetBatch(rng.normal(size=(sum(cards), k)), cards), rng
 
 
-def layer_case(draw, variant, k_in):
+def layer_case(draw, variant, k_in, max_out=8):
     aggregate = None if variant == "channel_factored" else draw(st.sampled_from([None, "sum", "max"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return random_layer(variant, k_in, draw(st.integers(1, 8)), rng, aggregate=aggregate)
+    return random_layer(variant, k_in, draw(st.integers(1, max_out)), rng, aggregate=aggregate)
+
+
+def per_member(out, batch):
+    """True for one output row per member, False for one per set; with one
+    member per set the two agree."""
+    return out.shape[0] == batch.values.shape[0]
 
 
 def assert_equivariant(fn, batch, rng, tol=1e-12):
-    """fn maps a batch to [B, N, K'] (per member) or [B, K'] (pooled); per-member
+    """fn maps a batch to [M, K'] (per member) or [B, K'] (pooled); per-member
     outputs must permute with the members, pooled ones must not change."""
     perms = [Permutation.random(int(n), rng) for n in batch.cardinalities]
     base, permuted = fn(batch), fn(batch.permute_members(perms))
-    if base.ndim == 3:
+    if per_member(base, batch):
         base = batch.with_values(base).permute_members(perms).values
-        permuted = batch.with_values(permuted).values
     assert np.max(np.abs(permuted - base)) <= tol
 
 
-def assert_padding_neutral(fn, batch, extra, tol=1e-12):
-    """Adding ``extra`` padding rows leaves every real output unchanged to ``tol``.
+def assert_isolated(fn, batch, tol=1e-12):
+    """Each set's output rows inside ``batch`` equal that set's output as a
+    batch of its own: no set sees another's members.
 
-    Not to the bit: numpy regroups the additions of a sum over a contiguous
-    axis (one channel) when its length changes, and BLAS may do the same for
-    a product with more rows, so the last bit of a real row can move.
+    To ``tol``, not to the bit: BLAS may group a matrix product's additions
+    differently when it has more rows.
     """
-    b, n_max, k = batch.values.shape
-    bigger = SetBatch(np.concatenate([batch.values, np.zeros((b, extra, k))], axis=1), batch.cardinalities)
-    small, big = fn(batch), fn(bigger)
-    if small.ndim == 3:
-        small, big = batch.with_values(small).values, batch.with_values(big[:, :n_max]).values
-    assert np.max(np.abs(small - big)) <= tol
+    together = fn(batch)
+    rows = batch.cardinalities if per_member(together, batch) else np.ones(batch.num_sets, dtype=int)
+    for got, members in zip(np.split(together, np.cumsum(rows)[:-1]), batch.sets()):
+        assert np.max(np.abs(got - fn(single_set(members)))) <= tol
 
 
 class TestEquivariantExamples:
@@ -121,14 +123,14 @@ class TestEquivariantExamples:
         layer.lam.value = np.array([[1.0]])
         layer.gam.value = np.array([[1.0]])
         out = forward(layer, single_set([1.0, 2.0, 3.0]))
-        assert np.allclose(out.values[0, :, 0], [7.0, 8.0, 9.0])
+        assert np.allclose(out.values[:, 0], [7.0, 8.0, 9.0])
 
     def test_factored_subtracts_column_max(self):
         layer = EquivariantLayer(2, 2, "channel_factored", "identity")
         layer.gam.value = np.eye(2)
         layer.beta.value = np.zeros(2)
         out = forward(layer, single_set([[1.0, 5.0], [3.0, 2.0]]))
-        assert np.allclose(out.values[0], [[-2.0, 0.0], [0.0, -3.0]])
+        assert np.allclose(out.values, [[-2.0, 0.0], [0.0, -3.0]])
 
     def test_scalar_variants_reject_channels(self):
         with pytest.raises(DimensionError):
@@ -141,7 +143,7 @@ class TestEquivariantExamples:
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyReductionError):
-            SetBatch(np.zeros((1, 3, 2)), np.array([0]))
+            SetBatch(np.zeros((3, 2)), [3, 0])
 
     def test_parameter_counts(self):
         full = EquivariantLayer(3, 5, "channel_full")
@@ -156,7 +158,7 @@ class TestEquivarianceProperty:
     @given(st.data())
     def test_single_layer_equivariant(self, variant, data):
         channels = 1 if variant.startswith("scalar") else None
-        batch, rng = data.draw(padded_batches(channels))
+        batch, rng = data.draw(packed_batches(channels))
         layer = layer_case(data.draw, variant, batch.channels)
         assert_equivariant(lambda b: evaluate(layer, b), batch, rng)
 
@@ -174,14 +176,14 @@ class TestEquivarianceProperty:
                     batch = forward(layer, batch)
                 return batch.values
 
-            batch = random_padded_batch(rng, n_max=10, k=3)
+            batch = random_batch(rng, n_max=10, k=3)
             assert_equivariant(stack, batch, rng, tol=1e-9)
 
     def test_invariance_of_pooled_stack(self):
         rng = np.random.default_rng(31)
         for kind in ("sum", "max", "mean"):
             layers = [random_layer("channel_factored", 3, 6, rng), random_layer("channel_full", 6, 4, rng)]
-            batch = random_padded_batch(rng, n_max=9, k=3)
+            batch = random_batch(rng, n_max=9, k=3)
 
             def pooled(b):
                 for layer in layers:
@@ -192,13 +194,13 @@ class TestEquivarianceProperty:
 
     @pytest.mark.parametrize("kind", ["sum", "max", "mean"])
     @PROPERTY
-    @given(padded_batches())
+    @given(packed_batches())
     def test_pool_invariant(self, kind, case):
         batch, rng = case
         assert_equivariant(lambda b: evaluate(SetPool(kind), b), batch, rng)
 
     @PROPERTY
-    @given(padded_batches())
+    @given(packed_batches())
     def test_normalize_equivariant(self, case):
         batch, rng = case
         assert_equivariant(lambda b: evaluate(NormalizeSets(), b), batch, rng)
@@ -213,46 +215,41 @@ class TestEquivarianceProperty:
         plus_form = EquivariantLayer(1, 1, "scalar_sum", "tanh", aggregate="max")
         plus_form.lam.value = np.array([[lam]])
         plus_form.gam.value = np.array([[-gam]])
-        batch = random_padded_batch(rng, n_max=7, k=1)
+        batch = random_batch(rng, n_max=7, k=1)
         assert np.array_equal(evaluate(max_form, batch), evaluate(plus_form, batch))
 
 
-class TestPaddingNeutrality:
+class TestSegmentIsolation:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
-    def test_enlarging_padding_changes_nothing(self, data):
+    def test_layer_rows_match_set_alone(self, data):
         variant = data.draw(st.sampled_from(VARIANTS))
         channels = 1 if variant.startswith("scalar") else None
-        batch, _ = data.draw(padded_batches(channels))
+        batch, _ = data.draw(packed_batches(channels))
         layer = layer_case(data.draw, variant, batch.channels)
-        assert_padding_neutral(lambda b: evaluate(layer, b), batch, data.draw(st.integers(1, 3)))
+        assert_isolated(lambda b: evaluate(layer, b), batch)
 
     @PROPERTY
-    @given(st.sampled_from(["sum", "max", "mean"]), padded_batches(), st.integers(1, 3))
-    def test_pool_and_normalize_ignore_padding(self, kind, case, extra):
+    @given(st.sampled_from(["sum", "max", "mean"]), packed_batches())
+    def test_pool_and_normalize_match_set_alone(self, kind, case):
         batch, _ = case
-        assert_padding_neutral(lambda b: evaluate(SetPool(kind), b), batch, extra)
-        assert_padding_neutral(lambda b: evaluate(NormalizeSets(), b), batch, extra)
+        assert_isolated(lambda b: evaluate(SetPool(kind), b), batch)
+        assert_isolated(lambda b: evaluate(NormalizeSets(), b), batch)
 
     def test_max_path_fixed_example(self):
         rng = np.random.default_rng(53)
-        cards = np.array([4, 2])
-        vals = rng.normal(size=(2, 4, 3))
-        small = SetBatch(vals, cards)
-        big = SetBatch(np.concatenate([vals, np.zeros((2, 3, 3))], axis=1), cards)
+        batch = SetBatch(rng.normal(size=(6, 3)), [4, 2])
         max_layer = random_layer("channel_factored", 3, 4, rng)
-        a, b = evaluate(max_layer, small), evaluate(max_layer, big)
-        for s, n in enumerate(cards):
-            assert np.array_equal(a[s, :n], b[s, :n])  # bit-level for this max-path example
+        together = batch.with_values(evaluate(max_layer, batch)).sets()
+        for got, members in zip(together, batch.sets()):
+            assert np.array_equal(got, evaluate(max_layer, single_set(members)))  # bit-level for this example
 
-    def test_pool_ignores_padding(self):
-        batch = SetBatch(np.array([[[1.0, 2.0], [3.0, 4.0], [0.0, 0.0], [0.0, 0.0]]]), np.array([2]))
-        assert np.array_equal(evaluate(SetPool("sum"), batch), [[4.0, 6.0]])
-        assert np.array_equal(evaluate(SetPool("mean"), batch), [[2.0, 3.0]])
-        negatives = SetBatch(
-            np.array([[[-1.0, -2.0], [-3.0, -4.0], [0.0, 0.0], [0.0, 0.0]]]), np.array([2])
-        )
-        assert np.array_equal(evaluate(SetPool("max"), negatives), [[-1.0, -2.0]])
+    def test_pool_ragged_example(self):
+        batch = SetBatch(np.array([[1.0, 2.0], [3.0, 4.0], [-5.0, -6.0]]), [2, 1])
+        assert np.array_equal(evaluate(SetPool("sum"), batch), [[4.0, 6.0], [-5.0, -6.0]])
+        assert np.array_equal(evaluate(SetPool("mean"), batch), [[2.0, 3.0], [-5.0, -6.0]])
+        negatives = SetBatch(np.array([[-1.0, -2.0], [-3.0, -4.0], [7.0, 8.0]]), [2, 1])
+        assert np.array_equal(evaluate(SetPool("max"), negatives), [[-1.0, -2.0], [7.0, 8.0]])
 
 
 # small versions of each experiment's default model, for datasets of these channel counts
@@ -263,21 +260,27 @@ MODEL_CASES = {
 }
 
 
-@st.composite
-def model_cases(draw, experiment):
-    """(model, batch, rng) for the experiment; mnist_sum sets have exactly three members."""
-    settings, k = MODEL_CASES[experiment]
+def experiment_model(experiment, seed, **settings):
+    base, k = MODEL_CASES[experiment]
     if experiment == "mnist_sum":
-        cards = [3] * draw(st.integers(1, 4))
         data = LabeledSetDataset(sets=[np.zeros((3, k))], set_labels=np.array([0]), num_classes=28)
     else:
-        cards = draw(st.lists(st.integers(2, 9), min_size=1, max_size=4))
         data = LabeledSetDataset(sets=[np.zeros((2, k))], set_labels=np.array([0]), num_classes=4)
+    values = {"experiment": experiment, "seed": str(seed), **base, **settings}
+    return build_experiment_model(ExperimentConfig(values), data)
+
+
+@st.composite
+def model_cases(draw, experiment, **settings):
+    """(model, batch, rng) for the experiment; mnist_sum sets have exactly three members."""
+    k = MODEL_CASES[experiment][1]
+    if experiment == "mnist_sum":
+        cards = [3] * draw(st.integers(1, 4))
+    else:
+        cards = draw(st.lists(st.integers(2, 9), min_size=1, max_size=4))
     seed = draw(st.integers(0, 1000))
-    model = build_experiment_model(ExperimentConfig({"experiment": experiment, "seed": str(seed), **settings}), data)
-    n_max = max(cards) + draw(st.integers(0, 3))
     rng = np.random.default_rng(seed)
-    return model, SetBatch(rng.normal(size=(len(cards), n_max, k)), np.array(cards)), rng
+    return experiment_model(experiment, seed, **settings), SetBatch(rng.normal(size=(sum(cards), k)), cards), rng
 
 
 class TestModelProperties:
@@ -291,9 +294,78 @@ class TestModelProperties:
     @pytest.mark.parametrize("experiment", list(MODEL_CASES))
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
-    def test_model_ignores_padding(self, experiment, data):
+    def test_model_segment_isolation(self, experiment, data):
         model, batch, _ = data.draw(model_cases(experiment))
-        assert_padding_neutral(lambda b: evaluate(model, b), batch, data.draw(st.integers(1, 3)))
+        assert_isolated(lambda b: evaluate(model, b), batch)
+
+
+def gradient_report(module, batch, rng, tie=False):
+    """gradient_check of a random linear functional of ``module``'s output,
+    over its parameters and the member rows. With ``tie`` every set's first
+    two members are set to the set's largest value in every channel, so each
+    max over the input meets an exact tie.
+
+    The functional's weights are scaled to keep the loss near 1: the central
+    difference's rounding error grows with the loss and must stay well below
+    the tolerance on gradients just above ``gradient_check``'s scale floor.
+    """
+    values = np.array(batch.values)
+    if tie:
+        for start, members in zip(np.cumsum(batch.cardinalities) - batch.cardinalities, batch.sets()):
+            values[start : start + 2] = members.max(axis=0)
+    tape = ad.Tape()
+    bound = bind(tape, module.params())
+    out = module.apply(tape, tape.variable(values, "x"), batch.cardinalities, bound)
+    loss = (out * (rng.normal(size=out.value.shape) / np.sqrt(out.value.size))).sum_all()
+    return ad.gradient_check(tape, loss, step=1e-5, tolerance=1e-4)
+
+
+GRADIENT = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestGradientCheckProperty:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @GRADIENT
+    @given(st.data())
+    def test_equivariant_layer(self, variant, data):
+        channels = 1 if variant.startswith("scalar") else None
+        batch, rng = data.draw(packed_batches(channels, max_size=6, max_channels=3))
+        layer = layer_case(data.draw, variant, batch.channels, max_out=3)
+        tie = data.draw(st.booleans())
+        report = gradient_report(layer, batch, rng, tie)
+        assert report.passed, report.failures[:3]
+        if tie and layer.aggregate == "max":
+            assert report.entries_flagged > 0
+
+    @pytest.mark.parametrize("kind", ["sum", "max", "mean"])
+    @GRADIENT
+    @given(packed_batches(max_size=6, max_channels=3), st.booleans())
+    def test_set_pool(self, kind, case, tie):
+        batch, rng = case
+        report = gradient_report(SetPool(kind), batch, rng, tie)
+        assert report.passed, report.failures[:3]
+        if tie and kind == "max":
+            assert report.entries_flagged > 0
+        if kind != "max":
+            assert report.entries_flagged == 0
+
+    @GRADIENT
+    @given(packed_batches(max_size=6, max_channels=3))
+    def test_normalize(self, case):
+        batch, rng = case
+        report = gradient_report(NormalizeSets(), batch, rng)
+        assert report.passed, report.failures[:3]
+
+    @pytest.mark.parametrize("experiment", list(MODEL_CASES))
+    @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_model(self, experiment, data):
+        small = {"mnist_sum": {"model.width": "4", "model.trunk": "4"},
+                 "pointcloud": {"model.widths": "4,3", "model.trunk": "3"},
+                 "setregression": {"model.widths": "4,3,1"}}[experiment]
+        model, batch, rng = data.draw(model_cases(experiment, **small))
+        report = gradient_report(model, batch, rng)
+        assert report.passed, report.failures[:3]
 
 
 class TestSetPool:
@@ -326,26 +398,48 @@ class TestDropout:
 
     def test_training_drops_whole_channels_per_set(self):
         rate = 0.5
-        batch = SetBatch(np.ones((4, 5, 6)), np.full(4, 5))
+        batch = SetBatch(np.ones((17, 6)), [5, 2, 6, 4])
         tape = ad.Tape()
         out = Dropout(rate, True).apply(tape, tape.constant(batch.values), batch.cardinalities, {},
                                         np.random.default_rng(3)).value
         assert set(np.unique(out)) <= {0.0, 1.0 / (1.0 - rate)}
-        assert np.array_equal(out, np.broadcast_to(out[:, :1], out.shape))  # same mask for every member
+        for rows in batch.with_values(out).sets():
+            assert np.array_equal(rows, np.broadcast_to(rows[:1], rows.shape))  # same mask for every member
 
     def test_simultaneous_mask_constant_across_members(self):
         rng = np.random.default_rng(1)
         drop = Dropout(0.5, simultaneous=True)
+        cards = np.array([7, 3, 1, 5])
         for _ in range(100):
-            mask = drop.sample_mask(rng, (4, 7, 6))
-            assert mask.shape == (4, 1, 6)  # one value per (set, channel)
+            mask = drop.sample_mask(rng, cards, (16, 6))
+            assert mask.shape == (16, 6)
+            for rows in SetBatch(mask, cards).sets():  # one value per (set, channel)
+                assert np.array_equal(rows, np.broadcast_to(rows[:1], rows.shape))
 
     def test_per_member_mask_varies_across_members(self):
         rng = np.random.default_rng(2)
         drop = Dropout(0.5, simultaneous=False)
-        mask = drop.sample_mask(rng, (2, 50, 4))
-        assert mask.shape == (2, 50, 4)
-        assert not all(np.allclose(mask[:, 0], mask[:, i]) for i in range(50))
+        mask = drop.sample_mask(rng, np.array([50, 50]), (100, 4))
+        assert mask.shape == (100, 4)
+        assert not all(np.allclose(mask[0], mask[i]) for i in range(50))
+
+    def test_mask_draw_shapes(self):
+        # per-set masks draw [B, K], per-member masks [B, max cardinality, K]
+        # of which each set keeps its first rows, pooled rows [B, K]; training
+        # runs depend on these rng streams
+        cards, rate = np.array([3, 1, 2]), 0.4
+
+        def stream(shape):
+            return (np.random.default_rng(9).random(shape) >= rate) / (1.0 - rate)
+
+        ids, pos = np.repeat(np.arange(3), cards), np.array([0, 1, 2, 0, 0, 1])
+        shared = Dropout(rate, True).sample_mask(np.random.default_rng(9), cards, (6, 4))
+        assert np.array_equal(shared, stream((3, 4))[ids])
+        own = Dropout(rate, False).sample_mask(np.random.default_rng(9), cards, (6, 4))
+        assert np.array_equal(own, stream((3, 3, 4))[ids, pos])
+        for simultaneous in (True, False):
+            pooled = Dropout(rate, simultaneous).sample_mask(np.random.default_rng(9), cards, (3, 4))
+            assert np.array_equal(pooled, stream((3, 4)))
 
     def test_monte_carlo_mean_matches_identity(self):
         # inverted dropout is unbiased: the mask average approaches 1 within 3 sigma
@@ -353,9 +447,9 @@ class TestDropout:
         rate = 0.3
         drop = Dropout(rate, simultaneous=True)
         trials = 10_000
-        acc = np.zeros((2, 1, 4))
+        acc = np.zeros((2, 4))
         for _ in range(trials):
-            acc += drop.sample_mask(rng, (2, 3, 4))
+            acc += drop.sample_mask(rng, np.array([3, 3]), (6, 4))[[0, 3]]
         mean = acc / trials
         keep = 1.0 - rate
         sigma = np.sqrt(rate / keep / trials)  # std of the scaled Bernoulli mean
@@ -367,13 +461,13 @@ class TestDense:
         layer = Dense(3, 3)
         layer.w.value = np.eye(3)
         x = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(evaluate(layer, SetBatch(x[None], np.array([2])))[0], x)
+        assert np.array_equal(evaluate(layer, SetBatch(x, [2])), x)
 
     def test_zero_bias_matches_matmul(self):
         rng = np.random.default_rng(0)
         layer = Dense(4, 2, rng=rng)
-        x = rng.normal(size=(1, 5, 4))
-        assert np.allclose(evaluate(layer, SetBatch(x, np.array([5]))), x @ layer.w.value)
+        x = rng.normal(size=(5, 4))
+        assert np.allclose(evaluate(layer, SetBatch(x, [5])), x @ layer.w.value)
 
     def test_reference_loop(self):
         rng = np.random.default_rng(1)
@@ -385,12 +479,12 @@ class TestDense:
         for i in range(4):
             for j in range(2):
                 want[i, j] = np.tanh(sum(x[i, k] * w[k, j] for k in range(3)) + b[j])
-        got = evaluate(layer, SetBatch(x[None], np.array([4])))[0]
+        got = evaluate(layer, SetBatch(x, [4]))
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_shape_errors(self):
         with pytest.raises(DimensionError):
-            evaluate(Dense(3, 3), SetBatch(np.ones((1, 2, 4)), np.array([2])))
+            evaluate(Dense(3, 3), SetBatch(np.ones((2, 4)), [2]))
         with pytest.raises(DimensionError):
             Dense(3, 3, "relu")
 
@@ -402,28 +496,26 @@ class TestNormalize:
         x = x - x.mean(axis=0)
         x = x / np.sqrt((x**2).mean())
         out = evaluate(NormalizeSets(), single_set(x))
-        assert np.max(np.abs(out[0] - x)) < 1e-6
+        assert np.max(np.abs(out - x)) < 1e-6
 
     def test_postconditions(self):
         rng = np.random.default_rng(8)
-        batch = SetBatch(rng.normal(2.0, 3.0, size=(3, 9, 4)), np.array([9, 5, 2]))
-        out = evaluate(NormalizeSets(), batch)
-        for s, n in enumerate(batch.cardinalities):
-            real = out[s, :n]
+        batch = SetBatch(rng.normal(2.0, 3.0, size=(16, 4)), [9, 5, 2])
+        for real in batch.with_values(evaluate(NormalizeSets(), batch)).sets():
             assert np.max(np.abs(real.mean(axis=0))) < 1e-9
             assert (real**2).mean() == pytest.approx(1.0, abs=1e-6)
 
     def test_translation_invariant(self):
         rng = np.random.default_rng(9)
-        vals = rng.normal(size=(1, 6, 3))
+        vals = rng.normal(size=(6, 3))
         shift = np.array([5.0, -2.0, 100.0])
-        a = evaluate(NormalizeSets(), SetBatch(vals, np.array([6])))
-        b = evaluate(NormalizeSets(), SetBatch(vals + shift, np.array([6])))
+        a = evaluate(NormalizeSets(), single_set(vals))
+        b = evaluate(NormalizeSets(), single_set(vals + shift))
         assert np.max(np.abs(a - b)) < 1e-6
 
     def test_singleton_set_rejected(self):
         with pytest.raises(DegenerateSetError):
-            evaluate(NormalizeSets(), SetBatch(np.ones((1, 3, 2)), np.array([1])))
+            evaluate(NormalizeSets(), SetBatch(np.ones((4, 2)), [3, 1]))
 
 
 def hex_payload(*values):
@@ -580,18 +672,26 @@ class TestCheckpoint:
 
 
 class TestSetBatch:
-    def test_padding_is_canonicalized_to_zero(self):
-        batch = SetBatch(np.ones((1, 4, 2)), np.array([2]))
-        assert np.array_equal(batch.values[0, 2:], np.zeros((2, 2)))
-
     def test_cardinality_bounds(self):
         with pytest.raises(DimensionError):
-            SetBatch(np.ones((1, 3, 2)), np.array([4]))
+            SetBatch(np.ones((3, 2)), [4])
+        with pytest.raises(DimensionError):
+            SetBatch(np.ones((3, 2)), [1, 1])
+        with pytest.raises(DimensionError):
+            SetBatch(np.ones((1, 3, 2)), [3])  # one row per member, not [B, N, K]
+
+    def test_sets_split_rows_in_order(self):
+        values = np.arange(12.0).reshape(6, 2)
+        batch = SetBatch(values, [1, 3, 2])
+        assert (batch.num_sets, batch.max_size, batch.channels) == (3, 3, 2)
+        assert [s.tolist() for s in batch.sets()] == [values[:1].tolist(), values[1:4].tolist(), values[4:].tolist()]
 
     def test_permute_members_respects_cardinality(self):
         rng = np.random.default_rng(0)
-        batch = SetBatch(rng.normal(size=(1, 5, 2)), np.array([3]))
-        p = Permutation(np.array([2, 0, 1]))
-        out = batch.permute_members([p])
-        assert np.array_equal(out.values[0, :3], batch.values[0, p.mapping])
-        assert np.array_equal(out.values[0, 3:], np.zeros((2, 2)))
+        batch = SetBatch(rng.normal(size=(5, 2)), [3, 2])
+        p, q = Permutation(np.array([2, 0, 1])), Permutation(np.array([1, 0]))
+        out = batch.permute_members([p, q])
+        assert np.array_equal(out.values[:3], batch.values[p.mapping])
+        assert np.array_equal(out.values[3:], batch.values[3:][q.mapping])
+        with pytest.raises(DimensionError):
+            batch.permute_members([q, p])

@@ -119,10 +119,10 @@ class TestEmpiricalChecker:
         ]
 
         def f(x):
-            batch = SetBatch(x[None], np.array([x.shape[0]]))
+            batch = SetBatch(x, [x.shape[0]])
             for layer in layers:
                 batch = batch.with_values(evaluate(layer, batch))
-            return batch.values[0]
+            return batch.values
 
         report = check_equivariance_empirical(f, n=7, trials=50, rng=rng, channels=2)
         assert report.equivariant
