@@ -1,11 +1,17 @@
 """Tape-based reverse-mode automatic differentiation over the tensor ops.
 
 Execution is define-by-run: building a node computes its value eagerly and
-appends it to the tape, so node references only ever point backward and the
-reverse sweep visits each node exactly once, in reverse creation order.
-Gradients are exact for every differentiable composite; ``segment_max`` is
-given the single-argmax subgradient (lowest index on ties) and ``mean``
-distributes 1/N, so training runs are deterministic.
+appends it to the tape, so node references only ever point backward. Each
+node carries ``vjps``, one vector-Jacobian product per parent: a function of
+(the node's gradient, the parents' values, the node's value) that returns
+that parent's gradient. A recorded node also notes whether a variable lies
+behind it (``requires_grad``: it is a variable, or a parent has the flag).
+The reverse sweep visits each node with a variable behind it once, in
+reverse creation order, and calls a parent's vjp only if that parent has the
+flag, so constant subgraphs cost the sweep nothing. Gradients are exact for
+every differentiable composite; ``segment_max`` is given the single-argmax
+subgradient (lowest index on ties) and ``mean`` distributes 1/N, so training
+runs are deterministic.
 
 Set batches store their members as stacked rows, one set after another; the
 segment ops (``segment_sum``, ``segment_max`` and ``repeat``) move between
@@ -17,8 +23,9 @@ cross a max-kink (the winning rows of any ``segment_max`` node differ between
 the two perturbed replays) are flagged as non-differentiable points and excluded
 rather than reported as failures.
 
-``ForwardTape`` computes the same values without recording a graph, for
-evaluation.
+``ForwardTape`` computes the same values without recording a graph (or the
+flag), for evaluation; ``backward``, ``replay`` and ``gradient_check`` refuse
+it with ``ContractError``.
 """
 
 from __future__ import annotations
@@ -62,21 +69,37 @@ def _reduce_rows(ufunc, a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.array([ufunc.reduce(a[s:e], axis=0) for s, e in zip(bounds[:-1], bounds[1:])])
 
 
+# Ops whose vjps capture nothing share one tuple rather than making closures
+# for every node they record.
+_ADD_VJPS = (lambda g, pv, out: _unbroadcast(g, pv[0].shape), lambda g, pv, out: _unbroadcast(g, pv[1].shape))
+_SUB_VJPS = (lambda g, pv, out: _unbroadcast(g, pv[0].shape), lambda g, pv, out: _unbroadcast(-g, pv[1].shape))
+_MUL_VJPS = (
+    lambda g, pv, out: _unbroadcast(g * pv[1], pv[0].shape),
+    lambda g, pv, out: _unbroadcast(g * pv[0], pv[1].shape),
+)
+_NEG_VJPS = (lambda g, pv, out: -g,)
+_MATMUL_VJPS = (lambda g, pv, out: g @ pv[1].T, lambda g, pv, out: pv[0].T @ g)
+_RESHAPE_VJPS = (lambda g, pv, out: g.reshape(pv[0].shape),)
+_SUM_VJPS = (lambda g, pv, out: np.broadcast_to(g, pv[0].shape).copy(),)
+_SUM_ALL_VJPS = (lambda g, pv, out: np.full(pv[0].shape, float(g)),)
+
+
 class Node:
     """One recorded value. Operators build new nodes on the same tape."""
 
-    __slots__ = ("tape", "index", "value", "parents", "op", "fwd", "vjp", "name", "is_variable")
+    __slots__ = ("tape", "index", "value", "parents", "op", "fwd", "vjps", "name", "is_variable", "requires_grad")
 
-    def __init__(self, tape, index, value, parents, op, fwd, vjp, name, is_variable):
+    def __init__(self, tape, index, value, parents, op, fwd, vjps, name, is_variable, requires_grad):
         self.tape = tape
         self.index = index
         self.value = value
         self.parents = parents
         self.op = op
         self.fwd = fwd  # recompute value from parent values; None for leaves
-        self.vjp = vjp  # (grad_out, parent_values, out_value) -> per-parent grads
+        self.vjps = vjps  # one (grad_out, parent_values, out_value) -> grad per parent
         self.name = name
         self.is_variable = is_variable
+        self.requires_grad = requires_grad  # a variable lies behind this node
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -92,19 +115,19 @@ class Node:
     def __add__(self, other):
         return self.tape._binary(
             "add", self, self._coerce(other), np.add,
-            lambda g, pv, out: (_unbroadcast(g, pv[0].shape), _unbroadcast(g, pv[1].shape)),
+            _ADD_VJPS,
         )
 
     def __sub__(self, other):
         return self.tape._binary(
             "sub", self, self._coerce(other), np.subtract,
-            lambda g, pv, out: (_unbroadcast(g, pv[0].shape), _unbroadcast(-g, pv[1].shape)),
+            _SUB_VJPS,
         )
 
     def __mul__(self, other):
         return self.tape._binary(
             "mul", self, self._coerce(other), np.multiply,
-            lambda g, pv, out: (_unbroadcast(g * pv[1], pv[0].shape), _unbroadcast(g * pv[0], pv[1].shape)),
+            _MUL_VJPS,
         )
 
     def __rmul__(self, other):
@@ -114,7 +137,7 @@ class Node:
         return self.tape._record(
             "neg", (self,),
             fwd=lambda a: -a,
-            vjp=lambda g, pv, out: (-g,),
+            vjps=_NEG_VJPS,
         )
 
     def __matmul__(self, other):
@@ -124,7 +147,7 @@ class Node:
         return self.tape._record(
             "matmul", (self, other),
             fwd=lambda a, b: T.matmul(a, b),
-            vjp=lambda g, pv, out: (g @ pv[1].T, pv[0].T @ g),
+            vjps=_MATMUL_VJPS,
         )
 
     def reshape(self, shape) -> "Node":
@@ -139,7 +162,7 @@ class Node:
         return self.tape._record(
             "reshape", (self,),
             fwd=fwd,
-            vjp=lambda g, pv, out: (g.reshape(pv[0].shape),),
+            vjps=_RESHAPE_VJPS,
         )
 
     def transpose(self, axes) -> "Node":
@@ -147,7 +170,7 @@ class Node:
         return self.tape._record(
             "transpose", (self,),
             fwd=lambda a: a.transpose(axes),
-            vjp=lambda g, pv, out: (g.transpose(inverse),),
+            vjps=(lambda g, pv, out: g.transpose(inverse),),
         )
 
     def sum(self, axis: int) -> "Node":
@@ -155,7 +178,7 @@ class Node:
         return self.tape._record(
             "sum_axis", (self,),
             fwd=lambda a: np.sum(a, axis=axis, keepdims=True),
-            vjp=lambda g, pv, out: (np.broadcast_to(g, pv[0].shape).copy(),),
+            vjps=_SUM_VJPS,
         )
 
     def mean(self, axis: int) -> "Node":
@@ -163,7 +186,7 @@ class Node:
         return self.tape._record(
             "mean_axis", (self,),
             fwd=lambda a: np.mean(a, axis=axis, keepdims=True),
-            vjp=lambda g, pv, out: (np.broadcast_to(g / pv[0].shape[axis], pv[0].shape).copy(),),
+            vjps=(lambda g, pv, out: np.broadcast_to(g / pv[0].shape[axis], pv[0].shape).copy(),),
         )
 
     def segment_sum(self, cards) -> "Node":
@@ -173,7 +196,7 @@ class Node:
         return self.tape._record(
             "segment_sum", (self,),
             fwd=lambda a: _reduce_rows(np.add, a, bounds),
-            vjp=lambda g, pv, out: (np.repeat(g, cards, axis=0),),
+            vjps=(lambda g, pv, out: np.repeat(g, cards, axis=0),),
         )
 
     def repeat(self, cards) -> "Node":
@@ -184,7 +207,7 @@ class Node:
         return self.tape._record(
             "repeat", (self,),
             fwd=lambda a: np.repeat(a, cards, axis=0),
-            vjp=lambda g, pv, out: (_reduce_rows(np.add, g, bounds),),
+            vjps=(lambda g, pv, out: _reduce_rows(np.add, g, bounds),),
         )
 
     def segment_max(self, cards) -> "Node":
@@ -192,18 +215,18 @@ class Node:
         to the lowest-index member that attains the max."""
         bounds = _bounds(cards, self.value.shape[0])
 
-        def first_hits(a, out):  # the row each (set, channel) max came from, lowest on ties
-            rows = np.arange(len(a)).reshape((-1,) + (1,) * (a.ndim - 1))
-            hit = a == np.repeat(out, cards, axis=0)
-            return _reduce_rows(np.minimum, np.where(hit, rows, len(a)), bounds)
+        starts = bounds[:-1].reshape((-1,) + (1,) * (self.value.ndim - 1))
+
+        def first_hits(a):  # the row each (set, channel) max came from; argmax takes the lowest on ties
+            return np.array([np.argmax(a[s:e], axis=0) for s, e in zip(bounds[:-1], bounds[1:])]) + starts
 
         def vjp(g, pv, out):
             grad = np.zeros_like(pv[0])
-            np.put_along_axis(grad, first_hits(pv[0], out), g, axis=0)
-            return (grad,)
+            np.put_along_axis(grad, first_hits(pv[0]), g, axis=0)
+            return grad
 
         node = self.tape._record(
-            "segment_max", (self,), fwd=lambda a: _reduce_rows(np.maximum, a, bounds), vjp=vjp
+            "segment_max", (self,), fwd=lambda a: _reduce_rows(np.maximum, a, bounds), vjps=(vjp,)
         )
         if node.index >= 0:  # a ForwardTape keeps no graph to replay
             self.tape._kinks[node.index] = first_hits
@@ -213,14 +236,14 @@ class Node:
         return self.tape._record(
             "sum_all", (self,),
             fwd=lambda a: np.sum(a),
-            vjp=lambda g, pv, out: (np.full(pv[0].shape, float(g)),),
+            vjps=_SUM_ALL_VJPS,
         )
 
     def pow_const(self, p: float) -> "Node":
         return self.tape._record(
             "pow_const", (self,),
             fwd=lambda a: np.power(a, p),
-            vjp=lambda g, pv, out: (g * p * np.power(pv[0], p - 1.0),),
+            vjps=(lambda g, pv, out: g * p * np.power(pv[0], p - 1.0),),
         )
 
 
@@ -231,10 +254,11 @@ class Tape:
         self.nodes: List[Node] = []
         self.variables: List[Node] = []
         self._var_names = set()
-        self._kinks: Dict[int, Callable] = {}  # node index -> fn(input, output): the rows its max took
+        self._kinks: Dict[int, Callable] = {}  # node index -> fn(input): the rows its max took
 
-    def _append(self, value, parents, op, fwd, vjp, name, is_variable) -> Node:
-        node = Node(self, len(self.nodes), value, parents, op, fwd, vjp, name, is_variable)
+    def _append(self, value, parents, op, fwd, vjps, name, is_variable) -> Node:
+        requires_grad = is_variable or any(p.requires_grad for p in parents)
+        node = Node(self, len(self.nodes), value, parents, op, fwd, vjps, name, is_variable, requires_grad)
         self.nodes.append(node)
         return node
 
@@ -251,21 +275,21 @@ class Tape:
         arr = T.as_tensor(value, name or "constant")
         return self._append(arr, (), "constant", None, None, name, False)
 
-    def _record(self, op, parents, fwd, vjp, name=None) -> Node:
+    def _record(self, op, parents, fwd, vjps, name=None) -> Node:
         pv = tuple(p.value for p in parents)
         with np.errstate(over="ignore", invalid="ignore"):  # the finite check below surfaces these
             value = np.asarray(fwd(*pv), dtype=np.float64)
         T.ensure_finite(value, f"node#{len(self.nodes)}[{op}]")
-        return self._append(value, parents, op, fwd, vjp, name, False)
+        return self._append(value, parents, op, fwd, vjps, name, False)
 
-    def _binary(self, op, a: Node, b: Node, ufunc, vjp) -> Node:
+    def _binary(self, op, a: Node, b: Node, ufunc, vjps) -> Node:
         def fwd(x, y):
             try:
                 return ufunc(x, y)
             except ValueError as exc:
                 raise DimensionError(f"{op}: shapes {x.shape} and {y.shape} do not broadcast") from exc
 
-        return self._record(op, (a, b), fwd=fwd, vjp=vjp)
+        return self._record(op, (a, b), fwd=fwd, vjps=vjps)
 
 
 class ForwardTape(Tape):
@@ -278,18 +302,20 @@ class ForwardTape(Tape):
     collector frees. Evaluation needs no graph, so it uses this tape.
     """
 
-    def _append(self, value, parents, op, fwd, vjp, name, is_variable) -> Node:
-        return Node(self, -1, value, (), op, None, None, name, is_variable)
+    def _append(self, value, parents, op, fwd, vjps, name, is_variable) -> Node:
+        return Node(self, -1, value, (), op, None, None, name, is_variable, False)
 
 
 def nonlinearity(x: Node, fn: str) -> Node:
     if fn == "identity":
         return x
-    return x.tape._record(
-        f"nl_{fn}", (x,),
-        fwd=lambda a: T.elementwise(a, fn),
-        vjp=lambda g, pv, out: (g * T.elementwise_grad(pv[0], fn),),
-    )
+
+    def vjp(g, pv, out):
+        d = T.elementwise_grad(pv[0], fn, out)
+        d *= g  # a new array, and d * g has the bits of g * d
+        return d
+
+    return x.tape._record(f"nl_{fn}", (x,), fwd=lambda a: T.elementwise(a, fn), vjps=(vjp,))
 
 
 def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
@@ -318,25 +344,37 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
         ez = np.exp(shift)
         p = ez / ez.sum(axis=1, keepdims=True)
         p[rows, labels] -= 1.0
-        return (g * p / labels.shape[0],)
+        return g * p / labels.shape[0]
 
-    return logits.tape._record("softmax_ce", (logits,), fwd=fwd, vjp=vjp)
+    return logits.tape._record("softmax_ce", (logits,), fwd=fwd, vjps=(vjp,))
+
+
+def _require_graph(tape: Tape) -> None:
+    if isinstance(tape, ForwardTape):
+        raise ContractError("a ForwardTape keeps no graph to differentiate or replay")
 
 
 def backward(tape: Tape, root: Node) -> GradientMap:
-    """Reverse sweep from a scalar root; returns per-variable gradients."""
+    """Reverse sweep from a scalar root; returns per-variable gradients.
+
+    Only nodes with a variable behind them are visited, and a vjp runs only
+    for a parent with a variable behind it.
+    """
+    _require_graph(tape)
     if root.tape is not tape:
         raise ContractError("root does not belong to this tape")
     if root.value.shape != ():
         raise ContractError(f"backward root must be scalar, got shape {root.value.shape}")
     grads: Dict[int, np.ndarray] = {root.index: np.asarray(1.0)}
     for node in reversed(tape.nodes[: root.index + 1]):
-        if not node.parents or node.index not in grads:
+        if not (node.requires_grad and node.parents) or node.index not in grads:
             continue
         g = grads.pop(node.index)  # op node: fully accumulated by now
         pv = tuple(p.value for p in node.parents)
-        parent_grads = node.vjp(g, pv, node.value)
-        for p, pg in zip(node.parents, parent_grads):
+        for p, vjp in zip(node.parents, node.vjps):
+            if not p.requires_grad:
+                continue
+            pg = vjp(g, pv, node.value)
             if p.index in grads:
                 grads[p.index] = grads[p.index] + pg
             else:
@@ -359,18 +397,20 @@ def replay(tape: Tape, overrides: Optional[Dict[int, np.ndarray]] = None):
     ``segment_max`` node's index to the rows that won its maxima, used to
     detect kink crossings.
     """
+    _require_graph(tape)
     overrides = overrides or {}
     values: List[np.ndarray] = []
     signatures: Dict[int, np.ndarray] = {}
-    for node in tape.nodes:
-        if node.fwd is None:
-            values.append(overrides.get(node.index, node.value))
-        else:
-            pv = tuple(values[p.index] for p in node.parents)
-            values.append(np.asarray(node.fwd(*pv), dtype=np.float64))
-            kink = tape._kinks.get(node.index)
-            if kink is not None:
-                signatures[node.index] = kink(pv[0], values[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in Tape._record; a probe may leave the domain
+        for node in tape.nodes:
+            if node.fwd is None:
+                values.append(overrides.get(node.index, node.value))
+            else:
+                pv = tuple(values[p.index] for p in node.parents)
+                values.append(np.asarray(node.fwd(*pv), dtype=np.float64))
+                kink = tape._kinks.get(node.index)
+                if kink is not None:
+                    signatures[node.index] = kink(pv[0])
     return values, signatures
 
 
@@ -398,7 +438,8 @@ class GradientCheckReport:
 
 
 def gradient_check(tape: Tape, root: Node, step: float = 1e-5, tolerance: float = 1e-4) -> GradientCheckReport:
-    """Compare backward() against central finite differences, entry by entry."""
+    """Compare backward() against central finite differences, entry by entry.
+    A probe whose central difference is not finite fails its entry."""
     if step <= 0:
         raise ContractError("step must be positive")
     if root.value.shape != ():
@@ -423,6 +464,8 @@ def gradient_check(tape: Tape, root: Node, step: float = 1e-5, tolerance: float 
             scale = max(abs(ad), abs(fd))
             # below the scale floor the comparison degenerates to absolute
             err = abs(ad - fd) / scale if scale > 1e-6 else abs(ad - fd)
+            if not np.isfinite(fd):
+                err = np.inf
             worst = max(worst, err)
             report.entries_checked += 1
             if err > tolerance:

@@ -121,17 +121,25 @@ def elementwise(x: Tensor, fn: str) -> Tensor:
     return out
 
 
-def elementwise_grad(x: Tensor, fn: str) -> Tensor:
-    """d(elementwise(x, fn))/dx, evaluated entrywise at x."""
+def elementwise_grad(x: Tensor, fn: str, out: Tensor) -> Tensor:
+    """d(elementwise(x, fn))/dx, evaluated entrywise at x, as a new array;
+    ``out`` is ``elementwise(x, fn)``, the forward value the caller already has.
+
+    tanh and sigmoid derivatives are computed from ``out`` (``1 - y*y`` and
+    ``y*(1 - y)``), which gives the same bits as recomputing them from ``x``.
+    elu's is computed from ``x``: ``exp(x)`` and ``expm1(x) + 1`` can differ
+    in the last bit.
+    """
     x = np.asarray(x, dtype=np.float64)
     if fn == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
+        d = out * out
+        return np.subtract(1.0, d, out=d)
     if fn == "elu":
         return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
     if fn == "sigmoid":
-        s = elementwise(x, "sigmoid")
-        return s * (1.0 - s)
+        d = 1.0 - out
+        d *= out
+        return d
     if fn == "identity":
         return np.ones_like(x)
     raise DimensionError(f"unknown nonlinearity {fn!r}")

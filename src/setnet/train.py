@@ -711,7 +711,7 @@ def activation_maximization(
         act = float(objective.value)
         if it % history_every == 0:
             history.append(act)
-    tape = ad.Tape()
+    tape = ad.ForwardTape()
     final = float(unit_mean(tape, tape.constant(coords.value)).value)
     return ActMaxResult(
         points=coords.value.copy(),

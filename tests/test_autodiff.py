@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setnet import autodiff as ad
 from setnet.errors import ContractError, DimensionError, EmptyReductionError, NumericError
@@ -91,6 +95,54 @@ class TestBackward:
         grads = ad.backward(tape, x * x)
         assert np.array_equal(grads["z"], np.zeros(4))
 
+    def test_constant_subgraph_vjps_never_run(self):
+        def spy(g, pv, out):
+            raise AssertionError("vjp of a node with no variable behind it")
+
+        tape = ad.Tape()
+        x = tape.constant(np.array([[1.0, 4.0], [3.0, 2.0], [5.0, 0.0]]))
+        scaled = x * 2.0
+        top = scaled.segment_max([2, 1])
+        spread = top.repeat([2, 1])
+        centred = scaled - spread
+        for node in (scaled, top, spread, centred):
+            node.vjps = tuple(spy for _ in node.parents)
+        w = tape.variable(np.array([[1.0], [-1.0]]), "w")
+        grads = ad.backward(tape, (centred @ w).sum_all())
+        assert np.array_equal(grads["w"], centred.value.T @ np.ones((3, 1)))
+        assert not any(node.requires_grad for node in (x, scaled, top, spread, centred))
+
+    @pytest.mark.parametrize("variable_sides", [(1,), (0,), (0, 1)])
+    def test_matmul_forms_only_the_gradients_of_variable_operands(self, variable_sides):
+        rng = np.random.default_rng(3)
+        values = [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]
+        tape = ad.Tape()
+        a, b = (tape.variable(v, f"v{i}") if i in variable_sides else tape.constant(v) for i, v in enumerate(values))
+        y = a @ b
+        formed = []
+
+        def counted(side, vjp):
+            def wrapper(g, pv, out):
+                formed.append(side)
+                return vjp(g, pv, out)
+            return wrapper
+
+        y.vjps = tuple(counted(side, vjp) for side, vjp in enumerate(y.vjps))
+        grads = ad.backward(tape, y.sum_all())
+        assert tuple(formed) == variable_sides
+        if 0 in variable_sides:
+            assert np.array_equal(grads["v0"], np.ones((3, 2)) @ values[1].T)
+        if 1 in variable_sides:
+            assert np.array_equal(grads["v1"], values[0].T @ np.ones((3, 2)))
+
+    def test_forward_tape_refuses_differentiation_and_replay(self):
+        tape = ad.ForwardTape()
+        w = tape.variable(np.array([2.0, 3.0]), "w")
+        y = (w * w).sum_all()
+        for call in (lambda: ad.backward(tape, y), lambda: ad.replay(tape), lambda: ad.gradient_check(tape, y)):
+            with pytest.raises(ContractError, match="ForwardTape"):
+                call()
+
     def test_three_layer_network_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         x_val = rng.normal(size=(4, 5))
@@ -159,6 +211,33 @@ class TestSegmentOps:
         loss = ((x - y.repeat(self.CARDS)) * rng.normal(size=(8, 3))).sum_all()
         report = ad.gradient_check(tape, loss)
         assert report.passed and report.entries_checked == 24
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_segment_max_winners_match_reference_loop(self, data):
+        cards = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+        k = data.draw(st.integers(1, 3))
+        m = sum(cards)
+        levels = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])  # few levels, so ties are common
+        x_val = np.array(data.draw(st.lists(levels, min_size=m * k, max_size=m * k))).reshape(m, k)
+        want = np.zeros((len(cards), k), dtype=int)
+        start = 0
+        for s, n in enumerate(cards):
+            for c in range(k):
+                best = start
+                for r in range(start, start + n):
+                    if x_val[r, c] > x_val[best, c]:  # a later tie never takes over
+                        best = r
+                want[s, c] = best
+            start += n
+        tape = ad.Tape()
+        x = tape.variable(x_val, "x")
+        top = x.segment_max(cards)
+        _, signatures = ad.replay(tape)
+        assert np.array_equal(signatures[top.index], want)
+        routed = np.zeros((m, k))
+        routed[want, np.arange(k)] = 1.0
+        assert np.array_equal(ad.backward(tape, top.sum_all())["x"], routed)
 
     def test_rows_must_match_cardinalities(self):
         tape = ad.Tape()
@@ -236,6 +315,17 @@ class TestGradientCheck:
         report = ad.gradient_check(tape, loss, step=1e-5, tolerance=1e-4)
         assert report.entries_flagged >= 2
         assert report.passed
+
+    def test_non_finite_central_difference_fails_its_entry(self):
+        tape = ad.Tape()
+        w = tape.variable(np.array(1e-6), "w")
+        loss = w.pow_const(0.5).sum_all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the minus probe's sqrt of a negative is not a warning
+            report = ad.gradient_check(tape, loss, step=1e-5)
+        assert not report.passed
+        assert len(report.failures) == 1 and report.failures[0].startswith("w[0]: ")
+        assert report.summary().startswith("gradient check FAIL")
 
     def test_requires_positive_step(self):
         tape = ad.Tape()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from setnet import autodiff as ad
 from setnet.errors import DimensionError, NumericError
 from setnet.layers import SetBatch
-from setnet.tensor import Permutation, as_tensor, elementwise, matmul
+from setnet.tensor import Permutation, as_tensor, elementwise, elementwise_grad, matmul
 
 
 def matmul_reference(a, b):
@@ -152,6 +152,29 @@ class TestElementwise:
     def test_unknown_fn(self):
         with pytest.raises(DimensionError):
             elementwise(np.zeros(2), "relu")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-800.0, 800.0) | st.sampled_from([-800.0, -40.0, -0.0, 0.0, 20.0, 800.0]), min_size=1, max_size=20
+        ),
+        st.sampled_from(["tanh", "sigmoid", "elu"]),
+    )
+    def test_derivative_through_the_tape_matches_input_based_formula(self, xs, fn):
+        x = np.array(xs)
+        if fn == "tanh":  # references computed from the input alone
+            t = np.tanh(x)
+            want = 1.0 - t * t
+        elif fn == "sigmoid":
+            s = elementwise(x, "sigmoid")
+            want = s * (1.0 - s)
+        else:
+            want = np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+        assert elementwise_grad(x, fn, elementwise(x, fn)).tobytes() == want.tobytes()
+        upstream = np.linspace(-2.0, 3.0, len(x))
+        tape = ad.Tape()
+        grads = ad.backward(tape, (ad.nonlinearity(tape.variable(x, "x"), fn) * upstream).sum_all())
+        assert grads["x"].tobytes() == (upstream * want).tobytes()
 
 
 class TestPlumbing:
