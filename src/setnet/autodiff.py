@@ -15,13 +15,16 @@ runs are deterministic.
 
 Set batches store their members as stacked rows, one set after another; the
 segment ops (``segment_sum``, ``segment_max`` and ``repeat``) move between
-those member rows and one row per set.
+those member rows and one row per set. When all sets of a batch have one
+size, they work on the rows as one [sets, size, channels] block instead of
+set by set, with the same bits.
 
-``gradient_check`` re-executes the recorded graph with perturbed leaf values
-(central differences) and compares against the reverse sweep. Probes that
-cross a max-kink (the winning rows of any ``segment_max`` node differ between
-the two perturbed replays) are flagged as non-differentiable points and excluded
-rather than reported as failures.
+``gradient_check`` re-executes the nodes of the recorded graph that have a
+variable behind them, with perturbed variable values (central differences),
+and compares against the reverse sweep. Probes that cross a max-kink (the
+winning rows of any ``segment_max`` node differ between the two perturbed
+replays) are flagged as non-differentiable points and excluded rather than
+reported as failures.
 
 ``ForwardTape`` computes the same values without recording a graph (or the
 flag), for evaluation; ``backward``, ``replay`` and ``gradient_check`` refuse
@@ -52,21 +55,27 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _bounds(cards, rows: int) -> np.ndarray:
-    """[0, end of set 0, end of set 1, ...] for the member rows of sets with
-    ``cards`` members each, stored one set after another."""
+def _segments(cards, rows: int) -> Tuple[np.ndarray, Optional[int]]:
+    """For the member rows of sets with ``cards`` members each, stored one set
+    after another: [0, end of set 0, end of set 1, ...], and the common
+    cardinality if every set has the same one (else None)."""
     cards = np.asarray(cards)
     if np.any(cards < 1):
         raise EmptyReductionError("sets must have at least one member")
     if rows != cards.sum():
         raise DimensionError(f"{rows} member rows for cardinalities summing to {cards.sum()}")
-    return np.concatenate(([0], np.cumsum(cards)))
+    size = int(cards[0]) if cards.size and np.all(cards == cards[0]) else None
+    return np.concatenate(([0], np.cumsum(cards))), size
 
 
-def _reduce_rows(ufunc, a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """``ufunc`` reduced over each set's rows: [M, K] -> [B, K]. Over several
-    channels numpy adds a set's members one after another, in row order."""
-    return np.array([ufunc.reduce(a[s:e], axis=0) for s, e in zip(bounds[:-1], bounds[1:])])
+def _per_set(fn, a: np.ndarray, bounds: np.ndarray, size: Optional[int]) -> np.ndarray:
+    """``fn(rows, axis)`` over each set's rows, e.g. ``np.add.reduce`` or
+    ``np.argmax``: [M, K] -> [B, K]. When every set has ``size`` members it is
+    one call over the [B, size, K] block. numpy combines a set's members in
+    the same order either way, so both give the same bits."""
+    if size is not None:
+        return fn(a.reshape((-1, size) + a.shape[1:]), axis=1)
+    return np.array([fn(a[s:e], axis=0) for s, e in zip(bounds[:-1], bounds[1:])])
 
 
 # Ops whose vjps capture nothing share one tuple rather than making closures
@@ -192,10 +201,10 @@ class Node:
     def segment_sum(self, cards) -> "Node":
         """Per-set sums of member rows, [M, K] -> [B, K]; with several channels
         each set's members are added one after another, in row order."""
-        bounds = _bounds(cards, self.value.shape[0])
+        bounds, size = _segments(cards, self.value.shape[0])
         return self.tape._record(
             "segment_sum", (self,),
-            fwd=lambda a: _reduce_rows(np.add, a, bounds),
+            fwd=lambda a: _per_set(np.add.reduce, a, bounds, size),
             vjps=(lambda g, pv, out: np.repeat(g, cards, axis=0),),
         )
 
@@ -203,22 +212,21 @@ class Node:
         """Each set's row once per member, [B, K] -> [M, K]: the vjp of ``segment_sum`` and vice versa."""
         if self.value.shape[0] != len(cards):
             raise DimensionError(f"repeat: {self.value.shape[0]} rows for {len(cards)} sets")
-        bounds = _bounds(cards, int(np.sum(cards)))
+        bounds, size = _segments(cards, int(np.sum(cards)))
         return self.tape._record(
             "repeat", (self,),
             fwd=lambda a: np.repeat(a, cards, axis=0),
-            vjps=(lambda g, pv, out: _reduce_rows(np.add, g, bounds),),
+            vjps=(lambda g, pv, out: _per_set(np.add.reduce, g, bounds, size),),
         )
 
     def segment_max(self, cards) -> "Node":
         """Per-set maxima of member rows, [M, K] -> [B, K]; the subgradient goes
         to the lowest-index member that attains the max."""
-        bounds = _bounds(cards, self.value.shape[0])
-
+        bounds, size = _segments(cards, self.value.shape[0])
         starts = bounds[:-1].reshape((-1,) + (1,) * (self.value.ndim - 1))
 
         def first_hits(a):  # the row each (set, channel) max came from; argmax takes the lowest on ties
-            return np.array([np.argmax(a[s:e], axis=0) for s, e in zip(bounds[:-1], bounds[1:])]) + starts
+            return _per_set(np.argmax, a, bounds, size) + starts
 
         def vjp(g, pv, out):
             grad = np.zeros_like(pv[0])
@@ -226,7 +234,7 @@ class Node:
             return grad
 
         node = self.tape._record(
-            "segment_max", (self,), fwd=lambda a: _reduce_rows(np.maximum, a, bounds), vjps=(vjp,)
+            "segment_max", (self,), fwd=lambda a: _per_set(np.maximum.reduce, a, bounds, size), vjps=(vjp,)
         )
         if node.index >= 0:  # a ForwardTape keeps no graph to replay
             self.tape._kinks[node.index] = first_hits
@@ -384,26 +392,31 @@ def backward(tape: Tape, root: Node) -> GradientMap:
         g = grads.get(var.index)
         if g is None:
             g = np.zeros_like(var.value)
-        g = np.broadcast_to(np.asarray(g, dtype=np.float64), var.value.shape).copy()
+        elif g.shape != var.value.shape:
+            g = np.broadcast_to(g, var.value.shape).copy()
         T.ensure_finite(g, f"gradient of {var.name!r}")
         out[var.name] = g
     return out
 
 
 def replay(tape: Tape, overrides: Optional[Dict[int, np.ndarray]] = None):
-    """Recompute all node values, substituting leaf values from ``overrides``.
+    """Recompute the node values, substituting variable values from ``overrides``.
 
-    Returns (values, max_signatures) where max_signatures maps each
-    ``segment_max`` node's index to the rows that won its maxima, used to
-    detect kink crossings.
+    Nodes with no variable behind them cannot change, so they keep their
+    recorded values. Returns (values, max_signatures) where max_signatures
+    maps the index of each ``segment_max`` node with a variable behind it to
+    the rows that won its maxima, used to detect kink crossings.
     """
     _require_graph(tape)
     overrides = overrides or {}
+    for index in overrides:
+        if not (0 <= index < len(tape.nodes) and tape.nodes[index].is_variable):
+            raise ContractError(f"replay overrides node#{index}, which is not a variable")
     values: List[np.ndarray] = []
     signatures: Dict[int, np.ndarray] = {}
     with np.errstate(over="ignore", invalid="ignore"):  # as in Tape._record; a probe may leave the domain
         for node in tape.nodes:
-            if node.fwd is None:
+            if node.fwd is None or not node.requires_grad:
                 values.append(overrides.get(node.index, node.value))
             else:
                 pv = tuple(values[p.index] for p in node.parents)

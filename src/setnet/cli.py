@@ -5,9 +5,10 @@ sample-mesh. Every run derives all randomness from one seed; training runs
 write their fully resolved config next to their outputs so any artifact can
 be reproduced exactly.
 
-Exit codes: 0 success, 2 config/usage error or an input file that cannot be
-opened or read, 3 file-format error, 4 numeric error, 5 budget exceeded,
-1 anything else.
+Exit codes: 0 success, 2 config/usage error (a set too small or empty for
+the requested operation included) or an input file that cannot be opened or
+read, 3 file-format error (a mesh with no sampleable area included),
+4 numeric error, 5 budget exceeded, 1 anything else.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from .errors import (
     BudgetError,
     ConfigError,
     ContractError,
+    DegenerateMeshError,
+    DegenerateSetError,
     DimensionError,
+    EmptyReductionError,
     FormatError,
     NumericError,
     SetNetError,
@@ -47,7 +51,10 @@ _EXIT_CODES = (
     (ConfigError, 2),
     (ContractError, 2),
     (DimensionError, 2),
+    (DegenerateSetError, 2),
+    (EmptyReductionError, 2),
     (FormatError, 3),
+    (DegenerateMeshError, 3),
     (NumericError, 4),
     (BudgetError, 5),
     (OSError, 2),  # e.g. a missing --config, --off or --checkpoint file

@@ -107,7 +107,8 @@ class SetBatch:
 
 
 class Param:
-    """A named, mutable parameter array (optimizers write new values back)."""
+    """A named, mutable parameter array. An ``Optimizer`` makes ``value`` a
+    view into its flat arena and updates it in place."""
 
     __slots__ = ("name", "value")
 
@@ -462,14 +463,17 @@ def load_params(path):
 
 
 def restore_params(params: Sequence[Param], arrays: Dict[str, np.ndarray]) -> None:
-    """Load checkpoint arrays into matching Param objects (strict on names/shapes)."""
+    """Load checkpoint arrays into matching Param objects (strict on names/shapes).
+
+    Values are written in place, so a Param whose value is a view into an
+    optimizer's arena stays in it."""
     for p in params:
         if p.name not in arrays:
             raise FormatError(f"checkpoint is missing parameter {p.name!r}")
         arr = arrays[p.name]
         if arr.shape != p.value.shape:
             raise FormatError(f"{p.name}: checkpoint shape {arr.shape} != model shape {p.value.shape}")
-        p.value = arr.copy()
+        p.value[...] = arr
 
 
 def count_params(params: Sequence[Param]) -> int:

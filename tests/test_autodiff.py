@@ -239,6 +239,35 @@ class TestSegmentOps:
         routed[want, np.arange(k)] = 1.0
         assert np.array_equal(ad.backward(tape, top.sum_all())["x"], routed)
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 200), sets=st.integers(1, 6), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_equal_size_sets_match_the_per_set_loop_bit_for_bit(self, n, sets, k, seed):
+        # one cardinality takes the reshaped-block path; numpy's reduce over
+        # each set alone is the reference, including one channel (k == 1)
+        rng = np.random.default_rng(seed)
+        m = n * sets
+        x_val = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-8, 9, size=(m, 1))  # rows over many decades
+        x_val = np.where(rng.random(size=(m, k)) < 0.3, rng.integers(-1, 2, size=(m, k)), x_val)  # ties
+        weights = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-8, 9, size=(m, 1))
+        starts = np.arange(0, m, n)
+
+        def per_set(fn, a):
+            return np.array([fn(a[s : s + n]) for s in starts])
+
+        cards = [n] * sets
+        tape = ad.Tape()
+        x = tape.variable(x_val, "x")
+        y = tape.variable(rng.normal(size=(sets, k)), "y")
+        total = x.segment_sum(cards)
+        top = x.segment_max(cards)
+        spread = y.repeat(cards)
+        grads = ad.backward(tape, (total.sum_all() + top.sum_all()) + (spread * weights).sum_all())
+        _, signatures = ad.replay(tape)
+        assert total.value.tobytes() == per_set(lambda b: np.add.reduce(b, axis=0), x_val).tobytes()
+        assert top.value.tobytes() == per_set(lambda b: np.maximum.reduce(b, axis=0), x_val).tobytes()
+        assert np.array_equal(signatures[top.index], per_set(lambda b: np.argmax(b, axis=0), x_val) + starts[:, None])
+        assert grads["y"].tobytes() == per_set(lambda b: np.add.reduce(b, axis=0), weights).tobytes()
+
     def test_rows_must_match_cardinalities(self):
         tape = ad.Tape()
         x = tape.constant(np.ones((5, 2)))
@@ -326,6 +355,36 @@ class TestGradientCheck:
         assert not report.passed
         assert len(report.failures) == 1 and report.failures[0].startswith("w[0]: ")
         assert report.summary().startswith("gradient check FAIL")
+
+    def test_constant_subgraph_is_not_recomputed(self):
+        x_val = np.array([[1.0, 4.0], [3.0, 2.0], [5.0, 0.0]])
+
+        def check(tape, centred):
+            w = tape.variable(np.array([[0.5], [-1.5]]), "w")
+            return ad.gradient_check(tape, ad.nonlinearity(centred @ w, "tanh").sum_all())
+
+        tape = ad.Tape()
+        scaled = tape.constant(x_val) * 2.0
+        top = scaled.segment_max([2, 1])
+        centred = scaled - top.repeat([2, 1])
+        calls = []
+        for node in tape.nodes:
+            if node.fwd is not None:
+                node.fwd = lambda *pv, fwd=node.fwd: calls.append(fwd) or fwd(*pv)
+        report = check(tape, centred)
+        assert calls == []
+        plain = ad.Tape()
+        assert report == check(plain, plain.constant(centred.value))
+        assert report.entries_checked == 2
+
+    def test_replay_overrides_only_variables(self):
+        tape = ad.Tape()
+        c = tape.constant(np.array(1.0))
+        x = tape.variable(np.array(2.0), "x")
+        y = x * c
+        assert float(ad.replay(tape, {x.index: np.array(3.0)})[0][y.index]) == 3.0
+        with pytest.raises(ContractError):
+            ad.replay(tape, {c.index: np.array(3.0)})
 
     def test_requires_positive_step(self):
         tape = ad.Tape()

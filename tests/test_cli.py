@@ -1,6 +1,7 @@
 import pytest
 
-from setnet.cli import main
+from setnet.cli import _fail_code, main
+from setnet.errors import EmptyReductionError
 
 SMALL_MNIST = ["--set", "data.source_count=200", "--set", "data.train_sets=8", "--set", "data.val_sets=4"]
 
@@ -26,6 +27,30 @@ def test_bad_mesh_exits_with_format_code(tmp_path, capsys, content):
     off.write_bytes(content)
     assert main(["sample-mesh", "--off", str(off), "--out", str(tmp_path / "pts.xyz")]) == 3
     assert "FormatError" in capsys.readouterr().err
+
+
+def test_zero_area_mesh_exits_with_format_code(tmp_path, capsys):
+    off = tmp_path / "flat.off"
+    off.write_bytes(b"OFF\n3 1 0\n0 0 0\n1 1 1\n2 2 2\n3 0 1 2\n")  # collinear corners
+    assert main(["sample-mesh", "--off", str(off), "--out", str(tmp_path / "pts.xyz")]) == 3
+    assert "DegenerateMeshError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["actmax", "--experiment", "pointcloud", "--points", "1", "--iters", "1", "--out", "{tmp}/act.xyz"],
+        ["check-equivariance", "--experiment", "pointcloud", "--n", "1", "--trials", "1"],
+    ],
+    ids=["actmax_one_point", "check_equivariance_one_member"],
+)
+def test_too_small_set_exits_with_usage_code(tmp_path, capsys, command):
+    assert main([arg.format(tmp=tmp_path) for arg in command]) == 2
+    assert "DegenerateSetError" in capsys.readouterr().err
+
+
+def test_empty_reduction_maps_to_usage_code():
+    assert _fail_code(EmptyReductionError("sets must have at least one member")) == 2
 
 
 @pytest.mark.parametrize(

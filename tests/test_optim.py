@@ -1,9 +1,46 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from setnet.errors import ConfigError, NumericError
-from setnet.layers import Param
+from setnet.errors import ConfigError, FormatError, NumericError
+from setnet.layers import Dense, Param, restore_params
 from setnet.optim import Optimizer
+
+
+def reference_step(opt, values, m, v, grads):
+    """One update of each parameter on its own, by the formulas the arena
+    must reproduce bit for bit; ``values``, ``m`` and ``v`` are lists of
+    arrays, rebound in place of the list entries."""
+    scale = 1.0
+    if opt.clip_norm is not None:
+        total = np.sqrt(sum(float(np.sum(g**2)) for g in grads))
+        if total > opt.clip_norm:
+            scale = opt.clip_norm / total
+    t = opt.t + 1
+    b1, b2 = opt.beta1, opt.beta2
+    for i, g in enumerate(grads):
+        g = g * scale
+        if opt.kind == "sgd":
+            values[i] = values[i] - opt.lr * g
+        elif opt.kind == "adam":
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            m_hat = m[i] / (1 - b1**t)
+            v_hat = v[i] / (1 - b2**t)
+            values[i] = values[i] - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        else:
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = np.maximum(b2 * v[i], np.abs(g))
+            u = np.maximum(v[i], 1e-12)
+            values[i] = values[i] - (opt.lr / (1 - b1**t)) * m[i] / u
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+SHAPES = st.lists(st.sampled_from([(), (0,), (1,), (5,), (2, 3), (0, 4), (3, 1)]), min_size=1, max_size=5)
 
 
 class TestSgd:
@@ -121,3 +158,81 @@ class TestContracts:
         opt = Optimizer("sgd", [p], lr=1.0, clip_norm=1.0)
         opt.step({"w": np.array([3.0, 4.0])})  # norm 5 -> scaled to 1
         assert np.allclose(p.value, [-0.6, -0.8])
+
+
+class TestArena:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["sgd", "adam", "adamax"]),
+        shapes=SHAPES,
+        clip_norm=st.one_of(st.none(), st.floats(0.01, 10.0)),
+        lr=st.sampled_from([1e-3, 0.1, 1.0]),
+        betas=st.sampled_from([(0.9, 0.999), (0.1, 0.9)]),
+        steps=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_parameter_reference_bit_for_bit(self, kind, shapes, clip_norm, lr, betas, steps, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):  # magnitudes over many decades, with exact zeros
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4, size=shape)
+            return np.where(rng.random(size=shape) < 0.1, 0.0, x)
+
+        params = [Param(f"p{i}", draw(shape)) for i, shape in enumerate(shapes)]
+        values = [p.value.copy() for p in params]
+        m = [np.zeros(shape) for shape in shapes]
+        v = [np.zeros(shape) for shape in shapes]
+        opt = Optimizer(kind, params, lr=lr, beta1=betas[0], beta2=betas[1], clip_norm=clip_norm)
+        for _ in range(steps):
+            grads = [draw(shape) for shape in shapes]
+            reference_step(opt, values, m, v, grads)
+            opt.step({p.name: g for p, g in zip(params, grads)})
+            for i, p in enumerate(params):
+                assert same_bits(p.value, values[i])
+                if kind != "sgd":
+                    assert same_bits(opt.m[p.name], m[i]) and same_bits(opt.v[p.name], v[i])
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adamax"])
+    def test_nonfinite_gradient_in_last_parameter_refuses_the_step(self, kind):
+        rng = np.random.default_rng(3)
+        params = [Param("a", rng.normal(size=(2, 3))), Param("b", np.array(0.5)), Param("c", rng.normal(size=4))]
+        opt = Optimizer(kind, params, lr=0.1, clip_norm=1.0)
+        grads = {p.name: rng.normal(size=p.value.shape) for p in params}
+        opt.step(grads)
+        before = [p.value.copy() for p in params], {k: a.copy() for k, a in opt.state_arrays().items()}, opt.t
+        grads["c"] = grads["c"].copy()
+        grads["c"][-1] = np.inf
+        with pytest.raises(NumericError, match="'c'"):
+            opt.step(grads)
+        assert all(same_bits(p.value, b) for p, b in zip(params, before[0]))
+        assert all(same_bits(a, before[1][k]) for k, a in opt.state_arrays().items())
+        assert opt.t == before[2]
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adamax"])
+    def test_step_after_restore_trains_the_models_own_params(self, kind):
+        layer = Dense(3, 2, rng=np.random.default_rng(5), name="fc")
+        params = layer.params()
+        opt = Optimizer(kind, params, lr=0.1)
+        rng = np.random.default_rng(6)
+        grads = [{p.name: rng.normal(size=p.value.shape) for p in params} for _ in range(2)]
+        opt.step(grads[0])
+        saved = {p.name: p.value.copy() for p in params}
+        saved.update({k: a.copy() for k, a in opt.state_arrays().items()})
+        t = opt.t
+        opt.step(grads[1])
+        want = [p.value.copy() for p in params]
+        opt.step(grads[0])  # move away from the state the checkpoint holds
+
+        restore_params(params, saved)
+        opt.load_state_arrays(saved, t)
+        assert all(same_bits(p.value, saved[p.name]) for p in params)
+        opt.step(grads[1])
+        want = dict(zip([p.name for p in params], want))
+        assert same_bits(layer.w.value, want["fc.W"]) and same_bits(layer.b.value, want["fc.b"])
+
+    def test_moment_shape_mismatch_is_a_format_error(self):
+        p = Param("w", np.zeros(3))
+        opt = Optimizer("adam", [p])
+        arrays = {"opt.m.w": np.zeros(3), "opt.v.w": np.zeros(1)}
+        with pytest.raises(FormatError):
+            opt.load_state_arrays(arrays, 1)
