@@ -1,17 +1,22 @@
 """Tape-based reverse-mode automatic differentiation over the tensor ops.
 
-Execution is define-by-run: building a node computes its value eagerly and
-appends it to the tape, so node references only ever point backward. Each
-node carries ``vjps``, one vector-Jacobian product per parent: a function of
+Execution is define-by-run: building a node computes its value eagerly, so
+node references only ever point backward. Every node gets a number, its
+creation order on the tape, which names it in ``NumericError`` messages.
+
+A tape records only the graph that gradients flow through. A node is
+recorded (keeps its parents, its ``fwd`` and its ``vjps``, and is appended
+to ``tape.nodes``) when it is a variable or has a recorded parent; its
+``requires_grad`` says so. Every other node keeps its value and its op name
+and nothing else, so a tape with no variables, as in evaluation, records
+nothing and each intermediate is freed as soon as nothing uses it. Each
+recorded node carries one vector-Jacobian product per parent: a function of
 (the node's gradient, the parents' values, the node's value) that returns
-that parent's gradient. A recorded node also notes whether a variable lies
-behind it (``requires_grad``: it is a variable, or a parent has the flag).
-The reverse sweep visits each node with a variable behind it once, in
-reverse creation order, and calls a parent's vjp only if that parent has the
-flag, so constant subgraphs cost the sweep nothing. Gradients are exact for
-every differentiable composite; ``segment_max`` is given the single-argmax
-subgradient (lowest index on ties) and ``mean`` distributes 1/N, so training
-runs are deterministic.
+that parent's gradient. The reverse sweep visits the recorded nodes once, in
+reverse creation order, and calls a parent's vjp only if that parent is
+recorded. Gradients are exact for every differentiable composite;
+``segment_max`` is given the single-argmax subgradient (lowest index on
+ties) and ``mean`` distributes 1/N, so training runs are deterministic.
 
 Set batches store their members as stacked rows, one set after another; the
 segment ops (``segment_sum``, ``segment_max`` and ``repeat``) move between
@@ -19,16 +24,11 @@ those member rows and one row per set. When all sets of a batch have one
 size, they work on the rows as one [sets, size, channels] block instead of
 set by set, with the same bits.
 
-``gradient_check`` re-executes the nodes of the recorded graph that have a
-variable behind them, with perturbed variable values (central differences),
-and compares against the reverse sweep. Probes that cross a max-kink (the
-winning rows of any ``segment_max`` node differ between the two perturbed
-replays) are flagged as non-differentiable points and excluded rather than
-reported as failures.
-
-``ForwardTape`` computes the same values without recording a graph (or the
-flag), for evaluation; ``backward``, ``replay`` and ``gradient_check`` refuse
-it with ``ContractError``.
+``gradient_check`` re-executes the recorded nodes with perturbed variable
+values (central differences) and compares against the reverse sweep. Probes
+that cross a max-kink (the winning rows of any recorded ``segment_max`` node
+differ between the two perturbed replays) are flagged as non-differentiable
+points and excluded rather than reported as failures.
 """
 
 from __future__ import annotations
@@ -94,21 +94,20 @@ _SUM_ALL_VJPS = (lambda g, pv, out: np.full(pv[0].shape, float(g)),)
 
 
 class Node:
-    """One recorded value. Operators build new nodes on the same tape."""
+    """One value on a tape. Operators build new nodes on the same tape."""
 
-    __slots__ = ("tape", "index", "value", "parents", "op", "fwd", "vjps", "name", "is_variable", "requires_grad")
+    __slots__ = ("tape", "index", "value", "parents", "op", "fwd", "vjps", "name", "requires_grad")
 
-    def __init__(self, tape, index, value, parents, op, fwd, vjps, name, is_variable, requires_grad):
+    def __init__(self, tape, index, value, parents, op, fwd, vjps, name, requires_grad):
         self.tape = tape
-        self.index = index
+        self.index = index  # creation order on the tape
         self.value = value
         self.parents = parents
         self.op = op
         self.fwd = fwd  # recompute value from parent values; None for leaves
         self.vjps = vjps  # one (grad_out, parent_values, out_value) -> grad per parent
         self.name = name
-        self.is_variable = is_variable
-        self.requires_grad = requires_grad  # a variable lies behind this node
+        self.requires_grad = requires_grad  # recorded: a variable lies behind this node
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -236,7 +235,7 @@ class Node:
         node = self.tape._record(
             "segment_max", (self,), fwd=lambda a: _per_set(np.maximum.reduce, a, bounds, size), vjps=(vjp,)
         )
-        if node.index >= 0:  # a ForwardTape keeps no graph to replay
+        if node.requires_grad:
             self.tape._kinks[node.index] = first_hits
         return node
 
@@ -256,17 +255,21 @@ class Node:
 
 
 class Tape:
-    """Append-only record of one forward computation."""
+    """Append-only record of the gradient graph of one forward computation."""
 
     def __init__(self):
-        self.nodes: List[Node] = []
+        self.nodes: List[Node] = []  # the recorded nodes, in creation order
         self.variables: List[Node] = []
+        self._created = 0  # nodes made so far, recorded or not
         self._var_names = set()
         self._kinks: Dict[int, Callable] = {}  # node index -> fn(input): the rows its max took
 
     def _append(self, value, parents, op, fwd, vjps, name, is_variable) -> Node:
-        requires_grad = is_variable or any(p.requires_grad for p in parents)
-        node = Node(self, len(self.nodes), value, parents, op, fwd, vjps, name, is_variable, requires_grad)
+        index = self._created
+        self._created += 1
+        if not (is_variable or any(p.requires_grad for p in parents)):
+            return Node(self, index, value, (), op, None, None, None, False)
+        node = Node(self, index, value, parents, op, fwd, vjps, name, True)
         self.nodes.append(node)
         return node
 
@@ -283,12 +286,12 @@ class Tape:
         arr = T.as_tensor(value, name or "constant")
         return self._append(arr, (), "constant", None, None, name, False)
 
-    def _record(self, op, parents, fwd, vjps, name=None) -> Node:
+    def _record(self, op, parents, fwd, vjps) -> Node:
         pv = tuple(p.value for p in parents)
         with np.errstate(over="ignore", invalid="ignore"):  # the finite check below surfaces these
             value = np.asarray(fwd(*pv), dtype=np.float64)
-        T.ensure_finite(value, f"node#{len(self.nodes)}[{op}]")
-        return self._append(value, parents, op, fwd, vjps, name, False)
+        T.ensure_finite(value, f"node#{self._created}[{op}]")
+        return self._append(value, parents, op, fwd, vjps, None, False)
 
     def _binary(self, op, a: Node, b: Node, ufunc, vjps) -> Node:
         def fwd(x, y):
@@ -298,20 +301,6 @@ class Tape:
                 raise DimensionError(f"{op}: shapes {x.shape} and {y.shape} do not broadcast") from exc
 
         return self._record(op, (a, b), fwd=fwd, vjps=vjps)
-
-
-class ForwardTape(Tape):
-    """A tape that keeps values only: its nodes have no parents and it holds
-    no nodes, so nothing can be differentiated or replayed, and each
-    intermediate value is freed as soon as nothing uses it.
-
-    A recording tape keeps its whole graph, and since every node refers back
-    to its tape, the graph is a reference cycle that only the cyclic garbage
-    collector frees. Evaluation needs no graph, so it uses this tape.
-    """
-
-    def _append(self, value, parents, op, fwd, vjps, name, is_variable) -> Node:
-        return Node(self, -1, value, (), op, None, None, name, is_variable, False)
 
 
 def nonlinearity(x: Node, fn: str) -> Node:
@@ -357,36 +346,33 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     return logits.tape._record("softmax_ce", (logits,), fwd=fwd, vjps=(vjp,))
 
 
-def _require_graph(tape: Tape) -> None:
-    if isinstance(tape, ForwardTape):
-        raise ContractError("a ForwardTape keeps no graph to differentiate or replay")
-
-
 def backward(tape: Tape, root: Node) -> GradientMap:
     """Reverse sweep from a scalar root; returns per-variable gradients.
 
-    Only nodes with a variable behind them are visited, and a vjp runs only
-    for a parent with a variable behind it.
+    Only recorded nodes are visited, and a vjp runs only for a recorded
+    parent. A root with no variable behind it gives zero gradients. The
+    gradients are not checked for finiteness here: ``Optimizer.step`` checks
+    them all at once before it changes anything.
     """
-    _require_graph(tape)
     if root.tape is not tape:
         raise ContractError("root does not belong to this tape")
     if root.value.shape != ():
         raise ContractError(f"backward root must be scalar, got shape {root.value.shape}")
     grads: Dict[int, np.ndarray] = {root.index: np.asarray(1.0)}
-    for node in reversed(tape.nodes[: root.index + 1]):
-        if not (node.requires_grad and node.parents) or node.index not in grads:
-            continue
-        g = grads.pop(node.index)  # op node: fully accumulated by now
-        pv = tuple(p.value for p in node.parents)
-        for p, vjp in zip(node.parents, node.vjps):
-            if not p.requires_grad:
+    with np.errstate(over="ignore", invalid="ignore"):  # as in Tape._record
+        for node in reversed(tape.nodes):
+            if not node.parents or node.index not in grads:
                 continue
-            pg = vjp(g, pv, node.value)
-            if p.index in grads:
-                grads[p.index] = grads[p.index] + pg
-            else:
-                grads[p.index] = np.asarray(pg, dtype=np.float64)
+            g = grads.pop(node.index)  # op node: fully accumulated by now
+            pv = tuple(p.value for p in node.parents)
+            for p, vjp in zip(node.parents, node.vjps):
+                if not p.requires_grad:
+                    continue
+                pg = vjp(g, pv, node.value)
+                if p.index in grads:
+                    grads[p.index] = grads[p.index] + pg
+                else:
+                    grads[p.index] = np.asarray(pg, dtype=np.float64)
     out: GradientMap = {}
     for var in tape.variables:
         g = grads.get(var.index)
@@ -394,33 +380,33 @@ def backward(tape: Tape, root: Node) -> GradientMap:
             g = np.zeros_like(var.value)
         elif g.shape != var.value.shape:
             g = np.broadcast_to(g, var.value.shape).copy()
-        T.ensure_finite(g, f"gradient of {var.name!r}")
         out[var.name] = g
     return out
 
 
 def replay(tape: Tape, overrides: Optional[Dict[int, np.ndarray]] = None):
-    """Recompute the node values, substituting variable values from ``overrides``.
+    """Recompute the recorded nodes, substituting variable values from ``overrides``.
 
-    Nodes with no variable behind them cannot change, so they keep their
-    recorded values. Returns (values, max_signatures) where max_signatures
-    maps the index of each ``segment_max`` node with a variable behind it to
-    the rows that won its maxima, used to detect kink crossings.
+    Unrecorded nodes have no variable behind them and cannot change, so a
+    recorded node reads an unrecorded parent's value from the parent. Returns
+    (values, max_signatures): values maps each recorded node's index to its
+    value, and max_signatures maps the index of each recorded ``segment_max``
+    node to the rows that won its maxima, used to detect kink crossings.
     """
-    _require_graph(tape)
     overrides = overrides or {}
+    variables = {var.index for var in tape.variables}
     for index in overrides:
-        if not (0 <= index < len(tape.nodes) and tape.nodes[index].is_variable):
+        if index not in variables:
             raise ContractError(f"replay overrides node#{index}, which is not a variable")
-    values: List[np.ndarray] = []
+    values: Dict[int, np.ndarray] = {}
     signatures: Dict[int, np.ndarray] = {}
     with np.errstate(over="ignore", invalid="ignore"):  # as in Tape._record; a probe may leave the domain
         for node in tape.nodes:
-            if node.fwd is None or not node.requires_grad:
-                values.append(overrides.get(node.index, node.value))
+            if node.fwd is None:
+                values[node.index] = overrides.get(node.index, node.value)
             else:
-                pv = tuple(values[p.index] for p in node.parents)
-                values.append(np.asarray(node.fwd(*pv), dtype=np.float64))
+                pv = tuple(values[p.index] if p.requires_grad else p.value for p in node.parents)
+                values[node.index] = np.asarray(node.fwd(*pv), dtype=np.float64)
                 kink = tape._kinks.get(node.index)
                 if kink is not None:
                     signatures[node.index] = kink(pv[0])
@@ -452,7 +438,8 @@ class GradientCheckReport:
 
 def gradient_check(tape: Tape, root: Node, step: float = 1e-5, tolerance: float = 1e-4) -> GradientCheckReport:
     """Compare backward() against central finite differences, entry by entry.
-    A probe whose central difference is not finite fails its entry."""
+    A probe whose central difference or analytic gradient is not finite fails
+    its entry."""
     if step <= 0:
         raise ContractError("step must be positive")
     if root.value.shape != ():
@@ -472,12 +459,14 @@ def gradient_check(tape: Tape, root: Node, step: float = 1e-5, tolerance: float 
             if any(not np.array_equal(sig_p[k], sig_m[k]) for k in sig_p):
                 report.entries_flagged += 1
                 continue
-            fd = (float(vals_p[root.index]) - float(vals_m[root.index])) / (2.0 * step)
+            # a root with no variable behind it is not recorded: its value is fixed
+            f_p, f_m = (float(vals.get(root.index, root.value)) for vals in (vals_p, vals_m))
+            fd = (f_p - f_m) / (2.0 * step)
             ad = float(analytic[var.name].flat[j])
             scale = max(abs(ad), abs(fd))
             # below the scale floor the comparison degenerates to absolute
             err = abs(ad - fd) / scale if scale > 1e-6 else abs(ad - fd)
-            if not np.isfinite(fd):
+            if not (np.isfinite(fd) and np.isfinite(ad)):
                 err = np.inf
             worst = max(worst, err)
             report.entries_checked += 1

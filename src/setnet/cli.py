@@ -131,7 +131,7 @@ def cmd_check_equivariance(args) -> int:
             layers = [
                 EquivariantLayer(args.channels, 8, "channel_full", "tanh", rng=rng, name="d1"),
                 EquivariantLayer(8, 8, "channel_factored", "tanh", rng=rng, name="d2"),
-                EquivariantLayer(8, args.channels, "scalar_sum" if args.channels == 1 else "channel_full", "identity", rng=rng, name="d3"),
+                EquivariantLayer(8, args.channels, "channel_full", "identity", rng=rng, name="d3"),
             ]
 
             def f(x):
@@ -205,7 +205,7 @@ def cmd_train(args) -> int:
         )
     summary = [
         f"experiment={config.experiment}",
-        f"variant={config.variant}",
+        *([f"variant={config.variant}"] if config.variant else []),
         f"epochs={config.epochs}",
         f"best_epoch={result.best_epoch}",
         f"best_val_{model.metric_name}={result.best_metric!r}",

@@ -1,13 +1,12 @@
 """Permutation-equivariant layers, set pooling, set dropout and dense layers.
 
-The equivariant layers come in four variants built around one template:
+The equivariant layers come in two forms built around one template:
 
     y = sigma(x A  +  s * (1 agg(x)) G  [+ beta])
 
-where ``agg`` is a sum or max over each set's members, ``s`` is +1 for the
-sum family and -1 for the max-normalising family, and the scalar variants tie
-A, G to single numbers with one channel. Because the aggregate ignores member
-order, every variant is permutation-equivariant; pooling the output over each
+where ``agg`` is a sum or max over each set's members and ``s`` is +1 for a
+sum and -1 for the max-normalising max. Because the aggregate ignores member
+order, every form is permutation-equivariant; pooling the output over each
 set then gives a permutation-invariant set representation.
 
 A batch is packed: the member rows of all its sets stacked one set after
@@ -45,7 +44,7 @@ from .errors import (
     FormatError,
 )
 
-EQ_VARIANTS = ("scalar_sum", "scalar_max", "channel_full", "channel_factored")
+EQ_VARIANTS = ("channel_full", "channel_factored")
 POOL_KINDS = ("sum", "max", "mean")
 
 
@@ -146,8 +145,6 @@ class EquivariantLayer:
     """One permutation-equivariant layer over the member rows of set batches.
 
     variant:
-      scalar_sum       1 channel, y = sigma(lam*x + gam*agg(x)); agg defaults to sum
-      scalar_max       1 channel, y = sigma(lam*x - gam*max(x))
       channel_full     y = sigma(x Lam - 1 max(x) Gam), or + 1 sum(x) Gam with aggregate="sum"
       channel_factored y = sigma(beta + (x - 1 max(x)) Gam), one weight matrix plus bias
     """
@@ -166,27 +163,16 @@ class EquivariantLayer:
             raise DimensionError(f"unknown variant {variant!r}")
         if activation not in T.NONLINEARITIES:
             raise DimensionError(f"unknown activation {activation!r}")
-        if variant.startswith("scalar") and (k_in != 1 or k_out != 1):
-            raise DimensionError("scalar variants require one input and one output channel")
         self.variant = variant
         self.k_in = k_in
         self.k_out = k_out
         self.activation = activation
         self.name = name
-        if variant == "scalar_sum":
-            self.aggregate = aggregate or "sum"
-            self.sign = 1.0
-        elif variant == "scalar_max":
-            self.aggregate = aggregate or "max"
-            self.sign = -1.0
-        elif variant == "channel_full":
-            self.aggregate = aggregate or "max"
-            self.sign = -1.0 if self.aggregate == "max" else 1.0
-        else:  # channel_factored: max-normalisation is the point of the variant
-            self.aggregate = "max"
-            self.sign = -1.0
+        # channel_factored: max-normalisation is the point of the variant
+        self.aggregate = (aggregate or "max") if variant == "channel_full" else "max"
         if self.aggregate not in ("sum", "max"):
             raise DimensionError(f"unknown aggregate {self.aggregate!r}")
+        self.sign = -1.0 if self.aggregate == "max" else 1.0
 
         rng = rng or np.random.default_rng(0)
         if variant == "channel_factored":
@@ -345,10 +331,11 @@ class Flatten:
 
 
 def evaluate(module, batch: SetBatch, **options) -> np.ndarray:
-    """Value of ``module.apply`` on ``batch``: parameters are constants on a
-    ``ForwardTape`` and no rng is passed, so dropout is off. ``options`` go on
-    to ``apply`` (a model's ``upto``)."""
-    tape = ad.ForwardTape()
+    """Value of ``module.apply`` on ``batch``: parameters are constants and no
+    rng is passed, so dropout is off. With no variables the tape records
+    nothing, and each intermediate is freed as soon as nothing uses it.
+    ``options`` go on to ``apply`` (a model's ``upto``)."""
+    tape = ad.Tape()
     bound = {p.name: tape.constant(p.value) for p in module.params()}
     return module.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, **options).value
 

@@ -16,7 +16,8 @@ values into trained parameters or moments writes in place:
 
 ``step`` validates every gradient before touching any state, so a non-finite
 gradient refuses the whole step instead of corrupting the parameters or the
-moments.
+moments. It is the one finiteness check gradients get: ``autodiff.backward``
+does not check them.
 """
 
 from __future__ import annotations

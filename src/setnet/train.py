@@ -70,10 +70,8 @@ _MNIST_AUTO_WIDTH = {"I": 55, "II": 55, "III": 150, "IV": 128}
 
 _COMMON_DEFAULTS = {
     "seed": "0",
-    "model.activation": "",  # empty value: use the experiment default
-    "model.pool": "sum",
+    "model.activation": "tanh",
     "model.dropout": "0.0",
-    "model.dropout_simultaneous": "true",
     "optimizer.kind": "adam",
     "optimizer.lr": "0.001",
     "optimizer.beta1": "0.9",
@@ -81,28 +79,29 @@ _COMMON_DEFAULTS = {
     "optimizer.clip_norm": "0.0",
     "train.batch_size": "32",
     "train.epochs": "30",
-    "data.source": "synthetic",
 }
 
 _EXPERIMENT_DEFAULTS = {
     "mnist_sum": {
         **_COMMON_DEFAULTS,
         "model.variant": "IV",
+        "model.activation": "elu",
         "model.width": "0",  # 0: per-variant auto width
         "model.trunk": "128",
+        "model.pool": "sum",
         "model.dropout": "0.2",
+        "model.dropout_simultaneous": "true",
         "data.set_size": "3",
         "data.train_sets": "2000",
         "data.val_sets": "1000",
         "data.source_count": "12000",
         "data.styles_per_class": "4",
         "data.noise": "0.15",
-        "data.images": "",
+        "data.images": "",  # IDX files, read when set; else synthetic digits
         "data.labels": "",
     },
     "pointcloud": {
         **_COMMON_DEFAULTS,
-        "model.variant": "equivariant",
         "model.widths": "64,64,64",
         "model.trunk": "64",
         "model.pool": "max",
@@ -118,6 +117,7 @@ _EXPERIMENT_DEFAULTS = {
         "model.variant": "equivariant",
         "model.widths": "128,128,128,1",
         "model.dropout": "0.5",
+        "model.dropout_simultaneous": "true",
         "optimizer.lr": "0.003",
         "data.train_sets": "240",
         "data.val_sets": "60",
@@ -188,13 +188,9 @@ class ExperimentConfig:
         self.values = resolve_config(values)
         self.experiment = self.values["experiment"]
         self.seed = self._int("seed", minimum=0)
-        self.variant = self.values["model.variant"]
-        self.activation = self.values["model.activation"] or (
-            "elu" if self.experiment == "mnist_sum" else "tanh"
-        )
-        self.pool = self.values["model.pool"]
+        self.variant = self.values.get("model.variant")  # pointcloud has one model
+        self.activation = self.values["model.activation"]
         self.dropout = self._float("model.dropout", 0.0, 0.999)
-        self.dropout_simultaneous = self._bool("model.dropout_simultaneous")
         self.optimizer = self.values["optimizer.kind"]
         self.lr = self._float("optimizer.lr", 1e-9, 10.0)
         self.beta1 = self._float("optimizer.beta1", 0.0, 0.9999)
@@ -347,7 +343,7 @@ def _mnist_model(config: ExperimentConfig, input_dim: int, rng: np.random.Genera
     width = config._int("model.width", minimum=0) or _MNIST_AUTO_WIDTH[variant]
     trunk = config._int("model.trunk", minimum=1)
     # member rows share one mask per set if dropout_simultaneous; pooled rows draw every entry
-    drop = Dropout(config.dropout, config.dropout_simultaneous)
+    drop = Dropout(config.dropout, config._bool("model.dropout_simultaneous"))
     if variant in ("I", "II"):
         layers = [Flatten(interleave=variant == "II"), Dense(n * input_dim, width, act, rng, "fc1"), drop,
                   Dense(width, trunk, act, rng, "fc2")]
@@ -355,7 +351,8 @@ def _mnist_model(config: ExperimentConfig, input_dim: int, rng: np.random.Genera
         layers = [Dense(input_dim, width, act, rng, "enc"), drop]
         if variant == "IV":
             layers += [EquivariantLayer(width, trunk, "channel_factored", act, rng=rng, name="eq"), drop]
-        layers += [SetPool(config.pool), Dense(trunk if variant == "IV" else width, trunk, act, rng, "fc2")]
+        pool = SetPool(config.values["model.pool"])
+        layers += [pool, Dense(trunk if variant == "IV" else width, trunk, act, rng, "fc2")]
     layers += [drop, Dense(trunk, 9 * n + 1, "identity", rng, "out")]
     return SetModel(layers, "accuracy", True, set_size=n)
 
@@ -383,7 +380,7 @@ def evaluate_classifier(model: SetModel, dataset: LabeledSetDataset, batch_size:
         batch = make_set_batch(dataset, idx)
         labels = dataset.set_labels[idx]
         logits = evaluate(model, batch)
-        total_loss += float(ad.softmax_cross_entropy(ad.ForwardTape().constant(logits), labels).value) * len(idx)
+        total_loss += float(ad.softmax_cross_entropy(ad.Tape().constant(logits), labels).value) * len(idx)
         hits += int(np.sum(np.argmax(logits, axis=1) == labels))
     n = len(dataset)
     return total_loss / n, hits / n
@@ -566,7 +563,9 @@ def build_experiment_data(config: ExperimentConfig) -> Tuple[LabeledSetDataset, 
     v = config.values
     if config.experiment == "mnist_sum":
         n = config._int("data.set_size", minimum=1)
-        if v["data.source"] == "files":
+        if v["data.images"] or v["data.labels"]:
+            if not (v["data.images"] and v["data.labels"]):
+                raise ConfigError("data.images and data.labels must be set together")
             images, labels = load_mnist_idx(v["data.images"], v["data.labels"])
         else:
             images, labels = synth_digits(
@@ -622,7 +621,7 @@ def build_experiment_model(config: ExperimentConfig, train_data: LabeledSetDatas
             k = w
         trunk = config._int("model.trunk", minimum=1)
         drop = Dropout(config.dropout)  # on pooled rows: every entry draws its own mask
-        layers += [SetPool(config.pool), drop, Dense(k, trunk, act, init_rng, "fc"), drop,
+        layers += [SetPool(config.values["model.pool"]), drop, Dense(k, trunk, act, init_rng, "fc"), drop,
                    Dense(trunk, train_data.num_classes, "identity", init_rng, "out")]
         return SetModel(layers, "accuracy", True)
     if config.experiment == "setregression":
@@ -634,7 +633,7 @@ def build_experiment_model(config: ExperimentConfig, train_data: LabeledSetDatas
             raise ConfigError("last width must be 1 (one output per member)")
         equivariant = config.variant == "equivariant"
         # dropout between hidden layers; shared per set only for the set-aware variant
-        drop = Dropout(config.dropout, simultaneous=config.dropout_simultaneous and equivariant)
+        drop = Dropout(config.dropout, simultaneous=config._bool("model.dropout_simultaneous") and equivariant)
         layers = []
         for i, w in enumerate(widths):
             a = "identity" if i == len(widths) - 1 else act
@@ -711,7 +710,7 @@ def activation_maximization(
         act = float(objective.value)
         if it % history_every == 0:
             history.append(act)
-    tape = ad.ForwardTape()
+    tape = ad.Tape()
     final = float(unit_mean(tape, tape.constant(coords.value)).value)
     return ActMaxResult(
         points=coords.value.copy(),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from setnet import autodiff as ad
 from setnet.errors import ContractError, DimensionError, EmptyReductionError, NumericError
-from setnet.layers import Dense, EquivariantLayer, SetPool, bind
+from setnet.layers import Dense, EquivariantLayer, SetBatch, SetPool, bind, evaluate
 from setnet.tensor import Permutation
 
 
@@ -30,15 +30,34 @@ class TestForward:
         y = x - x.segment_max([2, 1]).repeat([2, 1])
         assert np.array_equal(y.value, [[-1.0], [0.0], [0.0]])
 
-    def test_forward_tape_keeps_values_only(self):
-        outs = []
-        for tape in (ad.Tape(), ad.ForwardTape()):
-            x = tape.constant(np.arange(6.0).reshape(3, 2))
-            outs.append(((x * 2.0 - 1.0).segment_max([2, 1]) * x.segment_sum([2, 1])).sum_all())
-        recorded, forward = outs
-        assert forward.value == recorded.value
-        assert forward.parents == () and forward.tape.nodes == []
-        assert len(recorded.tape.nodes) == 9
+    def test_tape_records_only_the_gradient_graph(self):
+        tape = ad.Tape()
+        x = tape.constant(np.arange(6.0).reshape(3, 2))
+        c = ((x * 2.0 - 1.0).segment_max([2, 1]) * x.segment_sum([2, 1])).sum_all()
+        assert c.value == 3.0 * 2.0 + 5.0 * 4.0 + 7.0 * 4.0 + 9.0 * 5.0
+        assert tape.nodes == [] and c.parents == () and c.fwd is None and not c.requires_grad
+        w = tape.variable(np.array([2.0, 3.0]), "w")
+        y = (w * c).sum_all()
+        assert tape.nodes == [w, y.parents[0], y] and y.parents[0].parents == (w, c)
+        assert all(n.op == "variable" or any(p.requires_grad for p in n.parents) for n in tape.nodes)
+        assert ad.backward(tape, y)["w"].tolist() == [c.value, c.value]
+
+    def test_error_numbers_are_distinct_on_an_evaluation_tape(self):
+        messages = []
+
+        class Overflow:
+            def params(self):
+                return []
+
+            def apply(self, tape, x, cards, bound, rng=None):
+                for _ in range(2):
+                    with pytest.raises(NumericError, match=r"node#\d+\[mul\]") as info:
+                        x * 1e308 * 1e308
+                    messages.append(str(info.value))
+                return x
+
+        evaluate(Overflow(), SetBatch(np.ones((2, 1)), [2]))
+        assert messages[0] != messages[1]
 
     def test_nonfinite_names_node(self):
         tape = ad.Tape()
@@ -135,13 +154,15 @@ class TestBackward:
         if 1 in variable_sides:
             assert np.array_equal(grads["v1"], values[0].T @ np.ones((3, 2)))
 
-    def test_forward_tape_refuses_differentiation_and_replay(self):
-        tape = ad.ForwardTape()
-        w = tape.variable(np.array([2.0, 3.0]), "w")
-        y = (w * w).sum_all()
-        for call in (lambda: ad.backward(tape, y), lambda: ad.replay(tape), lambda: ad.gradient_check(tape, y)):
-            with pytest.raises(ContractError, match="ForwardTape"):
-                call()
+    def test_root_without_variable_gets_zero_gradients(self):
+        tape = ad.Tape()
+        x = tape.variable(np.array([1.0, 2.0]), "x")
+        (x * x).sum_all()
+        c = tape.constant(np.array(3.0))
+        root = c * c
+        assert np.array_equal(ad.backward(tape, root)["x"], [0.0, 0.0])
+        report = ad.gradient_check(tape, root)
+        assert report.passed and report.entries_checked == 2 and report.max_rel_error == 0.0
 
     def test_three_layer_network_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -355,6 +376,14 @@ class TestGradientCheck:
         assert not report.passed
         assert len(report.failures) == 1 and report.failures[0].startswith("w[0]: ")
         assert report.summary().startswith("gradient check FAIL")
+
+    def test_non_finite_analytic_gradient_fails_its_entry(self):
+        tape = ad.Tape()
+        x = tape.variable(np.array(0.5), "x")
+        a, b, c = x * 1e308, x * 1e308, x * 1e308
+        loss = ((b + c) - a).sum_all()  # 1e308 * x, but the sweep adds c's and b's gradients first
+        report = ad.gradient_check(tape, loss)
+        assert not report.passed and report.failures[0].startswith("x[0]: analytic inf")
 
     def test_constant_subgraph_is_not_recomputed(self):
         x_val = np.array([[1.0, 4.0], [3.0, 2.0], [5.0, 0.0]])

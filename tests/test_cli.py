@@ -17,6 +17,27 @@ def test_check_equivariance_explicit_n_is_honoured(capsys):
     assert "DimensionError" in capsys.readouterr().err
 
 
+def test_check_equivariance_stack_demo_with_one_channel(capsys):
+    assert main(["check-equivariance", "--demo", "stack", "--channels", "1", "--trials", "3"]) == 0
+    assert "verdict=equivariant" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "experiment, setting",
+    [
+        ("mnist_sum", "data.source=files"),
+        ("pointcloud", "model.variant=banana"),
+        ("pointcloud", "model.dropout_simultaneous=false"),
+        ("pointcloud", "data.source=files"),
+        ("setregression", "model.pool=bogus"),
+        ("setregression", "data.source=files"),
+    ],
+)
+def test_settings_that_change_nothing_are_unknown_keys(tmp_path, capsys, experiment, setting):
+    assert main(["train", "--experiment", experiment, "--set", setting, "--out", str(tmp_path / "run")]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "content",
     [b"OFF\n-3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", b"OFF\n3 1 0\n0 0 0\n1 \xff 0\n0 1 0\n3 0 1 2\n"],

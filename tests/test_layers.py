@@ -33,7 +33,14 @@ from setnet.data import LabeledSetDataset
 from setnet.tensor import Permutation
 from setnet.train import ExperimentConfig, build_experiment_model
 
-VARIANTS = ["scalar_sum", "scalar_max", "channel_full", "channel_factored"]
+# (variant, channels, aggregate) per layer form; the scalar forms are channel_full
+# with one channel in and out, where numpy regroups the sums. None: drawn per case.
+FORMS = {
+    "scalar_sum": ("channel_full", 1, "sum"),
+    "scalar_max": ("channel_full", 1, "max"),
+    "channel_full": ("channel_full", None, None),
+    "channel_factored": ("channel_factored", None, "max"),
+}
 
 PROPERTY = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -51,8 +58,6 @@ def forward(layer, batch):
 
 
 def random_layer(variant, k_in, k_out, rng, activation="tanh", aggregate=None):
-    if variant.startswith("scalar"):
-        k_in = k_out = 1
     layer = EquivariantLayer(k_in, k_out, variant, activation, aggregate=aggregate, rng=rng)
     for p in layer.params():
         p.value = rng.normal(scale=0.7, size=p.value.shape)
@@ -74,10 +79,11 @@ def packed_batches(draw, channels=None, max_size=32, max_channels=8):
     return SetBatch(rng.normal(size=(sum(cards), k)), cards), rng
 
 
-def layer_case(draw, variant, k_in, max_out=8):
-    aggregate = None if variant == "channel_factored" else draw(st.sampled_from([None, "sum", "max"]))
+def layer_case(draw, form, k_in, max_out=8):
+    variant, channels, aggregate = FORMS[form]
+    aggregate = aggregate or draw(st.sampled_from([None, "sum", "max"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return random_layer(variant, k_in, draw(st.integers(1, max_out)), rng, aggregate=aggregate)
+    return random_layer(variant, k_in, channels or draw(st.integers(1, max_out)), rng, aggregate=aggregate)
 
 
 def per_member(out, batch):
@@ -111,7 +117,7 @@ def assert_isolated(fn, batch, tol=1e-12):
 
 class TestEquivariantExamples:
     def test_scalar_sum_reduces_to_identity(self):
-        layer = EquivariantLayer(1, 1, "scalar_sum", "identity")
+        layer = EquivariantLayer(1, 1, "channel_full", "identity", aggregate="sum")
         layer.lam.value = np.array([[1.0]])
         layer.gam.value = np.array([[0.0]])
         batch = single_set([1.0, 2.0, 3.0])
@@ -119,7 +125,7 @@ class TestEquivariantExamples:
         assert np.allclose(out.values, batch.values)
 
     def test_scalar_sum_adds_total(self):
-        layer = EquivariantLayer(1, 1, "scalar_sum", "identity")
+        layer = EquivariantLayer(1, 1, "channel_full", "identity", aggregate="sum")
         layer.lam.value = np.array([[1.0]])
         layer.gam.value = np.array([[1.0]])
         out = forward(layer, single_set([1.0, 2.0, 3.0]))
@@ -131,10 +137,6 @@ class TestEquivariantExamples:
         layer.beta.value = np.zeros(2)
         out = forward(layer, single_set([[1.0, 5.0], [3.0, 2.0]]))
         assert np.allclose(out.values, [[-2.0, 0.0], [0.0, -3.0]])
-
-    def test_scalar_variants_reject_channels(self):
-        with pytest.raises(DimensionError):
-            EquivariantLayer(2, 2, "scalar_sum")
 
     def test_channel_mismatch(self):
         layer = EquivariantLayer(3, 2, "channel_full")
@@ -153,13 +155,12 @@ class TestEquivariantExamples:
 
 
 class TestEquivarianceProperty:
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("form", FORMS)
     @PROPERTY
     @given(st.data())
-    def test_single_layer_equivariant(self, variant, data):
-        channels = 1 if variant.startswith("scalar") else None
-        batch, rng = data.draw(packed_batches(channels))
-        layer = layer_case(data.draw, variant, batch.channels)
+    def test_single_layer_equivariant(self, form, data):
+        batch, rng = data.draw(packed_batches(FORMS[form][1]))
+        layer = layer_case(data.draw, form, batch.channels)
         assert_equivariant(lambda b: evaluate(layer, b), batch, rng)
 
     def test_three_layer_composition_equivariant(self):
@@ -205,28 +206,14 @@ class TestEquivarianceProperty:
         batch, rng = case
         assert_equivariant(lambda b: evaluate(NormalizeSets(), b), batch, rng)
 
-    def test_max_reparametrization(self):
-        # subtracting gamma * max equals adding (-gamma) * max in the sum-family form
-        rng = np.random.default_rng(41)
-        lam, gam = 0.8, -1.3
-        max_form = EquivariantLayer(1, 1, "scalar_max", "tanh")
-        max_form.lam.value = np.array([[lam]])
-        max_form.gam.value = np.array([[gam]])
-        plus_form = EquivariantLayer(1, 1, "scalar_sum", "tanh", aggregate="max")
-        plus_form.lam.value = np.array([[lam]])
-        plus_form.gam.value = np.array([[-gam]])
-        batch = random_batch(rng, n_max=7, k=1)
-        assert np.array_equal(evaluate(max_form, batch), evaluate(plus_form, batch))
-
 
 class TestSegmentIsolation:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_layer_rows_match_set_alone(self, data):
-        variant = data.draw(st.sampled_from(VARIANTS))
-        channels = 1 if variant.startswith("scalar") else None
-        batch, _ = data.draw(packed_batches(channels))
-        layer = layer_case(data.draw, variant, batch.channels)
+        form = data.draw(st.sampled_from(list(FORMS)))
+        batch, _ = data.draw(packed_batches(FORMS[form][1]))
+        layer = layer_case(data.draw, form, batch.channels)
         assert_isolated(lambda b: evaluate(layer, b), batch)
 
     @PROPERTY
@@ -298,6 +285,27 @@ class TestModelProperties:
         model, batch, _ = data.draw(model_cases(experiment))
         assert_isolated(lambda b: evaluate(model, b), batch)
 
+    @pytest.mark.parametrize("experiment", list(MODEL_CASES))
+    def test_tape_records_the_gradient_graph_only(self, experiment):
+        model, rng = experiment_model(experiment, 0), np.random.default_rng(0)
+        batch = SetBatch(rng.normal(size=(6, MODEL_CASES[experiment][1])), [3, 3])  # mnist_sum sets have 3 members
+        tape = ad.Tape()
+        x = tape.constant(batch.values)
+        model.apply(tape, x, batch.cardinalities, bind(tape, model.params()), rng)
+        assert len(tape.nodes) > len(tape.variables) and x not in tape.nodes
+        assert all(n.op == "variable" or any(p.requires_grad for p in n.parents) for n in tape.nodes)
+        tapes = []
+
+        class Spy:
+            params = model.params
+
+            def apply(self, tape, *args, **options):
+                tapes.append(tape)
+                return model.apply(tape, *args, **options)
+
+        evaluate(Spy(), batch)
+        assert tapes[0].nodes == [] and tapes[0].variables == []
+
 
 def gradient_report(module, batch, rng, tie=False):
     """gradient_check of a random linear functional of ``module``'s output,
@@ -324,13 +332,12 @@ GRADIENT = settings(max_examples=20, deadline=None, suppress_health_check=[Healt
 
 
 class TestGradientCheckProperty:
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("form", FORMS)
     @GRADIENT
     @given(st.data())
-    def test_equivariant_layer(self, variant, data):
-        channels = 1 if variant.startswith("scalar") else None
-        batch, rng = data.draw(packed_batches(channels, max_size=6, max_channels=3))
-        layer = layer_case(data.draw, variant, batch.channels, max_out=3)
+    def test_equivariant_layer(self, form, data):
+        batch, rng = data.draw(packed_batches(FORMS[form][1], max_size=6, max_channels=3))
+        layer = layer_case(data.draw, form, batch.channels, max_out=3)
         tie = data.draw(st.booleans())
         report = gradient_report(layer, batch, rng, tie)
         assert report.passed, report.failures[:3]

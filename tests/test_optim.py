@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setnet import autodiff as ad
 from setnet.errors import ConfigError, FormatError, NumericError
-from setnet.layers import Dense, Param, restore_params
+from setnet.layers import Dense, Param, bind, restore_params
 from setnet.optim import Optimizer
 
 
@@ -136,6 +139,23 @@ class TestContracts:
         assert opt.m["w"] == state_before[1]
         assert opt.v["w"] == state_before[2]
         assert opt.t == state_before[3]
+
+    def test_gradient_overflow_is_refused_by_step_without_a_warning(self):
+        p = Param("x", np.array(0.5))
+        opt = Optimizer("adam", [p], lr=0.1)
+        opt.step({"x": np.array(1.0)})
+        state_before = (p.value.copy(), opt.m["x"].copy(), opt.v["x"].copy(), opt.t)
+        tape = ad.Tape()
+        x = bind(tape, [p])["x"]
+        y = (x * 1.5e308 + x * 1.5e308).sum_all()  # finite forward, the gradient overflows
+        assert np.isfinite(y.value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grads = ad.backward(tape, y)
+        assert not np.isfinite(grads["x"])
+        with pytest.raises(NumericError, match="'x'"):
+            opt.step(grads)
+        assert (p.value, opt.m["x"], opt.v["x"], opt.t) == state_before
 
     def test_missing_gradient(self):
         opt = Optimizer("sgd", [Param("w", np.zeros(1))])

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from setnet import autodiff as ad
-from setnet.data import LabeledSetDataset, synth_clusters, synth_digits, build_sum_sets, synth_shapes
+from setnet.data import (
+    LabeledSetDataset,
+    build_sum_sets,
+    load_idx_images,
+    synth_clusters,
+    synth_digits,
+    synth_shapes,
+    write_idx_images,
+    write_idx_labels,
+)
 from setnet.errors import ConfigError, ContractError, DimensionError, FormatError
 from setnet.layers import Dense, SetBatch, SetPool, bind, evaluate, load_params, save_params
 from setnet.tensor import Permutation
@@ -75,6 +84,22 @@ class TestConfig:
     def test_invalid_variant(self):
         with pytest.raises(ConfigError):
             ExperimentConfig({"experiment": "mnist_sum", "model.variant": "V"})
+
+    def test_mnist_reads_idx_files_when_both_are_set(self, tmp_path):
+        rng = np.random.default_rng(0)
+        images = rng.integers(0, 256, size=(40, 4, 4))
+        write_idx_images(tmp_path / "images.idx", images)
+        write_idx_labels(tmp_path / "labels.idx", rng.integers(0, 10, size=40))
+        files = {"data.images": str(tmp_path / "images.idx"), "data.labels": str(tmp_path / "labels.idx")}
+        train, val = build_experiment_data(tiny_mnist_config(**files))
+        assert train.channels == val.channels == 16
+        pixels = {row.tobytes() for row in np.concatenate(train.sets + val.sets)}
+        assert pixels <= {row.tobytes() for row in load_idx_images(files["data.images"])}
+
+    @pytest.mark.parametrize("key", ["data.images", "data.labels"])
+    def test_mnist_idx_files_are_set_together(self, tmp_path, key):
+        with pytest.raises(ConfigError, match="together"):
+            build_experiment_data(tiny_mnist_config(**{key: str(tmp_path / "file.idx")}))
 
     def test_comment_and_blank_lines(self):
         parsed = parse_config_text("# a comment\n\nseed=4  # trailing\n")
