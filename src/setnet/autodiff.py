@@ -18,6 +18,14 @@ recorded. Gradients are exact for every differentiable composite;
 ``segment_max`` is given the single-argmax subgradient (lowest index on
 ties) and ``mean`` distributes 1/N, so training runs are deterministic.
 
+A recording tape and its nodes form a reference cycle (``Node.tape`` and
+``Tape.nodes``), which only the cyclic collector could free, and it runs on
+object counts, not bytes. So a training step calls ``Tape.release()`` once
+``backward`` has returned: the tape drops its recorded nodes, and the step's
+graph is freed by reference counting as soon as the step lets go of its
+output, loss and bound variables. ``backward``, ``replay`` and
+``gradient_check`` refuse a released tape.
+
 Set batches store their members as stacked rows, one set after another; the
 segment ops (``segment_sum``, ``segment_max`` and ``repeat``) move between
 those member rows and one row per set. When all sets of a batch have one
@@ -263,6 +271,13 @@ class Tape:
         self._created = 0  # nodes made so far, recorded or not
         self._var_names = set()
         self._kinks: Dict[int, Callable] = {}  # node index -> fn(input): the rows its max took
+        self.released = False
+
+    def release(self) -> None:
+        """Drop the recorded graph, so that nothing on the tape refers back to
+        its nodes. Call it after ``backward``; calling it twice is harmless."""
+        self.nodes, self.variables, self._kinks = [], [], {}
+        self.released = True
 
     def _append(self, value, parents, op, fwd, vjps, name, is_variable) -> Node:
         index = self._created
@@ -301,6 +316,11 @@ class Tape:
                 raise DimensionError(f"{op}: shapes {x.shape} and {y.shape} do not broadcast") from exc
 
         return self._record(op, (a, b), fwd=fwd, vjps=vjps)
+
+
+def _require_graph(tape: Tape) -> None:
+    if tape.released:
+        raise ContractError("the tape was released; its recorded graph is gone")
 
 
 def nonlinearity(x: Node, fn: str) -> Node:
@@ -352,8 +372,10 @@ def backward(tape: Tape, root: Node) -> GradientMap:
     Only recorded nodes are visited, and a vjp runs only for a recorded
     parent. A root with no variable behind it gives zero gradients. The
     gradients are not checked for finiteness here: ``Optimizer.step`` checks
-    them all at once before it changes anything.
+    them all at once before it changes anything. ``tape.nodes`` is left as
+    it was.
     """
+    _require_graph(tape)
     if root.tape is not tape:
         raise ContractError("root does not belong to this tape")
     if root.value.shape != ():
@@ -393,6 +415,7 @@ def replay(tape: Tape, overrides: Optional[Dict[int, np.ndarray]] = None):
     value, and max_signatures maps the index of each recorded ``segment_max``
     node to the rows that won its maxima, used to detect kink crossings.
     """
+    _require_graph(tape)
     overrides = overrides or {}
     variables = {var.index for var in tape.variables}
     for index in overrides:

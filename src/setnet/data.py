@@ -39,7 +39,9 @@ class LabeledSetDataset:
     For per-member regression, ``member_labels`` holds a target for every
     member and ``member_mask`` marks the subset whose labels are observed
     (available to training); synthetic generators keep the full ground truth
-    so evaluation can score every member.
+    so evaluation can score every member. ``observed_only`` marks a dataset
+    whose unobserved members have no ground truth, such as an ingested
+    catalog: evaluation scores only its observed members.
     """
 
     sets: List[np.ndarray]  # each [n_i, K] float64
@@ -47,6 +49,7 @@ class LabeledSetDataset:
     num_classes: Optional[int] = None
     member_labels: Optional[List[np.ndarray]] = None  # float per member
     member_mask: Optional[List[np.ndarray]] = None  # bool per member
+    observed_only: bool = False  # unobserved members carry a placeholder label
 
     def __post_init__(self):
         if not self.sets:
@@ -87,6 +90,7 @@ class LabeledSetDataset:
             num_classes=self.num_classes,
             member_labels=None if self.member_labels is None else [self.member_labels[i] for i in idx],
             member_mask=None if self.member_mask is None else [self.member_mask[i] for i in idx],
+            observed_only=self.observed_only,
         )
 
 
@@ -584,7 +588,7 @@ def load_cluster_catalog(
         sets.append(np.array([m[0] for m in members], dtype=np.float64))
         labels.append(np.array([m[1] for m in members], dtype=np.float64))
         masks.append(np.array([m[2] for m in members], dtype=bool))
-    return LabeledSetDataset(sets=sets, member_labels=labels, member_mask=masks)
+    return LabeledSetDataset(sets=sets, member_labels=labels, member_mask=masks, observed_only=True)
 
 
 def save_cluster_catalog(path, dataset: LabeledSetDataset, feature_names: Optional[Sequence[str]] = None) -> None:

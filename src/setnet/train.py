@@ -386,10 +386,10 @@ def evaluate_classifier(model: SetModel, dataset: LabeledSetDataset, batch_size:
     return total_loss / n, hits / n
 
 
-def evaluate_regressor(model: SetModel, dataset: LabeledSetDataset, batch_size: int = 64, observed_only: bool = False):
+def evaluate_regressor(model: SetModel, dataset: LabeledSetDataset, batch_size: int = 64):
     """Returns (masked-mse loss, scatter). Scatter scores every member with a
-    ground-truth label unless ``observed_only`` restricts it to the observed
-    (training-visible) subset, as with an ingested catalog."""
+    ground-truth label: all of them, or only the observed ones when
+    ``dataset.observed_only`` is set, as for an ingested catalog."""
     sq_sum = 0.0
     sq_count = 0.0
     preds: List[np.ndarray] = []
@@ -401,9 +401,11 @@ def evaluate_regressor(model: SetModel, dataset: LabeledSetDataset, batch_size: 
         diff = (pred - targets) * mask
         sq_sum += float(np.sum(diff * diff))
         sq_count += float(mask.sum())
-        keep = mask > 0 if observed_only else slice(None)
+        keep = mask > 0 if dataset.observed_only else slice(None)
         preds.append(pred[keep])
         truths.append(targets[keep])
+    if dataset.observed_only and sq_count == 0:
+        raise ContractError("no member of the evaluated sets has an observed label to score")
     loss = sq_sum / max(sq_count, 1.0)
     return loss, scatter_metric(np.concatenate(preds), np.concatenate(truths))
 
@@ -511,24 +513,26 @@ def train_loop(
         loss_count = 0
         for idx in batch_indices(len(train_data), config.batch_size, order):
             batch = make_set_batch(train_data, idx)
+            if not classification:
+                targets, mask = member_targets(train_data, idx)
+                if mask.sum() == 0:
+                    continue  # nothing labeled in this batch
             tape = ad.Tape()
             bound = bind(tape, params)
             try:
-                if not classification:
-                    targets, mask = member_targets(train_data, idx)
-                    if mask.sum() == 0:
-                        continue  # nothing labeled in this batch
                 out = model.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, dropout_rng)
                 if classification:
                     loss = ad.softmax_cross_entropy(out, train_data.set_labels[idx])
                 else:
                     loss = masked_mse(out, targets, mask)
                 grads = ad.backward(tape, loss)
+                tape.release()
                 opt.step(grads)
             except NumericError as exc:
                 raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
             loss_sum += float(loss.value) * len(idx)
             loss_count += len(idx)
+            del out, loss, grads, bound, tape  # the last references: the step's graph is freed here
         wall = time.perf_counter() - t0
         train_loss = loss_sum / max(loss_count, 1)
         emit(MetricsRecord(epoch, "train", train_loss, model.metric_name, float("nan"), wall))
@@ -706,6 +710,7 @@ def activation_maximization(
         tape = ad.Tape()
         objective = unit_mean(tape, tape.variable(coords.value, coords.name))
         grads = ad.backward(tape, -objective)
+        tape.release()
         opt.step(grads)
         act = float(objective.value)
         if it % history_every == 0:

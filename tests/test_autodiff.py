@@ -324,6 +324,43 @@ class TestSoftmaxCrossEntropy:
         assert float(node.value) == pytest.approx(0.0, abs=1e-12)
 
 
+class TestRelease:
+    def _step(self):
+        tape = ad.Tape()
+        x = tape.variable(np.array([[1.0, 4.0], [3.0, 2.0]]), "x")
+        return tape, (x.segment_max([2]) * x.segment_sum([2])).sum_all()
+
+    def test_backward_leaves_the_recorded_nodes(self):
+        tape, loss = self._step()
+        nodes = list(tape.nodes)
+        ad.backward(tape, loss)
+        assert tape.nodes == nodes and len(nodes) == 5 and not tape.released
+
+    def test_release_drops_the_graph_and_keeps_values(self):
+        tape, loss = self._step()
+        ad.backward(tape, loss)
+        value = loss.value
+        tape.release()
+        tape.release()  # a second call is harmless
+        assert tape.released and tape.nodes == [] and tape.variables == [] and tape._kinks == {}
+        assert loss.value == value
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tape, root: ad.backward(tape, root),
+            lambda tape, root: ad.replay(tape),
+            lambda tape, root: ad.gradient_check(tape, root),
+        ],
+        ids=["backward", "replay", "gradient_check"],
+    )
+    def test_a_released_tape_is_refused(self, call):
+        tape, loss = self._step()
+        tape.release()
+        with pytest.raises(ContractError, match="released"):
+            call(tape, loss)
+
+
 class TestGradientCheck:
     def test_linear_model_is_exact(self):
         rng = np.random.default_rng(2)

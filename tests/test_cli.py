@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+from setnet import cli
 from setnet.cli import _fail_code, main
 from setnet.errors import EmptyReductionError
 
@@ -105,3 +110,54 @@ def test_train_then_eval_reproduces_checkpoint_metric(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(out / "checkpoint_last.txt")] + args) == 0
     lines = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
     assert float(lines["reproduction_error"]) == 0.0
+
+
+class _Libc:
+    """Stands in for ``ctypes.CDLL(None)``: records ``mallopt`` calls."""
+
+    def __init__(self, result=1):
+        self.calls = []
+
+        def mallopt(param, value):  # a function, so the helper can set argtypes on it
+            self.calls.append((param, value))
+            return result
+
+        self.mallopt = mallopt
+
+
+def test_main_sets_the_allocator_thresholds(monkeypatch, capsys):
+    libc = _Libc()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    assert main(["verify-theorem", "--n", "3", "--trials", "1"]) == 0
+    assert libc.calls == [(-3, 32 << 20), (-1, 512 << 20)]
+
+
+def test_allocator_helper_stops_when_mallopt_refuses(monkeypatch):
+    libc = _Libc(result=0)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    cli._keep_freed_pages()
+    assert libc.calls == [(-3, 32 << 20)]
+
+
+def test_allocator_helper_is_a_no_op_without_mallopt(monkeypatch):
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+    cli._keep_freed_pages()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    cli._keep_freed_pages()
+
+
+def test_importing_setnet_leaves_the_allocator_alone():
+    # numpy is imported first: only what setnet itself does on import is watched
+    code = (
+        "import ctypes, numpy\n"
+        "opened = []\n"
+        "real = ctypes.CDLL\n"
+        "ctypes.CDLL = lambda name, *a, **k: opened.append(name) or real(name, *a, **k)\n"
+        "import setnet, setnet.cli\n"
+        "assert None not in opened, opened\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

@@ -1,3 +1,8 @@
+import dataclasses
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,7 @@ from setnet.data import (
     LabeledSetDataset,
     build_sum_sets,
     load_idx_images,
+    save_cluster_catalog,
     synth_clusters,
     synth_digits,
     synth_shapes,
@@ -413,6 +419,15 @@ class TestActivationMaximization:
         assert np.isfinite(result.activation)
         assert result.points.shape == (15, 3)
 
+    def test_one_graph_alive_with_the_collector_off(self, monkeypatch, small_model):
+        steps = _counting_tapes(monkeypatch)
+        gc.disable()
+        try:
+            activation_maximization(small_model, 0, 0, m=10, iterations=5, rng=np.random.default_rng(0))
+        finally:
+            gc.enable()
+        assert [live for live, _ in steps] == [1] * 5
+
     def test_bad_unit_rejected(self, small_model):
         with pytest.raises(ContractError):
             activation_maximization(small_model, 0, 99, m=10, iterations=1, rng=np.random.default_rng(0))
@@ -424,6 +439,93 @@ class TestEvaluateRegressor:
         ds = synth_clusters(4, (5, 8), rng, labeled_fraction=0.5)
         model = model_for("setregression", ds, model_widths="6,1")
         loss_all, scatter_all = evaluate_regressor(model, ds)
-        loss_obs, scatter_obs = evaluate_regressor(model, ds, observed_only=True)
+        loss_obs, scatter_obs = evaluate_regressor(model, dataclasses.replace(ds, observed_only=True))
         assert loss_all == loss_obs  # loss is always masked
         assert scatter_all != scatter_obs
+
+    def test_observed_only_without_a_label_is_refused(self):
+        ds = synth_clusters(3, (4, 6), np.random.default_rng(0), labeled_fraction=0.0)
+        model = model_for("setregression", ds, model_widths="6,1")
+        with pytest.raises(ContractError, match="observed label"):
+            evaluate_regressor(model, dataclasses.replace(ds, observed_only=True))
+
+    def test_catalog_val_scatter_scores_only_labeled_members(self, tmp_path):
+        # a catalog row without a label reads 0.0; scoring it would pick the best checkpoint on a placeholder
+        path = tmp_path / "catalog.csv"
+        save_cluster_catalog(path, synth_clusters(60, (16, 40), np.random.default_rng(1)))
+        config = ExperimentConfig({
+            "experiment": "setregression",
+            "data.catalog": str(path),
+            "data.feature_columns": ",".join(f"f{i}" for i in range(17)),
+            "data.label_column": "target",
+            "data.mask_column": "has_target",
+            "data.cluster_id_column": "cluster_id",
+            "train.epochs": "2",
+        })
+        train_data, val_data = build_experiment_data(config)
+        assert train_data.observed_only and val_data.observed_only
+        model = build_experiment_model(config, train_data)
+        result = train_loop(model, config, train_data, val_data)
+        logged = result.records[-1].metric_value  # epoch 2's val scatter, from the final parameters
+        everything = range(len(val_data))
+        pred = evaluate(model, make_set_batch(val_data, everything))[:, 0]
+        targets, mask = member_targets(val_data, everything)
+        labeled = mask > 0
+        assert 0 < labeled.sum() < labeled.size
+        assert logged == pytest.approx(scatter_metric(pred[labeled], targets[labeled]), rel=1e-12)
+        assert logged != pytest.approx(scatter_metric(pred, targets), rel=1e-3)
+
+
+def _counting_tapes(monkeypatch):
+    """Count the live tapes at every ``backward``; returns a list of
+    (live tapes, bytes of the recorded node values) per training step."""
+    live = weakref.WeakSet()
+    steps = []
+    real_backward = ad.backward
+
+    class CountedTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            live.add(self)
+
+    def backward(tape, root):
+        steps.append((len(live), sum(n.value.nbytes for n in tape.nodes)))
+        return real_backward(tape, root)
+
+    monkeypatch.setattr(ad, "Tape", CountedTape)
+    monkeypatch.setattr(ad, "backward", backward)
+    return steps
+
+
+class TestStepMemory:
+    """Each training step's graph is freed by reference counting within the
+    step, so memory follows one step's graph, not the cyclic collector."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"experiment": "pointcloud", "data.points": "50", "model.widths": "32,32,32", "model.trunk": "32"},
+            {"experiment": "setregression", "model.widths": "32,32,1"},
+        ],
+        ids=["pointcloud", "setregression"],
+    )
+    def test_one_graph_alive_with_the_collector_off(self, monkeypatch, values):
+        config = ExperimentConfig(
+            {**values, "data.train_sets": "96", "data.val_sets": "16", "train.batch_size": "8", "train.epochs": "1"}
+        )
+        train_data, val_data = build_experiment_data(config)
+        model = build_experiment_model(config, train_data)
+        steps = _counting_tapes(monkeypatch)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_loop(model, config, train_data, val_data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert len(steps) == 12
+        assert max(live for live, _ in steps) == 1
+        assert peak <= 3 * max(nbytes for _, nbytes in steps)
