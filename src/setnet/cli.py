@@ -194,12 +194,13 @@ def _probe_model(model, config: ExperimentConfig, train_data, args, rng):
 
 def cmd_train(args) -> int:
     config = _load_config(args)
+    train_data, val_data = build_experiment_data(config)
+    model = build_experiment_model(config, train_data)
+    # a config that cannot run has failed by now and leaves no directory behind
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.resolved.cfg"), "w") as fh:
         fh.write(config_lines(config.values))
-    train_data, val_data = build_experiment_data(config)
-    model = build_experiment_model(config, train_data)
     metrics_path = os.path.join(out_dir, "metrics.log")
     best_path = os.path.join(out_dir, "checkpoint_best.txt")
     last_path = os.path.join(out_dir, "checkpoint_last.txt")
@@ -217,8 +218,8 @@ def cmd_train(args) -> int:
         )
     summary = [
         f"experiment={config.experiment}",
-        *([f"variant={config.variant}"] if config.variant else []),
-        f"epochs={config.epochs}",
+        *([f"variant={config['model.variant']}"] if "model.variant" in config else []),
+        f"epochs={config['train.epochs']}",
         f"best_epoch={result.best_epoch}",
         f"best_val_{model.metric_name}={result.best_metric!r}",
     ]
@@ -257,7 +258,7 @@ def cmd_actmax(args) -> int:
     if args.checkpoint:
         arrays, _ = load_params(args.checkpoint)
         restore_params(model.params(), arrays)
-    rng = np.random.default_rng(args.seed if args.seed is not None else config.seed)
+    rng = np.random.default_rng(args.seed if args.seed is not None else config["seed"])
     result = activation_maximization(
         model, args.layer, args.unit, args.points, args.iters, rng, threshold=args.threshold
     )

@@ -55,6 +55,8 @@ class LabeledSetDataset:
         if not self.sets:
             raise DimensionError("dataset needs at least one set")
         k = self.sets[0].shape[1]
+        if k < 1:
+            raise DimensionError(f"sets need at least one channel, set 0 has shape {self.sets[0].shape}")
         for i, s in enumerate(self.sets):
             if s.ndim != 2 or s.shape[1] != k:
                 raise DimensionError(f"set {i} has shape {s.shape}, expected [n, {k}]")
@@ -128,6 +130,8 @@ def load_idx_labels(path) -> np.ndarray:
         if magic != IDX_MAGIC_LABELS:
             raise FormatError(f"{path}: bad magic 0x{magic:08x} at byte offset 0 (expected 0x{IDX_MAGIC_LABELS:08x})")
         raw = _read_exact(fh, count, path, "label data")
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after label data at byte offset {8 + count}")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.intp)
 
 
@@ -184,6 +188,8 @@ def build_sum_sets(
     flat = images.reshape(images.shape[0], -1)
     labels = np.asarray(labels)
     pool = np.arange(flat.shape[0]) if pool is None else np.asarray(pool)
+    if n > pool.size:
+        raise DimensionError(f"set size {n} exceeds the {pool.size} images it is drawn from")
     sets = []
     sums = np.empty(count, dtype=np.intp)
     for i in range(count):

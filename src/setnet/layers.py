@@ -169,7 +169,9 @@ class EquivariantLayer:
         self.activation = activation
         self.name = name
         # channel_factored: max-normalisation is the point of the variant
-        self.aggregate = (aggregate or "max") if variant == "channel_full" else "max"
+        if variant == "channel_factored" and aggregate not in (None, "max"):
+            raise DimensionError(f"channel_factored aggregates by max, got aggregate {aggregate!r}")
+        self.aggregate = aggregate or "max"
         if self.aggregate not in ("sum", "max"):
             raise DimensionError(f"unknown aggregate {self.aggregate!r}")
         self.sign = -1.0 if self.aggregate == "max" else 1.0

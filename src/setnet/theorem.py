@@ -80,7 +80,9 @@ def commutant_basis(n: int, threshold: float = 1e-8) -> List[np.ndarray]:
     transposition and extracting the null space by SVD; singular values below
     ``threshold`` times the largest are treated as zero.
     """
-    if not 2 <= n <= _EXHAUSTIVE_CAP:
+    if n < 2:
+        raise DimensionError(f"commutant_basis needs a set of at least 2 points, got n={n}")
+    if n > _EXHAUSTIVE_CAP:
         raise BudgetError(f"commutant_basis supports 2 <= n <= {_EXHAUSTIVE_CAP}, got {n}")
     trans = transposition_matrices(n)
     rows = []

@@ -28,7 +28,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import autodiff as ad
+from . import tensor as T
 from .data import (
+    SHAPE_CLASSES,
     LabeledSetDataset,
     build_sum_sets,
     load_cluster_catalog,
@@ -40,6 +42,7 @@ from .data import (
 )
 from .errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
 from .layers import (
+    POOL_KINDS,
     Dense,
     Dropout,
     EquivariantLayer,
@@ -49,17 +52,18 @@ from .layers import (
     SetBatch,
     SetPool,
     bind,
-    count_params,
     evaluate,
     load_params,
     restore_params,
     save_params,
 )
-from .optim import Optimizer
+from .optim import KINDS, Optimizer
 
 EXPERIMENTS = ("mnist_sum", "pointcloud", "setregression")
 
 MNIST_VARIANTS = ("I", "II", "III", "IV")
+
+REGRESSION_VARIANTS = ("equivariant", "baseline_mlp")
 
 # hidden widths tuned so all four variants land within a 10% parameter band
 _MNIST_AUTO_WIDTH = {"I": 55, "II": 55, "III": 150, "IV": 128}
@@ -68,98 +72,142 @@ _MNIST_AUTO_WIDTH = {"I": 55, "II": 55, "III": 150, "IV": 128}
 # --- configuration ---------------------------------------------------------------
 
 
-_COMMON_DEFAULTS = {
-    "seed": "0",
-    "model.activation": "tanh",
-    "model.dropout": "0.0",
-    "optimizer.kind": "adam",
-    "optimizer.lr": "0.001",
-    "optimizer.beta1": "0.9",
-    "optimizer.beta2": "0.999",
-    "optimizer.clip_norm": "0.0",
-    "train.batch_size": "32",
-    "train.epochs": "30",
+# Every key of an experiment maps to (default text, type). The type is
+# written as:
+#   1                 an integer >= 1 (any int: the lower bound)
+#   (0.0, 1.0)        a number in [0.0, 1.0]
+#   bool              true/yes/1 or false/no/0, in any case
+#   POOL_KINDS        a tuple of names: exactly one of them
+#   [1], [str]        a comma list of such integers, or of free names (may be empty)
+#   [SHAPE_CLASSES]   a comma list of one or more names from the tuple
+#   str               free text, kept as written (a path, a column name, or empty)
+_DROPOUT = (0.0, 0.999)
+_LR = (1e-9, 10.0)
+
+_COMMON = {
+    "seed": ("0", 0),
+    "model.activation": ("tanh", T.NONLINEARITIES),
+    "model.dropout": ("0.0", _DROPOUT),
+    "optimizer.kind": ("adam", KINDS),
+    "optimizer.lr": ("0.001", _LR),
+    "optimizer.beta1": ("0.9", (0.0, 0.9999)),
+    "optimizer.beta2": ("0.999", (0.0, 0.99999)),
+    "optimizer.clip_norm": ("0.0", (0.0, 1e9)),  # 0: no clipping
+    "train.batch_size": ("32", 1),
+    "train.epochs": ("30", 1),
 }
 
-_EXPERIMENT_DEFAULTS = {
+_TABLES = {
     "mnist_sum": {
-        **_COMMON_DEFAULTS,
-        "model.variant": "IV",
-        "model.activation": "elu",
-        "model.width": "0",  # 0: per-variant auto width
-        "model.trunk": "128",
-        "model.pool": "sum",
-        "model.dropout": "0.2",
-        "model.dropout_simultaneous": "true",
-        "data.set_size": "3",
-        "data.train_sets": "2000",
-        "data.val_sets": "1000",
-        "data.source_count": "12000",
-        "data.styles_per_class": "4",
-        "data.noise": "0.15",
-        "data.images": "",  # IDX files, read when set; else synthetic digits
-        "data.labels": "",
+        **_COMMON,
+        "model.variant": ("IV", MNIST_VARIANTS),
+        "model.activation": ("elu", T.NONLINEARITIES),
+        "model.width": ("0", 0),  # 0: per-variant auto width
+        "model.trunk": ("128", 1),
+        "model.pool": ("sum", POOL_KINDS),
+        "model.dropout": ("0.2", _DROPOUT),
+        "model.dropout_simultaneous": ("true", bool),
+        "data.set_size": ("3", 1),
+        "data.train_sets": ("2000", 1),
+        "data.val_sets": ("1000", 1),
+        "data.source_count": ("12000", 10),
+        "data.styles_per_class": ("4", 1),
+        "data.noise": ("0.15", (0.0, 1.0)),
+        "data.images": ("", str),  # IDX files, read when set; else synthetic digits
+        "data.labels": ("", str),
     },
     "pointcloud": {
-        **_COMMON_DEFAULTS,
-        "model.widths": "64,64,64",
-        "model.trunk": "64",
-        "model.pool": "max",
-        "data.points": "100",
-        "data.train_sets": "400",
-        "data.val_sets": "200",
-        "data.classes": "sphere,cube,cylinder,torus",
-        "train.batch_size": "16",
-        "train.epochs": "25",
+        **_COMMON,
+        "model.widths": ("64,64,64", [1]),
+        "model.trunk": ("64", 1),
+        "model.pool": ("max", POOL_KINDS),
+        "data.points": ("100", 1),
+        "data.train_sets": ("400", 1),
+        "data.val_sets": ("200", 1),
+        "data.classes": ("sphere,cube,cylinder,torus", [SHAPE_CLASSES]),
+        "train.batch_size": ("16", 1),
+        "train.epochs": ("25", 1),
     },
     "setregression": {
-        **_COMMON_DEFAULTS,
-        "model.variant": "equivariant",
-        "model.widths": "128,128,128,1",
-        "model.dropout": "0.5",
-        "model.dropout_simultaneous": "true",
-        "optimizer.lr": "0.003",
-        "data.train_sets": "240",
-        "data.val_sets": "60",
-        "data.size_min": "16",
-        "data.size_max": "40",
-        "data.labeled_fraction": "0.3",
-        "data.features": "17",
-        "data.informative": "8",
-        "data.noise": "0.05",
-        "data.catalog": "",
-        "data.feature_columns": "",
-        "data.label_column": "",
-        "data.mask_column": "",
-        "data.cluster_id_column": "",
-        "train.batch_size": "16",
-        "train.epochs": "120",
+        **_COMMON,
+        "model.variant": ("equivariant", REGRESSION_VARIANTS),
+        "model.widths": ("128,128,128,1", [1]),
+        "model.dropout": ("0.5", _DROPOUT),
+        "model.dropout_simultaneous": ("true", bool),
+        "optimizer.lr": ("0.003", _LR),
+        "data.train_sets": ("240", 1),
+        "data.val_sets": ("60", 1),
+        "data.size_min": ("16", 1),
+        "data.size_max": ("40", 1),
+        "data.labeled_fraction": ("0.3", (0.0, 1.0)),
+        "data.features": ("17", 1),
+        "data.informative": ("8", 0),
+        "data.noise": ("0.05", (0.0, 10.0)),
+        "data.catalog": ("", str),  # a cluster catalog CSV, read when set; else synthetic clusters
+        "data.feature_columns": ("", [str]),
+        "data.label_column": ("", str),
+        "data.mask_column": ("", str),
+        "data.cluster_id_column": ("", str),
+        "train.batch_size": ("16", 1),
+        "train.epochs": ("120", 1),
     },
 }
+
+
+def _parse(key: str, text: str, kind):
+    """``text`` read as a ``kind`` written as in the table above; a ConfigError names ``key``."""
+    if isinstance(kind, list):
+        items = [_parse(key, t.strip(), kind[0]) for t in text.split(",") if t.strip()]
+        if not items and isinstance(kind[0], tuple):
+            raise ConfigError(f"{key} must name at least one of {kind[0]}")
+        return items
+    if kind is str:
+        return text
+    if kind is bool:
+        if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
+            raise ConfigError(f"{key} must be a boolean, got {text!r}")
+        return text.lower() in ("true", "1", "yes")
+    if isinstance(kind, tuple) and isinstance(kind[0], str):
+        if text not in kind:
+            raise ConfigError(f"{key} must be one of {kind}, got {text!r}")
+        return text
+    if isinstance(kind, int):
+        try:
+            v = int(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {text!r}") from None
+        if v < kind:
+            raise ConfigError(f"{key} must be >= {kind}")
+        return v
+    lo, hi = kind
+    try:
+        v = float(text)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {text!r}") from None
+    if not lo <= v <= hi:
+        raise ConfigError(f"{key} must be in [{lo}, {hi}]")
+    return v
 
 
 def default_config(experiment: str) -> Dict[str, str]:
-    if experiment not in _EXPERIMENT_DEFAULTS:
+    if experiment not in _TABLES:
         raise ConfigError(f"unknown experiment {experiment!r} (choose from {EXPERIMENTS})")
-    cfg = dict(_EXPERIMENT_DEFAULTS[experiment])
+    cfg = {key: default for key, (default, _) in _TABLES[experiment].items()}
     cfg["experiment"] = experiment
     return cfg
 
 
-def resolve_config(values: Dict[str, str], overrides: Optional[Dict[str, str]] = None) -> Dict[str, str]:
-    """Merge file values and overrides onto the experiment defaults.
+def resolve_config(values: Dict[str, str]) -> Dict[str, str]:
+    """Merge values onto the experiment defaults.
 
     Unknown keys are rejected so typos cannot silently change a run.
     """
-    merged = dict(values)
-    for k, v in (overrides or {}).items():
-        merged[k] = v
-    if "experiment" not in merged:
+    if "experiment" not in values:
         raise ConfigError("config must set 'experiment'")
-    cfg = default_config(merged["experiment"])
-    for k, v in merged.items():
-        if k != "experiment" and k not in cfg:
-            raise ConfigError(f"unknown config key {k!r} for experiment {merged['experiment']!r}")
+    cfg = default_config(values["experiment"])
+    for k, v in values.items():
+        if k not in cfg:
+            raise ConfigError(f"unknown config key {k!r} for experiment {values['experiment']!r}")
         cfg[k] = v
     return cfg
 
@@ -182,62 +230,20 @@ def parse_config_text(text: str) -> Dict[str, str]:
 
 
 class ExperimentConfig:
-    """Typed view over a resolved flat config dict."""
+    """A resolved config: ``values`` is every key's text, as written to
+    ``config.resolved.cfg``, and ``config[key]`` its value, parsed and
+    checked by the experiment's table when the config is built."""
 
     def __init__(self, values: Dict[str, str]):
         self.values = resolve_config(values)
         self.experiment = self.values["experiment"]
-        self.seed = self._int("seed", minimum=0)
-        self.variant = self.values.get("model.variant")  # pointcloud has one model
-        self.activation = self.values["model.activation"]
-        self.dropout = self._float("model.dropout", 0.0, 0.999)
-        self.optimizer = self.values["optimizer.kind"]
-        self.lr = self._float("optimizer.lr", 1e-9, 10.0)
-        self.beta1 = self._float("optimizer.beta1", 0.0, 0.9999)
-        self.beta2 = self._float("optimizer.beta2", 0.0, 0.99999)
-        self.clip_norm = self._float("optimizer.clip_norm", 0.0, 1e9)
-        self.batch_size = self._int("train.batch_size", minimum=1)
-        self.epochs = self._int("train.epochs", minimum=1)
-        if self.experiment == "mnist_sum" and self.variant not in MNIST_VARIANTS:
-            raise ConfigError(f"mnist_sum variant must be one of {MNIST_VARIANTS}")
-        if self.experiment == "setregression" and self.variant not in ("equivariant", "baseline_mlp"):
-            raise ConfigError("setregression variant must be 'equivariant' or 'baseline_mlp'")
+        self._parsed = {key: _parse(key, self.values[key], kind) for key, (_, kind) in _TABLES[self.experiment].items()}
 
-    def _int(self, key: str, minimum: Optional[int] = None) -> int:
-        try:
-            v = int(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {self.values[key]!r}") from None
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}")
-        return v
+    def __getitem__(self, key: str):
+        return self._parsed[key]
 
-    def _float(self, key: str, lo: float, hi: float) -> float:
-        try:
-            v = float(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {self.values[key]!r}") from None
-        if not lo <= v <= hi:
-            raise ConfigError(f"{key} must be in [{lo}, {hi}]")
-        return v
-
-    def _bool(self, key: str) -> bool:
-        v = self.values[key].lower()
-        if v in ("true", "1", "yes"):
-            return True
-        if v in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key} must be a boolean, got {self.values[key]!r}")
-
-    def int_list(self, key: str) -> List[int]:
-        toks = [t for t in self.values[key].split(",") if t.strip()]
-        try:
-            return [int(t) for t in toks]
-        except ValueError:
-            raise ConfigError(f"{key} must be a comma list of integers") from None
-
-    def str_list(self, key: str) -> List[str]:
-        return [t.strip() for t in self.values[key].split(",") if t.strip()]
+    def __contains__(self, key: str) -> bool:
+        return key in self._parsed
 
 
 # --- metrics ----------------------------------------------------------------------
@@ -338,12 +344,11 @@ def _mnist_model(config: ExperimentConfig, input_dim: int, rng: np.random.Genera
     pixel-major (channel stacking), III runs a shared per-member encoder and
     pools, IV inserts an equivariant layer between encoder and pooling.
     """
-    variant, act = config.variant, config.activation
-    n = config._int("data.set_size", minimum=1)
-    width = config._int("model.width", minimum=0) or _MNIST_AUTO_WIDTH[variant]
-    trunk = config._int("model.trunk", minimum=1)
+    variant, act = config["model.variant"], config["model.activation"]
+    n, trunk = config["data.set_size"], config["model.trunk"]
+    width = config["model.width"] or _MNIST_AUTO_WIDTH[variant]
     # member rows share one mask per set if dropout_simultaneous; pooled rows draw every entry
-    drop = Dropout(config.dropout, config._bool("model.dropout_simultaneous"))
+    drop = Dropout(config["model.dropout"], config["model.dropout_simultaneous"])
     if variant in ("I", "II"):
         layers = [Flatten(interleave=variant == "II"), Dense(n * input_dim, width, act, rng, "fc1"), drop,
                   Dense(width, trunk, act, rng, "fc2")]
@@ -351,22 +356,9 @@ def _mnist_model(config: ExperimentConfig, input_dim: int, rng: np.random.Genera
         layers = [Dense(input_dim, width, act, rng, "enc"), drop]
         if variant == "IV":
             layers += [EquivariantLayer(width, trunk, "channel_factored", act, rng=rng, name="eq"), drop]
-        pool = SetPool(config.values["model.pool"])
-        layers += [pool, Dense(trunk if variant == "IV" else width, trunk, act, rng, "fc2")]
+        layers += [SetPool(config["model.pool"]), Dense(trunk if variant == "IV" else width, trunk, act, rng, "fc2")]
     layers += [drop, Dense(trunk, 9 * n + 1, "identity", rng, "out")]
     return SetModel(layers, "accuracy", True, set_size=n)
-
-
-def mnist_parameter_report(set_size: int, trunk: int = 128) -> Dict[str, int]:
-    """Parameter counts of the four variants at their default widths."""
-    rng = np.random.default_rng(0)
-    report = {}
-    for v in MNIST_VARIANTS:
-        config = ExperimentConfig(
-            {"experiment": "mnist_sum", "model.variant": v, "data.set_size": str(set_size), "model.trunk": str(trunk)}
-        )
-        report[v] = count_params(_mnist_model(config, 784, rng).params())
-    return report
 
 
 # --- evaluation -------------------------------------------------------------------
@@ -454,14 +446,14 @@ def train_loop(
         raise ContractError("training dataset is empty")
     params = model.params()
     opt = Optimizer(
-        config.optimizer,
+        config["optimizer.kind"],
         params,
-        lr=config.lr,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        clip_norm=config.clip_norm or None,
+        lr=config["optimizer.lr"],
+        beta1=config["optimizer.beta1"],
+        beta2=config["optimizer.beta2"],
+        clip_norm=config["optimizer.clip_norm"] or None,
     )
-    seq = np.random.SeedSequence(config.seed)
+    seq = np.random.SeedSequence(config["seed"])
     shuffle_seq, dropout_seq = seq.spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)
@@ -506,12 +498,12 @@ def train_loop(
         }
         save_params(path, list(params) + extras, meta)
 
-    for epoch in range(start_epoch, config.epochs + 1):
+    for epoch in range(start_epoch, config["train.epochs"] + 1):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(train_data))
         loss_sum = 0.0
         loss_count = 0
-        for idx in batch_indices(len(train_data), config.batch_size, order):
+        for idx in batch_indices(len(train_data), config["train.batch_size"], order):
             batch = make_set_batch(train_data, idx)
             if not classification:
                 targets, mask = member_targets(train_data, idx)
@@ -561,83 +553,75 @@ def train_loop(
 
 
 def build_experiment_data(config: ExperimentConfig) -> Tuple[LabeledSetDataset, LabeledSetDataset]:
-    seq = np.random.SeedSequence(config.seed)
+    seq = np.random.SeedSequence(config["seed"])
     data_seq = seq.spawn(3)[2]  # distinct from the training streams
     rng = np.random.default_rng(data_seq)
-    v = config.values
+    train_sets, val_sets = config["data.train_sets"], config["data.val_sets"]
     if config.experiment == "mnist_sum":
-        n = config._int("data.set_size", minimum=1)
-        if v["data.images"] or v["data.labels"]:
-            if not (v["data.images"] and v["data.labels"]):
+        images, labels = config["data.images"], config["data.labels"]
+        if images or labels:
+            if not (images and labels):
                 raise ConfigError("data.images and data.labels must be set together")
-            images, labels = load_mnist_idx(v["data.images"], v["data.labels"])
+            images, labels = load_mnist_idx(images, labels)
         else:
             images, labels = synth_digits(
-                config._int("data.source_count", minimum=10),
+                config["data.source_count"],
                 rng,
-                styles_per_class=config._int("data.styles_per_class", minimum=1),
-                noise=config._float("data.noise", 0.0, 1.0),
+                styles_per_class=config["data.styles_per_class"],
+                noise=config["data.noise"],
             )
         train_pool, val_pool = split_instance_indices(images.shape[0], 0.8, rng)
-        train = build_sum_sets(images, labels, n, config._int("data.train_sets", minimum=1), rng, pool=train_pool)
-        val = build_sum_sets(images, labels, n, config._int("data.val_sets", minimum=1), rng, pool=val_pool)
-        return train, val
+        n = config["data.set_size"]
+        train = build_sum_sets(images, labels, n, train_sets, rng, pool=train_pool)
+        return train, build_sum_sets(images, labels, n, val_sets, rng, pool=val_pool)
     if config.experiment == "pointcloud":
-        classes = config.str_list("data.classes")
-        m = config._int("data.points", minimum=1)
-        train = synth_shapes(classes, m, config._int("data.train_sets", minimum=1), rng)
-        val = synth_shapes(classes, m, config._int("data.val_sets", minimum=1), rng)
-        return train, val
+        classes, m = config["data.classes"], config["data.points"]
+        return synth_shapes(classes, m, train_sets, rng), synth_shapes(classes, m, val_sets, rng)
     if config.experiment == "setregression":
-        if v["data.catalog"]:
-            feats = config.str_list("data.feature_columns")
-            full = load_cluster_catalog(
-                v["data.catalog"], feats, v["data.label_column"], v["data.mask_column"], v["data.cluster_id_column"]
-            )
+        if config["data.catalog"]:
+            columns = ("data.feature_columns", "data.label_column", "data.mask_column", "data.cluster_id_column")
+            full = load_cluster_catalog(config["data.catalog"], *(config[key] for key in columns))
             order = rng.permutation(len(full))
             cut = int(round(len(full) * 0.9))
             return full.subset(order[:cut]), full.subset(order[cut:])
-        size_range = (config._int("data.size_min", minimum=1), config._int("data.size_max", minimum=1))
         kwargs = dict(
-            size_range=size_range,
-            labeled_fraction=config._float("data.labeled_fraction", 0.0, 1.0),
-            num_features=config._int("data.features", minimum=1),
-            informative=config._int("data.informative", minimum=0),
-            noise=config._float("data.noise", 0.0, 10.0),
+            size_range=(config["data.size_min"], config["data.size_max"]),
+            labeled_fraction=config["data.labeled_fraction"],
+            num_features=config["data.features"],
+            informative=config["data.informative"],
+            noise=config["data.noise"],
         )
-        train = synth_clusters(config._int("data.train_sets", minimum=1), rng=rng, **kwargs)
-        val = synth_clusters(config._int("data.val_sets", minimum=1), rng=rng, **kwargs)
-        return train, val
+        return synth_clusters(train_sets, rng=rng, **kwargs), synth_clusters(val_sets, rng=rng, **kwargs)
     raise ConfigError(f"unknown experiment {config.experiment!r}")
 
 
 def build_experiment_model(config: ExperimentConfig, train_data: LabeledSetDataset) -> SetModel:
-    seq = np.random.SeedSequence(config.seed)
+    seq = np.random.SeedSequence(config["seed"])
     init_rng = np.random.default_rng(seq.spawn(4)[3])
-    act, k = config.activation, train_data.channels
+    act, k = config["model.activation"], train_data.channels
     if config.experiment == "mnist_sum":
         return _mnist_model(config, k, init_rng)
     if config.experiment == "pointcloud":
         # normalize -> equivariant stack -> set pool -> dense classifier
         layers: List = [NormalizeSets()]
-        for i, w in enumerate(config.int_list("model.widths")):
+        for i, w in enumerate(config["model.widths"]):
             layers.append(EquivariantLayer(k, w, "channel_factored", act, rng=init_rng, name=f"eq{i + 1}"))
             k = w
-        trunk = config._int("model.trunk", minimum=1)
-        drop = Dropout(config.dropout)  # on pooled rows: every entry draws its own mask
-        layers += [SetPool(config.values["model.pool"]), drop, Dense(k, trunk, act, init_rng, "fc"), drop,
+        trunk = config["model.trunk"]
+        drop = Dropout(config["model.dropout"])  # on pooled rows: every entry draws its own mask
+        layers += [SetPool(config["model.pool"]), drop, Dense(k, trunk, act, init_rng, "fc"), drop,
                    Dense(trunk, train_data.num_classes, "identity", init_rng, "out")]
         return SetModel(layers, "accuracy", True)
     if config.experiment == "setregression":
         # per-member regression; the equivariant and per-member MLP variants
         # have the same parameter count layer for layer (one weight matrix
         # plus one bias each)
-        widths = config.int_list("model.widths")
+        widths = config["model.widths"]
         if not widths or widths[-1] != 1:
             raise ConfigError("last width must be 1 (one output per member)")
-        equivariant = config.variant == "equivariant"
+        equivariant = config["model.variant"] == "equivariant"
         # dropout between hidden layers; shared per set only for the set-aware variant
-        drop = Dropout(config.dropout, simultaneous=config._bool("model.dropout_simultaneous") and equivariant)
+        drop = Dropout(config["model.dropout"], simultaneous=config["model.dropout_simultaneous"] and equivariant)
         layers = []
         for i, w in enumerate(widths):
             a = "identity" if i == len(widths) - 1 else act

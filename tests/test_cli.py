@@ -2,11 +2,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from setnet import cli
 from setnet.cli import _fail_code, main
+from setnet.data import save_cluster_catalog, synth_clusters
 from setnet.errors import EmptyReductionError
+from setnet.train import _TABLES
 
 SMALL_MNIST = ["--set", "data.source_count=200", "--set", "data.train_sets=8", "--set", "data.val_sets=4"]
 
@@ -41,6 +44,92 @@ def test_check_equivariance_stack_demo_with_one_channel(capsys):
 def test_settings_that_change_nothing_are_unknown_keys(tmp_path, capsys, experiment, setting):
     assert main(["train", "--experiment", experiment, "--set", setting, "--out", str(tmp_path / "run")]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def _bad_texts(kind):
+    """Texts that a key of type ``kind`` (written as in the table) must refuse; none for free text."""
+    if isinstance(kind, list):
+        return _bad_texts(kind[0]) + ([""] if isinstance(kind[0], tuple) else [])
+    if kind is str:
+        return []
+    if kind is bool:
+        return ["maybe"]
+    if isinstance(kind, int):
+        return [str(kind - 1), "6a"]
+    if isinstance(kind[0], str):
+        return ["bogus"]
+    lo, hi = kind
+    return [repr(lo - 1.0), repr(hi * 2 + 1.0), "x"]
+
+
+_BAD_SETTINGS = [
+    (experiment, key, text)
+    for experiment, table in _TABLES.items()
+    for key, (_, kind) in table.items()
+    for text in _bad_texts(kind)
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, key, text", _BAD_SETTINGS, ids=[f"{e}-{k}={t}" for e, k, t in _BAD_SETTINGS]
+)
+def test_bad_value_refused_before_any_output(tmp_path, capsys, experiment, key, text):
+    out = tmp_path / "run"
+    assert main(["train", "--experiment", experiment, "--set", f"{key}={text}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (ConfigError): {key} ")
+    assert not out.exists()
+
+
+def test_every_typed_key_has_a_bad_value():
+    typed = {(e, k) for e, k, _ in _BAD_SETTINGS}
+    counts = {e: len(table) for e, table in _TABLES.items()}
+    assert counts == {"mnist_sum": 23, "pointcloud": 17, "setregression": 26}
+    free = {(e, k) for e, table in _TABLES.items() for k in table if (e, k) not in typed}
+    assert free == {
+        ("mnist_sum", "data.images"), ("mnist_sum", "data.labels"), ("setregression", "data.catalog"),
+        ("setregression", "data.feature_columns"), ("setregression", "data.label_column"),
+        ("setregression", "data.mask_column"), ("setregression", "data.cluster_id_column"),
+    }
+
+
+@pytest.mark.parametrize(
+    "experiment, settings, error, message",
+    [
+        ("mnist_sum", ["data.images=images.idx"], "ConfigError", "must be set together"),
+        ("mnist_sum", ["data.source_count=10"], "DimensionError", "set size 3 exceeds the 2 images"),
+        ("setregression", ["model.widths=8,2"], "ConfigError", "last width must be 1"),
+        ("setregression", ["data.size_min=40", "data.size_max=16"], "DimensionError", "invalid size range"),
+        ("setregression", ["data.informative=18"], "DimensionError", "more informative channels"),
+    ],
+    ids=["images_without_labels", "set_above_pool", "last_width", "size_range", "informative_above_features"],
+)
+def test_cross_key_errors_leave_no_output(tmp_path, capsys, experiment, settings, error, message):
+    out = tmp_path / "run"
+    argv = ["train", "--experiment", experiment, "--out", str(out), "--set", "data.train_sets=4", "--set",
+            "data.val_sets=2"]
+    assert main(argv + [arg for kv in settings for arg in ("--set", kv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({error}): ") and message in err
+    assert not out.exists()
+
+
+def test_catalog_without_feature_columns_is_refused(tmp_path, capsys):
+    catalog = tmp_path / "cat.csv"
+    save_cluster_catalog(catalog, synth_clusters(30, (16, 40), np.random.default_rng(1)))
+    out = tmp_path / "run"
+    settings = [f"data.catalog={catalog}", "data.label_column=target", "data.mask_column=has_target",
+                "data.cluster_id_column=cluster_id", "train.epochs=2"]
+    argv = ["train", "--experiment", "setregression", "--out", str(out)]
+    assert main(argv + [arg for kv in settings for arg in ("--set", kv)]) == 2
+    assert "error (DimensionError): sets need at least one channel" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, code, error", [(1, 2, "DimensionError"), (0, 2, "DimensionError"), (8, 5, "BudgetError")])
+def test_verify_theorem_set_size_outside_range(capsys, n, code, error):
+    assert main(["verify-theorem", "--n", str(n), "--trials", "1"]) == code
+    assert capsys.readouterr().err.startswith(f"error ({error}): ")
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,19 @@ class TestIdx:
         with pytest.raises(FormatError, match="byte offset"):
             load_idx_images(path)
 
+    @pytest.mark.parametrize("kind", ["images", "labels"])
+    def test_trailing_bytes(self, tmp_path, kind):
+        path = tmp_path / "extra.idx"
+        if kind == "images":
+            write_idx_images(path, np.zeros((3, 2, 2), dtype=np.uint8))
+            load, what, end = load_idx_images, "pixel", 16 + 12
+        else:
+            write_idx_labels(path, np.array([1, 2, 3]))
+            load, what, end = load_idx_labels, "label", 8 + 3
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(FormatError, match=f"trailing bytes after {what} data at byte offset {end}"):
+            load(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
         path.write_bytes(b"\x00\x00\x08\x05" + b"\x00" * 12)
@@ -96,6 +109,11 @@ class TestSumSets:
         rng = np.random.default_rng(0)
         ds = build_sum_sets(images, labels, n=3, count=5, rng=rng)
         assert all(lab == 8 for lab in ds.set_labels)
+
+    def test_set_larger_than_pool_refused(self):
+        with pytest.raises(DimensionError, match="set size 3 exceeds the 2 images"):
+            build_sum_sets(np.zeros((5, 2, 2)), np.arange(5), n=3, count=1, rng=np.random.default_rng(0),
+                           pool=np.array([0, 4]))
 
     def test_labels_bounded_by_9n(self):
         rng = np.random.default_rng(1)
@@ -437,6 +455,12 @@ class TestClusterCatalog:
         assert len(ds) == 1
         assert ds.sets[0].shape == (2, 1)
 
+    def test_no_feature_columns_refused(self, tmp_path):
+        path = tmp_path / "catalog.csv"
+        save_cluster_catalog(path, synth_clusters(3, (2, 4), np.random.default_rng(0)))
+        with pytest.raises(DimensionError, match="at least one channel"):
+            load_cluster_catalog(path, [], "target", "has_target", "cluster_id")
+
 
 class TestSynthClusters:
     def test_structure(self):
@@ -465,6 +489,8 @@ class TestLabeledSetDataset:
             LabeledSetDataset(sets=[np.zeros((2, 3)), np.zeros((2, 4))])
         with pytest.raises(DimensionError):
             LabeledSetDataset(sets=[np.zeros((2, 3))], set_labels=np.array([0, 1]))
+        with pytest.raises(DimensionError, match="at least one channel"):
+            LabeledSetDataset(sets=[np.zeros((2, 0))])
 
     def test_subset(self):
         ds = synth_clusters(6, (3, 4), np.random.default_rng(0))

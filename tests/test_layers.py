@@ -143,6 +143,11 @@ class TestEquivariantExamples:
         with pytest.raises(DimensionError):
             evaluate(layer, single_set([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("aggregate", ["sum", "mean", "bogus"])
+    def test_factored_refuses_other_aggregates(self, aggregate):
+        with pytest.raises(DimensionError, match="channel_factored aggregates by max"):
+            EquivariantLayer(2, 3, "channel_factored", aggregate=aggregate)
+
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyReductionError):
             SetBatch(np.zeros((3, 2)), [3, 0])

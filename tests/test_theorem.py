@@ -94,7 +94,7 @@ class TestCommutantBasis:
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
     def test_out_of_range(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(DimensionError):
             commutant_basis(1)
         with pytest.raises(BudgetError):
             commutant_basis(8)

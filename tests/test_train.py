@@ -19,9 +19,11 @@ from setnet.data import (
     write_idx_labels,
 )
 from setnet.errors import ConfigError, ContractError, DimensionError, FormatError
-from setnet.layers import Dense, SetBatch, SetPool, bind, evaluate, load_params, save_params
+from setnet.layers import Dense, SetBatch, SetPool, bind, count_params, evaluate, load_params, save_params
 from setnet.tensor import Permutation
 from setnet.train import (
+    EXPERIMENTS,
+    MNIST_VARIANTS,
     ExperimentConfig,
     MetricsRecord,
     SetModel,
@@ -35,7 +37,6 @@ from setnet.train import (
     make_set_batch,
     masked_mse,
     member_targets,
-    mnist_parameter_report,
     parse_config_text,
     resolve_config,
     scatter_metric,
@@ -71,9 +72,18 @@ def tiny_mnist_config(**extra):
 
 class TestConfig:
     def test_defaults_round_trip_through_text(self):
-        cfg = default_config("pointcloud")
-        text = config_lines(cfg)
-        assert parse_config_text(text) == cfg
+        for experiment in EXPERIMENTS:
+            cfg = default_config(experiment)
+            assert parse_config_text(config_lines(cfg)) == cfg
+            assert ExperimentConfig(cfg).values == cfg
+
+    def test_values_are_parsed_at_load(self):
+        cfg = ExperimentConfig({"experiment": "pointcloud", "model.widths": " 8 , 4 ", "data.classes": "cube, torus"})
+        assert cfg["model.widths"] == [8, 4]
+        assert cfg["data.classes"] == ["cube", "torus"]
+        assert cfg["optimizer.lr"] == 0.001 and cfg["train.epochs"] == 25
+        assert cfg.values["model.widths"] == " 8 , 4 "  # the text as given, for config.resolved.cfg
+        assert "model.variant" not in cfg and "model.variant" in ExperimentConfig({"experiment": "mnist_sum"})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -152,8 +162,8 @@ class TestMnistModels:
             deviations.append(np.max(np.abs(permuted - base)))
         assert max(deviations) > 1e-3
 
-    def test_parameter_counts_within_ten_percent(self):
-        report = mnist_parameter_report(3)
+    def test_parameter_counts_within_ten_percent(self, digit_sets):
+        report = {v: count_params(model_for("mnist_sum", digit_sets, model_variant=v).params()) for v in MNIST_VARIANTS}
         counts = list(report.values())
         assert max(counts) <= 1.1 * min(counts), report
 
@@ -308,8 +318,8 @@ class TestTrainLoop:
         train_data, val_data = build_experiment_data(cfg)
         model = build_experiment_model(cfg, train_data)
         result = train_loop(model, cfg, train_data, val_data)
-        assert max(r.epoch for r in result.records) == cfg.epochs
-        assert len([r for r in result.records if r.split == "val"]) == cfg.epochs
+        assert max(r.epoch for r in result.records) == cfg["train.epochs"]
+        assert len([r for r in result.records if r.split == "val"]) == cfg["train.epochs"]
 
     def test_identical_seeds_identical_metrics(self):
         def run():
