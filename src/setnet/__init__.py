@@ -26,7 +26,6 @@ from .layers import (
     SetPool,
     evaluate,
 )
-from .tensor import Permutation
 
 __version__ = "0.1.0"
 
@@ -48,6 +47,5 @@ __all__ = [
     "NormalizeSets",
     "Dropout",
     "evaluate",
-    "Permutation",
     "__version__",
 ]

@@ -297,9 +297,9 @@ class Tape:
         self.variables.append(node)
         return node
 
-    def constant(self, value, name: Optional[str] = None) -> Node:
-        arr = T.as_tensor(value, name or "constant")
-        return self._append(arr, (), "constant", None, None, name, False)
+    def constant(self, value) -> Node:
+        arr = T.as_tensor(value, "constant")
+        return self._append(arr, (), "constant", None, None, None, False)
 
     def _record(self, op, parents, fwd, vjps) -> Node:
         pv = tuple(p.value for p in parents)
@@ -443,7 +443,6 @@ class GradientCheckReport:
     max_rel_error: float = 0.0
     entries_checked: int = 0
     entries_flagged: int = 0  # probes at non-differentiable (max-tie) points, excluded
-    per_variable: Dict[str, float] = field(default_factory=dict)
     failures: List[str] = field(default_factory=list)
 
     @property
@@ -495,6 +494,5 @@ def gradient_check(tape: Tape, root: Node, step: float = 1e-5, tolerance: float 
             report.entries_checked += 1
             if err > tolerance:
                 report.failures.append(f"{var.name}[{j}]: analytic {ad:.6e} vs central-difference {fd:.6e} (rel {err:.3e})")
-        report.per_variable[var.name] = worst
         report.max_rel_error = max(report.max_rel_error, worst)
     return report

@@ -18,8 +18,8 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,22 +143,6 @@ def load_mnist_idx(images_path, labels_path) -> Tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Inverse of load_idx_images; expects uint8 [count, rows, cols]."""
-    images = np.asarray(images, dtype=np.uint8)
-    count, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_MAGIC_IMAGES, count, rows, cols))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_MAGIC_LABELS, labels.shape[0]))
-        fh.write(labels.tobytes())
-
-
 # --- digit-sum sets --------------------------------------------------------------
 
 
@@ -204,8 +188,6 @@ def synth_digits(
     rng: np.random.Generator,
     styles_per_class: int = 4,
     noise: float = 0.2,
-    style_strength: float = 0.35,
-    side: int = 28,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Synthetic digit stand-ins with real class structure.
 
@@ -213,11 +195,11 @@ def synth_digits(
     other classes); styles are jittered variants of the class pattern, so a
     class forms a coherent cluster the way handwriting styles do. Patterns
     are upsampled to smooth blobs and pixel noise is added per sample.
-    Returns (images [count, side, side] in [0, 1], labels).
+    Returns (images [count, 28, 28] in [0, 1], labels).
     """
-    coarse = 7
+    coarse, side = 7, 28
     base = (rng.random((10, 1, coarse, coarse)) > 0.5).astype(np.float64)
-    jitter = style_strength * rng.standard_normal((10, styles_per_class, coarse, coarse))
+    jitter = 0.35 * rng.standard_normal((10, styles_per_class, coarse, coarse))
     templates = np.clip(base + jitter, 0.0, 1.0)
     # bilinear upsample the coarse grids into smooth blobs
     xs = np.linspace(0, coarse - 1, side)
@@ -230,21 +212,12 @@ def synth_digits(
         + templates[:, :, i0][:, :, :, i1] * (1 - frac)[None, None, :, None] * frac[None, None, None, :]
         + templates[:, :, i1][:, :, :, i1] * frac[None, None, :, None] * frac[None, None, None, :]
     )
+    # C order, so the images gathered from it are C-ordered and flatten as a view
+    up = np.ascontiguousarray(up)
     labels = rng.integers(0, 10, size=count)
     styles = rng.integers(0, styles_per_class, size=count)
     imgs = up[labels, styles] + noise * rng.standard_normal((count, side, side))
     return np.clip(imgs, 0.0, 1.0), labels.astype(np.intp)
-
-
-def exact_sum_distribution(label_frequencies: np.ndarray, n: int) -> np.ndarray:
-    """Distribution of the sum of n independent digit draws with the given
-    per-digit frequencies, by direct convolution. Oracle for set builders."""
-    freq = np.asarray(label_frequencies, dtype=np.float64)
-    freq = freq / freq.sum()
-    dist = np.array([1.0])
-    for _ in range(n):
-        dist = np.convolve(dist, freq)
-    return dist
 
 
 # --- meshes and point clouds ------------------------------------------------------
@@ -346,16 +319,6 @@ def load_off(path) -> TriangleMesh:
     return TriangleMesh(verts, np.array(faces, dtype=np.intp))
 
 
-def save_off(path, mesh: TriangleMesh) -> None:
-    with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(mesh.vertices)} {len(mesh.faces)} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {int(f[0])} {int(f[1])} {int(f[2])}\n")
-
-
 def sample_point_cloud(mesh: TriangleMesh, m: int, rng: np.random.Generator) -> np.ndarray:
     """m surface points: faces chosen by area, uniform within each triangle."""
     areas = mesh.face_areas()
@@ -443,7 +406,8 @@ def _sample_cube(m, rng):
     return pts
 
 
-def _sample_cylinder(m, rng, radius=0.7, height=2.0):
+def _sample_cylinder(m, rng):
+    radius, height = 0.7, 2.0
     side_area = 2 * np.pi * radius * height
     cap_area = np.pi * radius**2
     p_side = side_area / (side_area + 2 * cap_area)
@@ -462,7 +426,8 @@ def _sample_cylinder(m, rng, radius=0.7, height=2.0):
     return pts
 
 
-def _sample_torus(m, rng, big=1.0, small=0.35):
+def _sample_torus(m, rng):
+    big, small = 1.0, 0.35
     # rejection on the poloidal angle so the density matches the area element
     pts = np.empty((m, 3))
     filled = 0
@@ -519,43 +484,28 @@ def synth_shapes(
 
 def load_cluster_catalog(
     path,
-    feature_columns: Sequence[Union[str, int]],
-    label_column: Union[str, int],
-    mask_column: Union[str, int],
-    cluster_id_column: Union[str, int],
+    feature_columns: Sequence[str],
+    label_column: str,
+    mask_column: str,
+    cluster_id_column: str,
 ) -> LabeledSetDataset:
     """Group CSV rows by cluster id into variable-cardinality sets.
 
-    Columns may be named (requires a header row, detected by a non-numeric
-    first line) or given as 0-based indices. The mask column marks rows whose
-    label is an observed ground-truth estimate; other rows carry a zero label
-    and an unset mask.
+    The first row is the header: it names the columns, and the columns are
+    picked by those names. The mask column marks rows whose label is an
+    observed ground-truth estimate; other rows carry a zero label and an
+    unset mask.
     """
     rows = list(csv.reader(io.StringIO(_read_text(path, newline=""), newline="")))
     if not rows:
         raise FormatError(f"{path}: empty file")
+    header = [tok.strip() for tok in rows[0]]
 
-    def _is_number(tok: str) -> bool:
+    def _col(name: str, what: str) -> int:
         try:
-            float(tok)
-            return True
+            return header.index(name)
         except ValueError:
-            return False
-
-    header: Optional[List[str]] = None
-    if rows and not all(_is_number(tok) for tok in rows[0] if tok.strip()):
-        header = [tok.strip() for tok in rows[0]]
-        rows = rows[1:]
-
-    def _col(spec: Union[str, int], what: str) -> int:
-        if isinstance(spec, int):
-            return spec
-        if header is None:
-            raise FormatError(f"{path}: column {spec!r} named but file has no header row")
-        try:
-            return header.index(spec)
-        except ValueError:
-            raise FormatError(f"{path}: missing column {spec!r} ({what})") from None
+            raise FormatError(f"{path}: missing column {name!r} ({what})") from None
 
     feat_idx = [_col(c, "feature") for c in feature_columns]
     label_idx = _col(label_column, "label")
@@ -564,9 +514,7 @@ def load_cluster_catalog(
 
     clusters: Dict[str, List[Tuple[List[float], float, bool]]] = {}
     order: List[str] = []
-    base = 2 if header is not None else 1
-    for off, row in enumerate(rows):
-        lineno = off + base
+    for lineno, row in enumerate(rows[1:], 2):
         if not row or not any(tok.strip() for tok in row):
             continue
         needed = max(feat_idx + [label_idx, mask_idx, id_idx])
@@ -595,22 +543,6 @@ def load_cluster_catalog(
         labels.append(np.array([m[1] for m in members], dtype=np.float64))
         masks.append(np.array([m[2] for m in members], dtype=bool))
     return LabeledSetDataset(sets=sets, member_labels=labels, member_mask=masks, observed_only=True)
-
-
-def save_cluster_catalog(path, dataset: LabeledSetDataset, feature_names: Optional[Sequence[str]] = None) -> None:
-    """Write a catalog CSV that load_cluster_catalog round-trips."""
-    k = dataset.channels
-    names = list(feature_names) if feature_names else [f"f{i}" for i in range(k)]
-    if len(names) != k:
-        raise DimensionError("need one feature name per channel")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id"] + names + ["target", "has_target"])
-        for ci, members in enumerate(dataset.sets):
-            for mi in range(members.shape[0]):
-                label = dataset.member_labels[ci][mi] if dataset.member_labels is not None else 0.0
-                mask = int(dataset.member_mask[ci][mi]) if dataset.member_mask is not None else 0
-                writer.writerow([f"c{ci}"] + [repr(float(v)) for v in members[mi]] + [repr(float(label)), mask])
 
 
 def synth_clusters(

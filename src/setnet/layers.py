@@ -1,4 +1,4 @@
-"""Permutation-equivariant layers, set pooling, set dropout and dense layers.
+"""Set layers equivariant to member permutations, set pooling, set dropout and dense layers.
 
 The equivariant layers come in two forms built around one template:
 
@@ -95,14 +95,17 @@ class SetBatch:
         """Each set's member rows, in batch order."""
         return np.split(self.values, np.cumsum(self.cardinalities)[:-1])
 
-    def permute_members(self, perms: Sequence[T.Permutation]) -> "SetBatch":
-        """Reorder the members of each set by its permutation."""
+    def permute_members(self, perms: Sequence[np.ndarray]) -> "SetBatch":
+        """Reorder the members of each set by its index array: a set with
+        member rows ``rows`` and index array ``p`` becomes ``rows[p]``, so its
+        new row i is its old row ``p[i]``. Each ``p`` must be a bijection on
+        the set's member positions {0, ..., n-1}."""
         if len(perms) != self.num_sets:
             raise DimensionError("need one permutation per set")
         for b, (p, n) in enumerate(zip(perms, self.cardinalities)):
-            if p.n != n:
-                raise DimensionError(f"set {b} has {n} members, permutation has n={p.n}")
-        return self.with_values(np.concatenate([s[p.mapping] for s, p in zip(self.sets(), perms)]))
+            if not np.array_equal(np.sort(p), np.arange(n)):
+                raise DimensionError(f"set {b} has {n} members, and {p!r} is not a permutation of 0..{n - 1}")
+        return self.with_values(np.concatenate([s[p] for s, p in zip(self.sets(), perms)]))
 
 
 class Param:
@@ -463,7 +466,3 @@ def restore_params(params: Sequence[Param], arrays: Dict[str, np.ndarray]) -> No
         if arr.shape != p.value.shape:
             raise FormatError(f"{p.name}: checkpoint shape {arr.shape} != model shape {p.value.shape}")
         p.value[...] = arr
-
-
-def count_params(params: Sequence[Param]) -> int:
-    return int(sum(p.size for p in params))

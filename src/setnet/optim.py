@@ -42,7 +42,6 @@ class Optimizer:
         lr: float = 0.001,
         beta1: float = 0.9,
         beta2: float = 0.999,
-        eps: float = 1e-8,
         clip_norm: Optional[float] = None,
     ):
         if kind not in KINDS:
@@ -54,7 +53,6 @@ class Optimizer:
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
         size = sum(p.value.size for p in self.params)
@@ -107,9 +105,9 @@ class Optimizer:
             v *= b2  # v = b2*v + ((1-b2)*g)*g
             np.multiply(g, 1 - b2, out=tmp)
             v += np.multiply(tmp, g, out=tmp)
-            denom = np.divide(v, 1 - b2**self.t, out=g)  # sqrt(v/c2) + eps
+            denom = np.divide(v, 1 - b2**self.t, out=g)  # sqrt(v/c2) + 1e-8
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += 1e-8
             step = np.divide(m, 1 - b1**self.t, out=tmp)  # (lr*(m/c1)) / denom
             step *= self.lr
             step /= denom

@@ -4,16 +4,13 @@ A "tensor" here is simply a ``numpy.ndarray`` of dtype float64, and numpy
 supplies the arithmetic. This module holds what the tape's nodes rely on:
 the finiteness check every node value passes (so NaN/Inf surface as
 :class:`~setnet.errors.NumericError` instead of propagating), the shape-checked
-matrix product, the pointwise nonlinearities with their derivatives, and the
-``Permutation`` type that fixes the library's reordering convention.
+matrix product, and the pointwise nonlinearities with their derivatives.
 
 Reference oracles (a triple-loop matmul) live in the test suite,
 deliberately independent of this module.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,57 +32,6 @@ def ensure_finite(arr: Tensor, where: str) -> Tensor:
         bad = int(np.count_nonzero(~np.isfinite(arr)))
         raise NumericError(f"{where}: {bad} non-finite entries in result")
     return arr
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {0, ..., n-1}, stored as an index array.
-
-    The convention, fixed once for the whole library: applying ``p`` to a
-    tensor along an axis produces ``out[i] = x[p.mapping[i]]``, that is
-    ``x[p.mapping]`` along the first axis (``SetBatch.permute_members``
-    reorders members this way).
-    """
-
-    mapping: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mapping, dtype=np.intp)
-        if m.ndim != 1 or m.size == 0:
-            raise DimensionError("permutation mapping must be a non-empty 1-D index array")
-        if not np.array_equal(np.sort(m), np.arange(m.size)):
-            raise DimensionError("permutation mapping is not a bijection on {0..n-1}")
-        m.setflags(write=False)
-        object.__setattr__(self, "mapping", m)
-
-    @property
-    def n(self) -> int:
-        return int(self.mapping.size)
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(np.arange(n))
-
-    @staticmethod
-    def random(n: int, rng: np.random.Generator) -> "Permutation":
-        return Permutation(rng.permutation(n))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(np.argsort(self.mapping))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Permutation equivalent to applying ``other`` first, then ``self``:
-        ``x[p.mapping][q.mapping] == x[q.compose(p).mapping]``.
-        """
-        if self.n != other.n:
-            raise DimensionError(f"cannot compose permutations of sizes {self.n} and {other.n}")
-        return Permutation(other.mapping[self.mapping])
-
-    def matrix(self) -> Tensor:
-        """The n-by-n 0/1 matrix M with ``M @ x == x[self.mapping]``."""
-        m = np.zeros((self.n, self.n))
-        m[np.arange(self.n), self.mapping] = 1.0
-        return m
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,7 +75,8 @@ _MNIST_AUTO_WIDTH = {"I": 55, "II": 55, "III": 150, "IV": 128}
 # Every key of an experiment maps to (default text, type). The type is
 # written as:
 #   1                 an integer >= 1 (any int: the lower bound)
-#   (0.0, 1.0)        a number in [0.0, 1.0]
+#   (1, 1000)         an integer in [1, 1000] (a pair of ints)
+#   (0.0, 1.0)        a number in [0.0, 1.0] (a pair of floats)
 #   bool              true/yes/1 or false/no/0, in any case
 #   POOL_KINDS        a tuple of names: exactly one of them
 #   [1], [str]        a comma list of such integers, or of free names (may be empty)
@@ -110,8 +111,9 @@ _TABLES = {
         "data.set_size": ("3", 1),
         "data.train_sets": ("2000", 1),
         "data.val_sets": ("1000", 1),
-        "data.source_count": ("12000", 10),
-        "data.styles_per_class": ("4", 1),
+        # synth_digits allocates arrays in proportion to both, so both are bounded above
+        "data.source_count": ("12000", (10, 100000)),
+        "data.styles_per_class": ("4", (1, 1000)),
         "data.noise": ("0.15", (0.0, 1.0)),
         "data.images": ("", str),  # IDX files, read when set; else synthetic digits
         "data.labels": ("", str),
@@ -171,15 +173,17 @@ def _parse(key: str, text: str, kind):
         if text not in kind:
             raise ConfigError(f"{key} must be one of {kind}, got {text!r}")
         return text
-    if isinstance(kind, int):
+    lo, hi = (kind, None) if isinstance(kind, int) else kind
+    if isinstance(lo, int):
         try:
             v = int(text)
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {text!r}") from None
-        if v < kind:
-            raise ConfigError(f"{key} must be >= {kind}")
+        if v < lo:
+            raise ConfigError(f"{key} must be >= {lo}")
+        if hi is not None and v > hi:
+            raise ConfigError(f"{key} must be in [{lo}, {hi}]")
         return v
-    lo, hi = kind
     try:
         v = float(text)
     except ValueError:
@@ -364,11 +368,11 @@ def _mnist_model(config: ExperimentConfig, input_dim: int, rng: np.random.Genera
 # --- evaluation -------------------------------------------------------------------
 
 
-def evaluate_classifier(model: SetModel, dataset: LabeledSetDataset, batch_size: int = 64) -> Tuple[float, float]:
-    """Returns (mean cross-entropy, accuracy)."""
+def evaluate_classifier(model: SetModel, dataset: LabeledSetDataset) -> Tuple[float, float]:
+    """Returns (mean cross-entropy, accuracy), over batches of 64 sets."""
     total_loss = 0.0
     hits = 0
-    for idx in batch_indices(len(dataset), batch_size):
+    for idx in batch_indices(len(dataset), 64):
         batch = make_set_batch(dataset, idx)
         labels = dataset.set_labels[idx]
         logits = evaluate(model, batch)
@@ -378,15 +382,16 @@ def evaluate_classifier(model: SetModel, dataset: LabeledSetDataset, batch_size:
     return total_loss / n, hits / n
 
 
-def evaluate_regressor(model: SetModel, dataset: LabeledSetDataset, batch_size: int = 64):
-    """Returns (masked-mse loss, scatter). Scatter scores every member with a
-    ground-truth label: all of them, or only the observed ones when
-    ``dataset.observed_only`` is set, as for an ingested catalog."""
+def evaluate_regressor(model: SetModel, dataset: LabeledSetDataset):
+    """Returns (masked-mse loss, scatter), over batches of 64 sets. Scatter
+    scores every member with a ground-truth label: all of them, or only the
+    observed ones when ``dataset.observed_only`` is set, as for an ingested
+    catalog."""
     sq_sum = 0.0
     sq_count = 0.0
     preds: List[np.ndarray] = []
     truths: List[np.ndarray] = []
-    for idx in batch_indices(len(dataset), batch_size):
+    for idx in batch_indices(len(dataset), 64):
         batch = make_set_batch(dataset, idx)
         targets, mask = member_targets(dataset, idx)
         pred = evaluate(model, batch)[:, 0]
@@ -444,6 +449,8 @@ def train_loop(
     """
     if len(train_data) == 0:
         raise ContractError("training dataset is empty")
+    if train_data.member_mask is not None and not any(mask.any() for mask in train_data.member_mask):
+        raise ContractError("no member of the training sets has an observed label to train on")
     params = model.params()
     opt = Optimizer(
         config["optimizer.kind"],
@@ -645,7 +652,6 @@ class ActMaxResult:
     activation: float
     activated: bool
     iterations: int
-    history: List[float] = field(default_factory=list)
 
 
 def activation_maximization(
@@ -655,19 +661,15 @@ def activation_maximization(
     m: int,
     iterations: int,
     rng: np.random.Generator,
-    lr: float = 0.01,
-    beta1: float = 0.1,
-    beta2: float = 0.9,
     threshold: float = 0.5,
-    history_every: int = 100,
 ) -> ActMaxResult:
     """Optimize particle coordinates to excite one hidden unit.
 
     The objective is the mean, over the points, of one channel of the
-    ``layer_index``-th equivariant layer (before pooling). Runs Adamax on the
-    input coordinates, starting from uniformly scattered particles; the first
-    network layer normalizes its input, so the coordinates need no box
-    constraint. Units that never rise above ``threshold`` are reported as not
+    ``layer_index``-th equivariant layer (before pooling). Runs Adamax (lr
+    0.01, betas 0.1 and 0.9) on the input coordinates, starting from uniformly
+    scattered particles; the first network layer normalizes its input, so the
+    coordinates need no box constraint. Units that never rise above ``threshold`` are reported as not
     activated.
     """
     if iterations < 0:
@@ -688,17 +690,13 @@ def activation_maximization(
         h = model.apply(tape, x, cards, bound, upto=ends[layer_index])
         return (h @ tape.constant(selector)).mean(axis=0).sum_all()
 
-    opt = Optimizer("adamax", [coords], lr=lr, beta1=beta1, beta2=beta2)
-    history: List[float] = []
-    for it in range(iterations):
+    opt = Optimizer("adamax", [coords], lr=0.01, beta1=0.1, beta2=0.9)
+    for _ in range(iterations):
         tape = ad.Tape()
         objective = unit_mean(tape, tape.variable(coords.value, coords.name))
         grads = ad.backward(tape, -objective)
         tape.release()
         opt.step(grads)
-        act = float(objective.value)
-        if it % history_every == 0:
-            history.append(act)
     tape = ad.Tape()
     final = float(unit_mean(tape, tape.constant(coords.value)).value)
     return ActMaxResult(
@@ -706,5 +704,4 @@ def activation_maximization(
         activation=final,
         activated=final > threshold,
         iterations=iterations,
-        history=history,
     )

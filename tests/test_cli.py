@@ -7,9 +7,11 @@ import pytest
 
 from setnet import cli
 from setnet.cli import _fail_code, main
-from setnet.data import save_cluster_catalog, synth_clusters
+from setnet.data import synth_clusters
 from setnet.errors import EmptyReductionError
 from setnet.train import _TABLES
+
+from helpers import save_cluster_catalog
 
 SMALL_MNIST = ["--set", "data.source_count=200", "--set", "data.train_sets=8", "--set", "data.val_sets=4"]
 
@@ -59,6 +61,8 @@ def _bad_texts(kind):
     if isinstance(kind[0], str):
         return ["bogus"]
     lo, hi = kind
+    if isinstance(lo, int):
+        return [str(lo - 1), str(hi + 1), "6a"]
     return [repr(lo - 1.0), repr(hi * 2 + 1.0), "x"]
 
 
@@ -124,6 +128,15 @@ def test_catalog_without_feature_columns_is_refused(tmp_path, capsys):
     assert main(argv + [arg for kv in settings for arg in ("--set", kv)]) == 2
     assert "error (DimensionError): sets need at least one channel" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_regression_without_a_labeled_training_member_is_refused(tmp_path, capsys):
+    out = tmp_path / "run"
+    settings = ["data.labeled_fraction=0", "train.epochs=2", "data.train_sets=8", "data.val_sets=4"]
+    argv = ["train", "--experiment", "setregression", "--out", str(out), "--quiet"]
+    assert main(argv + [arg for kv in settings for arg in ("--set", kv)]) == 2
+    assert "error (ContractError): no member of the training sets has an observed label" in capsys.readouterr().err
+    assert not (out / "checkpoint_last.txt").exists()
 
 
 @pytest.mark.parametrize("n, code, error", [(1, 2, "DimensionError"), (0, 2, "DimensionError"), (8, 5, "BudgetError")])

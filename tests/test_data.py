@@ -16,7 +16,6 @@ from setnet.data import (
     TriangleMesh,
     augment_cloud,
     build_sum_sets,
-    exact_sum_distribution,
     load_cluster_catalog,
     load_idx_images,
     load_idx_labels,
@@ -25,17 +24,15 @@ from setnet.data import (
     load_xyz,
     rotate_z,
     sample_point_cloud,
-    save_cluster_catalog,
-    save_off,
     save_xyz,
     split_instance_indices,
     synth_clusters,
     synth_digits,
     synth_shapes,
-    write_idx_images,
-    write_idx_labels,
 )
 from setnet.errors import DegenerateMeshError, DimensionError, FormatError
+
+from helpers import exact_sum_distribution, save_cluster_catalog, save_off, write_idx_images, write_idx_labels
 
 
 class TestIdx:
@@ -164,6 +161,12 @@ class TestSynthDigits:
         assert labels.shape == (64,)
         assert images.min() >= 0.0 and images.max() <= 1.0
         assert set(np.unique(labels)) <= set(range(10))
+
+    def test_images_are_c_contiguous(self):
+        # build_sum_sets flattens the images; in C order that is a view, not a copy
+        images, _ = synth_digits(64, np.random.default_rng(0), styles_per_class=3)
+        assert images.flags.c_contiguous
+        assert np.shares_memory(images.reshape(len(images), -1), images)
 
     def test_class_structure_is_learnable(self):
         # same-class noisy samples sit closer to their class mean than to others
@@ -448,12 +451,12 @@ class TestClusterCatalog:
         with pytest.raises(FormatError, match="non-finite cell in row 3"):
             load_cluster_catalog(path, ["f0"], "target", "has_target", "cluster_id")
 
-    def test_index_columns_without_header(self, tmp_path):
+    def test_headerless_catalog_refused(self, tmp_path):
+        # the first row is always the header, so a file without one names no column
         path = tmp_path / "idx.csv"
         path.write_text("7,1.5,0.5,1\n7,2.5,0.0,0\n")
-        ds = load_cluster_catalog(path, [1], 2, 3, 0)
-        assert len(ds) == 1
-        assert ds.sets[0].shape == (2, 1)
+        with pytest.raises(FormatError, match="missing column 'f0'"):
+            load_cluster_catalog(path, ["f0"], "target", "has_target", "cluster_id")
 
     def test_no_feature_columns_refused(self, tmp_path):
         path = tmp_path / "catalog.csv"

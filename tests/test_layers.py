@@ -23,15 +23,15 @@ from setnet.layers import (
     SetBatch,
     SetPool,
     bind,
-    count_params,
     evaluate,
     load_params,
     restore_params,
     save_params,
 )
 from setnet.data import LabeledSetDataset
-from setnet.tensor import Permutation
 from setnet.train import ExperimentConfig, build_experiment_model
+
+from helpers import count_params
 
 # (variant, channels, aggregate) per layer form; the scalar forms are channel_full
 # with one channel in and out, where numpy regroups the sums. None: drawn per case.
@@ -95,7 +95,7 @@ def per_member(out, batch):
 def assert_equivariant(fn, batch, rng, tol=1e-12):
     """fn maps a batch to [M, K'] (per member) or [B, K'] (pooled); per-member
     outputs must permute with the members, pooled ones must not change."""
-    perms = [Permutation.random(int(n), rng) for n in batch.cardinalities]
+    perms = [rng.permutation(int(n)) for n in batch.cardinalities]
     base, permuted = fn(batch), fn(batch.permute_members(perms))
     if per_member(base, batch):
         base = batch.with_values(base).permute_members(perms).values
@@ -389,7 +389,7 @@ class TestSetPool:
         batch = single_set(rng.normal(size=(6, 2)))
         base = evaluate(SetPool("max"), batch)
         for _ in range(10):
-            p = Permutation.random(6, rng)
+            p = rng.permutation(6)
             assert np.array_equal(evaluate(SetPool("max"), batch.permute_members([p])), base)
 
     def test_unknown_kind(self):
@@ -701,9 +701,9 @@ class TestSetBatch:
     def test_permute_members_respects_cardinality(self):
         rng = np.random.default_rng(0)
         batch = SetBatch(rng.normal(size=(5, 2)), [3, 2])
-        p, q = Permutation(np.array([2, 0, 1])), Permutation(np.array([1, 0]))
+        p, q = np.array([2, 0, 1]), np.array([1, 0])
         out = batch.permute_members([p, q])
-        assert np.array_equal(out.values[:3], batch.values[p.mapping])
-        assert np.array_equal(out.values[3:], batch.values[3:][q.mapping])
+        assert np.array_equal(out.values[:3], batch.values[p])
+        assert np.array_equal(out.values[3:], batch.values[3:][q])
         with pytest.raises(DimensionError):
             batch.permute_members([q, p])

@@ -31,7 +31,7 @@ def reference_step(opt, values, m, v, grads):
             v[i] = b2 * v[i] + (1 - b2) * g * g
             m_hat = m[i] / (1 - b1**t)
             v_hat = v[i] / (1 - b2**t)
-            values[i] = values[i] - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+            values[i] = values[i] - opt.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
         else:
             m[i] = b1 * m[i] + (1 - b1) * g
             v[i] = np.maximum(b2 * v[i], np.abs(g))

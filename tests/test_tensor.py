@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from setnet import autodiff as ad
 from setnet.errors import DimensionError, NumericError
 from setnet.layers import SetBatch
-from setnet.tensor import Permutation, as_tensor, elementwise, elementwise_grad, matmul
+from setnet.tensor import as_tensor, elementwise, elementwise_grad, matmul
 
 
 def matmul_reference(a, b):
@@ -74,61 +74,24 @@ class TestReduce:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(9, 4))
         for _ in range(20):
-            p = Permutation.random(9, rng)
+            p = rng.permutation(9)
             base = reduce(x, kind)
-            permuted = reduce(x[p.mapping], kind)
+            permuted = reduce(x[p], kind)
             assert np.max(np.abs(base - permuted)) <= 1e-12 * max(1.0, np.max(np.abs(base)))
 
 
 class TestPermutation:
-    def test_identity_action(self):
-        x = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(x[Permutation.identity(3).mapping], x)
-
-    def test_swap(self):
-        out = np.array([[1.0], [2.0]])[Permutation(np.array([1, 0])).mapping]
-        assert np.array_equal(out, [[2.0], [1.0]])
-
-    def test_inverse_round_trip(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(7, 3))
-        p = Permutation.random(7, rng)
-        back = x[p.mapping][p.inverse().mapping]
-        assert np.array_equal(back, x)
+    """A permutation is an index array p; reordering rows is ``rows[p]``."""
 
     def test_not_a_bijection(self):
-        with pytest.raises(DimensionError):
-            Permutation(np.array([0, 0, 2]))
+        batch = SetBatch(np.ones((3, 2)), [3])
+        with pytest.raises(DimensionError, match="not a permutation"):
+            batch.permute_members([np.array([0, 0, 2])])
 
     def test_size_mismatch(self):
         batch = SetBatch(np.ones((3, 2)), [3])
         with pytest.raises(DimensionError):
-            batch.permute_members([Permutation.identity(4)])
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 8), st.integers(0, 2**31 - 1))
-    def test_group_action(self, n, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, 2))
-        p = Permutation.random(n, rng)
-        q = Permutation.random(n, rng)
-        two_step = x[p.mapping][q.mapping]
-        composed = x[q.compose(p).mapping]
-        assert np.array_equal(two_step, composed)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 8), st.integers(0, 2**31 - 1))
-    def test_inverse_composes_to_identity(self, n, seed):
-        rng = np.random.default_rng(seed)
-        p = Permutation.random(n, rng)
-        assert np.array_equal(p.compose(p.inverse()).mapping, np.arange(n))
-        assert np.array_equal(p.inverse().compose(p).mapping, np.arange(n))
-
-    def test_matrix_matches_action(self):
-        rng = np.random.default_rng(5)
-        p = Permutation.random(5, rng)
-        x = rng.normal(size=(5, 3))
-        assert np.allclose(p.matrix() @ x, x[p.mapping])
+            batch.permute_members([np.arange(4)])
 
 
 class TestElementwise:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,12 @@ class TestPermutationMatrices:
     def test_all_orthogonal(self):
         for p in transposition_matrices(4):
             assert np.array_equal(p @ p.T, np.eye(4))
+
+    def test_matrix_matches_action(self):
+        # the matrix of index array p reorders rows as indexing does: M @ x == x[p]
+        x = np.random.default_rng(5).normal(size=(4, 3))
+        for mapping, m in zip(itertools.permutations(range(4)), permutation_matrices(4)):
+            assert np.array_equal(m @ x, x[list(mapping)])
 
 
 class TestEmpiricalChecker:

@@ -11,16 +11,12 @@ from setnet.data import (
     LabeledSetDataset,
     build_sum_sets,
     load_idx_images,
-    save_cluster_catalog,
     synth_clusters,
     synth_digits,
     synth_shapes,
-    write_idx_images,
-    write_idx_labels,
 )
 from setnet.errors import ConfigError, ContractError, DimensionError, FormatError
-from setnet.layers import Dense, SetBatch, SetPool, bind, count_params, evaluate, load_params, save_params
-from setnet.tensor import Permutation
+from setnet.layers import Dense, SetBatch, SetPool, bind, evaluate, load_params, save_params
 from setnet.train import (
     EXPERIMENTS,
     MNIST_VARIANTS,
@@ -42,6 +38,8 @@ from setnet.train import (
     scatter_metric,
     train_loop,
 )
+
+from helpers import count_params, save_cluster_catalog, write_idx_images, write_idx_labels
 
 
 def model_for(experiment, dataset, **settings):
@@ -145,7 +143,7 @@ class TestMnistModels:
         batch = make_set_batch(digit_sets, range(6))
         base = evaluate(model, batch)
         for _ in range(5):
-            perms = [Permutation.random(3, rng) for _ in range(6)]
+            perms = [rng.permutation(3) for _ in range(6)]
             permuted = evaluate(model, batch.permute_members(perms))
             assert np.max(np.abs(permuted - base)) < 1e-8
 
@@ -157,7 +155,7 @@ class TestMnistModels:
         base = evaluate(model, batch)
         deviations = []
         for _ in range(5):
-            perms = [Permutation.random(3, rng) for _ in range(6)]
+            perms = [rng.permutation(3) for _ in range(6)]
             permuted = evaluate(model, batch.permute_members(perms))
             deviations.append(np.max(np.abs(permuted - base)))
         assert max(deviations) > 1e-3
@@ -190,7 +188,7 @@ class TestPointCloudModel:
         model = model_for("pointcloud", ds, model_widths="16,16", model_trunk=8, seed=1)
         batch = make_set_batch(ds, range(4))
         base = evaluate(model, batch)
-        perms = [Permutation.random(25, rng) for _ in range(4)]
+        perms = [rng.permutation(25) for _ in range(4)]
         permuted = evaluate(model, batch.permute_members(perms))
         assert np.max(np.abs(permuted - base)) < 1e-9
 
@@ -219,7 +217,7 @@ class TestRegressionModel:
         model = model_for("setregression", ds, model_widths="8,8,1", seed=1)
         batch = make_set_batch(ds, range(2))
         base = evaluate(model, batch)
-        perms = [Permutation.random(6, rng) for _ in range(2)]
+        perms = [rng.permutation(6) for _ in range(2)]
         permuted = evaluate(model, batch.permute_members(perms))
         assert np.max(np.abs(permuted - batch.with_values(base).permute_members(perms).values)) < 1e-9
 
