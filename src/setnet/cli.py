@@ -3,7 +3,11 @@
 Subcommands: verify-theorem, check-equivariance, train, eval, actmax,
 sample-mesh. Every run derives all randomness from one seed; training runs
 write their fully resolved config next to their outputs so any artifact can
-be reproduced exactly.
+be reproduced exactly, given the same number of BLAS threads (a threaded
+matrix product sums in another order; see ``setnet.train``). A training run
+makes every refusal it can make before it writes anything under ``--out``,
+and a resumed run keeps the ``metrics.log`` lines of the epochs its
+checkpoint holds, so its log ends as the uninterrupted run's does.
 
 Exit codes: 0 success, 2 config/usage error (a set too small or empty for
 the requested operation included) or an input file that cannot be opened or
@@ -56,6 +60,7 @@ from .train import (
     evaluate_classifier,
     evaluate_regressor,
     parse_config_text,
+    start_training,
     train_loop,
 )
 
@@ -192,28 +197,51 @@ def _probe_model(model, config: ExperimentConfig, train_data, args, rng):
     return theorem.check_equivariance_empirical(f, n, args.trials, rng, channels=train_data.channels)
 
 
+def _log_through(path: str, epoch: int) -> str:
+    """The lines of the metrics log at ``path``, if there is one, up to the
+    first line past ``epoch``: a run that stopped after logging an epoch and
+    before checkpointing it left the lines after them."""
+    if not os.path.exists(path):
+        return ""
+    kept = []
+    for line in datamod._read_text(path, newline="").splitlines(keepends=True):
+        head = line.split(" ", 1)[0]
+        if not (line.endswith("\n") and head.startswith("epoch=") and head[6:].isdigit() and int(head[6:]) <= epoch):
+            break
+        kept.append(line)
+    return "".join(kept)
+
+
 def cmd_train(args) -> int:
     config = _load_config(args)
     train_data, val_data = build_experiment_data(config)
     model = build_experiment_model(config, train_data)
-    # a config that cannot run has failed by now and leaves no directory behind
+    start = start_training(model, config, train_data, args.resume)
     out_dir = args.out
+    metrics_path = os.path.join(out_dir, "metrics.log")
+    logged = _log_through(metrics_path, start.epoch) if args.resume else ""
+    # a run that cannot start has failed by now and leaves --out as it was
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.resolved.cfg"), "w") as fh:
         fh.write(config_lines(config.values))
-    metrics_path = os.path.join(out_dir, "metrics.log")
     best_path = os.path.join(out_dir, "checkpoint_best.txt")
     last_path = os.path.join(out_dir, "checkpoint_last.txt")
     with open(metrics_path, "w") as metrics_file:
+        metrics_file.write(logged)
+
+        def sink(rec):  # flushed, so an epoch's lines are on file before its checkpoint
+            metrics_file.write(rec.line() + "\n")
+            metrics_file.flush()
+
         result = train_loop(
             model,
             config,
             train_data,
             val_data,
-            metrics_sink=lambda rec: metrics_file.write(rec.line() + "\n"),
+            metrics_sink=sink,
             best_checkpoint_path=best_path,
             last_checkpoint_path=last_path,
-            resume_from=args.resume,
+            start=start,
             log=None if args.quiet else print,
         )
     summary = [

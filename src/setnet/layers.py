@@ -370,27 +370,28 @@ _CHECKPOINT_HEADER = f"{_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION}"
 def save_params(path, params: Sequence[Param], meta: Optional[Dict[str, str]] = None) -> None:
     """Write a format-2 checkpoint (see above); float64 values round-trip exactly.
 
-    The whole text is built first, written to a temporary file next to
-    ``path`` and moved onto ``path`` with ``os.replace``. An error or a crash
-    during the write therefore leaves any previous checkpoint at ``path``
-    byte-identical, and a failed write removes its temporary file. There is no
-    fsync, so the replacement is atomic against a crashing process, not
-    against a power loss.
+    The meta is checked before any file is touched. The text is then written
+    line by line, one parameter's payload at a time, to a temporary file next
+    to ``path``, and moved onto ``path`` with ``os.replace``. An error or a
+    crash during the write therefore leaves any previous checkpoint at
+    ``path`` byte-identical, and a failed write removes its temporary file.
+    There is no fsync, so the replacement is atomic against a crashing
+    process, not against a power loss.
     """
-    lines = [_CHECKPOINT_HEADER]
+    head = [_CHECKPOINT_HEADER]
     for key, val in sorted((meta or {}).items()):
         if any(ch.isspace() for ch in key) or any(ch.isspace() for ch in str(val)):
             raise FormatError("checkpoint meta keys/values must not contain whitespace")
-        lines.append(f"meta {key} {val}")
-    for p in params:
-        dims = "".join(f" {d}" for d in p.value.shape)
-        lines.append(f"param {p.name} {p.value.ndim}{dims}")
-        lines.append(np.asarray(p.value, dtype="<f8").tobytes().hex())
-    text = "\n".join(lines) + "\n"
+        head.append(f"meta {key} {val}")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write("".join(line + "\n" for line in head))
+            for p in params:
+                dims = "".join(f" {d}" for d in p.value.shape)
+                fh.write(f"param {p.name} {p.value.ndim}{dims}\n")
+                fh.write(memoryview(np.ascontiguousarray(p.value, dtype="<f8")).hex())
+                fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

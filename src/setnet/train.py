@@ -15,7 +15,11 @@ data at desk scale or from real files when paths are configured:
                      per-member MLP baseline.
 
 Training is deterministic given the config seed; metrics lines contain no
-timing so identical runs produce byte-identical logs.
+timing so identical runs produce byte-identical logs. Identical means the
+same BLAS thread count too: a threaded matrix product sums in another order,
+so a default mnist_sum run with two BLAS threads logs other last digits than
+one with one thread (each is the same from run to run). ``conftest.py`` and
+``bench/run.py`` pin one thread.
 """
 
 from __future__ import annotations
@@ -283,17 +287,26 @@ def scatter_metric(z_pred: np.ndarray, z_spec: np.ndarray) -> float:
 # --- batching ---------------------------------------------------------------------
 
 
+def _member_rows(dataset: LabeledSetDataset, indices: Sequence[int]) -> np.ndarray:
+    """The row indices of the sets at ``indices``, one set after another."""
+    return np.concatenate([dataset.members[i] for i in indices])
+
+
+def _any_observed(dataset: LabeledSetDataset) -> bool:
+    """Whether a member of the dataset's sets has an observed label."""
+    return bool(dataset.member_mask[_member_rows(dataset, range(len(dataset)))].any())
+
+
 def make_set_batch(dataset: LabeledSetDataset, indices: Sequence[int]) -> SetBatch:
-    sets = [dataset.sets[i] for i in indices]
-    return SetBatch(np.concatenate(sets), [s.shape[0] for s in sets])
+    """The sets at ``indices`` packed into one batch, gathered from the dataset's rows."""
+    return SetBatch(dataset.rows[_member_rows(dataset, indices)], [dataset.members[i].size for i in indices])
 
 
 def member_targets(dataset: LabeledSetDataset, indices: Sequence[int]):
     """[M] targets and observed-mask (0/1) arrays, one entry per member row of
     ``make_set_batch(dataset, indices)``."""
-    targets = np.concatenate([dataset.member_labels[i] for i in indices])
-    mask = np.concatenate([dataset.member_mask[i] for i in indices]).astype(np.float64)
-    return targets, mask
+    rows = _member_rows(dataset, indices)
+    return dataset.member_labels[rows], dataset.member_mask[rows].astype(np.float64)
 
 
 def batch_indices(count: int, batch_size: int, order: Optional[np.ndarray] = None) -> Iterable[np.ndarray]:
@@ -428,6 +441,61 @@ def _restore_rng(token: str) -> np.random.Generator:
     return rng
 
 
+@dataclass
+class TrainState:
+    """Where a run starts: the optimizer over the model's parameters, the rng
+    streams, the last epoch already trained and the best validation metric so
+    far, with its epoch."""
+
+    opt: Optimizer
+    shuffle_rng: np.random.Generator
+    dropout_rng: np.random.Generator
+    epoch: int
+    best_metric: float
+    best_epoch: int
+
+
+def start_training(
+    model: SetModel, config: ExperimentConfig, train_data: LabeledSetDataset, resume_from: Optional[str] = None
+) -> TrainState:
+    """The state a run starts from, with every refusal a run makes before its
+    first step made here, so a caller can make them before writing anything.
+
+    ``resume_from`` names a checkpoint to continue: it restores the
+    parameters, the optimizer state, the rng streams and the best validation
+    metric and epoch so far, so a continued run reproduces the uninterrupted
+    one exactly, ``checkpoint_best`` included.
+    """
+    if train_data.member_mask is not None and not _any_observed(train_data):
+        raise ContractError("no member of the training sets has an observed label to train on")
+    opt = Optimizer(
+        config["optimizer.kind"],
+        model.params(),
+        lr=config["optimizer.lr"],
+        beta1=config["optimizer.beta1"],
+        beta2=config["optimizer.beta2"],
+        clip_norm=config["optimizer.clip_norm"] or None,
+    )
+    if not resume_from:
+        shuffle_seq, dropout_seq = np.random.SeedSequence(config["seed"]).spawn(2)
+        best = -np.inf if model.higher_is_better else np.inf
+        return TrainState(opt, np.random.default_rng(shuffle_seq), np.random.default_rng(dropout_seq), 0, best, 0)
+    arrays, meta = load_params(resume_from)
+    restore_params(opt.params, arrays)
+    try:
+        opt.load_state_arrays(arrays, int(meta["opt_t"]))
+        return TrainState(
+            opt,
+            _restore_rng(meta["shuffle_rng"]),
+            _restore_rng(meta["dropout_rng"]),
+            int(meta["epoch"]),
+            float(meta["best_metric"]),
+            int(meta["best_epoch"]),
+        )
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{resume_from}: checkpoint has no valid resume state ({exc!r})") from exc
+
+
 def train_loop(
     model: SetModel,
     config: ExperimentConfig,
@@ -436,49 +504,20 @@ def train_loop(
     metrics_sink: Optional[Callable[[MetricsRecord], None]] = None,
     best_checkpoint_path: Optional[str] = None,
     last_checkpoint_path: Optional[str] = None,
-    resume_from: Optional[str] = None,
+    start: Optional[TrainState] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> TrainResult:
     """Mini-batch epochs, deterministic under the config seed.
 
     Emits per-epoch train/validation metrics, tracks the best-validation
     checkpoint, and aborts with a diagnostic if the loss goes non-finite.
-    ``resume_from`` restores parameters, optimizer state, rng streams and the
-    best validation metric and epoch so far, so a continued run reproduces the
-    uninterrupted one exactly, ``checkpoint_best`` included.
+    Training continues from ``start`` (see ``start_training``), or from a
+    fresh start when it is not given.
     """
-    if len(train_data) == 0:
-        raise ContractError("training dataset is empty")
-    if train_data.member_mask is not None and not any(mask.any() for mask in train_data.member_mask):
-        raise ContractError("no member of the training sets has an observed label to train on")
-    params = model.params()
-    opt = Optimizer(
-        config["optimizer.kind"],
-        params,
-        lr=config["optimizer.lr"],
-        beta1=config["optimizer.beta1"],
-        beta2=config["optimizer.beta2"],
-        clip_norm=config["optimizer.clip_norm"] or None,
-    )
-    seq = np.random.SeedSequence(config["seed"])
-    shuffle_seq, dropout_seq = seq.spawn(2)
-    shuffle_rng = np.random.default_rng(shuffle_seq)
-    dropout_rng = np.random.default_rng(dropout_seq)
-    start_epoch = 1
-    best_metric = -np.inf if model.higher_is_better else np.inf
-    best_epoch = 0
-    if resume_from:
-        arrays, meta = load_params(resume_from)
-        restore_params(params, arrays)
-        try:
-            opt.load_state_arrays(arrays, int(meta["opt_t"]))
-            shuffle_rng = _restore_rng(meta["shuffle_rng"])
-            dropout_rng = _restore_rng(meta["dropout_rng"])
-            start_epoch = int(meta["epoch"]) + 1
-            best_metric = float(meta["best_metric"])
-            best_epoch = int(meta["best_epoch"])
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"{resume_from}: checkpoint has no valid resume state ({exc!r})") from exc
+    state = start_training(model, config, train_data) if start is None else start
+    opt, shuffle_rng, dropout_rng = state.opt, state.shuffle_rng, state.dropout_rng
+    best_metric, best_epoch = state.best_metric, state.best_epoch
+    params = opt.params
 
     classification = train_data.set_labels is not None
     records: List[MetricsRecord] = []
@@ -505,7 +544,7 @@ def train_loop(
         }
         save_params(path, list(params) + extras, meta)
 
-    for epoch in range(start_epoch, config["train.epochs"] + 1):
+    for epoch in range(state.epoch + 1, config["train.epochs"] + 1):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(train_data))
         loss_sum = 0.0
@@ -590,7 +629,10 @@ def build_experiment_data(config: ExperimentConfig) -> Tuple[LabeledSetDataset, 
             full = load_cluster_catalog(config["data.catalog"], *(config[key] for key in columns))
             order = rng.permutation(len(full))
             cut = int(round(len(full) * 0.9))
-            return full.subset(order[:cut]), full.subset(order[cut:])
+            val = full.subset(order[cut:])
+            if not _any_observed(val):  # refused here, before a run trains an epoch it cannot score
+                raise ContractError("no member of the validation sets has an observed label to score")
+            return full.subset(order[:cut]), val
         kwargs = dict(
             size_range=(config["data.size_min"], config["data.size_max"]),
             labeled_fraction=config["data.labeled_fraction"],

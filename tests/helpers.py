@@ -3,6 +3,7 @@ loader reads back, or computes a reference value independently of setnet."""
 
 import csv
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -43,11 +44,33 @@ def save_cluster_catalog(path, dataset) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster_id"] + names + ["target", "has_target"])
-        for ci, members in enumerate(dataset.sets):
-            for mi in range(members.shape[0]):
-                label = dataset.member_labels[ci][mi] if dataset.member_labels is not None else 0.0
-                mask = int(dataset.member_mask[ci][mi]) if dataset.member_mask is not None else 0
-                writer.writerow([f"c{ci}"] + [repr(float(v)) for v in members[mi]] + [repr(float(label)), mask])
+        for ci, members in enumerate(dataset.members):
+            for r in members:
+                label = dataset.member_labels[r] if dataset.member_labels is not None else 0.0
+                mask = int(dataset.member_mask[r]) if dataset.member_mask is not None else 0
+                writer.writerow([f"c{ci}"] + [repr(float(v)) for v in dataset.rows[r]] + [repr(float(label)), mask])
+
+
+def sets_of(dataset) -> list:
+    """Each set's member rows, gathered from the dataset's row pool."""
+    return [dataset.rows[m] for m in dataset.members]
+
+
+def per_set(dataset, per_row: np.ndarray) -> list:
+    """A per-row array (member labels or mask) split into one array per set."""
+    return [per_row[m] for m in dataset.members]
+
+
+def peak_bytes(fn, *args):
+    """(``fn(*args)``, the most memory traced by ``tracemalloc`` above what
+    was allocated when the call began)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def exact_sum_distribution(label_frequencies: np.ndarray, n: int) -> np.ndarray:

@@ -130,6 +130,20 @@ def test_catalog_without_feature_columns_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_catalog_without_a_labeled_validation_member_is_refused(tmp_path, capsys):
+    # one labeled cluster of ten: at seed 0 the validation split is one of the others
+    catalog = tmp_path / "cat.csv"
+    catalog.write_text("cluster_id,f0,target,has_target\n" + "".join(
+        f"c{c},{c + m / 10},{0.5 if c == 0 else 0.0},{int(c == 0)}\n" for c in range(10) for m in range(4)))
+    out = tmp_path / "run"
+    settings = [f"data.catalog={catalog}", "data.feature_columns=f0", "data.label_column=target",
+                "data.mask_column=has_target", "data.cluster_id_column=cluster_id", "train.epochs=2"]
+    argv = ["train", "--experiment", "setregression", "--out", str(out), "--quiet"]
+    assert main(argv + [arg for kv in settings for arg in ("--set", kv)]) == 2
+    assert "error (ContractError): no member of the validation sets has an observed label" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_regression_without_a_labeled_training_member_is_refused(tmp_path, capsys):
     out = tmp_path / "run"
     settings = ["data.labeled_fraction=0", "train.epochs=2", "data.train_sets=8", "data.val_sets=4"]
@@ -263,3 +277,67 @@ def test_importing_setnet_leaves_the_allocator_alone():
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+# tiny runs of each experiment, for the resume tests
+TINY = {
+    "mnist_sum": ["data.source_count=200", "data.train_sets=24", "data.val_sets=8", "train.batch_size=8"],
+    "pointcloud": ["data.points=16", "data.train_sets=24", "data.val_sets=8", "train.batch_size=8"],
+    "setregression": ["data.train_sets=16", "data.val_sets=8", "data.size_min=4", "data.size_max=9",
+                      "model.widths=8,8,1"],
+}
+RUN_FILES = ("metrics.log", "checkpoint_best.txt", "checkpoint_last.txt", "summary.txt")
+
+
+def _train(out, experiment, epochs, *extra):
+    settings = TINY[experiment] + [f"train.epochs={epochs}"]
+    argv = ["train", "--experiment", experiment, "--out", str(out), "--quiet", *extra]
+    return main(argv + [arg for kv in settings for arg in ("--set", kv)])
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("experiment", sorted(TINY))
+def test_resumed_run_ends_as_the_straight_run(tmp_path, capsys, experiment):
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    assert _train(straight, experiment, 3) == 0
+    assert _train(resumed, experiment, 1) == 0
+    assert _train(resumed, experiment, 3, "--resume", str(resumed / "checkpoint_last.txt")) == 0
+    for name in RUN_FILES:
+        assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
+    assert (straight / "metrics.log").read_text().count("\n") == 6
+
+
+def test_resume_drops_log_lines_past_its_checkpoint(tmp_path, capsys):
+    # a run that logged epoch 2 and stopped before checkpointing it leaves a
+    # log one epoch ahead of its checkpoint_last
+    straight, cut, ahead = tmp_path / "straight", tmp_path / "cut", tmp_path / "ahead"
+    assert _train(straight, "setregression", 3) == 0
+    assert _train(cut, "setregression", 1) == 0
+    assert _train(ahead, "setregression", 2) == 0
+    (cut / "metrics.log").write_bytes((ahead / "metrics.log").read_bytes())
+    assert _train(cut, "setregression", 3, "--resume", str(cut / "checkpoint_last.txt")) == 0
+    for name in RUN_FILES:
+        assert (cut / name).read_bytes() == (straight / name).read_bytes(), name
+
+
+def test_refused_resume_leaves_out_as_it_was(tmp_path, capsys):
+    out = tmp_path / "rz"
+    assert _train(out, "setregression", 2) == 0
+    before = _files(out)
+    capsys.readouterr()
+    assert _train(out, "setregression", 3, "--resume", str(out / "nope.txt")) == 2
+    assert "error (FileNotFoundError)" in capsys.readouterr().err
+    assert _files(out) == before
+
+
+def test_refused_data_leaves_out_as_it_was(tmp_path, capsys):
+    out = tmp_path / "lf"
+    assert _train(out, "setregression", 2, "--set", "data.labeled_fraction=0") == 2
+    assert not out.exists()
+    assert _train(out, "setregression", 2) == 0
+    before = _files(out)
+    assert _train(out, "setregression", 3, "--set", "data.labeled_fraction=0") == 2
+    assert _files(out) == before

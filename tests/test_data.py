@@ -32,7 +32,16 @@ from setnet.data import (
 )
 from setnet.errors import DegenerateMeshError, DimensionError, FormatError
 
-from helpers import exact_sum_distribution, save_cluster_catalog, save_off, write_idx_images, write_idx_labels
+from helpers import (
+    exact_sum_distribution,
+    peak_bytes,
+    per_set,
+    save_cluster_catalog,
+    save_off,
+    sets_of,
+    write_idx_images,
+    write_idx_labels,
+)
 
 
 class TestIdx:
@@ -90,6 +99,17 @@ class TestIdx:
         path.write_bytes(struct.pack(">IIII", 0x803, 0, 0xFFFFFFFF, 0xFFFFFFFF))
         with pytest.raises(FormatError, match="cannot hold 0 images"):
             load_idx_images(path)
+
+    def test_pixels_are_scaled_in_place(self, tmp_path):
+        # the float64 pixels are the one array made at their size: the raw bytes are all it adds.
+        # 40 images stay under the 256 KiB from which numpy may reuse a temporary's buffer for
+        # ``a.astype(float) / 255``, so a division into a new array would show here
+        path = tmp_path / "images.idx"
+        raw = np.random.default_rng(0).integers(0, 256, size=(40, 28, 28)).astype(np.uint8)
+        write_idx_images(path, raw)
+        images, peak = peak_bytes(load_idx_images, path)
+        assert np.array_equal(images, raw.astype(np.float64) / 255.0)
+        assert peak <= images.nbytes + raw.nbytes + 4096
 
     def test_count_mismatch(self, tmp_path):
         ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
@@ -151,7 +171,8 @@ class TestSumSets:
         a = build_sum_sets(images, labels, 3, 20, np.random.default_rng(5))
         b = build_sum_sets(images, labels, 3, 20, np.random.default_rng(5))
         assert np.array_equal(a.set_labels, b.set_labels)
-        assert all(np.array_equal(x, y) for x, y in zip(a.sets, b.sets))
+        assert all(np.array_equal(x, y) for x, y in zip(a.members, b.members))
+        assert all(np.array_equal(x, y) for x, y in zip(sets_of(a), sets_of(b)))
 
 
 class TestSynthDigits:
@@ -167,6 +188,11 @@ class TestSynthDigits:
         images, _ = synth_digits(64, np.random.default_rng(0), styles_per_class=3)
         assert images.flags.c_contiguous
         assert np.shares_memory(images.reshape(len(images), -1), images)
+
+    def test_images_are_built_in_the_noise_array(self):
+        # no second array of the images' size: templates are added to the noise a block at a time
+        (images, _), peak = peak_bytes(synth_digits, 6000, np.random.default_rng(0))
+        assert peak <= 1.25 * images.nbytes
 
     def test_class_structure_is_learnable(self):
         # same-class noisy samples sit closer to their class mean than to others
@@ -380,16 +406,16 @@ class TestSynthShapes:
         ds = synth_shapes(["sphere", "cube"], m=50, count=12, rng=np.random.default_rng(0))
         assert len(ds) == 12
         assert ds.num_classes == 2
-        assert all(s.shape == (50, 3) for s in ds.sets)
+        assert all(s.shape == (50, 3) for s in sets_of(ds))
 
     def test_sphere_points_on_unit_sphere_before_scaling(self):
         ds = synth_shapes(["sphere"], m=200, count=3, rng=np.random.default_rng(1), scale_range=(1.0, 1.0))
-        for s in ds.sets:
+        for s in sets_of(ds):
             assert np.allclose(np.linalg.norm(s, axis=1), 1.0)
 
     def test_torus_radii_in_band(self):
         ds = synth_shapes(["torus"], m=400, count=2, rng=np.random.default_rng(2), scale_range=(1.0, 1.0))
-        for s in ds.sets:
+        for s in sets_of(ds):
             ring = np.hypot(s[:, 0], s[:, 1])
             assert np.all(ring >= 0.65 - 1e-9) and np.all(ring <= 1.35 + 1e-9)
             assert np.all(np.abs(s[:, 2]) <= 0.35 + 1e-9)
@@ -413,11 +439,12 @@ class TestClusterCatalog:
             cluster_id_column="cluster_id",
         )
         assert len(loaded) == len(ds)
-        for a, b in zip(ds.sets, loaded.sets):
+        for a, b in zip(sets_of(ds), sets_of(loaded)):
             assert np.array_equal(a, b)
-        for ma, mb in zip(ds.member_mask, loaded.member_mask):
+        for ma, mb in zip(per_set(ds, ds.member_mask), per_set(loaded, loaded.member_mask)):
             assert np.array_equal(ma, mb)
-        for ya, yb, m in zip(ds.member_labels, loaded.member_labels, ds.member_mask):
+        for ya, yb, m in zip(per_set(ds, ds.member_labels), per_set(loaded, loaded.member_labels),
+                             per_set(ds, ds.member_mask)):
             assert np.array_equal(ya[m], yb[m])  # observed labels round-trip
 
     def test_cardinalities_example(self, tmp_path):
@@ -428,7 +455,7 @@ class TestClusterCatalog:
             + "".join(f"b,{i}.0,0.25,0\n" for i in range(5))
         )
         ds = load_cluster_catalog(path, ["f0"], "target", "has_target", "cluster_id")
-        assert [s.shape[0] for s in ds.sets] == [3, 5]
+        assert [m.size for m in ds.members] == [3, 5]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -469,37 +496,48 @@ class TestSynthClusters:
     def test_structure(self):
         ds = synth_clusters(10, (4, 9), np.random.default_rng(0))
         assert len(ds) == 10
-        assert all(4 <= s.shape[0] <= 9 for s in ds.sets)
-        assert all(s.shape[1] == 17 for s in ds.sets)
-        for y in ds.member_labels:
+        assert all(4 <= s.shape[0] <= 9 for s in sets_of(ds))
+        assert all(s.shape[1] == 17 for s in sets_of(ds))
+        for y in per_set(ds, ds.member_labels):
             assert np.all(y == y[0])  # shared latent target per cluster
             assert 0.1 <= y[0] <= 1.0
 
     def test_labeled_fraction_rate(self):
         ds = synth_clusters(60, (20, 30), np.random.default_rng(1), labeled_fraction=0.3)
-        frac = np.mean(np.concatenate(ds.member_mask))
+        frac = np.mean(ds.member_mask)
         assert 0.25 < frac < 0.35
 
     def test_deterministic(self):
         a = synth_clusters(4, (3, 5), np.random.default_rng(2))
         b = synth_clusters(4, (3, 5), np.random.default_rng(2))
-        assert all(np.array_equal(x, y) for x, y in zip(a.sets, b.sets))
+        assert all(np.array_equal(x, y) for x, y in zip(sets_of(a), sets_of(b)))
 
 
 class TestLabeledSetDataset:
     def test_validation(self):
         with pytest.raises(DimensionError):
-            LabeledSetDataset(sets=[np.zeros((2, 3)), np.zeros((2, 4))])
+            LabeledSetDataset(np.zeros(6), [np.arange(2)])
         with pytest.raises(DimensionError):
-            LabeledSetDataset(sets=[np.zeros((2, 3))], set_labels=np.array([0, 1]))
+            LabeledSetDataset(np.zeros((2, 3)), [np.arange(2)], set_labels=np.array([0, 1]))
         with pytest.raises(DimensionError, match="at least one channel"):
-            LabeledSetDataset(sets=[np.zeros((2, 0))])
+            LabeledSetDataset(np.zeros((2, 0)), [np.arange(2)])
+        with pytest.raises(DimensionError, match="at least one set"):
+            LabeledSetDataset(np.zeros((2, 3)), [])
 
     def test_subset(self):
         ds = synth_clusters(6, (3, 4), np.random.default_rng(0))
         sub = ds.subset([1, 3])
         assert len(sub) == 2
-        assert np.array_equal(sub.sets[0], ds.sets[1])
+        assert np.array_equal(sets_of(sub)[0], sets_of(ds)[1])
+        assert sub.rows is ds.rows and sub.member_labels is ds.member_labels
+
+    def test_members_index_rows(self):
+        with pytest.raises(DimensionError, match="outside 0..1"):
+            LabeledSetDataset(np.zeros((2, 3)), [np.array([0, 2])])
+        with pytest.raises(DimensionError, match="set 1 needs a non-empty"):
+            LabeledSetDataset(np.zeros((2, 3)), [np.array([0, 1]), np.array([], dtype=np.intp)])
+        with pytest.raises(DimensionError, match="one per member row"):
+            LabeledSetDataset(np.zeros((2, 3)), [np.arange(2)], member_labels=np.zeros(3), member_mask=np.ones(3, bool))
 
 
 # --- loader fuzzing: every input loads to finite, well-shaped data or raises
@@ -521,7 +559,7 @@ def _check_points(points):
 
 
 def _check_catalog(ds):
-    for s, y, m in zip(ds.sets, ds.member_labels, ds.member_mask):
+    for s, y, m in zip(sets_of(ds), per_set(ds, ds.member_labels), per_set(ds, ds.member_mask)):
         assert s.ndim == 2 and s.shape[1] == 2 and np.all(np.isfinite(s)) and np.all(np.isfinite(y))
         assert y.shape == m.shape == (len(s),) and m.dtype == bool
 

@@ -29,9 +29,10 @@ from setnet.layers import (
     save_params,
 )
 from setnet.data import LabeledSetDataset
+from setnet.optim import Optimizer
 from setnet.train import ExperimentConfig, build_experiment_model
 
-from helpers import count_params
+from helpers import count_params, peak_bytes
 
 # (variant, channels, aggregate) per layer form; the scalar forms are channel_full
 # with one channel in and out, where numpy regroups the sums. None: drawn per case.
@@ -255,9 +256,9 @@ MODEL_CASES = {
 def experiment_model(experiment, seed, **settings):
     base, k = MODEL_CASES[experiment]
     if experiment == "mnist_sum":
-        data = LabeledSetDataset(sets=[np.zeros((3, k))], set_labels=np.array([0]), num_classes=28)
+        data = LabeledSetDataset(np.zeros((3, k)), [np.arange(3)], set_labels=np.array([0]), num_classes=28)
     else:
-        data = LabeledSetDataset(sets=[np.zeros((2, k))], set_labels=np.array([0]), num_classes=4)
+        data = LabeledSetDataset(np.zeros((2, k)), [np.arange(2)], set_labels=np.array([0]), num_classes=4)
     values = {"experiment": experiment, "seed": str(seed), **base, **settings}
     return build_experiment_model(ExperimentConfig(values), data)
 
@@ -672,6 +673,16 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.txt"]
+
+    def test_write_streams_the_text(self, tmp_path):
+        # the default mnist_sum model with its Adam moments, as train_loop checkpoints it
+        data = LabeledSetDataset(np.zeros((3, 784)), [np.arange(3)], set_labels=np.array([0]), num_classes=28)
+        model = build_experiment_model(ExperimentConfig({"experiment": "mnist_sum"}), data)
+        opt = Optimizer("adam", model.params())
+        params = model.params() + [Param(name, arr) for name, arr in opt.state_arrays().items()]
+        path = tmp_path / "ckpt.txt"
+        _, peak = peak_bytes(save_params, path, params, {"epoch": "1"})
+        assert peak <= path.stat().st_size
 
     def test_rejected_meta_leaves_file_untouched(self, tmp_path):
         path = tmp_path / "ckpt.txt"

@@ -36,10 +36,11 @@ from setnet.train import (
     parse_config_text,
     resolve_config,
     scatter_metric,
+    start_training,
     train_loop,
 )
 
-from helpers import count_params, save_cluster_catalog, write_idx_images, write_idx_labels
+from helpers import count_params, save_cluster_catalog, sets_of, write_idx_images, write_idx_labels
 
 
 def model_for(experiment, dataset, **settings):
@@ -107,8 +108,16 @@ class TestConfig:
         files = {"data.images": str(tmp_path / "images.idx"), "data.labels": str(tmp_path / "labels.idx")}
         train, val = build_experiment_data(tiny_mnist_config(**files))
         assert train.channels == val.channels == 16
-        pixels = {row.tobytes() for row in np.concatenate(train.sets + val.sets)}
+        pixels = {row.tobytes() for row in np.concatenate(sets_of(train) + sets_of(val))}
         assert pixels <= {row.tobytes() for row in load_idx_images(files["data.images"])}
+
+    def test_mnist_sets_index_one_shared_image_pool(self):
+        cfg = tiny_mnist_config()
+        train, val = build_experiment_data(cfg)
+        assert np.shares_memory(train.rows, val.rows)
+        assert train.rows.shape == val.rows.shape == (cfg["data.source_count"], 784)
+        for ds in (train, val):
+            assert all(m.dtype == np.intp and m.shape == (cfg["data.set_size"],) for m in ds.members)
 
     @pytest.mark.parametrize("key", ["data.images", "data.labels"])
     def test_mnist_idx_files_are_set_together(self, tmp_path, key):
@@ -209,7 +218,7 @@ class TestRegressionModel:
         ds = synth_clusters(3, (4, 7), rng)
         model = model_for("setregression", ds, model_widths="8,1")
         batch = make_set_batch(ds, range(3))
-        assert evaluate(model, batch).shape == (sum(ds.sets[i].shape[0] for i in range(3)), 1)
+        assert evaluate(model, batch).shape == (sum(ds.members[i].size for i in range(3)), 1)
 
     def test_predictions_equivariant(self):
         rng = np.random.default_rng(1)
@@ -288,8 +297,9 @@ class TestMetrics:
         out = Dense(2, 2, name="out")
         out.w.value = np.eye(2)
         model = SetModel([SetPool("sum"), out], "accuracy", True)
-        sets = [np.array([[0.5, 0.1], [0.4, 0.0]]), np.array([[0.2, 0.8]]), np.array([[0.2, 0.8]])]
-        ds = LabeledSetDataset(sets=sets, set_labels=np.array([0, 1, 0]), num_classes=2)
+        rows = np.array([[0.5, 0.1], [0.4, 0.0], [0.2, 0.8]])  # the last two sets share their one row
+        ds = LabeledSetDataset(rows, [np.arange(2), np.array([2]), np.array([2])], set_labels=np.array([0, 1, 0]),
+                               num_classes=2)
         loss, accuracy = evaluate_classifier(model, ds)
         assert accuracy == pytest.approx(2 / 3)
         logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.2, 0.8]])
@@ -343,7 +353,7 @@ class TestTrainLoop:
         ckpt = tmp_path / "last.txt"
         train_loop(model2, cfg2, tr2, va2, last_checkpoint_path=str(ckpt))
         cfg4, tr4, va4, model4 = data_and_model(4)
-        resumed = train_loop(model4, cfg4, tr4, va4, resume_from=str(ckpt))
+        resumed = train_loop(model4, cfg4, tr4, va4, start=start_training(model4, cfg4, tr4, str(ckpt)))
 
         straight_tail = [r.line() for r in straight.records if r.epoch > 2]
         resumed_lines = [r.line() for r in resumed.records]
@@ -367,8 +377,9 @@ class TestTrainLoop:
             tr, va = build_experiment_data(cfg)
             model = build_experiment_model(cfg, tr)
             out.mkdir(exist_ok=True)
+            start = start_training(model, cfg, tr, resume_from)
             return train_loop(model, cfg, tr, va, best_checkpoint_path=str(out / "best.txt"),
-                              last_checkpoint_path=str(out / "last.txt"), resume_from=resume_from)
+                              last_checkpoint_path=str(out / "last.txt"), start=start)
 
         straight = run(6, tmp_path / "straight")
         assert straight.best_epoch == 3
@@ -386,7 +397,7 @@ class TestTrainLoop:
         ckpt = tmp_path / "params_only.txt"
         save_params(ckpt, model.params(), {"epoch": "1"})
         with pytest.raises(FormatError, match="no valid resume state"):
-            train_loop(model, cfg, tr, va, resume_from=str(ckpt))
+            start_training(model, cfg, tr, str(ckpt))
 
     def test_best_checkpoint_metadata(self, tmp_path):
         cfg = tiny_mnist_config()
