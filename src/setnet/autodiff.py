@@ -32,11 +32,25 @@ those member rows and one row per set. When all sets of a batch have one
 size, they work on the rows as one [sets, size, channels] block instead of
 set by set, with the same bits.
 
+Two affine maps are fused nodes, whose forward works in one output buffer
+and whose vjps are written out by hand: ``affine`` (``x W + b``) and
+``max_centred_affine`` (``beta + (x - 1 max(x)) Gamma``). Each gives the value
+and the gradients, to the bit, of the chain of ``segment_max``, ``repeat``,
+``sub``, ``matmul`` and ``add`` nodes it replaces (the test suite keeps that
+chain as its oracle), with one allocation and one finiteness check instead of
+one per link. ``max_centred_affine`` keeps its centred rows for the Gamma
+gradient; ``fwd`` recomputes them, so a replay leaves them as they were.
+
+Every node value is checked for finiteness when it is made, except the values
+of ops that map finite inputs to finite outputs (``_FINITE_PRESERVING``):
+their inputs have passed the check already.
+
 ``gradient_check`` re-executes the recorded nodes with perturbed variable
 values (central differences) and compares against the reverse sweep. Probes
-that cross a max-kink (the winning rows of any recorded ``segment_max`` node
-differ between the two perturbed replays) are flagged as non-differentiable
-points and excluded rather than reported as failures.
+that cross a max-kink (the winning rows of any recorded ``segment_max`` node,
+or of a fused node's max, differ between the two perturbed replays) are
+flagged as non-differentiable points and excluded rather than reported as
+failures.
 """
 
 from __future__ import annotations
@@ -86,6 +100,29 @@ def _per_set(fn, a: np.ndarray, bounds: np.ndarray, size: Optional[int]) -> np.n
     return np.array([fn(a[s:e], axis=0) for s, e in zip(bounds[:-1], bounds[1:])])
 
 
+def _first_hits(a: np.ndarray, bounds: np.ndarray, size: Optional[int]) -> np.ndarray:
+    """The row of ``a`` each (set, channel) max came from; argmax takes the lowest on ties."""
+    return _per_set(np.argmax, a, bounds, size) + bounds[:-1].reshape((-1,) + (1,) * (a.ndim - 1))
+
+
+def _add_at_winners(rows: np.ndarray, x: np.ndarray, bounds: np.ndarray, size: Optional[int], per_set) -> None:
+    """``rows += segment_max(x)``'s vjp of ``per_set``, in place: each (set,
+    channel) entry added at the row of ``x`` that holds that max."""
+    hits = _first_hits(x, bounds, size)
+    won = np.take_along_axis(rows, hits, axis=0)
+    won += per_set
+    np.put_along_axis(rows, hits, won, axis=0)
+
+
+def _centred(x: np.ndarray, bounds: np.ndarray, size: Optional[int]) -> np.ndarray:
+    """``x - 1 max(x)``: each member row less its set's per-channel max, as a new array."""
+    top = _per_set(np.maximum.reduce, x, bounds, size)
+    if size is not None:
+        return (x.reshape((-1, size) + x.shape[1:]) - top[:, None]).reshape(x.shape)
+    rep = np.repeat(top, np.diff(bounds), axis=0)
+    return np.subtract(x, rep, out=rep)
+
+
 # Ops whose vjps capture nothing share one tuple rather than making closures
 # for every node they record.
 _ADD_VJPS = (lambda g, pv, out: _unbroadcast(g, pv[0].shape), lambda g, pv, out: _unbroadcast(g, pv[1].shape))
@@ -99,6 +136,17 @@ _MATMUL_VJPS = (lambda g, pv, out: g @ pv[1].T, lambda g, pv, out: pv[0].T @ g)
 _RESHAPE_VJPS = (lambda g, pv, out: g.reshape(pv[0].shape),)
 _SUM_VJPS = (lambda g, pv, out: np.broadcast_to(g, pv[0].shape).copy(),)
 _SUM_ALL_VJPS = (lambda g, pv, out: np.full(pv[0].shape, float(g)),)
+_AFFINE_VJPS = (  # x W + b
+    lambda g, pv, out: g @ pv[1].T,
+    lambda g, pv, out: pv[0].T @ g,
+    lambda g, pv, out: _unbroadcast(g, pv[2].shape),
+)
+
+# Ops whose value is finite whenever their parents' values are, so _record
+# does not check it again.
+_FINITE_PRESERVING = frozenset(
+    ("repeat", "segment_max", "reshape", "transpose", "neg", "nl_tanh", "nl_sigmoid", "nl_elu")
+)
 
 
 class Node:
@@ -158,8 +206,7 @@ class Node:
 
     def __matmul__(self, other):
         other = self._coerce(other)
-        if self.value.ndim != 2 or other.value.ndim != 2:
-            raise DimensionError("matmul nodes must be rank-2; reshape first")
+        _rank2(self, other)
         return self.tape._record(
             "matmul", (self, other),
             fwd=lambda a, b: T.matmul(a, b),
@@ -230,10 +277,9 @@ class Node:
         """Per-set maxima of member rows, [M, K] -> [B, K]; the subgradient goes
         to the lowest-index member that attains the max."""
         bounds, size = _segments(cards, self.value.shape[0])
-        starts = bounds[:-1].reshape((-1,) + (1,) * (self.value.ndim - 1))
 
-        def first_hits(a):  # the row each (set, channel) max came from; argmax takes the lowest on ties
-            return _per_set(np.argmax, a, bounds, size) + starts
+        def first_hits(a):
+            return _first_hits(a, bounds, size)
 
         def vjp(g, pv, out):
             grad = np.zeros_like(pv[0])
@@ -270,7 +316,7 @@ class Tape:
         self.variables: List[Node] = []
         self._created = 0  # nodes made so far, recorded or not
         self._var_names = set()
-        self._kinks: Dict[int, Callable] = {}  # node index -> fn(input): the rows its max took
+        self._kinks: Dict[int, Callable] = {}  # node index -> fn(first parent's value): the rows its max took
         self.released = False
 
     def release(self) -> None:
@@ -301,11 +347,15 @@ class Tape:
         arr = T.as_tensor(value, "constant")
         return self._append(arr, (), "constant", None, None, None, False)
 
-    def _record(self, op, parents, fwd, vjps) -> Node:
-        pv = tuple(p.value for p in parents)
-        with np.errstate(over="ignore", invalid="ignore"):  # the finite check below surfaces these
-            value = np.asarray(fwd(*pv), dtype=np.float64)
-        T.ensure_finite(value, f"node#{self._created}[{op}]")
+    def _record(self, op, parents, fwd, vjps, value=None) -> Node:
+        """A node for ``fwd`` of the parents' values; ``value``, when given, is
+        that result already computed (under the same ``errstate``)."""
+        if value is None:
+            pv = tuple(p.value for p in parents)
+            with np.errstate(over="ignore", invalid="ignore"):  # the finite check below surfaces these
+                value = np.asarray(fwd(*pv), dtype=np.float64)
+        if op not in _FINITE_PRESERVING:
+            T.ensure_finite(value, f"node#{self._created}[{op}]")
         return self._append(value, parents, op, fwd, vjps, None, False)
 
     def _binary(self, op, a: Node, b: Node, ufunc, vjps) -> Node:
@@ -333,6 +383,63 @@ def nonlinearity(x: Node, fn: str) -> Node:
         return d
 
     return x.tape._record(f"nl_{fn}", (x,), fwd=lambda a: T.elementwise(a, fn), vjps=(vjp,))
+
+
+def _rank2(a: Node, b: Node) -> None:
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise DimensionError("matmul nodes must be rank-2; reshape first")
+
+
+def affine(x: Node, w: Node, b: Node) -> Node:
+    """``x W + b`` as one node: the product, with the bias added in place."""
+    _rank2(x, w)
+
+    def fwd(xv, wv, bv):
+        out = T.matmul(xv, wv)
+        out += bv
+        return out
+
+    return x.tape._record("affine", (x, w, b), fwd=fwd, vjps=_AFFINE_VJPS)
+
+
+def max_centred_affine(x: Node, gam: Node, beta: Node, cards) -> Node:
+    """``beta + (x - 1 max(x)) Gamma`` over the member rows of sets with ``cards``
+    members, as one node: [M, K] -> [M, K'].
+
+    The vjps are those of the ``segment_max``, ``repeat``, ``sub``, ``matmul``
+    and ``add`` chain: Gamma gets ``d^T g`` for the centred rows ``d``, beta
+    the column sums of ``g``, and x gets ``g Gamma^T`` with minus each set's
+    column sums of it added at the rows that won the max (lowest index on
+    ties). The node registers those rows as its kink.
+    """
+    _rank2(x, gam)
+    tape = x.tape
+    bounds, size = _segments(cards, x.value.shape[0])
+
+    def centred_product(xv, gv, bv):
+        d = _centred(xv, bounds, size)
+        out = T.matmul(d, gv)
+        out += bv
+        return d, out
+
+    with np.errstate(over="ignore", invalid="ignore"):  # as in Tape._record
+        d, value = centred_product(x.value, gam.value, beta.value)
+
+    def x_vjp(g, pv, out):
+        gd = g @ pv[1].T
+        sums = _per_set(np.add.reduce, gd, bounds, size)
+        _add_at_winners(gd, pv[0], bounds, size, np.negative(sums, out=sums))
+        return gd
+
+    node = tape._record(
+        "max_centred_affine", (x, gam, beta),
+        fwd=lambda xv, gv, bv: centred_product(xv, gv, bv)[1],
+        vjps=(x_vjp, lambda g, pv, out: d.T @ g, _AFFINE_VJPS[2]),
+        value=value,
+    )
+    if x.requires_grad:
+        tape._kinks[node.index] = lambda xv: _first_hits(xv, bounds, size)
+    return node
 
 
 def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:

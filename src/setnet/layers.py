@@ -16,6 +16,12 @@ segment reduction to one row per set ([B, K]) and goes back to the members
 with ``repeat``. No row belongs to more than one set and there are no padding
 rows, so a set's outputs depend on its own members only.
 
+A ``channel_factored`` ``EquivariantLayer`` or a ``Dense`` layer records its
+pre-activation (``beta + (x - 1 max(x)) Gamma``, or ``x W + b``) as one fused
+tape node, and its activation as a second one; see ``autodiff`` for the fused
+nodes' gradients. ``channel_full`` builds its pre-activation from the segment,
+``matmul``, ``mul``, ``repeat`` and ``add`` nodes.
+
 Every layer has the same protocol: ``params()`` lists its named ``Param``
 objects (none for pooling, normalisation, flattening and dropout) and
 ``apply(tape, x, cards, bound, rng=None)`` builds its autodiff nodes from the
@@ -53,16 +59,31 @@ class SetBatch:
     """A packed batch of sets: ``values`` [M, K] holds every member as one row,
     the sets one after another, and ``cardinalities`` [B] says how many rows
     each set has (M is their sum, every set has at least one member).
+
+    Both arrays are read-only. ``SetBatch(values, cardinalities)`` copies
+    ``values``, so an array the caller keeps stays writable and the batch does
+    not change with it. ``SetBatch.adopt`` takes a float64 array no one else
+    holds, as a fresh gather is, without a copy, and makes it read-only.
     """
 
     values: np.ndarray
     cardinalities: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)
+        self._own(np.array(self.values, dtype=np.float64), self.cardinalities)
+
+    @classmethod
+    def adopt(cls, values: np.ndarray, cardinalities) -> "SetBatch":
+        """A batch over ``values`` itself: the caller hands the array over
+        and must not keep or change it."""
+        batch = object.__new__(cls)
+        batch._own(np.asarray(values, dtype=np.float64), cardinalities)
+        return batch
+
+    def _own(self, vals: np.ndarray, cardinalities) -> None:
         if vals.ndim != 2:
             raise DimensionError(f"SetBatch values must be [M, K], got shape {vals.shape}")
-        cards = np.array(self.cardinalities, dtype=np.intp)
+        cards = np.array(cardinalities, dtype=np.intp)
         if cards.ndim != 1:
             raise DimensionError("need one cardinality per set")
         if np.any(cards < 1):
@@ -197,11 +218,11 @@ class EquivariantLayer:
             raise DimensionError(
                 f"{self.name}: expected {self.k_in} input channels, got {x.value.shape[1]}"
             )
-        agg = _aggregate(tape, x, cards, self.aggregate)  # [B, K]
         gam = bound[self.gam.name]
         if self.variant == "channel_factored":
-            pre = (x - agg.repeat(cards)) @ gam + bound[self.beta.name]
+            pre = ad.max_centred_affine(x, gam, bound[self.beta.name], cards)
         else:
+            agg = _aggregate(tape, x, cards, self.aggregate)  # [B, K]
             pre = x @ bound[self.lam.name] + (self.sign * (agg @ gam)).repeat(cards)
         return ad.nonlinearity(pre, self.activation)
 
@@ -226,7 +247,7 @@ class Dense:
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if x.value.shape[-1] != self.k_in:
             raise DimensionError(f"{self.name}: expected {self.k_in} inputs, got {x.value.shape[-1]}")
-        return ad.nonlinearity(x @ bound[self.w.name] + bound[self.b.name], self.activation)
+        return ad.nonlinearity(ad.affine(x, bound[self.w.name], bound[self.b.name]), self.activation)
 
 
 class SetPool:
@@ -402,16 +423,22 @@ def save_params(path, params: Sequence[Param], meta: Optional[Dict[str, str]] = 
 def load_params(path):
     """Read a format-2 checkpoint; returns (name -> float64 array, meta dict).
 
-    Malformed content of any kind, and a checkpoint of another format
-    version, raises ``FormatError`` naming the file and, where there is one,
-    the line.
+    The file is read one line at a time, so besides the arrays it returns
+    it holds one line and its decoded payload at a time. Malformed content of
+    any kind, and a checkpoint of another format version, raises
+    ``FormatError`` naming the file and, where there is one, the line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            return _read_params(path, enumerate(fh, start=1))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a setnet checkpoint (not UTF-8 text)") from exc
-    head = lines[0].split() if lines else []
+
+
+def _read_params(path, lines):
+    """``load_params`` over (line number, text) pairs."""
+    _, first = next(lines, (1, ""))
+    head = first.split()
     if len(head) != 2 or head[0] != _CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a setnet checkpoint (bad header)")
     if head[1] != _CHECKPOINT_VERSION:
@@ -420,38 +447,36 @@ def load_params(path):
         )
     meta: Dict[str, str] = {}
     arrays: Dict[str, np.ndarray] = {}
-    i = 1
-    while i < len(lines):
-        fields = lines[i].split()
+    for i, line in lines:
+        fields = line.split()
         if not fields:
-            i += 1
             continue
         if fields[0] == "meta":
             if len(fields) != 3:
-                raise FormatError(f"{path}:{i + 1}: malformed meta line")
+                raise FormatError(f"{path}:{i}: malformed meta line")
             meta[fields[1]] = fields[2]
-            i += 1
         elif fields[0] == "param":
             try:
                 name, rank = fields[1], int(fields[2])
                 dims = tuple(int(d) for d in fields[3:])
             except (IndexError, ValueError) as exc:
-                raise FormatError(f"{path}:{i + 1}: malformed param line") from exc
+                raise FormatError(f"{path}:{i}: malformed param line") from exc
             if len(dims) != rank or any(d < 0 for d in dims):
-                raise FormatError(f"{path}:{i + 1}: param {name} needs {rank} non-negative dims, got {fields[3:]}")
-            if i + 1 >= len(lines):
-                raise FormatError(f"{path}:{i + 1}: truncated param entry")
-            try:
-                data = np.frombuffer(bytes.fromhex(lines[i + 1]), dtype="<f8")
+                raise FormatError(f"{path}:{i}: param {name} needs {rank} non-negative dims, got {fields[3:]}")
+            i, payload = next(lines, (i, None))
+            if payload is None:
+                raise FormatError(f"{path}:{i}: truncated param entry")
+            try:  # fromhex skips the line's newline; a bytearray gives a writable array without a copy
+                data = np.frombuffer(bytearray.fromhex(payload), dtype="<f8")
             except ValueError as exc:
-                raise FormatError(f"{path}:{i + 2}: payload of {name} is not float64 hex") from exc
+                raise FormatError(f"{path}:{i}: payload of {name} is not float64 hex") from exc
+            del payload  # before the next line is read: a payload line can be megabytes
             expect = math.prod(dims)
             if data.size != expect:
-                raise FormatError(f"{path}:{i + 2}: expected {expect} values for {name}, got {data.size}")
-            arrays[name] = data.astype(np.float64).reshape(dims)
-            i += 2
+                raise FormatError(f"{path}:{i}: expected {expect} values for {name}, got {data.size}")
+            arrays[name] = data.astype(np.float64, copy=False).reshape(dims)
         else:
-            raise FormatError(f"{path}:{i + 1}: unknown record {fields[0]!r}")
+            raise FormatError(f"{path}:{i}: unknown record {fields[0]!r}")
     return arrays, meta
 
 

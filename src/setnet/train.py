@@ -298,8 +298,9 @@ def _any_observed(dataset: LabeledSetDataset) -> bool:
 
 
 def make_set_batch(dataset: LabeledSetDataset, indices: Sequence[int]) -> SetBatch:
-    """The sets at ``indices`` packed into one batch, gathered from the dataset's rows."""
-    return SetBatch(dataset.rows[_member_rows(dataset, indices)], [dataset.members[i].size for i in indices])
+    """The sets at ``indices`` packed into one batch, gathered from the dataset's
+    rows into a new array that the batch adopts."""
+    return SetBatch.adopt(dataset.rows[_member_rows(dataset, indices)], [dataset.members[i].size for i in indices])
 
 
 def member_targets(dataset: LabeledSetDataset, indices: Sequence[int]):

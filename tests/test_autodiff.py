@@ -68,6 +68,50 @@ class TestForward:
             _ = w @ w
 
 
+# Each op _record does not check, built on a [4, 2] node.
+FINITE_PRESERVING_OPS = {
+    "repeat": lambda x: x.repeat([2, 1, 3, 1]),
+    "segment_max": lambda x: x.segment_max([3, 1]),
+    "reshape": lambda x: x.reshape((2, 4)),
+    "transpose": lambda x: x.transpose((1, 0)),
+    "neg": lambda x: -x,
+    "nl_tanh": lambda x: ad.nonlinearity(x, "tanh"),
+    "nl_sigmoid": lambda x: ad.nonlinearity(x, "sigmoid"),
+    "nl_elu": lambda x: ad.nonlinearity(x, "elu"),
+}
+FINITE_EDGES = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0]
+
+
+class TestFiniteChecks:
+    def test_exactly_these_ops_skip_the_check(self):
+        assert ad._FINITE_PRESERVING == set(FINITE_PRESERVING_OPS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(sorted(FINITE_PRESERVING_OPS)),
+        st.lists(st.one_of(st.sampled_from(FINITE_EDGES), st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=8, max_size=8),
+    )
+    def test_unchecked_ops_map_finite_inputs_to_finite_outputs(self, op, entries):
+        tape = ad.Tape()
+        x = tape.variable(np.array(entries).reshape(4, 2), "x")
+        node = FINITE_PRESERVING_OPS[op](x)
+        assert node.op == op and node.requires_grad
+        # underflow is left to its default: a value rounded towards zero is finite
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value = node.fwd(x.value)
+        assert np.all(np.isfinite(value)) and np.array_equal(value, node.value)
+
+    def test_fused_nodes_catch_an_overflow_inside_them(self):
+        tape = ad.Tape()
+        x = tape.variable(np.array([[-1.7e308], [1.7e308]]), "x")  # x - max(x) overflows
+        w, b = tape.variable(np.ones((1, 1)), "w"), tape.variable(np.zeros(1), "b")
+        with pytest.raises(NumericError, match=r"node#\d+\[max_centred_affine\]"):
+            ad.max_centred_affine(x, w, b, [2])
+        with pytest.raises(NumericError, match=r"node#\d+\[affine\]: 1 non-finite"):
+            ad.affine(tape.constant([[1e200]]), tape.constant([[1e200]]), b)
+
+
 class TestBackward:
     def test_square(self):
         tape = ad.Tape()

@@ -32,7 +32,7 @@ from setnet.data import LabeledSetDataset
 from setnet.optim import Optimizer
 from setnet.train import ExperimentConfig, build_experiment_model
 
-from helpers import count_params, peak_bytes
+from helpers import composite_pre_activation, count_params, peak_bytes
 
 # (variant, channels, aggregate) per layer form; the scalar forms are channel_full
 # with one channel in and out, where numpy regroups the sums. None: drawn per case.
@@ -381,6 +381,78 @@ class TestGradientCheckProperty:
         assert report.passed, report.failures[:3]
 
 
+def bits(a):
+    """The float64 entries' bit patterns: equal exactly when the values are the same to the bit, -0.0 included."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def fused_cases(draw):
+    """(layer, values, cards, weights, x_is_variable): a ``channel_factored``
+    ``EquivariantLayer`` or a ``Dense`` layer, both with tanh, on an equal-size or
+    ragged batch, with ``weights`` for a linear loss on the output. Inputs
+    drawn from a few levels tie the maxima; large parameters saturate tanh,
+    so many of its derivatives are +-0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cards = [draw(st.integers(1, 6))] * sets
+    else:
+        cards = draw(st.lists(st.integers(1, 6), min_size=sets, max_size=sets))
+    k_in, k_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = (sum(cards), k_in)
+    if draw(st.booleans()):
+        values = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
+    else:
+        values = rng.normal(size=shape)
+    if draw(st.booleans()):
+        layer = Dense(k_in, k_out, "tanh", rng)
+    else:
+        layer = EquivariantLayer(k_in, k_out, "channel_factored", "tanh", rng=rng)
+    scale = draw(st.sampled_from([1.0, 50.0]))
+    for p in layer.params():
+        p.value = rng.normal(scale=scale, size=p.value.shape)
+    weights = rng.normal(size=(shape[0], k_out))
+    return layer, values, np.array(cards), weights, draw(st.booleans())
+
+
+class TestFusedPreActivation:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(fused_cases())
+    def test_fused_node_matches_the_composite_bit_for_bit(self, case):
+        layer, values, cards, weights, x_is_variable = case
+
+        def run(forward):
+            tape = ad.Tape()
+            bound = bind(tape, layer.params())
+            x = tape.variable(values, "x") if x_is_variable else tape.constant(values)
+            out = forward(tape, x, bound)
+            loss = (out * weights).sum_all()
+            return out.value, ad.backward(tape, loss), tape.nodes
+
+        fused = run(lambda tape, x, bound: layer.apply(tape, x, cards, bound))
+        chain = run(lambda tape, x, bound: ad.nonlinearity(composite_pre_activation(layer, x, cards, bound), "tanh"))
+        assert np.array_equal(bits(fused[0]), bits(chain[0]))
+        assert fused[1].keys() == chain[1].keys()
+        for name, grad in chain[1].items():
+            assert np.array_equal(bits(fused[1][name]), bits(grad)), name
+        pre_ops = [n.op for n in fused[2] if n.op not in ("variable", "nl_tanh", "mul", "sum_all")]
+        assert len(pre_ops) == 1 and len(fused[2]) < len(chain[2])
+
+    def test_replay_leaves_what_backward_reads(self):
+        rng = np.random.default_rng(5)
+        layer = random_layer("channel_factored", 3, 2, rng)
+        values = rng.normal(size=(7, 3))
+        tape = ad.Tape()
+        out = layer.apply(tape, tape.variable(values, "x"), np.array([4, 3]), bind(tape, layer.params()))
+        loss = out.sum_all()
+        before = ad.backward(tape, loss)
+        variables = {v.name: v.index for v in tape.variables}
+        ad.replay(tape, {variables["x"]: values + 1.0, variables["eq.Gamma"]: -layer.gam.value})
+        after = ad.backward(tape, loss)
+        assert all(np.array_equal(bits(before[name]), bits(after[name])) for name in before)
+
+
 class TestSetPool:
     def test_sum_example(self):
         assert np.array_equal(evaluate(SetPool("sum"), single_set([[1.0, 2.0], [3.0, 4.0]])), [[4.0, 6.0]])
@@ -674,15 +746,28 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.txt"]
 
-    def test_write_streams_the_text(self, tmp_path):
-        # the default mnist_sum model with its Adam moments, as train_loop checkpoints it
+    @staticmethod
+    def default_mnist_params():
+        """The default mnist_sum model's parameters with its Adam moments, as
+        train_loop checkpoints them: 6.6 MB of text for 3.3 MB of arrays."""
         data = LabeledSetDataset(np.zeros((3, 784)), [np.arange(3)], set_labels=np.array([0]), num_classes=28)
         model = build_experiment_model(ExperimentConfig({"experiment": "mnist_sum"}), data)
         opt = Optimizer("adam", model.params())
-        params = model.params() + [Param(name, arr) for name, arr in opt.state_arrays().items()]
+        return model.params() + [Param(name, arr) for name, arr in opt.state_arrays().items()]
+
+    def test_write_streams_the_text(self, tmp_path):
+        params = self.default_mnist_params()
         path = tmp_path / "ckpt.txt"
         _, peak = peak_bytes(save_params, path, params, {"epoch": "1"})
         assert peak <= path.stat().st_size
+
+    def test_read_streams_the_text(self, tmp_path):
+        params = self.default_mnist_params()
+        path = tmp_path / "ckpt.txt"
+        save_params(path, params, {"epoch": "1"})
+        (arrays, _), peak = peak_bytes(load_params, path)
+        assert all(np.array_equal(arrays[p.name], p.value) for p in params)
+        assert peak <= 7_000_000
 
     def test_rejected_meta_leaves_file_untouched(self, tmp_path):
         path = tmp_path / "ckpt.txt"
@@ -708,6 +793,17 @@ class TestSetBatch:
         batch = SetBatch(values, [1, 3, 2])
         assert (batch.num_sets, batch.max_size, batch.channels) == (3, 3, 2)
         assert [s.tolist() for s in batch.sets()] == [values[:1].tolist(), values[1:4].tolist(), values[4:].tolist()]
+
+    def test_the_constructor_copies_and_adopt_does_not(self):
+        values = np.arange(6.0).reshape(3, 2)
+        kept = SetBatch(values, [2, 1])
+        assert not np.shares_memory(kept.values, values) and values.flags.writeable
+        values[0, 0] = 7.0  # the caller's array stays its own
+        assert kept.values[0, 0] == 0.0 and not kept.values.flags.writeable
+        adopted = SetBatch.adopt(values, [2, 1])
+        assert adopted.values is values and not values.flags.writeable
+        with pytest.raises(DimensionError):
+            SetBatch.adopt(np.ones((3, 2)), [2, 2])
 
     def test_permute_members_respects_cardinality(self):
         rng = np.random.default_rng(0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from setnet import autodiff as ad
+from setnet import train as train_module
 from setnet.data import (
     LabeledSetDataset,
     build_sum_sets,
@@ -173,6 +174,21 @@ class TestMnistModels:
         report = {v: count_params(model_for("mnist_sum", digit_sets, model_variant=v).params()) for v in MNIST_VARIANTS}
         counts = list(report.values())
         assert max(counts) <= 1.1 * min(counts), report
+
+    def test_batch_adopts_its_gather(self, digit_sets, monkeypatch):
+        gathers = []
+
+        class Spy(SetBatch):
+            @classmethod
+            def adopt(cls, values, cardinalities):
+                gathers.append(values)
+                return super().adopt(values, cardinalities)
+
+        monkeypatch.setattr(train_module, "SetBatch", Spy)
+        batch = make_set_batch(digit_sets, [5, 0, 3])
+        assert np.shares_memory(batch.values, gathers[0])  # no second copy
+        assert not np.shares_memory(batch.values, digit_sets.rows) and digit_sets.rows.flags.writeable
+        assert np.array_equal(batch.values, digit_sets.rows[np.concatenate([digit_sets.members[i] for i in (5, 0, 3)])])
 
     def test_wrong_cardinality_rejected(self, digit_sets):
         model = model_for("mnist_sum", digit_sets, model_variant="III")
@@ -548,3 +564,35 @@ class TestStepMemory:
         assert len(steps) == 12
         assert max(live for live, _ in steps) == 1
         assert peak <= 3 * max(nbytes for _, nbytes in steps)
+
+
+class TestNodeCounts:
+    """Recorded nodes per default training step, the count the benchmark's
+    traced run reports as ``autodiff.nodes_per_step``. Each equivariant and
+    dense layer records its pre-activation as one fused node and its
+    activation as another, so a change that splits a layer into more nodes
+    fails here, with no timing needed. The data are smaller than the
+    defaults; the graph of a step does not depend on how many sets there are."""
+
+    @pytest.mark.parametrize(
+        "experiment, data, nodes",
+        [
+            ("mnist_sum", {"data.source_count": "200", "data.train_sets": "64", "data.val_sets": "8"}, 20),
+            ("pointcloud", {"data.train_sets": "32", "data.val_sets": "4"}, 21),
+            ("setregression", {"data.train_sets": "32", "data.val_sets": "4"}, 23),
+        ],
+    )
+    def test_default_training_step(self, monkeypatch, experiment, data, nodes):
+        counts = []
+        real_backward = ad.backward
+
+        def backward(tape, root):
+            counts.append(len(tape.nodes))
+            return real_backward(tape, root)
+
+        config = ExperimentConfig({"experiment": experiment, "train.epochs": "1", **data})
+        train_data, val_data = build_experiment_data(config)
+        model = build_experiment_model(config, train_data)
+        monkeypatch.setattr(ad, "backward", backward)
+        train_loop(model, config, train_data, val_data)
+        assert counts == [nodes, nodes]
