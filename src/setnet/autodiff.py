@@ -5,8 +5,8 @@ node references only ever point backward. Every node gets a number, its
 creation order on the tape, which names it in ``NumericError`` messages.
 
 A tape records only the graph that gradients flow through. A node is
-recorded (keeps its parents, its ``fwd`` and its ``vjps``, and is appended
-to ``tape.nodes``) when it is a variable or has a recorded parent; its
+recorded (keeps its parents and its ``vjps``, and is appended to
+``tape.nodes``) when it is a variable or has a recorded parent; its
 ``requires_grad`` says so. Every other node keeps its value and its op name
 and nothing else, so a tape with no variables, as in evaluation, records
 nothing and each intermediate is freed as soon as nothing uses it. Each
@@ -23,8 +23,7 @@ A recording tape and its nodes form a reference cycle (``Node.tape`` and
 object counts, not bytes. So a training step calls ``Tape.release()`` once
 ``backward`` has returned: the tape drops its recorded nodes, and the step's
 graph is freed by reference counting as soon as the step lets go of its
-output, loss and bound variables. ``backward``, ``replay`` and
-``gradient_check`` refuse a released tape.
+output, loss and bound variables. ``backward`` refuses a released tape.
 
 Set batches store their members as stacked rows, one set after another; the
 segment ops (``segment_sum``, ``segment_max`` and ``repeat``) move between
@@ -39,24 +38,16 @@ and the gradients, to the bit, of the chain of ``segment_max``, ``repeat``,
 ``sub``, ``matmul`` and ``add`` nodes it replaces (the test suite keeps that
 chain as its oracle), with one allocation and one finiteness check instead of
 one per link. ``max_centred_affine`` keeps its centred rows for the Gamma
-gradient; ``fwd`` recomputes them, so a replay leaves them as they were.
+gradient.
 
 Every node value is checked for finiteness when it is made, except the values
 of ops that map finite inputs to finite outputs (``_FINITE_PRESERVING``):
 their inputs have passed the check already.
-
-``gradient_check`` re-executes the recorded nodes with perturbed variable
-values (central differences) and compares against the reverse sweep. Probes
-that cross a max-kink (the winning rows of any recorded ``segment_max`` node,
-or of a fused node's max, differ between the two perturbed replays) are
-flagged as non-differentiable points and excluded rather than reported as
-failures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -152,15 +143,14 @@ _FINITE_PRESERVING = frozenset(
 class Node:
     """One value on a tape. Operators build new nodes on the same tape."""
 
-    __slots__ = ("tape", "index", "value", "parents", "op", "fwd", "vjps", "name", "requires_grad")
+    __slots__ = ("tape", "index", "value", "parents", "op", "vjps", "name", "requires_grad")
 
-    def __init__(self, tape, index, value, parents, op, fwd, vjps, name, requires_grad):
+    def __init__(self, tape, index, value, parents, op, vjps, name, requires_grad):
         self.tape = tape
         self.index = index  # creation order on the tape
         self.value = value
         self.parents = parents
         self.op = op
-        self.fwd = fwd  # recompute value from parent values; None for leaves
         self.vjps = vjps  # one (grad_out, parent_values, out_value) -> grad per parent
         self.name = name
         self.requires_grad = requires_grad  # recorded: a variable lies behind this node
@@ -278,20 +268,14 @@ class Node:
         to the lowest-index member that attains the max."""
         bounds, size = _segments(cards, self.value.shape[0])
 
-        def first_hits(a):
-            return _first_hits(a, bounds, size)
-
         def vjp(g, pv, out):
             grad = np.zeros_like(pv[0])
-            np.put_along_axis(grad, first_hits(pv[0]), g, axis=0)
+            np.put_along_axis(grad, _first_hits(pv[0], bounds, size), g, axis=0)
             return grad
 
-        node = self.tape._record(
+        return self.tape._record(
             "segment_max", (self,), fwd=lambda a: _per_set(np.maximum.reduce, a, bounds, size), vjps=(vjp,)
         )
-        if node.requires_grad:
-            self.tape._kinks[node.index] = first_hits
-        return node
 
     def sum_all(self) -> "Node":
         return self.tape._record(
@@ -316,21 +300,20 @@ class Tape:
         self.variables: List[Node] = []
         self._created = 0  # nodes made so far, recorded or not
         self._var_names = set()
-        self._kinks: Dict[int, Callable] = {}  # node index -> fn(first parent's value): the rows its max took
         self.released = False
 
     def release(self) -> None:
         """Drop the recorded graph, so that nothing on the tape refers back to
         its nodes. Call it after ``backward``; calling it twice is harmless."""
-        self.nodes, self.variables, self._kinks = [], [], {}
+        self.nodes, self.variables = [], []
         self.released = True
 
-    def _append(self, value, parents, op, fwd, vjps, name, is_variable) -> Node:
+    def _append(self, value, parents, op, vjps, name, is_variable) -> Node:
         index = self._created
         self._created += 1
         if not (is_variable or any(p.requires_grad for p in parents)):
-            return Node(self, index, value, (), op, None, None, None, False)
-        node = Node(self, index, value, parents, op, fwd, vjps, name, True)
+            return Node(self, index, value, (), op, None, None, False)
+        node = Node(self, index, value, parents, op, vjps, name, True)
         self.nodes.append(node)
         return node
 
@@ -339,24 +322,22 @@ class Tape:
             raise ContractError(f"duplicate variable name {name!r}")
         self._var_names.add(name)
         arr = T.as_tensor(value, f"variable {name!r}")
-        node = self._append(arr, (), "variable", None, None, name, True)
+        node = self._append(arr, (), "variable", None, name, True)
         self.variables.append(node)
         return node
 
     def constant(self, value) -> Node:
         arr = T.as_tensor(value, "constant")
-        return self._append(arr, (), "constant", None, None, None, False)
+        return self._append(arr, (), "constant", None, None, False)
 
-    def _record(self, op, parents, fwd, vjps, value=None) -> Node:
-        """A node for ``fwd`` of the parents' values; ``value``, when given, is
-        that result already computed (under the same ``errstate``)."""
-        if value is None:
-            pv = tuple(p.value for p in parents)
-            with np.errstate(over="ignore", invalid="ignore"):  # the finite check below surfaces these
-                value = np.asarray(fwd(*pv), dtype=np.float64)
+    def _record(self, op, parents, fwd, vjps) -> Node:
+        """A node for ``fwd`` of the parents' values, which is called once."""
+        pv = tuple(p.value for p in parents)
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite check below surfaces these
+            value = np.asarray(fwd(*pv), dtype=np.float64)
         if op not in _FINITE_PRESERVING:
             T.ensure_finite(value, f"node#{self._created}[{op}]")
-        return self._append(value, parents, op, fwd, vjps, None, False)
+        return self._append(value, parents, op, vjps, None, False)
 
     def _binary(self, op, a: Node, b: Node, ufunc, vjps) -> Node:
         def fwd(x, y):
@@ -410,20 +391,18 @@ def max_centred_affine(x: Node, gam: Node, beta: Node, cards) -> Node:
     and ``add`` chain: Gamma gets ``d^T g`` for the centred rows ``d``, beta
     the column sums of ``g``, and x gets ``g Gamma^T`` with minus each set's
     column sums of it added at the rows that won the max (lowest index on
-    ties). The node registers those rows as its kink.
+    ties).
     """
     _rank2(x, gam)
-    tape = x.tape
     bounds, size = _segments(cards, x.value.shape[0])
+    d = None  # the centred rows, kept by the forward for the Gamma gradient
 
     def centred_product(xv, gv, bv):
+        nonlocal d
         d = _centred(xv, bounds, size)
         out = T.matmul(d, gv)
         out += bv
-        return d, out
-
-    with np.errstate(over="ignore", invalid="ignore"):  # as in Tape._record
-        d, value = centred_product(x.value, gam.value, beta.value)
+        return out
 
     def x_vjp(g, pv, out):
         gd = g @ pv[1].T
@@ -431,15 +410,11 @@ def max_centred_affine(x: Node, gam: Node, beta: Node, cards) -> Node:
         _add_at_winners(gd, pv[0], bounds, size, np.negative(sums, out=sums))
         return gd
 
-    node = tape._record(
+    return x.tape._record(
         "max_centred_affine", (x, gam, beta),
-        fwd=lambda xv, gv, bv: centred_product(xv, gv, bv)[1],
+        fwd=centred_product,
         vjps=(x_vjp, lambda g, pv, out: d.T @ g, _AFFINE_VJPS[2]),
-        value=value,
     )
-    if x.requires_grad:
-        tape._kinks[node.index] = lambda xv: _first_hits(xv, bounds, size)
-    return node
 
 
 def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
@@ -511,95 +486,3 @@ def backward(tape: Tape, root: Node) -> GradientMap:
             g = np.broadcast_to(g, var.value.shape).copy()
         out[var.name] = g
     return out
-
-
-def replay(tape: Tape, overrides: Optional[Dict[int, np.ndarray]] = None):
-    """Recompute the recorded nodes, substituting variable values from ``overrides``.
-
-    Unrecorded nodes have no variable behind them and cannot change, so a
-    recorded node reads an unrecorded parent's value from the parent. Returns
-    (values, max_signatures): values maps each recorded node's index to its
-    value, and max_signatures maps the index of each recorded ``segment_max``
-    node to the rows that won its maxima, used to detect kink crossings.
-    """
-    _require_graph(tape)
-    overrides = overrides or {}
-    variables = {var.index for var in tape.variables}
-    for index in overrides:
-        if index not in variables:
-            raise ContractError(f"replay overrides node#{index}, which is not a variable")
-    values: Dict[int, np.ndarray] = {}
-    signatures: Dict[int, np.ndarray] = {}
-    with np.errstate(over="ignore", invalid="ignore"):  # as in Tape._record; a probe may leave the domain
-        for node in tape.nodes:
-            if node.fwd is None:
-                values[node.index] = overrides.get(node.index, node.value)
-            else:
-                pv = tuple(values[p.index] if p.requires_grad else p.value for p in node.parents)
-                values[node.index] = np.asarray(node.fwd(*pv), dtype=np.float64)
-                kink = tape._kinks.get(node.index)
-                if kink is not None:
-                    signatures[node.index] = kink(pv[0])
-    return values, signatures
-
-
-@dataclass
-class GradientCheckReport:
-    tolerance: float
-    step: float
-    max_rel_error: float = 0.0
-    entries_checked: int = 0
-    entries_flagged: int = 0  # probes at non-differentiable (max-tie) points, excluded
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"gradient check {status}: max rel error {self.max_rel_error:.3e} "
-            f"(tol {self.tolerance:.1e}), {self.entries_checked} entries checked, "
-            f"{self.entries_flagged} flagged non-differentiable"
-        )
-
-
-def gradient_check(tape: Tape, root: Node, step: float = 1e-5, tolerance: float = 1e-4) -> GradientCheckReport:
-    """Compare backward() against central finite differences, entry by entry.
-    A probe whose central difference or analytic gradient is not finite fails
-    its entry."""
-    if step <= 0:
-        raise ContractError("step must be positive")
-    if root.value.shape != ():
-        raise ContractError("gradient_check root must be scalar")
-    analytic = backward(tape, root)
-    report = GradientCheckReport(tolerance=tolerance, step=step)
-    for var in tape.variables:
-        worst = 0.0
-        base = var.value
-        for j in range(base.size):
-            plus = base.copy()
-            minus = base.copy()
-            plus.flat[j] += step
-            minus.flat[j] -= step
-            vals_p, sig_p = replay(tape, {var.index: plus})
-            vals_m, sig_m = replay(tape, {var.index: minus})
-            if any(not np.array_equal(sig_p[k], sig_m[k]) for k in sig_p):
-                report.entries_flagged += 1
-                continue
-            # a root with no variable behind it is not recorded: its value is fixed
-            f_p, f_m = (float(vals.get(root.index, root.value)) for vals in (vals_p, vals_m))
-            fd = (f_p - f_m) / (2.0 * step)
-            ad = float(analytic[var.name].flat[j])
-            scale = max(abs(ad), abs(fd))
-            # below the scale floor the comparison degenerates to absolute
-            err = abs(ad - fd) / scale if scale > 1e-6 else abs(ad - fd)
-            if not (np.isfinite(fd) and np.isfinite(ad)):
-                err = np.inf
-            worst = max(worst, err)
-            report.entries_checked += 1
-            if err > tolerance:
-                report.failures.append(f"{var.name}[{j}]: analytic {ad:.6e} vs central-difference {fd:.6e} (rel {err:.3e})")
-        report.max_rel_error = max(report.max_rel_error, worst)
-    return report

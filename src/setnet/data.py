@@ -378,28 +378,6 @@ def save_xyz(path, points: np.ndarray) -> None:
             fh.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
 
 
-def load_xyz(path) -> np.ndarray:
-    """Read the [m, 3] points of an x y z file; m >= 1 and every value finite."""
-    rows = []
-    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{lineno}: expected three coordinates")
-        try:
-            row = [float(v) for v in parts]
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: non-numeric coordinate") from exc
-        if not all(math.isfinite(v) for v in row):
-            raise FormatError(f"{path}:{lineno}: non-finite coordinate")
-        rows.append(row)
-    if not rows:
-        raise FormatError(f"{path}: no points")
-    return np.array(rows, dtype=np.float64)
-
-
 # --- synthetic shape surfaces ------------------------------------------------------
 
 SHAPE_CLASSES = ("sphere", "cube", "cylinder", "torus")

@@ -116,18 +116,6 @@ class SetBatch:
         """Each set's member rows, in batch order."""
         return np.split(self.values, np.cumsum(self.cardinalities)[:-1])
 
-    def permute_members(self, perms: Sequence[np.ndarray]) -> "SetBatch":
-        """Reorder the members of each set by its index array: a set with
-        member rows ``rows`` and index array ``p`` becomes ``rows[p]``, so its
-        new row i is its old row ``p[i]``. Each ``p`` must be a bijection on
-        the set's member positions {0, ..., n-1}."""
-        if len(perms) != self.num_sets:
-            raise DimensionError("need one permutation per set")
-        for b, (p, n) in enumerate(zip(perms, self.cardinalities)):
-            if not np.array_equal(np.sort(p), np.arange(n)):
-                raise DimensionError(f"set {b} has {n} members, and {p!r} is not a permutation of 0..{n - 1}")
-        return self.with_values(np.concatenate([s[p] for s, p in zip(self.sets(), perms)]))
-
 
 class Param:
     """A named, mutable parameter array. An ``Optimizer`` makes ``value`` a
@@ -454,6 +442,8 @@ def _read_params(path, lines):
         if fields[0] == "meta":
             if len(fields) != 3:
                 raise FormatError(f"{path}:{i}: malformed meta line")
+            if fields[1] in meta:
+                raise FormatError(f"{path}:{i}: repeated meta key {fields[1]!r}")
             meta[fields[1]] = fields[2]
         elif fields[0] == "param":
             try:
@@ -461,6 +451,8 @@ def _read_params(path, lines):
                 dims = tuple(int(d) for d in fields[3:])
             except (IndexError, ValueError) as exc:
                 raise FormatError(f"{path}:{i}: malformed param line") from exc
+            if name in arrays:
+                raise FormatError(f"{path}:{i}: repeated param {name!r}")
             if len(dims) != rank or any(d < 0 for d in dims):
                 raise FormatError(f"{path}:{i}: param {name} needs {rank} non-negative dims, got {fields[3:]}")
             i, payload = next(lines, (i, None))

@@ -1,13 +1,37 @@
-"""Writers and oracles the tests share: each writes a file that a ``setnet.data``
-loader reads back, or computes a reference value independently of setnet."""
+"""Writers, readers and oracles the tests share: each writes a file that a
+``setnet.data`` loader reads back, reads a file that the program writes, or
+computes a reference value independently of setnet.
+
+The finite-difference oracle, ``gradient_check``, takes the forward as a
+function: ``build(tape, variables)`` makes the scalar root on ``tape`` from
+the variable nodes, one per entry of ``values``. The oracle runs ``build``
+once for the analytic gradients (``autodiff.backward``), then twice more on a
+fresh tape for each entry of each variable, with that entry moved by
+``+step`` and ``-step``, and compares the central difference of the two
+roots with the analytic entry. So every probe runs the program's own
+forward: the same ops, value checks included, that a training step runs. A
+probe whose forward raises ``NumericError`` has a non-finite root, and the
+entry fails like one whose difference or analytic gradient is not finite.
+
+The gradient at a tie between the maxima of a set is a subgradient (lowest
+index wins), which a central difference across the tie does not measure. A
+probe pair whose max winners differ, in any node of the two probe tapes, is
+flagged as non-differentiable and left out instead of failing.
+``max_winners`` reads those winners off a node's own vjp, so the oracle
+needs nothing from the tape but its recorded nodes.
+"""
 
 import csv
+import math
 import struct
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from setnet.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS
+from setnet import autodiff as ad
+from setnet.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, _read_text
+from setnet.errors import ContractError, DimensionError, FormatError, NumericError
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -37,6 +61,29 @@ def save_off(path, mesh) -> None:
             fh.write(f"3 {int(f[0])} {int(f[1])} {int(f[2])}\n")
 
 
+def load_xyz(path) -> np.ndarray:
+    """Read the [m, 3] points of an x y z file, as ``setnet sample-mesh``
+    writes it; m >= 1 and every value finite."""
+    rows = []
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{lineno}: expected three coordinates")
+        try:
+            row = [float(v) for v in parts]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-numeric coordinate") from exc
+        if not all(math.isfinite(v) for v in row):
+            raise FormatError(f"{path}:{lineno}: non-finite coordinate")
+        rows.append(row)
+    if not rows:
+        raise FormatError(f"{path}: no points")
+    return np.array(rows, dtype=np.float64)
+
+
 def save_cluster_catalog(path, dataset) -> None:
     """Write a catalog CSV that load_cluster_catalog round-trips: columns
     cluster_id, f0..f{K-1}, target and has_target."""
@@ -49,6 +96,19 @@ def save_cluster_catalog(path, dataset) -> None:
                 label = dataset.member_labels[r] if dataset.member_labels is not None else 0.0
                 mask = int(dataset.member_mask[r]) if dataset.member_mask is not None else 0
                 writer.writerow([f"c{ci}"] + [repr(float(v)) for v in dataset.rows[r]] + [repr(float(label)), mask])
+
+
+def permute_members(batch, perms):
+    """``batch`` with the members of each set reordered by its index array: a
+    set with member rows ``rows`` and index array ``p`` becomes ``rows[p]``,
+    so its new row i is its old row ``p[i]``. Each ``p`` must be a bijection
+    on the set's member positions {0, ..., n-1}."""
+    if len(perms) != batch.num_sets:
+        raise DimensionError("need one permutation per set")
+    for b, (p, n) in enumerate(zip(perms, batch.cardinalities)):
+        if not np.array_equal(np.sort(p), np.arange(n)):
+            raise DimensionError(f"set {b} has {n} members, and {p!r} is not a permutation of 0..{n - 1}")
+    return batch.with_values(np.concatenate([s[p] for s, p in zip(batch.sets(), perms)]))
 
 
 def sets_of(dataset) -> list:
@@ -96,3 +156,102 @@ def composite_pre_activation(layer, x, cards, bound):
 
 def count_params(params) -> int:
     return int(sum(p.size for p in params))
+
+
+@dataclass
+class GradientCheckReport:
+    tolerance: float
+    step: float
+    max_rel_error: float = 0.0
+    entries_checked: int = 0
+    entries_flagged: int = 0  # probes at non-differentiable (max-tie) points, excluded
+    failures: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def summary(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return (
+            f"gradient check {status}: max rel error {self.max_rel_error:.3e} "
+            f"(tol {self.tolerance:.1e}), {self.entries_checked} entries checked, "
+            f"{self.entries_flagged} flagged non-differentiable"
+        )
+
+
+def max_winners(node):
+    """The member rows that won the per-set maxima inside a recorded node, as
+    [sets, channels] row indices (the lowest index on ties); None for a node
+    without a max. They are read off the node's vjp for its first parent x:
+    ``segment_max``'s, applied to ones, is one at the winning rows and zero
+    elsewhere. ``max_centred_affine``'s is ``g Gamma^T`` less each set's column
+    sums of it at the winning rows; with ``g`` ones and Gamma the identity that
+    is ``1 - n`` there, for a set of n members, and 1 elsewhere."""
+    if node.op == "segment_max":
+        x = node.parents[0].value
+        won = node.vjps[0](np.ones(node.value.shape), (x,), node.value) != 0.0
+    elif node.op == "max_centred_affine":
+        x = node.parents[0].value
+        won = node.vjps[0](np.ones(x.shape), (x, np.eye(x.shape[1]), None), node.value) != 1.0
+    else:
+        return None
+    # one winner per (set, channel): channel by channel, the sets' rows in order
+    won = won.reshape(len(won), -1)  # a vector is one channel
+    return np.nonzero(won.T)[1].reshape(won.shape[1], -1).T
+
+
+def gradient_check(build, values, step: float = 1e-5, tolerance: float = 1e-4) -> GradientCheckReport:
+    """Compare ``autodiff.backward`` against central finite differences of
+    ``build``, entry by entry of each variable in ``values`` (name -> array),
+    as the module docstring describes. An entry fails when its relative error
+    (absolute below a gradient scale of 1e-6) exceeds ``tolerance``, or when
+    its central difference or analytic gradient is not finite."""
+    if step <= 0:
+        raise ContractError("step must be positive")
+
+    def run(name=None, moved=None):
+        tape = ad.Tape()
+        variables = {n: tape.variable(moved if n == name else v, n) for n, v in values.items()}
+        return tape, build(tape, variables)
+
+    def probe(name, moved):
+        """The probe's root value and the winners of its max nodes."""
+        try:
+            tape, root = run(name, moved)
+        except NumericError:
+            return np.nan, None
+        return float(root.value), [w for w in map(max_winners, tape.nodes) if w is not None]
+
+    tape, root = run()
+    if root.value.shape != ():
+        raise ContractError("gradient_check root must be scalar")
+    analytic = ad.backward(tape, root)
+    report = GradientCheckReport(tolerance=tolerance, step=step)
+    for name, value in values.items():
+        worst = 0.0
+        base = np.asarray(value, dtype=np.float64)
+        for j in range(base.size):
+            plus = base.copy()
+            minus = base.copy()
+            plus.flat[j] += step
+            minus.flat[j] -= step
+            (f_p, won_p), (f_m, won_m) = probe(name, plus), probe(name, minus)
+            if won_p is not None and won_m is not None and any(
+                not np.array_equal(p, m) for p, m in zip(won_p, won_m)
+            ):
+                report.entries_flagged += 1
+                continue
+            fd = (f_p - f_m) / (2.0 * step)
+            ad_j = float(analytic[name].flat[j])
+            scale = max(abs(ad_j), abs(fd))
+            # below the scale floor the comparison degenerates to absolute
+            err = abs(ad_j - fd) / scale if scale > 1e-6 else abs(ad_j - fd)
+            if not (np.isfinite(fd) and np.isfinite(ad_j)):
+                err = np.inf
+            worst = max(worst, err)
+            report.entries_checked += 1
+            if err > tolerance:
+                report.failures.append(f"{name}[{j}]: analytic {ad_j:.6e} vs central-difference {fd:.6e} (rel {err:.3e})")
+        report.max_rel_error = max(report.max_rel_error, worst)
+    return report

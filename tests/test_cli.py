@@ -228,6 +228,21 @@ def test_train_then_eval_reproduces_checkpoint_metric(tmp_path, capsys):
     assert float(lines["reproduction_error"]) == 0.0
 
 
+def test_eval_refuses_a_checkpoint_with_a_repeated_param(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["--experiment", "setregression", "--set", "data.train_sets=12", "--set", "data.val_sets=6",
+            "--set", "model.widths=8,1", "--set", "train.epochs=1"]
+    assert main(["train", "--out", str(out), "--quiet"] + args) == 0
+    lines = (out / "checkpoint_last.txt").read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("param "))
+    doubled = tmp_path / "doubled.txt"
+    doubled.write_text("".join(lines + lines[first : first + 2]))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(doubled)] + args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error (FormatError): ") and f"{doubled}:{len(lines) + 1}: repeated param" in err
+
+
 class _Libc:
     """Stands in for ``ctypes.CDLL(None)``: records ``mallopt`` calls."""
 

@@ -21,7 +21,6 @@ from setnet.data import (
     load_idx_labels,
     load_mnist_idx,
     load_off,
-    load_xyz,
     rotate_z,
     sample_point_cloud,
     save_xyz,
@@ -34,6 +33,7 @@ from setnet.errors import DegenerateMeshError, DimensionError, FormatError
 
 from helpers import (
     exact_sum_distribution,
+    load_xyz,
     peak_bytes,
     per_set,
     save_cluster_catalog,

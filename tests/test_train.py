@@ -41,7 +41,15 @@ from setnet.train import (
     train_loop,
 )
 
-from helpers import count_params, save_cluster_catalog, sets_of, write_idx_images, write_idx_labels
+from helpers import (
+    count_params,
+    gradient_check,
+    permute_members,
+    save_cluster_catalog,
+    sets_of,
+    write_idx_images,
+    write_idx_labels,
+)
 
 
 def model_for(experiment, dataset, **settings):
@@ -55,6 +63,17 @@ def model_for(experiment, dataset, **settings):
 def training_output(model, tape, batch, rng=None):
     bound = bind(tape, model.params())
     return model.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, rng)
+
+
+def gradient_report(model, loss, batch, rng_seed=None):
+    """``gradient_check`` over ``model``'s parameters of ``loss(output)``, with
+    dropout (if any) drawn by a fresh ``default_rng(rng_seed)`` in every probe."""
+
+    def build(tape, bound):
+        rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+        return loss(model.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, rng))
+
+    return gradient_check(build, {p.name: p.value for p in model.params()}, step=1e-5, tolerance=1e-4)
 
 
 def tiny_mnist_config(**extra):
@@ -154,7 +173,7 @@ class TestMnistModels:
         base = evaluate(model, batch)
         for _ in range(5):
             perms = [rng.permutation(3) for _ in range(6)]
-            permuted = evaluate(model, batch.permute_members(perms))
+            permuted = evaluate(model, permute_members(batch, perms))
             assert np.max(np.abs(permuted - base)) < 1e-8
 
     @pytest.mark.parametrize("variant", ["I", "II"])
@@ -166,7 +185,7 @@ class TestMnistModels:
         deviations = []
         for _ in range(5):
             perms = [rng.permutation(3) for _ in range(6)]
-            permuted = evaluate(model, batch.permute_members(perms))
+            permuted = evaluate(model, permute_members(batch, perms))
             deviations.append(np.max(np.abs(permuted - base)))
         assert max(deviations) > 1e-3
 
@@ -214,7 +233,7 @@ class TestPointCloudModel:
         batch = make_set_batch(ds, range(4))
         base = evaluate(model, batch)
         perms = [rng.permutation(25) for _ in range(4)]
-        permuted = evaluate(model, batch.permute_members(perms))
+        permuted = evaluate(model, permute_members(batch, perms))
         assert np.max(np.abs(permuted - base)) < 1e-9
 
     def test_gradient_check_passes(self):
@@ -222,9 +241,7 @@ class TestPointCloudModel:
         ds = synth_shapes(["sphere", "cube", "cylinder"], 6, 2, rng)
         model = model_for("pointcloud", ds, model_widths="5,4", model_trunk=4, seed=2)
         batch = make_set_batch(ds, range(2))
-        tape = ad.Tape()
-        loss = ad.softmax_cross_entropy(training_output(model, tape, batch), ds.set_labels[:2])
-        report = ad.gradient_check(tape, loss, step=1e-5, tolerance=1e-4)
+        report = gradient_report(model, lambda out: ad.softmax_cross_entropy(out, ds.set_labels[:2]), batch)
         assert report.passed, report.failures[:3]
 
 
@@ -243,8 +260,8 @@ class TestRegressionModel:
         batch = make_set_batch(ds, range(2))
         base = evaluate(model, batch)
         perms = [rng.permutation(6) for _ in range(2)]
-        permuted = evaluate(model, batch.permute_members(perms))
-        assert np.max(np.abs(permuted - batch.with_values(base).permute_members(perms).values)) < 1e-9
+        permuted = evaluate(model, permute_members(batch, perms))
+        assert np.max(np.abs(permuted - permute_members(batch.with_values(base), perms).values)) < 1e-9
 
     def test_masked_loss_ignores_unlabeled(self):
         rng = np.random.default_rng(2)
@@ -281,9 +298,7 @@ class TestRegressionModel:
         model = model_for("setregression", ds, model_widths="5,1", model_dropout=0.4, seed=5)
         batch = make_set_batch(ds, range(2))
         targets, mask = member_targets(ds, range(2))
-        tape = ad.Tape()
-        loss = masked_mse(training_output(model, tape, batch, rng=np.random.default_rng(0)), targets, mask)
-        report = ad.gradient_check(tape, loss, step=1e-5, tolerance=1e-4)
+        report = gradient_report(model, lambda out: masked_mse(out, targets, mask), batch, rng_seed=0)
         assert report.passed, report.failures[:3]
 
 
