@@ -1,18 +1,22 @@
 """Command-line entry point.
 
 Subcommands: verify-theorem, check-equivariance, train, eval, actmax,
-sample-mesh. Every run derives all randomness from one seed; training runs
-write their fully resolved config next to their outputs so any artifact can
-be reproduced exactly, given the same number of BLAS threads (a threaded
-matrix product sums in another order; see ``setnet.train``). A training run
-makes every refusal it can make before it writes anything under ``--out``,
-and a resumed run keeps the ``metrics.log`` lines of the epochs its
-checkpoint holds, so its log ends as the uninterrupted run's does.
+sample-mesh. Every run derives all randomness from one seed. In the four
+experiment commands (check-equivariance, train, eval, actmax) that is the
+config seed, which ``--seed`` overrides; a ``--demo`` probe uses ``--seed``,
+else 0. Training runs write their fully resolved config next to their
+outputs so any artifact can be reproduced exactly, given the same number of
+BLAS threads (a threaded matrix product sums in another order; see
+``setnet.train``). A training run makes every refusal it can make before it
+writes anything under ``--out``, and a resumed run keeps the
+``metrics.log`` lines of the epochs its checkpoint holds, so its log ends as
+the uninterrupted run's does.
 
-Exit codes: 0 success, 2 config/usage error (a set too small or empty for
-the requested operation included) or an input file that cannot be opened or
-read, 3 file-format error (a mesh with no sampleable area included),
-4 numeric error, 5 budget exceeded, 1 anything else.
+Exit codes, each carried by its ``SetNetError`` class: 0 success, 2
+config/usage error (a set too small or empty for the requested operation
+included) or an input file that cannot be opened or read, 3 file-format
+error (a mesh with no sampleable area included), 4 numeric error, 5 budget
+exceeded, 1 anything else.
 
 Allocator: ``main`` asks glibc's malloc (through ``mallopt``) to serve
 blocks below 32 MiB from its heap (``M_MMAP_THRESHOLD``, which also stops
@@ -38,18 +42,7 @@ import numpy as np
 
 from . import data as datamod
 from . import theorem
-from .errors import (
-    BudgetError,
-    ConfigError,
-    ContractError,
-    DegenerateMeshError,
-    DegenerateSetError,
-    DimensionError,
-    EmptyReductionError,
-    FormatError,
-    NumericError,
-    SetNetError,
-)
+from .errors import ConfigError, DimensionError, SetNetError
 from .layers import EquivariantLayer, SetBatch, SetPool, evaluate, load_params, restore_params
 from .train import (
     ExperimentConfig,
@@ -64,47 +57,41 @@ from .train import (
     train_loop,
 )
 
-_EXIT_CODES = (
-    (ConfigError, 2),
-    (ContractError, 2),
-    (DimensionError, 2),
-    (DegenerateSetError, 2),
-    (EmptyReductionError, 2),
-    (FormatError, 3),
-    (DegenerateMeshError, 3),
-    (NumericError, 4),
-    (BudgetError, 5),
-    (OSError, 2),  # e.g. a missing --config, --off or --checkpoint file
-)
-
-
-def _fail_code(exc: Exception) -> int:
-    for cls, code in _EXIT_CODES:
-        if isinstance(exc, cls):
-            return code
-    return 1
-
 
 def _load_config(args) -> ExperimentConfig:
-    values: Dict[str, str] = {}
-    if getattr(args, "config", None):
-        values = parse_config_text(datamod._read_text(args.config))
-    if getattr(args, "experiment", None):
+    values: Dict[str, str] = parse_config_text(datamod._read_text(args.config)) if args.config else {}
+    if args.experiment:
         values.setdefault("experiment", args.experiment)
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, val = item.split("=", 1)
         values[key.strip()] = val.strip()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         values["seed"] = str(args.seed)
     if "experiment" not in values:
         raise ConfigError("provide --config FILE or --experiment NAME")
     return ExperimentConfig(values)
 
 
+def _load_experiment(args, checkpoint: Optional[str] = None):
+    """(config, training data, validation data, model, checkpoint metadata):
+    the model is built on the training data, as training builds it, and takes
+    the parameters of ``checkpoint`` when one is given."""
+    config = _load_config(args)
+    train_data, val_data = build_experiment_data(config)
+    model = build_experiment_model(config, train_data)
+    meta: Dict[str, str] = {}
+    if checkpoint:
+        arrays, meta = load_params(checkpoint)
+        restore_params(model.params(), arrays)
+    return config, train_data, val_data, model, meta
+
+
 def cmd_verify_theorem(args) -> int:
     n = args.n
+    if args.trials < 1:
+        raise DimensionError(f"--trials must be >= 1, got {args.trials}")
     basis = theorem.commutant_basis(n)
     dim = len(basis)
     structure_ok = True
@@ -141,9 +128,11 @@ _PROBE_SET_SIZE = 8
 
 
 def cmd_check_equivariance(args) -> int:
-    rng = np.random.default_rng(args.seed)
     if args.demo:
+        rng = np.random.default_rng(args.seed or 0)
         n = _PROBE_SET_SIZE if args.n is None else args.n
+        if n < 1 or args.channels < 1:  # refused before the demo draws its weights
+            raise DimensionError(f"--n and --channels must be >= 1, got {n} and {args.channels}")
         if args.demo == "stack":
             layers = [
                 EquivariantLayer(args.channels, 8, "channel_full", "tanh", rng=rng, name="d1"),
@@ -165,13 +154,8 @@ def cmd_check_equivariance(args) -> int:
 
         report = theorem.check_equivariance_empirical(f, n, args.trials, rng, channels=args.channels)
     else:
-        config = _load_config(args)
-        train_data, _ = build_experiment_data(config)
-        model = build_experiment_model(config, train_data)
-        if args.checkpoint:
-            arrays, _ = load_params(args.checkpoint)
-            restore_params(model.params(), arrays)
-        report = _probe_model(model, config, train_data, args, rng)
+        config, train_data, _, model, _ = _load_experiment(args, args.checkpoint)
+        report = _probe_model(model, config, train_data, args, np.random.default_rng(config["seed"]))
     for line in report.lines():
         print(line)
     print(f"verdict={'equivariant' if report.equivariant else 'not-equivariant'}")
@@ -213,9 +197,7 @@ def _log_through(path: str, epoch: int) -> str:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
-    train_data, val_data = build_experiment_data(config)
-    model = build_experiment_model(config, train_data)
+    config, train_data, val_data, model, _ = _load_experiment(args)
     start = start_training(model, config, train_data, args.resume)
     out_dir = args.out
     metrics_path = os.path.join(out_dir, "metrics.log")
@@ -259,11 +241,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
-    _, val_data = build_experiment_data(config)
-    model = build_experiment_model(config, val_data)
-    arrays, meta = load_params(args.checkpoint)
-    restore_params(model.params(), arrays)
+    _, _, val_data, model, meta = _load_experiment(args, args.checkpoint)
     if val_data.set_labels is not None:
         loss, metric = evaluate_classifier(model, val_data)
     else:
@@ -278,17 +256,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_actmax(args) -> int:
-    config = _load_config(args)
+    config, _, _, model, _ = _load_experiment(args, args.checkpoint)
     if config.experiment != "pointcloud":
         raise ConfigError("actmax operates on pointcloud models")
-    train_data, _ = build_experiment_data(config)
-    model = build_experiment_model(config, train_data)
-    if args.checkpoint:
-        arrays, _ = load_params(args.checkpoint)
-        restore_params(model.params(), arrays)
-    rng = np.random.default_rng(args.seed if args.seed is not None else config["seed"])
     result = activation_maximization(
-        model, args.layer, args.unit, args.points, args.iters, rng, threshold=args.threshold
+        model, args.layer, args.unit, args.points, args.iters, np.random.default_rng(config["seed"]),
+        threshold=args.threshold,
     )
     datamod.save_xyz(args.out, result.points)
     print(f"layer={args.layer} unit={args.unit} iterations={result.iterations}")
@@ -314,6 +287,11 @@ def cmd_sample_mesh(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="setnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    experiment = argparse.ArgumentParser(add_help=False)  # the experiment commands' shared options
+    experiment.add_argument("--config", help="key=value config file")
+    experiment.add_argument("--experiment", help="experiment name; uses its default config")
+    experiment.add_argument("--set", action="append", metavar="KEY=VALUE", help="override any config key")
+    experiment.add_argument("--seed", type=int, help="override the config seed")
 
     p = sub.add_parser("verify-theorem", help="verify the tied-weights commutant computationally")
     p.add_argument("--n", type=int, default=4, help="set size (2..7)")
@@ -322,47 +300,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_theorem)
 
-    p = sub.add_parser("check-equivariance", help="probe a model or demo function for equivariance")
+    p = sub.add_parser("check-equivariance", parents=[experiment],
+                       help="probe a model or demo function for equivariance")
     p.add_argument("--demo", choices=["stack", "dense"], help="probe a built-in demo instead of a model")
-    p.add_argument("--config", help="experiment config file")
-    p.add_argument("--experiment", help="experiment name (defaults config)")
     p.add_argument("--checkpoint", help="restore parameters before probing")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override any config key")
     p.add_argument("--n", type=int, help="set size to probe (default: data.set_size for mnist_sum, else 8)")
     p.add_argument("--channels", type=int, default=3)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check_equivariance)
 
-    p = sub.add_parser("train", help="run a training experiment")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--experiment", help="experiment name; uses default config")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override any config key")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p = sub.add_parser("train", parents=[experiment], help="run a training experiment")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--resume", help="continue from a saved checkpoint")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the config's validation data")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--experiment", help="experiment name; uses default config")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("eval", parents=[experiment], help="evaluate a checkpoint on the config's validation data")
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("actmax", help="optimize a point cloud to excite one hidden unit")
-    p.add_argument("--config", help="pointcloud config file")
-    p.add_argument("--experiment", help="experiment name; uses default config")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    p = sub.add_parser("actmax", parents=[experiment], help="optimize a point cloud to excite one hidden unit")
     p.add_argument("--checkpoint", help="trained parameters to visualize")
     p.add_argument("--layer", type=int, default=0, help="equivariant layer index")
     p.add_argument("--unit", type=int, default=0, help="channel within the layer")
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="xyz output file")
     p.set_defaults(func=cmd_actmax)
 
@@ -401,9 +364,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SetNetError, OSError) as exc:
+    except (SetNetError, OSError) as exc:  # an OSError: e.g. a missing --config, --off or --checkpoint file
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return _fail_code(exc)
+        return exc.exit_code if isinstance(exc, SetNetError) else 2
 
 
 if __name__ == "__main__":

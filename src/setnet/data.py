@@ -341,6 +341,8 @@ def load_off(path) -> TriangleMesh:
 
 def sample_point_cloud(mesh: TriangleMesh, m: int, rng: np.random.Generator) -> np.ndarray:
     """m surface points: faces chosen by area, uniform within each triangle."""
+    if m < 1:
+        raise DimensionError(f"need at least one point to sample, got {m}")
     areas = mesh.face_areas()
     total = areas.sum()
     if total <= 0.0:

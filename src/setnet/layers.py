@@ -105,16 +105,8 @@ class SetBatch:
         """The largest cardinality."""
         return int(self.cardinalities.max())
 
-    @property
-    def channels(self) -> int:
-        return self.values.shape[1]
-
     def with_values(self, values: np.ndarray) -> "SetBatch":
         return SetBatch(values, self.cardinalities)
-
-    def sets(self) -> List[np.ndarray]:
-        """Each set's member rows, in batch order."""
-        return np.split(self.values, np.cumsum(self.cardinalities)[:-1])
 
 
 class Param:

@@ -84,18 +84,11 @@ def commutant_basis(n: int) -> List[np.ndarray]:
         raise DimensionError(f"commutant_basis needs a set of at least 2 points, got n={n}")
     if n > _EXHAUSTIVE_CAP:
         raise BudgetError(f"commutant_basis supports 2 <= n <= {_EXHAUSTIVE_CAP}, got {n}")
-    trans = transposition_matrices(n)
-    rows = []
-    for p in trans:
-        # linear map Theta -> Theta P - P Theta, one matrix row per output entry
-        block = np.zeros((n * n, n * n))
-        for a in range(n):
-            for b in range(n):
-                e = np.zeros((n, n))
-                e[a, b] = 1.0
-                block[:, a * n + b] = (e @ p - p @ e).ravel()
-        rows.append(block)
-    system = np.vstack(rows)
+    # the linear map Theta -> Theta P - P Theta on row-major vec(Theta), one
+    # matrix row per output entry: vec(Theta P) = (I kron P^T) vec(Theta) and
+    # vec(P Theta) = (P kron I) vec(Theta)
+    eye = np.eye(n)
+    system = np.vstack([np.kron(eye, p.T) - np.kron(p, eye) for p in transposition_matrices(n)])
     _, svals, vt = np.linalg.svd(system)
     cutoff = 1e-8 * svals[0]
     null_dim = int(np.sum(svals <= cutoff)) + (n * n - len(svals))
@@ -146,6 +139,8 @@ def check_equivariance_empirical(
     """
     if trials < 1:
         raise DimensionError("trials must be >= 1")
+    if n < 1 or channels < 1:
+        raise DimensionError(f"need a set of at least one member and one channel, got n={n}, channels={channels}")
     worst_eq = 0.0
     worst_inv = 0.0
     for _ in range(trials):

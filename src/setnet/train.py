@@ -127,7 +127,7 @@ _TABLES = {
         "model.widths": ("64,64,64", [1]),
         "model.trunk": ("64", 1),
         "model.pool": ("max", POOL_KINDS),
-        "data.points": ("100", 1),
+        "data.points": ("100", 2),  # NormalizeSets needs two members
         "data.train_sets": ("400", 1),
         "data.val_sets": ("200", 1),
         "data.classes": ("sphere,cube,cylinder,torus", [SHAPE_CLASSES]),
@@ -717,6 +717,8 @@ def activation_maximization(
     """
     if iterations < 0:
         raise ContractError("iteration budget must be >= 0")
+    if m < 1:
+        raise DimensionError(f"need at least one point, got {m}")
     ends = [i + 1 for i, layer in enumerate(model.layers) if isinstance(layer, EquivariantLayer)]
     if not 0 <= layer_index < len(ends):
         raise ContractError(f"layer index {layer_index} out of range")

@@ -98,6 +98,16 @@ def save_cluster_catalog(path, dataset) -> None:
                 writer.writerow([f"c{ci}"] + [repr(float(v)) for v in dataset.rows[r]] + [repr(float(label)), mask])
 
 
+def batch_sets(batch) -> list:
+    """Each set's member rows of a ``SetBatch``, in batch order."""
+    return np.split(batch.values, np.cumsum(batch.cardinalities)[:-1])
+
+
+def batch_channels(batch) -> int:
+    """The channel count K of a ``SetBatch``'s [M, K] values."""
+    return batch.values.shape[1]
+
+
 def permute_members(batch, perms):
     """``batch`` with the members of each set reordered by its index array: a
     set with member rows ``rows`` and index array ``p`` becomes ``rows[p]``,
@@ -108,7 +118,7 @@ def permute_members(batch, perms):
     for b, (p, n) in enumerate(zip(perms, batch.cardinalities)):
         if not np.array_equal(np.sort(p), np.arange(n)):
             raise DimensionError(f"set {b} has {n} members, and {p!r} is not a permutation of 0..{n - 1}")
-    return batch.with_values(np.concatenate([s[p] for s, p in zip(batch.sets(), perms)]))
+    return batch.with_values(np.concatenate([s[p] for s, p in zip(batch_sets(batch), perms)]))
 
 
 def sets_of(dataset) -> list:

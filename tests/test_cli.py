@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from setnet import cli
-from setnet.cli import _fail_code, main
-from setnet.data import synth_clusters
-from setnet.errors import EmptyReductionError
+from setnet import errors
+from setnet.cli import main
+from setnet.data import TriangleMesh, synth_clusters
 from setnet.train import _TABLES
 
-from helpers import save_cluster_catalog
+from helpers import save_cluster_catalog, save_off
 
 SMALL_MNIST = ["--set", "data.source_count=200", "--set", "data.train_sets=8", "--set", "data.val_sets=4"]
 
@@ -191,8 +191,78 @@ def test_too_small_set_exits_with_usage_code(tmp_path, capsys, command):
     assert "DegenerateSetError" in capsys.readouterr().err
 
 
-def test_empty_reduction_maps_to_usage_code():
-    assert _fail_code(EmptyReductionError("sets must have at least one member")) == 2
+def _raising(error):
+    def command(args):
+        raise error("refused")
+    return command
+
+
+def test_empty_reduction_maps_to_usage_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_verify_theorem", _raising(errors.EmptyReductionError))
+    assert main(["verify-theorem"]) == 2
+    assert capsys.readouterr().err == "error (EmptyReductionError): refused\n"
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [("SetNetError", 1), ("DimensionError", 2), ("NumericError", 4), ("ContractError", 2), ("FormatError", 3),
+     ("ConfigError", 2), ("BudgetError", 5), ("DegenerateSetError", 2), ("DegenerateMeshError", 3)],
+)
+def test_main_returns_the_exit_code_of_the_error_class(monkeypatch, capsys, name, code):
+    monkeypatch.setattr(cli, "cmd_verify_theorem", _raising(getattr(errors, name)))
+    assert main(["verify-theorem"]) == code
+    assert capsys.readouterr().err == f"error ({name}): refused\n"
+
+
+def _tetrahedron_off(tmp_path):
+    vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=np.float64)
+    faces = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    path = tmp_path / "tetra.off"
+    save_off(path, TriangleMesh(vertices, faces))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["check-equivariance", "--demo", "stack", "--channels", "-1"], "--n and --channels must be >= 1"),
+        (["check-equivariance", "--demo", "dense", "--n", "-2"], "--n and --channels must be >= 1"),
+        (["check-equivariance", "--experiment", "pointcloud", "--n", "-2", "--trials", "1"],
+         "need a set of at least one member"),
+        (["actmax", "--experiment", "pointcloud", "--points", "-3", "--iters", "1", "--out", "{tmp}/act.xyz"],
+         "need at least one point"),
+        (["sample-mesh", "--off", "{off}", "--points", "-1", "--out", "{tmp}/pts.xyz"],
+         "need at least one point to sample"),
+        (["sample-mesh", "--off", "{off}", "--points", "0", "--out", "{tmp}/pts.xyz"],
+         "need at least one point to sample"),
+        (["verify-theorem", "--trials", "-5"], "--trials must be >= 1"),
+    ],
+    ids=["stack_channels", "dense_n", "model_n", "actmax_points", "sample_mesh_negative", "sample_mesh_zero",
+         "verify_theorem_trials"],
+)
+def test_negative_size_or_count_is_a_usage_error(tmp_path, capsys, command, message):
+    paths = {"tmp": tmp_path, "off": _tetrahedron_off(tmp_path)}
+    assert main([arg.format(**paths) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (DimensionError): ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "pts.xyz").exists() and not (tmp_path / "act.xyz").exists()
+
+
+SMALL_REGRESSION = ["--experiment", "setregression", "--trials", "2", "--set", "data.train_sets=4",
+                    "--set", "data.val_sets=2", "--set", "model.widths=4,1"]
+
+
+def test_check_equivariance_seeds_from_the_config(tmp_path, capsys):
+    def probe(*extra):
+        assert main(["check-equivariance", *SMALL_REGRESSION, *extra]) == 0
+        return capsys.readouterr().out
+
+    config = tmp_path / "seed3.cfg"
+    config.write_text("experiment=setregression\nseed=3\n")
+    by_flag = probe("--seed", "3")
+    assert probe("--set", "seed=3") == by_flag
+    assert probe("--config", str(config)) == by_flag
+    assert probe() == probe("--seed", "0") != by_flag
 
 
 @pytest.mark.parametrize(

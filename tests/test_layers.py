@@ -33,7 +33,15 @@ from setnet.data import LabeledSetDataset
 from setnet.optim import Optimizer
 from setnet.train import ExperimentConfig, build_experiment_model
 
-from helpers import composite_pre_activation, count_params, gradient_check, peak_bytes, permute_members
+from helpers import (
+    batch_channels,
+    batch_sets,
+    composite_pre_activation,
+    count_params,
+    gradient_check,
+    peak_bytes,
+    permute_members,
+)
 
 # (variant, channels, aggregate) per layer form; the scalar forms are channel_full
 # with one channel in and out, where numpy regroups the sums. None: drawn per case.
@@ -113,7 +121,7 @@ def assert_isolated(fn, batch, tol=1e-12):
     """
     together = fn(batch)
     rows = batch.cardinalities if per_member(together, batch) else np.ones(batch.num_sets, dtype=int)
-    for got, members in zip(np.split(together, np.cumsum(rows)[:-1]), batch.sets()):
+    for got, members in zip(np.split(together, np.cumsum(rows)[:-1]), batch_sets(batch)):
         assert np.max(np.abs(got - fn(single_set(members)))) <= tol
 
 
@@ -167,7 +175,7 @@ class TestEquivarianceProperty:
     @given(st.data())
     def test_single_layer_equivariant(self, form, data):
         batch, rng = data.draw(packed_batches(FORMS[form][1]))
-        layer = layer_case(data.draw, form, batch.channels)
+        layer = layer_case(data.draw, form, batch_channels(batch))
         assert_equivariant(lambda b: evaluate(layer, b), batch, rng)
 
     def test_three_layer_composition_equivariant(self):
@@ -220,7 +228,7 @@ class TestSegmentIsolation:
     def test_layer_rows_match_set_alone(self, data):
         form = data.draw(st.sampled_from(list(FORMS)))
         batch, _ = data.draw(packed_batches(FORMS[form][1]))
-        layer = layer_case(data.draw, form, batch.channels)
+        layer = layer_case(data.draw, form, batch_channels(batch))
         assert_isolated(lambda b: evaluate(layer, b), batch)
 
     @PROPERTY
@@ -234,8 +242,8 @@ class TestSegmentIsolation:
         rng = np.random.default_rng(53)
         batch = SetBatch(rng.normal(size=(6, 3)), [4, 2])
         max_layer = random_layer("channel_factored", 3, 4, rng)
-        together = batch.with_values(evaluate(max_layer, batch)).sets()
-        for got, members in zip(together, batch.sets()):
+        together = batch_sets(batch.with_values(evaluate(max_layer, batch)))
+        for got, members in zip(together, batch_sets(batch)):
             assert np.array_equal(got, evaluate(max_layer, single_set(members)))  # bit-level for this example
 
     def test_pool_ragged_example(self):
@@ -327,7 +335,7 @@ def gradient_report(module, batch, rng, tie=False):
     values = {p.name: p.value for p in module.params()}
     values["x"] = np.array(batch.values)
     if tie:
-        for start, members in zip(np.cumsum(batch.cardinalities) - batch.cardinalities, batch.sets()):
+        for start, members in zip(np.cumsum(batch.cardinalities) - batch.cardinalities, batch_sets(batch)):
             values["x"][start : start + 2] = members.max(axis=0)
     out = evaluate(module, batch)
     weights = rng.normal(size=out.shape) / np.sqrt(out.size)
@@ -347,7 +355,7 @@ class TestGradientCheckProperty:
     @given(st.data())
     def test_equivariant_layer(self, form, data):
         batch, rng = data.draw(packed_batches(FORMS[form][1], max_size=6, max_channels=3))
-        layer = layer_case(data.draw, form, batch.channels, max_out=3)
+        layer = layer_case(data.draw, form, batch_channels(batch), max_out=3)
         tie = data.draw(st.booleans())
         report = gradient_report(layer, batch, rng, tie)
         assert report.passed, report.failures[:3]
@@ -479,7 +487,7 @@ class TestDropout:
         out = Dropout(rate, True).apply(tape, tape.constant(batch.values), batch.cardinalities, {},
                                         np.random.default_rng(3)).value
         assert set(np.unique(out)) <= {0.0, 1.0 / (1.0 - rate)}
-        for rows in batch.with_values(out).sets():
+        for rows in batch_sets(batch.with_values(out)):
             assert np.array_equal(rows, np.broadcast_to(rows[:1], rows.shape))  # same mask for every member
 
     def test_simultaneous_mask_constant_across_members(self):
@@ -489,7 +497,7 @@ class TestDropout:
         for _ in range(100):
             mask = drop.sample_mask(rng, cards, (16, 6))
             assert mask.shape == (16, 6)
-            for rows in SetBatch(mask, cards).sets():  # one value per (set, channel)
+            for rows in batch_sets(SetBatch(mask, cards)):  # one value per (set, channel)
                 assert np.array_equal(rows, np.broadcast_to(rows[:1], rows.shape))
 
     def test_per_member_mask_varies_across_members(self):
@@ -577,7 +585,7 @@ class TestNormalize:
     def test_postconditions(self):
         rng = np.random.default_rng(8)
         batch = SetBatch(rng.normal(2.0, 3.0, size=(16, 4)), [9, 5, 2])
-        for real in batch.with_values(evaluate(NormalizeSets(), batch)).sets():
+        for real in batch_sets(batch.with_values(evaluate(NormalizeSets(), batch))):
             assert np.max(np.abs(real.mean(axis=0))) < 1e-9
             assert (real**2).mean() == pytest.approx(1.0, abs=1e-6)
 
@@ -796,8 +804,10 @@ class TestSetBatch:
     def test_sets_split_rows_in_order(self):
         values = np.arange(12.0).reshape(6, 2)
         batch = SetBatch(values, [1, 3, 2])
-        assert (batch.num_sets, batch.max_size, batch.channels) == (3, 3, 2)
-        assert [s.tolist() for s in batch.sets()] == [values[:1].tolist(), values[1:4].tolist(), values[4:].tolist()]
+        assert (batch.num_sets, batch.max_size, batch_channels(batch)) == (3, 3, 2)
+        assert [s.tolist() for s in batch_sets(batch)] == [
+            values[:1].tolist(), values[1:4].tolist(), values[4:].tolist()
+        ]
 
     def test_the_constructor_copies_and_adopt_does_not(self):
         values = np.arange(6.0).reshape(3, 2)
