@@ -155,10 +155,6 @@ class Node:
         self.name = name
         self.requires_grad = requires_grad  # recorded: a variable lies behind this node
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.value.shape
-
     def _coerce(self, other) -> "Node":
         if isinstance(other, Node):
             if other.tape is not self.tape:
@@ -367,8 +363,11 @@ def nonlinearity(x: Node, fn: str) -> Node:
 
 
 def _rank2(a: Node, b: Node) -> None:
+    """Check the shapes of the product ``a @ b`` before it is taken."""
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise DimensionError("matmul nodes must be rank-2; reshape first")
+    if a.value.shape[1] != b.value.shape[0]:
+        raise DimensionError(f"matmul inner dimensions differ: {a.value.shape} x {b.value.shape}")
 
 
 def affine(x: Node, w: Node, b: Node) -> Node:

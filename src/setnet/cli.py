@@ -129,6 +129,9 @@ _PROBE_SET_SIZE = 8
 
 def cmd_check_equivariance(args) -> int:
     if args.demo:
+        ignored = [flag for flag in ("experiment", "config", "set", "checkpoint") if getattr(args, flag) is not None]
+        if ignored:  # refused before the demo draws anything
+            raise ConfigError(f"--demo probes a built-in function and takes no --{', --'.join(ignored)}")
         rng = np.random.default_rng(args.seed or 0)
         n = _PROBE_SET_SIZE if args.n is None else args.n
         if n < 1 or args.channels < 1:  # refused before the demo draws its weights

@@ -14,7 +14,9 @@ another, [M, K] with M the total number of members, plus each set's
 cardinality. Per-member maps are one [M, K] matrix product; an aggregate is a
 segment reduction to one row per set ([B, K]) and goes back to the members
 with ``repeat``. No row belongs to more than one set and there are no padding
-rows, so a set's outputs depend on its own members only.
+rows, so a set's outputs depend on its own members only. A ``SetBatch`` keeps
+the member array it is given; its values are scanned for finiteness once,
+where they enter a tape.
 
 A ``channel_factored`` ``EquivariantLayer`` or a ``Dense`` layer records its
 pre-activation (``beta + (x - 1 max(x)) Gamma``, or ``x W + b``) as one fused
@@ -60,37 +62,26 @@ class SetBatch:
     the sets one after another, and ``cardinalities`` [B] says how many rows
     each set has (M is their sum, every set has at least one member).
 
-    Both arrays are read-only. ``SetBatch(values, cardinalities)`` copies
-    ``values``, so an array the caller keeps stays writable and the batch does
-    not change with it. ``SetBatch.adopt`` takes a float64 array no one else
-    holds, as a fresh gather is, without a copy, and makes it read-only.
+    Both arrays are read-only. The batch keeps the float64 ``values`` array it
+    is given, without a copy: the caller hands it over and does not change it
+    after. The batch checks shapes and cardinalities only; its values are
+    checked for finiteness where they enter a tape, as a ``Tape.constant``.
     """
 
     values: np.ndarray
     cardinalities: np.ndarray
 
     def __post_init__(self):
-        self._own(np.array(self.values, dtype=np.float64), self.cardinalities)
-
-    @classmethod
-    def adopt(cls, values: np.ndarray, cardinalities) -> "SetBatch":
-        """A batch over ``values`` itself: the caller hands the array over
-        and must not keep or change it."""
-        batch = object.__new__(cls)
-        batch._own(np.asarray(values, dtype=np.float64), cardinalities)
-        return batch
-
-    def _own(self, vals: np.ndarray, cardinalities) -> None:
+        vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
             raise DimensionError(f"SetBatch values must be [M, K], got shape {vals.shape}")
-        cards = np.array(cardinalities, dtype=np.intp)
+        cards = np.array(self.cardinalities, dtype=np.intp)
         if cards.ndim != 1:
             raise DimensionError("need one cardinality per set")
         if np.any(cards < 1):
             raise EmptyReductionError("sets must have at least one member")
         if cards.sum() != vals.shape[0]:
             raise DimensionError(f"cardinalities sum to {cards.sum()} but there are {vals.shape[0]} member rows")
-        T.ensure_finite(vals, "SetBatch")
         vals.setflags(write=False)
         cards.setflags(write=False)
         object.__setattr__(self, "values", vals)

@@ -3,8 +3,8 @@
 A "tensor" here is simply a ``numpy.ndarray`` of dtype float64, and numpy
 supplies the arithmetic. This module holds what the tape's nodes rely on:
 the finiteness check every node value passes (so NaN/Inf surface as
-:class:`~setnet.errors.NumericError` instead of propagating), the shape-checked
-matrix product, and the pointwise nonlinearities with their derivatives.
+:class:`~setnet.errors.NumericError` instead of propagating), the matrix
+product, and the pointwise nonlinearities with their derivatives.
 
 Reference oracles (a triple-loop matmul) live in the test suite,
 deliberately independent of this module.
@@ -35,24 +35,19 @@ def ensure_finite(arr: Tensor, where: str) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard rank-2 matrix product. Like ``elementwise`` it does not check
-    its result for finiteness: the tape checks every node value once."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects rank-2 operands, got ranks {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
+    """The rank-2 product of two float64 arrays whose shapes the tape has
+    checked. Like ``elementwise`` it does not check its result for
+    finiteness: the tape checks every node value once."""
     return a @ b
 
 
 def elementwise(x: Tensor, fn: str) -> Tensor:
-    """Apply a pointwise nonlinearity: tanh, elu (alpha=1), sigmoid or identity."""
+    """Apply a pointwise nonlinearity: tanh, elu (alpha=1) or sigmoid."""
     x = np.asarray(x, dtype=np.float64)
     if fn == "tanh":
         out = np.tanh(x)
     elif fn == "elu":
-        out = np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+        out = np.maximum(x, np.expm1(np.minimum(x, 0.0)))
     elif fn == "sigmoid":
         # split by sign so exp never overflows
         out = np.empty_like(x)
@@ -60,8 +55,6 @@ def elementwise(x: Tensor, fn: str) -> Tensor:
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         out[~pos] = ex / (1.0 + ex)
-    elif fn == "identity":
-        out = x.copy()
     else:
         raise DimensionError(f"unknown nonlinearity {fn!r}")
     return out
@@ -81,11 +74,9 @@ def elementwise_grad(x: Tensor, fn: str, out: Tensor) -> Tensor:
         d = out * out
         return np.subtract(1.0, d, out=d)
     if fn == "elu":
-        return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+        return np.exp(np.minimum(x, 0.0))
     if fn == "sigmoid":
         d = 1.0 - out
         d *= out
         return d
-    if fn == "identity":
-        return np.ones_like(x)
     raise DimensionError(f"unknown nonlinearity {fn!r}")

@@ -299,8 +299,8 @@ def _any_observed(dataset: LabeledSetDataset) -> bool:
 
 def make_set_batch(dataset: LabeledSetDataset, indices: Sequence[int]) -> SetBatch:
     """The sets at ``indices`` packed into one batch, gathered from the dataset's
-    rows into a new array that the batch adopts."""
-    return SetBatch.adopt(dataset.rows[_member_rows(dataset, indices)], [dataset.members[i].size for i in indices])
+    rows into a new array that the batch keeps."""
+    return SetBatch(dataset.rows[_member_rows(dataset, indices)], [dataset.members[i].size for i in indices])
 
 
 def member_targets(dataset: LabeledSetDataset, indices: Sequence[int]):
@@ -429,7 +429,6 @@ class TrainResult:
     records: List[MetricsRecord]
     best_epoch: int
     best_metric: float
-    final_params: List[Param]
 
 
 def _rng_state_token(rng: np.random.Generator) -> str:
@@ -558,8 +557,9 @@ def train_loop(
                     continue  # nothing labeled in this batch
             tape = ad.Tape()
             bound = bind(tape, params)
+            x = tape.constant(batch.values)  # a non-finite batch is reported as input, not as divergence
             try:
-                out = model.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, dropout_rng)
+                out = model.apply(tape, x, batch.cardinalities, bound, dropout_rng)
                 if classification:
                     loss = ad.softmax_cross_entropy(out, train_data.set_labels[idx])
                 else:
@@ -571,7 +571,7 @@ def train_loop(
                 raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
             loss_sum += float(loss.value) * len(idx)
             loss_count += len(idx)
-            del out, loss, grads, bound, tape  # the last references: the step's graph is freed here
+            del x, out, loss, grads, bound, tape  # the last references: the step's graph is freed here
         wall = time.perf_counter() - t0
         train_loss = loss_sum / max(loss_count, 1)
         emit(MetricsRecord(epoch, "train", train_loss, model.metric_name, float("nan"), wall))
@@ -593,7 +593,7 @@ def train_loop(
         if last_checkpoint_path:
             save_state(last_checkpoint_path, epoch, val_metric)
 
-    return TrainResult(records, best_epoch, float(best_metric), params)
+    return TrainResult(records, best_epoch, float(best_metric))
 
 
 # --- experiment assembly ------------------------------------------------------------

@@ -164,6 +164,18 @@ def composite_pre_activation(layer, x, cards, bound):
     return (x - x.segment_max(cards).repeat(cards)) @ bound[layer.gam.name] + bound[layer.beta.name]
 
 
+def elu_where(x):
+    """elu (alpha=1) as the ``np.where`` of its two branches: the expression
+    ``tensor.elementwise`` must match bit for bit."""
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def elu_grad_where(x):
+    """elu's derivative as the ``np.where`` of its two branches: the
+    expression ``tensor.elementwise_grad`` must match bit for bit."""
+    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+
+
 def count_params(params) -> int:
     return int(sum(p.size for p in params))
 

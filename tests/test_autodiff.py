@@ -70,6 +70,14 @@ class TestForward:
         with pytest.raises(NumericError, match=r"node#\d+\[matmul\]: 1 non-finite"):
             _ = w @ w
 
+    def test_products_check_the_inner_dimension(self):
+        tape = ad.Tape()
+        x, w, b = tape.variable(np.ones((4, 3)), "x"), tape.variable(np.ones((2, 5)), "w"), tape.variable(np.ones(5), "b")
+        for product in (lambda: x @ w, lambda: ad.affine(x, w, b), lambda: ad.max_centred_affine(x, w, b, [2, 2])):
+            with pytest.raises(DimensionError, match=r"matmul inner dimensions differ: \(4, 3\) x \(2, 5\)"):
+                product()
+        assert tape.nodes == [x, w, b]  # nothing recorded
+
 
 # Each op _record does not check: (the op on a [4, 2] node, the array
 # function behind it on that node's value).

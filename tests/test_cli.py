@@ -33,6 +33,17 @@ def test_check_equivariance_stack_demo_with_one_channel(capsys):
 
 
 @pytest.mark.parametrize(
+    "option", [["--experiment", "nosuch"], ["--config", "missing.cfg"], ["--set", "bogus"], ["--checkpoint", "x.txt"]]
+)
+def test_demo_refuses_the_experiment_options(capsys, monkeypatch, option):
+    monkeypatch.setattr(cli, "EquivariantLayer", None)  # refused before the demo builds anything
+    assert main(["check-equivariance", "--demo", "stack", "--seed", "3", "--n", "4", *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (ConfigError): --demo") and option[0] in captured.err
+
+
+@pytest.mark.parametrize(
     "experiment, setting",
     [
         ("mnist_sum", "data.source=files"),

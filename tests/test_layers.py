@@ -809,16 +809,19 @@ class TestSetBatch:
             values[:1].tolist(), values[1:4].tolist(), values[4:].tolist()
         ]
 
-    def test_the_constructor_copies_and_adopt_does_not(self):
+    def test_the_constructor_keeps_its_array_and_makes_it_read_only(self):
         values = np.arange(6.0).reshape(3, 2)
-        kept = SetBatch(values, [2, 1])
-        assert not np.shares_memory(kept.values, values) and values.flags.writeable
-        values[0, 0] = 7.0  # the caller's array stays its own
-        assert kept.values[0, 0] == 0.0 and not kept.values.flags.writeable
-        adopted = SetBatch.adopt(values, [2, 1])
-        assert adopted.values is values and not values.flags.writeable
+        batch = SetBatch(values, [2, 1])
+        assert batch.values is values and not values.flags.writeable
+        assert not batch.cardinalities.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 7.0
         with pytest.raises(DimensionError):
-            SetBatch.adopt(np.ones((3, 2)), [2, 2])
+            SetBatch(np.ones((3, 2)), [2, 2])
+
+    def test_the_constructor_makes_no_finiteness_scan(self):
+        values = np.array([[np.nan, 1.0], [2.0, np.inf]])
+        assert SetBatch(values, [2]).values is values  # the tape's constant scans it
 
     def test_permute_members_respects_cardinality(self):
         rng = np.random.default_rng(0)

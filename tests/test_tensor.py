@@ -8,7 +8,7 @@ from setnet.errors import DimensionError, NumericError
 from setnet.layers import SetBatch
 from setnet.tensor import as_tensor, elementwise, elementwise_grad, matmul
 
-from helpers import permute_members
+from helpers import elu_grad_where, elu_where, permute_members
 
 
 def matmul_reference(a, b):
@@ -23,32 +23,40 @@ def matmul_reference(a, b):
     return out
 
 
+def node_matmul(a, b):
+    """``a @ b`` as a node of a tape: the tape checks the shapes."""
+    tape = ad.Tape()
+    return (tape.constant(a) @ tape.constant(b)).value
+
+
 class TestMatmul:
     def test_identity(self):
-        out = matmul(np.eye(2), [[3.0, 4.0], [5.0, 6.0]])
+        out = node_matmul(np.eye(2), [[3.0, 4.0], [5.0, 6.0]])
         assert np.array_equal(out, [[3.0, 4.0], [5.0, 6.0]])
 
     def test_row_times_column(self):
-        assert matmul([[1.0, 2.0]], [[3.0], [4.0]])[0, 0] == pytest.approx(11.0)
+        assert node_matmul([[1.0, 2.0]], [[3.0], [4.0]])[0, 0] == pytest.approx(11.0)
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(5, 4))
         b = rng.normal(size=(4, 3))
-        got = matmul(a, b)
         want = matmul_reference(a, b)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for got in (node_matmul(a, b), matmul(a, b)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(DimensionError, match=r"matmul inner dimensions differ: \(2, 3\) x \(2, 3\)"):
+            node_matmul(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(DimensionError, match="rank-2"):
+            node_matmul(np.ones(3), np.ones((3, 2)))
 
 
 # reductions and elementwise arithmetic run on tape nodes; sum and max reduce
 # the member rows of one set
 def reduce(x, kind):
     x = ad.Tape().variable(np.asarray(x, dtype=np.float64), "x")
-    return (x.mean(axis=0) if kind == "mean" else getattr(x, f"segment_{kind}")([x.shape[0]])).value[0]
+    return (x.mean(axis=0) if kind == "mean" else getattr(x, f"segment_{kind}")([x.value.shape[0]])).value[0]
 
 
 class TestReduce:
@@ -106,6 +114,22 @@ class TestElementwise:
     def test_elu_positive_is_identity(self):
         assert elementwise(np.array(2.5), "elu") == 2.5
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False)
+            | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, -745.2, -40.0, 20.0]),
+            max_size=40,
+        ),
+        st.booleans(),
+    )
+    def test_elu_and_its_derivative_have_the_bits_of_the_where_forms(self, xs, scalar):
+        x = np.array(xs[0] if scalar and xs else xs)  # 0-d inputs too
+        y = elu_where(x)
+        for got, want in ((elementwise(x, "elu"), y), (elementwise_grad(x, "elu", y), elu_grad_where(x))):
+            got = np.asarray(got)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_sigmoid_zero(self):
         assert elementwise(np.array(0.0), "sigmoid") == 0.5
 
@@ -134,7 +158,7 @@ class TestElementwise:
             s = elementwise(x, "sigmoid")
             want = s * (1.0 - s)
         else:
-            want = np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+            want = elu_grad_where(x)
         assert elementwise_grad(x, fn, elementwise(x, fn)).tobytes() == want.tobytes()
         upstream = np.linspace(-2.0, 3.0, len(x))
         tape = ad.Tape()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from setnet import autodiff as ad
+from setnet import tensor as tensor_module
 from setnet import train as train_module
 from setnet.data import (
     LabeledSetDataset,
@@ -16,8 +17,9 @@ from setnet.data import (
     synth_digits,
     synth_shapes,
 )
-from setnet.errors import ConfigError, ContractError, DimensionError, FormatError
+from setnet.errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
 from setnet.layers import Dense, SetBatch, SetPool, bind, evaluate, load_params, save_params
+from setnet.optim import Optimizer
 from setnet.train import (
     EXPERIMENTS,
     MNIST_VARIANTS,
@@ -194,18 +196,17 @@ class TestMnistModels:
         counts = list(report.values())
         assert max(counts) <= 1.1 * min(counts), report
 
-    def test_batch_adopts_its_gather(self, digit_sets, monkeypatch):
+    def test_batch_keeps_its_gather(self, digit_sets, monkeypatch):
         gathers = []
 
         class Spy(SetBatch):
-            @classmethod
-            def adopt(cls, values, cardinalities):
+            def __init__(self, values, cardinalities):
                 gathers.append(values)
-                return super().adopt(values, cardinalities)
+                super().__init__(values, cardinalities)
 
         monkeypatch.setattr(train_module, "SetBatch", Spy)
         batch = make_set_batch(digit_sets, [5, 0, 3])
-        assert np.shares_memory(batch.values, gathers[0])  # no second copy
+        assert batch.values is gathers[0]  # no second copy
         assert not np.shares_memory(batch.values, digit_sets.rows) and digit_sets.rows.flags.writeable
         assert np.array_equal(batch.values, digit_sets.rows[np.concatenate([digit_sets.members[i] for i in (5, 0, 3)])])
 
@@ -344,6 +345,21 @@ class TestMetrics:
 
 
 class TestTrainLoop:
+    def test_non_finite_batch_is_reported_as_input(self):
+        cfg = tiny_mnist_config(**{"train.epochs": "1"})
+        train_data, val_data = build_experiment_data(cfg)
+        model = build_experiment_model(cfg, train_data)
+        values = np.ones((3, 784))
+        values[1, 5] = np.nan
+        with pytest.raises(NumericError, match=r"^constant: 1 non-finite entries"):
+            evaluate(model, SetBatch(values, [3]))
+        rows = train_data.rows.copy()
+        rows[train_data.members[0][0], 7] = np.inf
+        train_data = dataclasses.replace(train_data, rows=rows)
+        with pytest.raises(NumericError, match=r"^constant: \d+ non-finite entries") as info:
+            train_loop(model, cfg, train_data, val_data)
+        assert "diverged" not in str(info.value)
+
     def test_loss_decreases_on_separable_toy(self):
         cfg = tiny_mnist_config(**{"train.epochs": "6", "model.variant": "IV", "data.noise": "0.05"})
         train_data, val_data = build_experiment_data(cfg)
@@ -389,7 +405,7 @@ class TestTrainLoop:
         straight_tail = [r.line() for r in straight.records if r.epoch > 2]
         resumed_lines = [r.line() for r in resumed.records]
         assert resumed_lines == straight_tail
-        for p_straight, p_resumed in zip(straight.final_params, resumed.final_params):
+        for p_straight, p_resumed in zip(model.params(), model4.params(), strict=True):
             assert np.array_equal(p_straight.value, p_resumed.value)
 
     def test_resume_keeps_better_best_checkpoint(self, tmp_path):
@@ -582,12 +598,16 @@ class TestStepMemory:
 
 
 class TestNodeCounts:
-    """Recorded nodes per default training step, the count the benchmark's
-    traced run reports as ``autodiff.nodes_per_step``. Each equivariant and
-    dense layer records its pre-activation as one fused node and its
-    activation as another, so a change that splits a layer into more nodes
-    fails here, with no timing needed. The data are smaller than the
-    defaults; the graph of a step does not depend on how many sets there are."""
+    """Recorded nodes and ``tensor.ensure_finite`` calls per default training
+    step, the counts the benchmark's traced run reports as
+    ``autodiff.nodes_per_step`` and ``tensor.ensure_finite_calls``. Each
+    equivariant and dense layer records its pre-activation as one fused node
+    and its activation as another, so a change that splits a layer into more
+    nodes fails here, and so does one that scans a value a second time, with
+    no timing needed. The data are smaller than the defaults; the graph of a
+    step does not depend on how many sets there are."""
+
+    SCANS = {"mnist_sum": 21, "pointcloud": 33, "setregression": 27}
 
     @pytest.mark.parametrize(
         "experiment, data, nodes",
@@ -598,16 +618,33 @@ class TestNodeCounts:
         ],
     )
     def test_default_training_step(self, monkeypatch, experiment, data, nodes):
-        counts = []
-        real_backward = ad.backward
+        counts, scanned, step_scans = [], [0], []
+        real_backward, real_ensure_finite = ad.backward, tensor_module.ensure_finite
+        real_make_set_batch, real_step = train_module.make_set_batch, Optimizer.step
 
         def backward(tape, root):
             counts.append(len(tape.nodes))
             return real_backward(tape, root)
 
+        def ensure_finite(arr, where):
+            scanned[0] += 1
+            return real_ensure_finite(arr, where)
+
+        def make_set_batch(dataset, indices):  # a step starts with its batch
+            step_scans.append(-scanned[0])
+            return real_make_set_batch(dataset, indices)
+
+        def step(opt, grads):  # and ends with its update
+            real_step(opt, grads)
+            step_scans[-1] += scanned[0]
+
         config = ExperimentConfig({"experiment": experiment, "train.epochs": "1", **data})
         train_data, val_data = build_experiment_data(config)
         model = build_experiment_model(config, train_data)
         monkeypatch.setattr(ad, "backward", backward)
+        monkeypatch.setattr(tensor_module, "ensure_finite", ensure_finite)
+        monkeypatch.setattr(train_module, "make_set_batch", make_set_batch)
+        monkeypatch.setattr(Optimizer, "step", step)
         train_loop(model, config, train_data, val_data)
         assert counts == [nodes, nodes]
+        assert step_scans[:2] == [self.SCANS[experiment]] * 2
