@@ -18,7 +18,12 @@ index wins), which a central difference across the tie does not measure. A
 probe pair whose max winners differ, in any node of the two probe tapes, is
 flagged as non-differentiable and left out instead of failing.
 ``max_winners`` reads those winners off a node's own vjp, so the oracle
-needs nothing from the tape but its recorded nodes.
+needs nothing from the tape but its recorded nodes. elu (alpha=1) has a
+first derivative at 0 but no second, so a central difference whose probes
+lie on both sides of 0 is off by O(step). A probe pair is flagged in the
+same way when an entry of a recorded ``nl_elu`` node's input takes the
+other branch of elu (above 0, or at or below it) in the two probes. An
+input that stays at 0 in both is not flagged: elu is smooth along it.
 """
 
 import csv
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from setnet import autodiff as ad
-from setnet.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, _read_text
+from setnet.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, LabeledSetDataset, _read_text, rotate_z
 from setnet.errors import ContractError, DimensionError, FormatError, NumericError
 
 
@@ -96,6 +101,88 @@ def save_cluster_catalog(path, dataset) -> None:
                 label = dataset.member_labels[r] if dataset.member_labels is not None else 0.0
                 mask = int(dataset.member_mask[r]) if dataset.member_mask is not None else 0
                 writer.writerow([f"c{ci}"] + [repr(float(v)) for v in dataset.rows[r]] + [repr(float(label)), mask])
+
+
+def _per_cloud_sphere(m, rng):
+    v = rng.standard_normal((m, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _per_cloud_cube(m, rng):
+    face = rng.integers(0, 6, size=m)
+    uv = rng.uniform(-1.0, 1.0, size=(m, 2))
+    pts = np.empty((m, 3))
+    axis = face // 2
+    sign = np.where(face % 2 == 0, 1.0, -1.0)
+    for ax in range(3):
+        sel = axis == ax
+        others = [a for a in range(3) if a != ax]
+        pts[sel, ax] = sign[sel]
+        pts[sel, others[0]] = uv[sel, 0]
+        pts[sel, others[1]] = uv[sel, 1]
+    return pts
+
+
+def _per_cloud_cylinder(m, rng):
+    radius, height = 0.7, 2.0
+    side_area = 2 * np.pi * radius * height
+    cap_area = np.pi * radius**2
+    p_side = side_area / (side_area + 2 * cap_area)
+    pts = np.empty((m, 3))
+    on_side = rng.random(m) < p_side
+    theta = rng.uniform(0, 2 * np.pi, size=m)
+    ns = int(on_side.sum())
+    pts[on_side, 0] = radius * np.cos(theta[on_side])
+    pts[on_side, 1] = radius * np.sin(theta[on_side])
+    pts[on_side, 2] = rng.uniform(-height / 2, height / 2, size=ns)
+    r = radius * np.sqrt(rng.random(m - ns))
+    cap_sign = np.where(rng.random(m - ns) < 0.5, 1.0, -1.0)
+    pts[~on_side, 0] = r * np.cos(theta[~on_side])
+    pts[~on_side, 1] = r * np.sin(theta[~on_side])
+    pts[~on_side, 2] = cap_sign * height / 2
+    return pts
+
+
+def _per_cloud_torus(m, rng):
+    big, small = 1.0, 0.35
+    pts = np.empty((m, 3))
+    filled = 0
+    while filled < m:
+        need = m - filled
+        theta = rng.uniform(0, 2 * np.pi, size=2 * need)
+        phi = rng.uniform(0, 2 * np.pi, size=2 * need)
+        accept = rng.random(2 * need) < (big + small * np.cos(phi)) / (big + small)
+        theta, phi = theta[accept][:need], phi[accept][:need]
+        got = theta.size
+        ring = big + small * np.cos(phi)
+        pts[filled : filled + got, 0] = ring * np.cos(theta)
+        pts[filled : filled + got, 1] = ring * np.sin(theta)
+        pts[filled : filled + got, 2] = small * np.sin(phi)
+        filled += got
+    return pts
+
+
+_PER_CLOUD_SAMPLERS = {
+    "sphere": _per_cloud_sphere,
+    "cube": _per_cloud_cube,
+    "cylinder": _per_cloud_cylinder,
+    "torus": _per_cloud_torus,
+}
+
+
+def synth_shapes_per_cloud(classes, m, count, rng, scale_range=(0.8, 1.2)):
+    """``setnet.data.synth_shapes`` built one cloud at a time: the label, the
+    class's sampler, ``rotate_z`` and the scale, each cloud's points computed
+    as soon as they are drawn. Oracle for the draws and the bits of the
+    program's class-at-a-time build."""
+    rows = np.empty((count * m, 3))
+    labels = np.empty(count, dtype=np.intp)
+    for i in range(count):
+        labels[i] = rng.integers(0, len(classes))
+        pts = _PER_CLOUD_SAMPLERS[classes[labels[i]]](m, rng)
+        rows[i * m : (i + 1) * m] = rotate_z(pts, rng.uniform(0, 2 * np.pi)) * rng.uniform(*scale_range)
+    members = [np.arange(i * m, (i + 1) * m) for i in range(count)]
+    return LabeledSetDataset(rows, members, set_labels=labels, num_classes=len(classes))
 
 
 def batch_sets(batch) -> list:
@@ -186,7 +273,7 @@ class GradientCheckReport:
     step: float
     max_rel_error: float = 0.0
     entries_checked: int = 0
-    entries_flagged: int = 0  # probes at non-differentiable (max-tie) points, excluded
+    entries_flagged: int = 0  # probes at a max tie or across elu's kink, excluded
     failures: list = field(default_factory=list)
 
     @property
@@ -223,6 +310,12 @@ def max_winners(node):
     return np.nonzero(won.T)[1].reshape(won.shape[1], -1).T
 
 
+def elu_branches_differ(a, b) -> bool:
+    """Whether an entry of two probes' inputs to one elu node is above 0 in
+    one and at or below 0 in the other."""
+    return bool(np.any((a > 0) != (b > 0)))
+
+
 def gradient_check(build, values, step: float = 1e-5, tolerance: float = 1e-4) -> GradientCheckReport:
     """Compare ``autodiff.backward`` against central finite differences of
     ``build``, entry by entry of each variable in ``values`` (name -> array),
@@ -238,12 +331,13 @@ def gradient_check(build, values, step: float = 1e-5, tolerance: float = 1e-4) -
         return tape, build(tape, variables)
 
     def probe(name, moved):
-        """The probe's root value and the winners of its max nodes."""
+        """The probe's root value, the winners of its max nodes and the inputs of its elu nodes."""
         try:
             tape, root = run(name, moved)
         except NumericError:
-            return np.nan, None
-        return float(root.value), [w for w in map(max_winners, tape.nodes) if w is not None]
+            return np.nan, None, None
+        return (float(root.value), [w for w in map(max_winners, tape.nodes) if w is not None],
+                [n.parents[0].value for n in tape.nodes if n.op == "nl_elu"])
 
     tape, root = run()
     if root.value.shape != ():
@@ -258,9 +352,10 @@ def gradient_check(build, values, step: float = 1e-5, tolerance: float = 1e-4) -
             minus = base.copy()
             plus.flat[j] += step
             minus.flat[j] -= step
-            (f_p, won_p), (f_m, won_m) = probe(name, plus), probe(name, minus)
-            if won_p is not None and won_m is not None and any(
-                not np.array_equal(p, m) for p, m in zip(won_p, won_m)
+            (f_p, won_p, elu_p), (f_m, won_m, elu_m) = probe(name, plus), probe(name, minus)
+            if won_p is not None and won_m is not None and (
+                any(not np.array_equal(p, m) for p, m in zip(won_p, won_m))
+                or any(elu_branches_differ(p, m) for p, m in zip(elu_p, elu_m))
             ):
                 report.entries_flagged += 1
                 continue

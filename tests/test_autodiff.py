@@ -457,6 +457,23 @@ class TestGradientCheck:
         assert report.entries_flagged >= 2
         assert report.passed
 
+    def test_elu_kink_flagged_and_excluded(self):
+        # x[0] sits at elu's kink: its probes +-step take the two branches
+        report = gradient_check(lambda tape, v: ad.nonlinearity(v["x"], "elu").sum_all(),
+                                {"x": np.array([0.0, -0.5, 0.7])})
+        assert report.passed
+        assert (report.entries_flagged, report.entries_checked) == (1, 2)
+
+    def test_wrong_elu_derivative_still_fails(self, monkeypatch):
+        def wrong(x, fn, out):
+            return np.ones_like(x) if fn == "elu" else right(x, fn, out)
+
+        right = T.elementwise_grad
+        monkeypatch.setattr(T, "elementwise_grad", wrong)
+        report = gradient_check(lambda tape, v: ad.nonlinearity(v["x"], "elu").sum_all(),
+                                {"x": np.array([0.0, -0.5, 0.7])})
+        assert [f.split(":")[0] for f in report.failures] == ["x[1]"]  # x[0] is flagged, elu' is 1 at x[2]
+
     def test_non_finite_central_difference_fails_its_entry(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the minus probe's sqrt of a negative is not a warning

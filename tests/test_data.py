@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from setnet.data import (
+    SHAPE_CLASSES,
     LabeledSetDataset,
     TriangleMesh,
     augment_cloud,
@@ -39,6 +40,7 @@ from helpers import (
     save_cluster_catalog,
     save_off,
     sets_of,
+    synth_shapes_per_cloud,
     write_idx_images,
     write_idx_labels,
 )
@@ -420,9 +422,54 @@ class TestSynthShapes:
             assert np.all(ring >= 0.65 - 1e-9) and np.all(ring <= 1.35 + 1e-9)
             assert np.all(np.abs(s[:, 2]) <= 0.35 + 1e-9)
 
+    def test_cube_points_on_the_faces_before_scaling(self):
+        # a z rotation keeps z and the distance from the z axis: a point on a
+        # top or bottom face has |z| = 1, a point on a side face is at least
+        # 1 from the axis
+        ds = synth_shapes(["cube"], m=400, count=3, rng=np.random.default_rng(3), scale_range=(1.0, 1.0))
+        for s in sets_of(ds):
+            ring, z = np.hypot(s[:, 0], s[:, 1]), np.abs(s[:, 2])
+            on_cap = np.abs(z - 1.0) <= 1e-12
+            assert np.all(on_cap | (ring >= 1.0 - 1e-12))
+            assert np.all(z <= 1.0 + 1e-12)
+            assert on_cap.any() and not on_cap.all()
+
+    def test_cylinder_points_on_side_or_cap_before_scaling(self):
+        ds = synth_shapes(["cylinder"], m=400, count=3, rng=np.random.default_rng(4), scale_range=(1.0, 1.0))
+        for s in sets_of(ds):
+            ring, z = np.hypot(s[:, 0], s[:, 1]), np.abs(s[:, 2])
+            side = (np.abs(ring - 0.7) <= 1e-12) & (z <= 1.0 + 1e-12)
+            cap = (np.abs(z - 1.0) <= 1e-12) & (ring <= 0.7 + 1e-12)
+            assert np.all(side | cap)
+            assert side.any() and cap.any()
+
     def test_unknown_class(self):
         with pytest.raises(DimensionError):
             synth_shapes(["pyramid"], 10, 2, np.random.default_rng(0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 130),
+        count=st.integers(1, 40),
+        classes=st.permutations(SHAPE_CLASSES).flatmap(lambda p: st.integers(1, len(p)).map(lambda k: p[:k])),
+        scale_range=st.one_of(
+            st.just((0.8, 1.2)),
+            st.tuples(st.floats(0.1, 3.0), st.floats(0.0, 2.0)).map(lambda lw: (lw[0], lw[0] + lw[1])),
+        ),
+    )
+    def test_same_bits_and_draws_as_one_cloud_at_a_time(self, seed, m, count, classes, scale_range):
+        # the rows, labels and members of the per-cloud build, and the
+        # generator left where it leaves it: the validation clouds and any
+        # later data are drawn from the same generator
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = synth_shapes(classes, m, count, rng, scale_range)
+        want = synth_shapes_per_cloud(classes, m, count, oracle_rng, scale_range)
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert np.array_equal(got.set_labels, want.set_labels)
+        assert len(got.members) == len(want.members)
+        assert all(np.array_equal(a, b) for a, b in zip(got.members, want.members))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestClusterCatalog:

@@ -5,11 +5,19 @@ Between them the configs cover every model variant the benchmark's default
 configs leave out: mnist_sum I-IV, pointcloud with dropout on pooled rows,
 and both setregression variants. Splits, epochs and metric names must match
 exactly, losses and metric values to 1e-12 relative.
+
+Golden data: the bytes ``build_experiment_data`` makes for each experiment's
+default config, pinned as one SHA-256 per experiment and seed, so a change
+to the data path cannot change the data unseen.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from setnet.cli import main
+from setnet.train import ExperimentConfig, build_experiment_data
 
 TINY = ["--set", "data.train_sets=24", "--set", "data.val_sets=8", "--set", "train.batch_size=8",
         "--set", "train.epochs=2"]
@@ -82,3 +90,36 @@ def test_metrics_match_golden(name, tmp_path):
     assert [key for key, _ in got] == [key for key, _ in want]
     for (key, values), (_, expected_values) in zip(got, want):
         assert values == pytest.approx(expected_values, rel=1e-12, nan_ok=True), key
+
+
+DATA_DIGESTS = {
+    ("mnist_sum", 0): "dde5bef932f476b3530ad9eb2dec46385f7d2d2247c07f0c3efaea9a243daebb",
+    ("mnist_sum", 1): "ae13b998704f54291ba1e8fa0c5b1d6521fe82fa932fd1d440d756dd472b25ee",
+    ("pointcloud", 0): "a9426b8abf82ffe9b64392467005bd86d4bbf66ef30e1bb7478125a4507a3428",
+    ("pointcloud", 1): "7849f57a1e9c111ca9ab713614b916598ad0f20fea8a95501d44eeaf4dc687a1",
+    ("setregression", 0): "1341abbf7761e0d223815f2cdc04da5e51889de323986a6ae19e4d9e1386fd4c",
+    ("setregression", 1): "1d0690f5952103b0061b6c159778fab3a619571e9406003a0442f4f2d13c1658",
+}
+
+
+def data_digest(config) -> str:
+    """SHA-256 over the train and then the validation dataset: for each, its
+    rows, set labels, member labels, member mask and each set's member
+    indices, every array with its dtype and shape (a missing one as None)."""
+    digest = hashlib.sha256()
+    for dataset in build_experiment_data(config):
+        for array in (dataset.rows, dataset.set_labels, dataset.member_labels, dataset.member_mask,
+                      *dataset.members):
+            if array is None:
+                digest.update(b"None")
+                continue
+            array = np.ascontiguousarray(array)
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("experiment, seed", list(DATA_DIGESTS))
+def test_default_data_matches_golden_digest(experiment, seed):
+    config = ExperimentConfig({"experiment": experiment, "seed": str(seed)})
+    assert data_digest(config) == DATA_DIGESTS[experiment, seed]

@@ -4,11 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from setnet import autodiff as ad
 from setnet import layers as layers_module
+from setnet import tensor as tensor_module
 from setnet.errors import (
     DegenerateSetError,
     DimensionError,
@@ -272,17 +273,23 @@ def experiment_model(experiment, seed, **settings):
     return build_experiment_model(ExperimentConfig(values), data)
 
 
-@st.composite
-def model_cases(draw, experiment, **settings):
-    """(model, batch, rng) for the experiment; mnist_sum sets have exactly three members."""
+CARDS = st.lists(st.integers(2, 9), min_size=1, max_size=4)
+SEEDS = st.integers(0, 1000)
+
+
+def model_case(experiment, cards, seed, **settings):
+    """(model, batch, rng) for the experiment, one set per entry of ``cards``
+    with that many members; mnist_sum sets have exactly three members."""
     k = MODEL_CASES[experiment][1]
     if experiment == "mnist_sum":
-        cards = [3] * draw(st.integers(1, 4))
-    else:
-        cards = draw(st.lists(st.integers(2, 9), min_size=1, max_size=4))
-    seed = draw(st.integers(0, 1000))
+        cards = [3] * len(cards)
     rng = np.random.default_rng(seed)
     return experiment_model(experiment, seed, **settings), SetBatch(rng.normal(size=(sum(cards), k)), cards), rng
+
+
+@st.composite
+def model_cases(draw, experiment, **settings):
+    return model_case(experiment, draw(CARDS), draw(SEEDS), **settings)
 
 
 class TestModelProperties:
@@ -347,6 +354,9 @@ def gradient_report(module, batch, rng, tie=False):
 
 
 GRADIENT = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+SMALL_MODELS = {"mnist_sum": {"model.width": "4", "model.trunk": "4"},
+                "pointcloud": {"model.widths": "4,3", "model.trunk": "3"},
+                "setregression": {"model.widths": "4,3,1"}}
 
 
 class TestGradientCheckProperty:
@@ -383,14 +393,27 @@ class TestGradientCheckProperty:
 
     @pytest.mark.parametrize("experiment", list(MODEL_CASES))
     @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.data())
-    def test_model(self, experiment, data):
-        small = {"mnist_sum": {"model.width": "4", "model.trunk": "4"},
-                 "pointcloud": {"model.widths": "4,3", "model.trunk": "3"},
-                 "setregression": {"model.widths": "4,3,1"}}[experiment]
-        model, batch, rng = data.draw(model_cases(experiment, **small))
+    @given(cards=CARDS, seed=SEEDS)
+    # mnist_sum: a member is its set's max in every channel, so its elu input
+    # is beta, which starts at 0, and beta's probes straddle elu's kink
+    @example(cards=[3, 3, 3], seed=40)
+    def test_model(self, experiment, cards, seed):
+        model, batch, rng = model_case(experiment, cards, seed, **SMALL_MODELS[experiment])
         report = gradient_report(model, batch, rng)
         assert report.passed, report.failures[:3]
+
+    def test_model_elu_kink_is_flagged(self, monkeypatch):
+        # the draw above: the probes that straddle 0 are left out, the rest
+        # pass, and a wrong elu derivative still fails
+        def report():
+            return gradient_report(*model_case("mnist_sum", [3, 3, 3], 40, **SMALL_MODELS["mnist_sum"]))
+
+        right = report()
+        assert right.passed and 0 < right.entries_flagged < right.entries_checked
+        grad = tensor_module.elementwise_grad
+        monkeypatch.setattr(tensor_module, "elementwise_grad",
+                            lambda x, fn, out: grad(x, fn, out) * (1.01 if fn == "elu" else 1.0))
+        assert not report().passed
 
 
 def bits(a):
