@@ -180,9 +180,6 @@ class Node:
             _MUL_VJPS,
         )
 
-    def __rmul__(self, other):
-        return self._coerce(other).__mul__(self)
-
     def __neg__(self):
         return self.tape._record(
             "neg", (self,),

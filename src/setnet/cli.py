@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import math
 import os
 import sys
 from typing import Dict, List, Optional
@@ -134,13 +135,14 @@ def cmd_check_equivariance(args) -> int:
             raise ConfigError(f"--demo probes a built-in function and takes no --{', --'.join(ignored)}")
         rng = np.random.default_rng(args.seed or 0)
         n = _PROBE_SET_SIZE if args.n is None else args.n
-        if n < 1 or args.channels < 1:  # refused before the demo draws its weights
-            raise DimensionError(f"--n and --channels must be >= 1, got {n} and {args.channels}")
+        channels = 3 if args.channels is None else args.channels
+        if n < 1 or channels < 1:  # refused before the demo draws its weights
+            raise DimensionError(f"--n and --channels must be >= 1, got {n} and {channels}")
         if args.demo == "stack":
             layers = [
-                EquivariantLayer(args.channels, 8, "channel_full", "tanh", rng=rng, name="d1"),
-                EquivariantLayer(8, 8, "channel_factored", "tanh", rng=rng, name="d2"),
-                EquivariantLayer(8, args.channels, "channel_full", "identity", rng=rng, name="d3"),
+                EquivariantLayer(channels, 8, "tanh", rng=rng, name="d1"),
+                EquivariantLayer(8, 8, "tanh", rng=rng, name="d2"),
+                EquivariantLayer(8, channels, "identity", rng=rng, name="d3"),
             ]
 
             def f(x):
@@ -155,8 +157,10 @@ def cmd_check_equivariance(args) -> int:
             def f(x):
                 return w @ x
 
-        report = theorem.check_equivariance_empirical(f, n, args.trials, rng, channels=args.channels)
+        report = theorem.check_equivariance_empirical(f, n, args.trials, rng, channels=channels)
     else:
+        if args.channels is not None:
+            raise ConfigError("--channels applies to --demo only; a model is probed on its data's channels")
         config, train_data, _, model, _ = _load_experiment(args, args.checkpoint)
         report = _probe_model(model, config, train_data, args, np.random.default_rng(config["seed"]))
     for line in report.lines():
@@ -259,6 +263,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_actmax(args) -> int:
+    if not math.isfinite(args.threshold):  # every comparison with nan is false
+        raise ConfigError(f"--threshold must be finite, got {args.threshold}")
     config, _, _, model, _ = _load_experiment(args, args.checkpoint)
     if config.experiment != "pointcloud":
         raise ConfigError("actmax operates on pointcloud models")
@@ -305,10 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-equivariance", parents=[experiment],
                        help="probe a model or demo function for equivariance")
-    p.add_argument("--demo", choices=["stack", "dense"], help="probe a built-in demo instead of a model")
+    p.add_argument("--demo", choices=["stack", "dense"], help="probe a built-in function instead of a model, with "
+                   "no experiment options: stack (three max-normalised equivariant layers) or dense (not equivariant)")
     p.add_argument("--checkpoint", help="restore parameters before probing")
     p.add_argument("--n", type=int, help="set size to probe (default: data.set_size for mnist_sum, else 8)")
-    p.add_argument("--channels", type=int, default=3)
+    p.add_argument("--channels", type=int, help="member channels of a --demo probe (default 3); "
+                   "a model is probed on its data's channels")
     p.add_argument("--trials", type=int, default=50)
     p.set_defaults(func=cmd_check_equivariance)
 

@@ -1,13 +1,13 @@
 """Set layers equivariant to member permutations, set pooling, set dropout and dense layers.
 
-The equivariant layers come in two forms built around one template:
+The equivariant layer is the paper's max-normalised, parameter-shared layer:
 
-    y = sigma(x A  +  s * (1 agg(x)) G  [+ beta])
+    y = sigma(beta + (x - 1 max(x)) Gamma)
 
-where ``agg`` is a sum or max over each set's members and ``s`` is +1 for a
-sum and -1 for the max-normalising max. Because the aggregate ignores member
-order, every form is permutation-equivariant; pooling the output over each
-set then gives a permutation-invariant set representation.
+where ``max`` is taken over each set's members, channel by channel. Because
+the max ignores member order, the layer is permutation-equivariant; pooling
+its output over each set then gives a permutation-invariant set
+representation.
 
 A batch is packed: the member rows of all its sets stacked one set after
 another, [M, K] with M the total number of members, plus each set's
@@ -18,11 +18,10 @@ rows, so a set's outputs depend on its own members only. A ``SetBatch`` keeps
 the member array it is given; its values are scanned for finiteness once,
 where they enter a tape.
 
-A ``channel_factored`` ``EquivariantLayer`` or a ``Dense`` layer records its
-pre-activation (``beta + (x - 1 max(x)) Gamma``, or ``x W + b``) as one fused
-tape node, and its activation as a second one; see ``autodiff`` for the fused
-nodes' gradients. ``channel_full`` builds its pre-activation from the segment,
-``matmul``, ``mul``, ``repeat`` and ``add`` nodes.
+An ``EquivariantLayer`` or a ``Dense`` layer records its pre-activation
+(``beta + (x - 1 max(x)) Gamma``, or ``x W + b``) as one fused tape node, and
+its activation as a second one; see ``autodiff`` for the fused nodes'
+gradients.
 
 Every layer has the same protocol: ``params()`` lists its named ``Param``
 objects (none for pooling, normalisation, flattening and dropout) and
@@ -52,7 +51,6 @@ from .errors import (
     FormatError,
 )
 
-EQ_VARIANTS = ("channel_full", "channel_factored")
 POOL_KINDS = ("sum", "max", "mean")
 
 
@@ -125,76 +123,37 @@ def bind(tape: ad.Tape, params: Sequence[Param]) -> Dict[str, ad.Node]:
     return {p.name: tape.variable(p.value, p.name) for p in params}
 
 
-def _aggregate(tape: ad.Tape, x: ad.Node, cards: np.ndarray, kind: str) -> ad.Node:
-    """Reduction over each set's member rows: [M, K] -> [B, K]."""
-    if kind == "sum":
-        return x.segment_sum(cards)
-    if kind == "mean":
-        return x.segment_sum(cards) * tape.constant(1.0 / cards.astype(np.float64)[:, None])
-    if kind == "max":
-        return x.segment_max(cards)
-    raise DimensionError(f"unknown aggregate {kind!r}")
-
-
 class EquivariantLayer:
-    """One permutation-equivariant layer over the member rows of set batches.
-
-    variant:
-      channel_full     y = sigma(x Lam - 1 max(x) Gam), or + 1 sum(x) Gam with aggregate="sum"
-      channel_factored y = sigma(beta + (x - 1 max(x)) Gam), one weight matrix plus bias
-    """
+    """One permutation-equivariant layer over the member rows of set batches:
+    y = sigma(beta + (x - 1 max(x)) Gamma), one weight matrix plus bias."""
 
     def __init__(
         self,
         k_in: int,
         k_out: int,
-        variant: str = "channel_factored",
         activation: str = "tanh",
-        aggregate: Optional[str] = None,
         rng: Optional[np.random.Generator] = None,
         name: str = "eq",
     ):
-        if variant not in EQ_VARIANTS:
-            raise DimensionError(f"unknown variant {variant!r}")
         if activation not in T.NONLINEARITIES:
             raise DimensionError(f"unknown activation {activation!r}")
-        self.variant = variant
         self.k_in = k_in
         self.k_out = k_out
         self.activation = activation
         self.name = name
-        # channel_factored: max-normalisation is the point of the variant
-        if variant == "channel_factored" and aggregate not in (None, "max"):
-            raise DimensionError(f"channel_factored aggregates by max, got aggregate {aggregate!r}")
-        self.aggregate = aggregate or "max"
-        if self.aggregate not in ("sum", "max"):
-            raise DimensionError(f"unknown aggregate {self.aggregate!r}")
-        self.sign = -1.0 if self.aggregate == "max" else 1.0
-
         rng = rng or np.random.default_rng(0)
-        if variant == "channel_factored":
-            self.gam = Param(f"{name}.Gamma", fan_uniform(rng, k_in, k_out))
-            self.beta = Param(f"{name}.beta", np.zeros(k_out))
-            self.lam = None
-        else:
-            self.lam = Param(f"{name}.Lambda", fan_uniform(rng, k_in, k_out))
-            self.gam = Param(f"{name}.Gamma", fan_uniform(rng, k_in, k_out))
-            self.beta = None
+        self.gam = Param(f"{name}.Gamma", fan_uniform(rng, k_in, k_out))
+        self.beta = Param(f"{name}.beta", np.zeros(k_out))
 
     def params(self) -> List[Param]:
-        return [p for p in (self.lam, self.gam, self.beta) if p is not None]
+        return [self.gam, self.beta]
 
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if x.value.shape[1] != self.k_in:
             raise DimensionError(
                 f"{self.name}: expected {self.k_in} input channels, got {x.value.shape[1]}"
             )
-        gam = bound[self.gam.name]
-        if self.variant == "channel_factored":
-            pre = ad.max_centred_affine(x, gam, bound[self.beta.name], cards)
-        else:
-            agg = _aggregate(tape, x, cards, self.aggregate)  # [B, K]
-            pre = x @ bound[self.lam.name] + (self.sign * (agg @ gam)).repeat(cards)
+        pre = ad.max_centred_affine(x, bound[self.gam.name], bound[self.beta.name], cards)
         return ad.nonlinearity(pre, self.activation)
 
 
@@ -233,7 +192,12 @@ class SetPool:
         return []
 
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
-        return _aggregate(tape, x, cards, self.kind)
+        if self.kind == "max":
+            return x.segment_max(cards)
+        pooled = x.segment_sum(cards)
+        if self.kind == "mean":
+            return pooled * tape.constant(1.0 / cards.astype(np.float64)[:, None])
+        return pooled
 
 
 class Dropout:

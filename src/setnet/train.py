@@ -373,7 +373,7 @@ def _mnist_model(config: ExperimentConfig, input_dim: int, rng: np.random.Genera
     else:
         layers = [Dense(input_dim, width, act, rng, "enc"), drop]
         if variant == "IV":
-            layers += [EquivariantLayer(width, trunk, "channel_factored", act, rng=rng, name="eq"), drop]
+            layers += [EquivariantLayer(width, trunk, act, rng=rng, name="eq"), drop]
         layers += [SetPool(config["model.pool"]), Dense(trunk if variant == "IV" else width, trunk, act, rng, "fc2")]
     layers += [drop, Dense(trunk, 9 * n + 1, "identity", rng, "out")]
     return SetModel(layers, "accuracy", True, set_size=n)
@@ -655,7 +655,7 @@ def build_experiment_model(config: ExperimentConfig, train_data: LabeledSetDatas
         # normalize -> equivariant stack -> set pool -> dense classifier
         layers: List = [NormalizeSets()]
         for i, w in enumerate(config["model.widths"]):
-            layers.append(EquivariantLayer(k, w, "channel_factored", act, rng=init_rng, name=f"eq{i + 1}"))
+            layers.append(EquivariantLayer(k, w, act, rng=init_rng, name=f"eq{i + 1}"))
             k = w
         trunk = config["model.trunk"]
         drop = Dropout(config["model.dropout"])  # on pooled rows: every entry draws its own mask
@@ -678,7 +678,7 @@ def build_experiment_model(config: ExperimentConfig, train_data: LabeledSetDatas
             if i:
                 layers.append(drop)
             if equivariant:
-                layers.append(EquivariantLayer(k, w, "channel_factored", a, rng=init_rng, name=f"eq{i + 1}"))
+                layers.append(EquivariantLayer(k, w, a, rng=init_rng, name=f"eq{i + 1}"))
             else:
                 layers.append(Dense(k, w, a, init_rng, name=f"fc{i + 1}"))
             k = w

@@ -242,10 +242,10 @@ def exact_sum_distribution(label_frequencies: np.ndarray, n: int) -> np.ndarray:
 
 
 def composite_pre_activation(layer, x, cards, bound):
-    """The pre-activation of a ``channel_factored`` ``EquivariantLayer`` or a
-    ``Dense`` layer built from the unfused nodes (``segment_max``, ``repeat``,
-    ``sub``, ``matmul`` and ``add``), as the layers recorded it before each
-    became one fused node. Oracle for the fused nodes' values and gradients."""
+    """The pre-activation of an ``EquivariantLayer`` or a ``Dense`` layer
+    built from the unfused nodes (``segment_max``, ``repeat``, ``sub``,
+    ``matmul`` and ``add``), as the layers recorded it before each became one
+    fused node. Oracle for the fused nodes' values and gradients."""
     if hasattr(layer, "w"):  # Dense
         return x @ bound[layer.w.name] + bound[layer.b.name]
     return (x - x.segment_max(cards).repeat(cards)) @ bound[layer.gam.name] + bound[layer.beta.name]

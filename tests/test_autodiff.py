@@ -424,7 +424,7 @@ class TestGradientCheck:
 
     def test_layer_pool_loss_combination(self):
         rng = np.random.default_rng(4)
-        layer = EquivariantLayer(3, 4, "channel_full", "tanh", rng=rng)
+        layer = EquivariantLayer(3, 4, "tanh", rng=rng)
         cards = np.array([5, 3])
         values = {p.name: p.value for p in layer.params()}
         values["x"] = rng.normal(size=(8, 3))
@@ -499,7 +499,7 @@ class TestGradientCheck:
 class TestGradientEquivariance:
     def test_input_gradients_permute_with_inputs(self):
         rng = np.random.default_rng(9)
-        layer = EquivariantLayer(3, 4, "channel_factored", "tanh", rng=rng)
+        layer = EquivariantLayer(3, 4, "tanh", rng=rng)
         n = 6
         x_val = rng.normal(size=(n, 3))
         upstream = rng.normal(size=(n, 4))

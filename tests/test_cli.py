@@ -43,6 +43,26 @@ def test_demo_refuses_the_experiment_options(capsys, monkeypatch, option):
     assert captured.err.startswith("error (ConfigError): --demo") and option[0] in captured.err
 
 
+@pytest.mark.parametrize("channels", ["0", "3"])
+def test_a_model_probe_refuses_channels(capsys, monkeypatch, channels):
+    monkeypatch.setattr(cli, "build_experiment_data", None)  # refused before the experiment is built
+    assert main(["check-equivariance", "--experiment", "pointcloud", "--channels", channels]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (ConfigError): --channels applies to --demo only")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_actmax_refuses_a_non_finite_threshold(tmp_path, capsys, monkeypatch, threshold):
+    monkeypatch.setattr(cli, "build_experiment_data", None)  # refused before the experiment is built
+    out = tmp_path / "act.xyz"
+    assert main(["actmax", "--experiment", "pointcloud", f"--threshold={threshold}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error (ConfigError): --threshold must be finite, got {threshold}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "experiment, setting",
     [

@@ -44,13 +44,11 @@ from helpers import (
     permute_members,
 )
 
-# (variant, channels, aggregate) per layer form; the scalar forms are channel_full
-# with one channel in and out, where numpy regroups the sums. None: drawn per case.
+# channels in and out per layer form: scalar_max has one channel in and out,
+# where numpy regroups the products' sums; None draws them per case
 FORMS = {
-    "scalar_sum": ("channel_full", 1, "sum"),
-    "scalar_max": ("channel_full", 1, "max"),
-    "channel_full": ("channel_full", None, None),
-    "channel_factored": ("channel_factored", None, "max"),
+    "scalar_max": 1,
+    "channel_factored": None,
 }
 
 PROPERTY = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -68,8 +66,8 @@ def forward(layer, batch):
     return batch.with_values(evaluate(layer, batch))
 
 
-def random_layer(variant, k_in, k_out, rng, activation="tanh", aggregate=None):
-    layer = EquivariantLayer(k_in, k_out, variant, activation, aggregate=aggregate, rng=rng)
+def random_layer(k_in, k_out, rng, activation="tanh"):
+    layer = EquivariantLayer(k_in, k_out, activation, rng=rng)
     for p in layer.params():
         p.value = rng.normal(scale=0.7, size=p.value.shape)
     return layer
@@ -91,10 +89,8 @@ def packed_batches(draw, channels=None, max_size=32, max_channels=8):
 
 
 def layer_case(draw, form, k_in, max_out=8):
-    variant, channels, aggregate = FORMS[form]
-    aggregate = aggregate or draw(st.sampled_from([None, "sum", "max"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return random_layer(variant, k_in, channels or draw(st.integers(1, max_out)), rng, aggregate=aggregate)
+    return random_layer(k_in, FORMS[form] or draw(st.integers(1, max_out)), rng)
 
 
 def per_member(out, batch):
@@ -127,47 +123,24 @@ def assert_isolated(fn, batch, tol=1e-12):
 
 
 class TestEquivariantExamples:
-    def test_scalar_sum_reduces_to_identity(self):
-        layer = EquivariantLayer(1, 1, "channel_full", "identity", aggregate="sum")
-        layer.lam.value = np.array([[1.0]])
-        layer.gam.value = np.array([[0.0]])
-        batch = single_set([1.0, 2.0, 3.0])
-        out = forward(layer, batch)
-        assert np.allclose(out.values, batch.values)
-
-    def test_scalar_sum_adds_total(self):
-        layer = EquivariantLayer(1, 1, "channel_full", "identity", aggregate="sum")
-        layer.lam.value = np.array([[1.0]])
-        layer.gam.value = np.array([[1.0]])
-        out = forward(layer, single_set([1.0, 2.0, 3.0]))
-        assert np.allclose(out.values[:, 0], [7.0, 8.0, 9.0])
-
     def test_factored_subtracts_column_max(self):
-        layer = EquivariantLayer(2, 2, "channel_factored", "identity")
+        layer = EquivariantLayer(2, 2, "identity")
         layer.gam.value = np.eye(2)
         layer.beta.value = np.zeros(2)
         out = forward(layer, single_set([[1.0, 5.0], [3.0, 2.0]]))
         assert np.allclose(out.values, [[-2.0, 0.0], [0.0, -3.0]])
 
     def test_channel_mismatch(self):
-        layer = EquivariantLayer(3, 2, "channel_full")
+        layer = EquivariantLayer(3, 2)
         with pytest.raises(DimensionError):
             evaluate(layer, single_set([[1.0, 2.0]]))
-
-    @pytest.mark.parametrize("aggregate", ["sum", "mean", "bogus"])
-    def test_factored_refuses_other_aggregates(self, aggregate):
-        with pytest.raises(DimensionError, match="channel_factored aggregates by max"):
-            EquivariantLayer(2, 3, "channel_factored", aggregate=aggregate)
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyReductionError):
             SetBatch(np.zeros((3, 2)), [3, 0])
 
     def test_parameter_counts(self):
-        full = EquivariantLayer(3, 5, "channel_full")
-        factored = EquivariantLayer(3, 5, "channel_factored")
-        assert count_params(full.params()) == 2 * 3 * 5
-        assert count_params(factored.params()) == 3 * 5 + 5
+        assert count_params(EquivariantLayer(3, 5).params()) == 3 * 5 + 5
 
 
 class TestEquivarianceProperty:
@@ -175,7 +148,7 @@ class TestEquivarianceProperty:
     @PROPERTY
     @given(st.data())
     def test_single_layer_equivariant(self, form, data):
-        batch, rng = data.draw(packed_batches(FORMS[form][1]))
+        batch, rng = data.draw(packed_batches(FORMS[form]))
         layer = layer_case(data.draw, form, batch_channels(batch))
         assert_equivariant(lambda b: evaluate(layer, b), batch, rng)
 
@@ -183,9 +156,9 @@ class TestEquivarianceProperty:
         rng = np.random.default_rng(23)
         for trial in range(10):
             layers = [
-                random_layer("channel_full", 3, 5, rng),
-                random_layer("channel_factored", 5, 4, rng),
-                random_layer("channel_full", 4, 2, rng, aggregate="sum"),
+                random_layer(3, 5, rng),
+                random_layer(5, 4, rng),
+                random_layer(4, 2, rng),
             ]
 
             def stack(batch):
@@ -199,7 +172,7 @@ class TestEquivarianceProperty:
     def test_invariance_of_pooled_stack(self):
         rng = np.random.default_rng(31)
         for kind in ("sum", "max", "mean"):
-            layers = [random_layer("channel_factored", 3, 6, rng), random_layer("channel_full", 6, 4, rng)]
+            layers = [random_layer(3, 6, rng), random_layer(6, 4, rng)]
             batch = random_batch(rng, n_max=9, k=3)
 
             def pooled(b):
@@ -228,7 +201,7 @@ class TestSegmentIsolation:
     @given(st.data())
     def test_layer_rows_match_set_alone(self, data):
         form = data.draw(st.sampled_from(list(FORMS)))
-        batch, _ = data.draw(packed_batches(FORMS[form][1]))
+        batch, _ = data.draw(packed_batches(FORMS[form]))
         layer = layer_case(data.draw, form, batch_channels(batch))
         assert_isolated(lambda b: evaluate(layer, b), batch)
 
@@ -242,7 +215,7 @@ class TestSegmentIsolation:
     def test_max_path_fixed_example(self):
         rng = np.random.default_rng(53)
         batch = SetBatch(rng.normal(size=(6, 3)), [4, 2])
-        max_layer = random_layer("channel_factored", 3, 4, rng)
+        max_layer = random_layer(3, 4, rng)
         together = batch_sets(batch.with_values(evaluate(max_layer, batch)))
         for got, members in zip(together, batch_sets(batch)):
             assert np.array_equal(got, evaluate(max_layer, single_set(members)))  # bit-level for this example
@@ -364,12 +337,12 @@ class TestGradientCheckProperty:
     @GRADIENT
     @given(st.data())
     def test_equivariant_layer(self, form, data):
-        batch, rng = data.draw(packed_batches(FORMS[form][1], max_size=6, max_channels=3))
+        batch, rng = data.draw(packed_batches(FORMS[form], max_size=6, max_channels=3))
         layer = layer_case(data.draw, form, batch_channels(batch), max_out=3)
         tie = data.draw(st.booleans())
         report = gradient_report(layer, batch, rng, tie)
         assert report.passed, report.failures[:3]
-        if tie and layer.aggregate == "max":
+        if tie:
             assert report.entries_flagged > 0
 
     @pytest.mark.parametrize("kind", ["sum", "max", "mean"])
@@ -423,8 +396,8 @@ def bits(a):
 
 @st.composite
 def fused_cases(draw):
-    """(layer, values, cards, weights, x_is_variable): a ``channel_factored``
-    ``EquivariantLayer`` or a ``Dense`` layer, both with tanh, on an equal-size or
+    """(layer, values, cards, weights, x_is_variable): an ``EquivariantLayer``
+    or a ``Dense`` layer, both with tanh, on an equal-size or
     ragged batch, with ``weights`` for a linear loss on the output. Inputs
     drawn from a few levels tie the maxima; large parameters saturate tanh,
     so many of its derivatives are +-0."""
@@ -443,7 +416,7 @@ def fused_cases(draw):
     if draw(st.booleans()):
         layer = Dense(k_in, k_out, "tanh", rng)
     else:
-        layer = EquivariantLayer(k_in, k_out, "channel_factored", "tanh", rng=rng)
+        layer = EquivariantLayer(k_in, k_out, "tanh", rng=rng)
     scale = draw(st.sampled_from([1.0, 50.0]))
     for p in layer.params():
         p.value = rng.normal(scale=scale, size=p.value.shape)

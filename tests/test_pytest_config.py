@@ -1,8 +1,11 @@
-"""The test suite's own pytest settings must let a failure report itself."""
+"""The test suite's own pytest settings must let a failure report itself, and
+tier-1's Hypothesis properties must draw the same examples on every run."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import settings
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -26,3 +29,11 @@ def test_a_failing_property_reports_its_falsifying_example(tmp_path):
     )
     assert run.returncode == 1, run.stdout[-2000:] + run.stderr[-2000:]
     assert "Falsifying example" in run.stdout
+
+
+def test_tier1_loads_the_derandomized_profile(request):
+    named = request.config.getoption("hypothesis_profile")
+    assert settings.get_current_profile_name() == (named or "tier1")
+    assert settings.get_profile("tier1").derandomize and not settings.get_profile("random").derandomize
+    if named is None:  # the tier-1 command names no profile
+        assert settings.default.derandomize

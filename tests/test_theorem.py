@@ -122,8 +122,8 @@ class TestEmpiricalChecker:
     def test_equivariant_stack_passes(self):
         rng = np.random.default_rng(3)
         layers = [
-            EquivariantLayer(2, 5, "channel_full", "tanh", rng=rng, name="a"),
-            EquivariantLayer(5, 2, "channel_factored", "tanh", rng=rng, name="b"),
+            EquivariantLayer(2, 5, "tanh", rng=rng, name="a"),
+            EquivariantLayer(5, 2, "tanh", rng=rng, name="b"),
         ]
 
         def f(x):
