@@ -31,14 +31,15 @@ those member rows and one row per set. When all sets of a batch have one
 size, they work on the rows as one [sets, size, channels] block instead of
 set by set, with the same bits.
 
-Two affine maps are fused nodes, whose forward works in one output buffer
-and whose vjps are written out by hand: ``affine`` (``x W + b``) and
-``max_centred_affine`` (``beta + (x - 1 max(x)) Gamma``). Each gives the value
-and the gradients, to the bit, of the chain of ``segment_max``, ``repeat``,
-``sub``, ``matmul`` and ``add`` nodes it replaces (the test suite keeps that
-chain as its oracle), with one allocation and one finiteness check instead of
-one per link. ``max_centred_affine`` keeps its centred rows for the Gamma
-gradient.
+A layer is one fused node, whose forward works in one output buffer and
+whose vjps are written out by hand: ``affine`` (``sigma(x W + b)``) and
+``max_centred_affine`` (``sigma(beta + (x - 1 max(x)) Gamma)``). Each gives the
+value and the gradients, to the bit, of the chain of nodes it replaces (the
+test suite keeps that chain as its oracle), with one finiteness check, of the
+pre-activation, before ``sigma`` could map an infinity to a finite value. The
+sweep turns the node's gradient into the pre-activation's once per visit, for
+every parent's vjp; only elu keeps the pre-activation, which its derivative
+reads.
 
 Every node value is checked for finiteness when it is made, except the values
 of ops that map finite inputs to finite outputs (``_FINITE_PRESERVING``):
@@ -127,7 +128,7 @@ _MATMUL_VJPS = (lambda g, pv, out: g @ pv[1].T, lambda g, pv, out: pv[0].T @ g)
 _RESHAPE_VJPS = (lambda g, pv, out: g.reshape(pv[0].shape),)
 _SUM_VJPS = (lambda g, pv, out: np.broadcast_to(g, pv[0].shape).copy(),)
 _SUM_ALL_VJPS = (lambda g, pv, out: np.full(pv[0].shape, float(g)),)
-_AFFINE_VJPS = (  # x W + b
+_AFFINE_VJPS = (  # x W + b, from the gradient of the pre-activation
     lambda g, pv, out: g @ pv[1].T,
     lambda g, pv, out: pv[0].T @ g,
     lambda g, pv, out: _unbroadcast(g, pv[2].shape),
@@ -135,17 +136,15 @@ _AFFINE_VJPS = (  # x W + b
 
 # Ops whose value is finite whenever their parents' values are, so _record
 # does not check it again.
-_FINITE_PRESERVING = frozenset(
-    ("repeat", "segment_max", "reshape", "transpose", "neg", "nl_tanh", "nl_sigmoid", "nl_elu")
-)
+_FINITE_PRESERVING = frozenset(("repeat", "segment_max", "reshape", "transpose", "neg"))
 
 
 class Node:
     """One value on a tape. Operators build new nodes on the same tape."""
 
-    __slots__ = ("tape", "index", "value", "parents", "op", "vjps", "name", "requires_grad")
+    __slots__ = ("tape", "index", "value", "parents", "op", "vjps", "name", "requires_grad", "activation")
 
-    def __init__(self, tape, index, value, parents, op, vjps, name, requires_grad):
+    def __init__(self, tape, index, value, parents, op, vjps, name, requires_grad, activation):
         self.tape = tape
         self.index = index  # creation order on the tape
         self.value = value
@@ -154,6 +153,7 @@ class Node:
         self.vjps = vjps  # one (grad_out, parent_values, out_value) -> grad per parent
         self.name = name
         self.requires_grad = requires_grad  # recorded: a variable lies behind this node
+        self.activation = activation  # None, or (fn, the pre-activation if fn' reads it) fused in
 
     def _coerce(self, other) -> "Node":
         if isinstance(other, Node):
@@ -301,12 +301,12 @@ class Tape:
         self.nodes, self.variables = [], []
         self.released = True
 
-    def _append(self, value, parents, op, vjps, name, is_variable) -> Node:
+    def _append(self, value, parents, op, vjps, name, is_variable, activation=None) -> Node:
         index = self._created
         self._created += 1
         if not (is_variable or any(p.requires_grad for p in parents)):
-            return Node(self, index, value, (), op, None, None, False)
-        node = Node(self, index, value, parents, op, vjps, name, True)
+            return Node(self, index, value, (), op, None, None, False, None)
+        node = Node(self, index, value, parents, op, vjps, name, True, activation)
         self.nodes.append(node)
         return node
 
@@ -323,14 +323,18 @@ class Tape:
         arr = T.as_tensor(value, "constant")
         return self._append(arr, (), "constant", None, None, False)
 
-    def _record(self, op, parents, fwd, vjps) -> Node:
-        """A node for ``fwd`` of the parents' values, which is called once."""
+    def _record(self, op, parents, fwd, vjps, activation="identity") -> Node:
+        """A node for ``activation`` of ``fwd`` of the parents' values. ``fwd`` is
+        called once and makes a new array, checked before tanh overwrites it."""
         pv = tuple(p.value for p in parents)
         with np.errstate(over="ignore", invalid="ignore"):  # the finite check below surfaces these
             value = np.asarray(fwd(*pv), dtype=np.float64)
         if op not in _FINITE_PRESERVING:
             T.ensure_finite(value, f"node#{self._created}[{op}]")
-        return self._append(value, parents, op, vjps, None, False)
+        fused = None if activation == "identity" else (activation, value if activation == "elu" else None)
+        if fused:  # tanh in place, with the bits of np.tanh(value)
+            value = np.tanh(value, out=value) if activation == "tanh" else T.elementwise(value, activation)
+        return self._append(value, parents, op, vjps, None, False, fused)
 
     def _binary(self, op, a: Node, b: Node, ufunc, vjps) -> Node:
         def fwd(x, y):
@@ -347,18 +351,6 @@ def _require_graph(tape: Tape) -> None:
         raise ContractError("the tape was released; its recorded graph is gone")
 
 
-def nonlinearity(x: Node, fn: str) -> Node:
-    if fn == "identity":
-        return x
-
-    def vjp(g, pv, out):
-        d = T.elementwise_grad(pv[0], fn, out)
-        d *= g  # a new array, and d * g has the bits of g * d
-        return d
-
-    return x.tape._record(f"nl_{fn}", (x,), fwd=lambda a: T.elementwise(a, fn), vjps=(vjp,))
-
-
 def _rank2(a: Node, b: Node) -> None:
     """Check the shapes of the product ``a @ b`` before it is taken."""
     if a.value.ndim != 2 or b.value.ndim != 2:
@@ -367,8 +359,8 @@ def _rank2(a: Node, b: Node) -> None:
         raise DimensionError(f"matmul inner dimensions differ: {a.value.shape} x {b.value.shape}")
 
 
-def affine(x: Node, w: Node, b: Node) -> Node:
-    """``x W + b`` as one node: the product, with the bias added in place."""
+def affine(x: Node, w: Node, b: Node, activation: str) -> Node:
+    """``activation(x W + b)`` as one node: the product, with the bias added in place."""
     _rank2(x, w)
 
     def fwd(xv, wv, bv):
@@ -376,18 +368,18 @@ def affine(x: Node, w: Node, b: Node) -> Node:
         out += bv
         return out
 
-    return x.tape._record("affine", (x, w, b), fwd=fwd, vjps=_AFFINE_VJPS)
+    return x.tape._record("affine", (x, w, b), fwd=fwd, vjps=_AFFINE_VJPS, activation=activation)
 
 
-def max_centred_affine(x: Node, gam: Node, beta: Node, cards) -> Node:
-    """``beta + (x - 1 max(x)) Gamma`` over the member rows of sets with ``cards``
-    members, as one node: [M, K] -> [M, K'].
+def max_centred_affine(x: Node, gam: Node, beta: Node, cards, activation: str) -> Node:
+    """``activation(beta + (x - 1 max(x)) Gamma)`` over the member rows of sets
+    with ``cards`` members, as one node: [M, K] -> [M, K'].
 
-    The vjps are those of the ``segment_max``, ``repeat``, ``sub``, ``matmul``
-    and ``add`` chain: Gamma gets ``d^T g`` for the centred rows ``d``, beta
-    the column sums of ``g``, and x gets ``g Gamma^T`` with minus each set's
-    column sums of it added at the rows that won the max (lowest index on
-    ties).
+    Given the pre-activation's gradient ``g``, the vjps are those of the
+    ``segment_max``, ``repeat``, ``sub``, ``matmul`` and ``add`` chain: Gamma
+    gets ``d^T g`` for the centred rows ``d``, beta the column sums of ``g``,
+    and x gets ``g Gamma^T`` with minus each set's column sums of it added at
+    the rows that won the max (lowest index on ties).
     """
     _rank2(x, gam)
     bounds, size = _segments(cards, x.value.shape[0])
@@ -410,7 +402,17 @@ def max_centred_affine(x: Node, gam: Node, beta: Node, cards) -> Node:
         "max_centred_affine", (x, gam, beta),
         fwd=centred_product,
         vjps=(x_vjp, lambda g, pv, out: d.T @ g, _AFFINE_VJPS[2]),
+        activation=activation,
     )
+
+
+def dropout(x: Node, keep: np.ndarray, cards) -> Node:
+    """``x`` times the scaled keep mask ``keep``, as one node. ``keep`` has x's
+    shape, or with ``cards`` one row per set, repeated to the members in the
+    forward and again in the vjp. Only the product is checked: the mask is 0
+    or ``1 / (1 - rate)``, and the product can overflow."""
+    spread = (lambda k: k) if cards is None else (lambda k: np.repeat(k, cards, axis=0))
+    return x.tape._record("dropout", (x,), fwd=lambda a: a * spread(keep), vjps=(lambda g, pv, out: g * spread(keep),))
 
 
 def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
@@ -464,6 +466,10 @@ def backward(tape: Tape, root: Node) -> GradientMap:
             if not node.parents or node.index not in grads:
                 continue
             g = grads.pop(node.index)  # op node: fully accumulated by now
+            if node.activation is not None:  # every vjp reads the pre-activation's gradient
+                d = T.elementwise_grad(node.activation[1], node.activation[0], node.value)
+                d *= g  # d * g has the bits of g * d
+                g, d = d, None  # d is not kept past the visit
             pv = tuple(p.value for p in node.parents)
             for p, vjp in zip(node.parents, node.vjps):
                 if not p.requires_grad:

@@ -18,10 +18,10 @@ rows, so a set's outputs depend on its own members only. A ``SetBatch`` keeps
 the member array it is given; its values are scanned for finiteness once,
 where they enter a tape.
 
-An ``EquivariantLayer`` or a ``Dense`` layer records its pre-activation
-(``beta + (x - 1 max(x)) Gamma``, or ``x W + b``) as one fused tape node, and
-its activation as a second one; see ``autodiff`` for the fused nodes'
-gradients.
+An ``EquivariantLayer`` or a ``Dense`` layer records itself, activation
+included (``sigma(beta + (x - 1 max(x)) Gamma)``, or ``sigma(x W + b)``), as
+one fused tape node, and a training ``Dropout`` as one ``dropout`` node; see
+``autodiff`` for the fused nodes' gradients.
 
 Every layer has the same protocol: ``params()`` lists its named ``Param``
 objects (none for pooling, normalisation, flattening and dropout) and
@@ -153,8 +153,7 @@ class EquivariantLayer:
             raise DimensionError(
                 f"{self.name}: expected {self.k_in} input channels, got {x.value.shape[1]}"
             )
-        pre = ad.max_centred_affine(x, bound[self.gam.name], bound[self.beta.name], cards)
-        return ad.nonlinearity(pre, self.activation)
+        return ad.max_centred_affine(x, bound[self.gam.name], bound[self.beta.name], cards, self.activation)
 
 
 class Dense:
@@ -177,7 +176,7 @@ class Dense:
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if x.value.shape[-1] != self.k_in:
             raise DimensionError(f"{self.name}: expected {self.k_in} inputs, got {x.value.shape[-1]}")
-        return ad.nonlinearity(ad.affine(x, bound[self.w.name], bound[self.b.name]), self.activation)
+        return ad.affine(x, bound[self.w.name], bound[self.b.name], self.activation)
 
 
 class SetPool:
@@ -217,28 +216,21 @@ class Dropout:
     def params(self) -> List[Param]:
         return []
 
-    def sample_mask(self, rng: np.random.Generator, cards: np.ndarray, shape) -> np.ndarray:
-        """Scaled keep mask for [rows, K] member rows or, when rows == B, set rows.
-
-        Set rows draw [B, K]; member rows share a [B, K] draw within each set
-        if ``simultaneous``, else draw [B, max cardinality, K] and keep each
-        set's first rows. With one member per set both draws are the same.
-        """
-        rows, k = shape
+    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
+        """Set rows (rows == B) draw a [B, K] mask; member rows share a [B, K]
+        draw within each set if ``simultaneous``, kept at that shape, else draw
+        [B, max cardinality, K] and keep each set's first rows. With one member
+        per set both draws are the same."""
+        if rng is None or self.rate == 0.0:
+            return x
+        rows, k = x.value.shape
         b = len(cards)
         per_member = rows != b and not self.simultaneous
         draw = rng.random((b, int(cards.max()), k) if per_member else (b, k))
         keep = (draw >= self.rate).astype(np.float64) / (1.0 - self.rate)
-        if rows == b:
-            return keep
         if per_member:
-            return keep[np.arange(keep.shape[1]) < cards[:, None]]  # each set's first rows
-        return np.repeat(keep, cards, axis=0)
-
-    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
-        if rng is None or self.rate == 0.0:
-            return x
-        return x * tape.constant(self.sample_mask(rng, cards, x.value.shape))
+            keep = keep[np.arange(keep.shape[1]) < cards[:, None]]  # each set's first rows
+        return ad.dropout(x, keep, None if len(keep) == rows else cards)
 
 
 class NormalizeSets:

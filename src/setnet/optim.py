@@ -90,8 +90,12 @@ class Optimizer:
             raise NumericError(f"non-finite gradient for {bad.name!r}; step refused")
         g, tmp, p = self._grad, self._scratch, self._flat
         if self.clip_norm is not None:
-            total = np.sqrt(sum(float(np.sum(buf**2)) for buf in self._grads))
-            if total > self.clip_norm:
+            with np.errstate(over="ignore"):  # a square past the float64 range is inf: see below
+                total = np.sqrt(sum(float(np.sum(buf**2)) for buf in self._grads))
+            if not np.isfinite(total):  # a norm past 1.3e154, above any clip_norm the config allows (1e9)
+                unit = np.divide(g, np.max(np.abs(g)), out=tmp)  # g is finite, so its squares over its top are
+                np.multiply(unit, self.clip_norm / np.linalg.norm(unit), out=g)
+            elif total > self.clip_norm:
                 g *= self.clip_norm / total  # an unclipped step skips g * 1.0, which is exact
         self.t += 1
         b1, b2 = self.beta1, self.beta2

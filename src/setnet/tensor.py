@@ -42,8 +42,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def elementwise(x: Tensor, fn: str) -> Tensor:
-    """Apply a pointwise nonlinearity: tanh, elu (alpha=1) or sigmoid."""
-    x = np.asarray(x, dtype=np.float64)
+    """Apply a pointwise nonlinearity to a float64 array: tanh, elu (alpha=1) or sigmoid."""
     if fn == "tanh":
         out = np.tanh(x)
     elif fn == "elu":
@@ -66,10 +65,9 @@ def elementwise_grad(x: Tensor, fn: str, out: Tensor) -> Tensor:
 
     tanh and sigmoid derivatives are computed from ``out`` (``1 - y*y`` and
     ``y*(1 - y)``), which gives the same bits as recomputing them from ``x``.
-    elu's is computed from ``x``: ``exp(x)`` and ``expm1(x) + 1`` can differ
-    in the last bit.
+    Only elu's reads ``x`` (None does for the others): ``exp(x)`` and
+    ``expm1(x) + 1`` can differ in the last bit.
     """
-    x = np.asarray(x, dtype=np.float64)
     if fn == "tanh":
         d = out * out
         return np.subtract(1.0, d, out=d)

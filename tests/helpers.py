@@ -21,9 +21,10 @@ flagged as non-differentiable and left out instead of failing.
 needs nothing from the tape but its recorded nodes. elu (alpha=1) has a
 first derivative at 0 but no second, so a central difference whose probes
 lie on both sides of 0 is off by O(step). A probe pair is flagged in the
-same way when an entry of a recorded ``nl_elu`` node's input takes the
-other branch of elu (above 0, or at or below it) in the two probes. An
-input that stays at 0 in both is not flagged: elu is smooth along it.
+same way when an entry of the pre-activation of a recorded node with elu
+fused in takes the other branch of elu (above 0, or at or below it) in the
+two probes. An input that stays at 0 in both is not flagged: elu is smooth
+along it.
 """
 
 import csv
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from setnet import autodiff as ad
+from setnet import tensor as T
 from setnet.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, LabeledSetDataset, _read_text, rotate_z
 from setnet.errors import ContractError, DimensionError, FormatError, NumericError
 
@@ -251,6 +253,29 @@ def composite_pre_activation(layer, x, cards, bound):
     return (x - x.segment_max(cards).repeat(cards)) @ bound[layer.gam.name] + bound[layer.beta.name]
 
 
+def nonlinearity(x, fn):
+    """``fn`` of node ``x`` as a node of its own, ``nl_<fn>``, as the layers
+    recorded their activations before each was fused into the layer's node.
+    Oracle, with ``composite_pre_activation``, for the fused nodes."""
+    if fn == "identity":
+        return x
+
+    def vjp(g, pv, out):
+        d = T.elementwise_grad(pv[0], fn, out)
+        d *= g  # a new array, and d * g has the bits of g * d
+        return d
+
+    return x.tape._record(f"nl_{fn}", (x,), fwd=lambda a: T.elementwise(a, fn), vjps=(vjp,))
+
+
+def elu_inputs(node):
+    """The pre-activation of a recorded node with elu fused in; None for any
+    other node."""
+    if node.activation is None or node.activation[0] != "elu":
+        return None
+    return node.activation[1]
+
+
 def elu_where(x):
     """elu (alpha=1) as the ``np.where`` of its two branches: the expression
     ``tensor.elementwise`` must match bit for bit."""
@@ -331,13 +356,13 @@ def gradient_check(build, values, step: float = 1e-5, tolerance: float = 1e-4) -
         return tape, build(tape, variables)
 
     def probe(name, moved):
-        """The probe's root value, the winners of its max nodes and the inputs of its elu nodes."""
+        """The probe's root value, the winners of its max nodes and the inputs of its elus."""
         try:
             tape, root = run(name, moved)
         except NumericError:
             return np.nan, None, None
         return (float(root.value), [w for w in map(max_winners, tape.nodes) if w is not None],
-                [n.parents[0].value for n in tape.nodes if n.op == "nl_elu"])
+                [x for x in map(elu_inputs, tape.nodes) if x is not None])
 
     tape, root = run()
     if root.value.shape != ():

@@ -73,7 +73,8 @@ class TestForward:
     def test_products_check_the_inner_dimension(self):
         tape = ad.Tape()
         x, w, b = tape.variable(np.ones((4, 3)), "x"), tape.variable(np.ones((2, 5)), "w"), tape.variable(np.ones(5), "b")
-        for product in (lambda: x @ w, lambda: ad.affine(x, w, b), lambda: ad.max_centred_affine(x, w, b, [2, 2])):
+        for product in (lambda: x @ w, lambda: ad.affine(x, w, b, "tanh"),
+                        lambda: ad.max_centred_affine(x, w, b, [2, 2], "tanh")):
             with pytest.raises(DimensionError, match=r"matmul inner dimensions differ: \(4, 3\) x \(2, 5\)"):
                 product()
         assert tape.nodes == [x, w, b]  # nothing recorded
@@ -87,9 +88,6 @@ FINITE_PRESERVING_OPS = {
     "reshape": (lambda x: x.reshape((2, 4)), lambda a: a.reshape((2, 4))),
     "transpose": (lambda x: x.transpose((1, 0)), lambda a: a.transpose((1, 0))),
     "neg": (lambda x: -x, np.negative),
-    "nl_tanh": (lambda x: ad.nonlinearity(x, "tanh"), lambda a: T.elementwise(a, "tanh")),
-    "nl_sigmoid": (lambda x: ad.nonlinearity(x, "sigmoid"), lambda a: T.elementwise(a, "sigmoid")),
-    "nl_elu": (lambda x: ad.nonlinearity(x, "elu"), lambda a: T.elementwise(a, "elu")),
 }
 FINITE_EDGES = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0]
 
@@ -121,9 +119,9 @@ class TestFiniteChecks:
         x = tape.variable(np.array([[-1.7e308], [1.7e308]]), "x")  # x - max(x) overflows
         w, b = tape.variable(np.ones((1, 1)), "w"), tape.variable(np.zeros(1), "b")
         with pytest.raises(NumericError, match=r"node#\d+\[max_centred_affine\]"):
-            ad.max_centred_affine(x, w, b, [2])
+            ad.max_centred_affine(x, w, b, [2], "identity")
         with pytest.raises(NumericError, match=r"node#\d+\[affine\]: 1 non-finite"):
-            ad.affine(tape.constant([[1e200]]), tape.constant([[1e200]]), b)
+            ad.affine(tape.constant([[1e200]]), tape.constant([[1e200]]), b, "identity")
 
 
 class TestBackward:
@@ -457,10 +455,14 @@ class TestGradientCheck:
         assert report.entries_flagged >= 2
         assert report.passed
 
+    @staticmethod
+    def elu_of(tape, variables):
+        """elu of each entry of the [1, 3] variable x, as a fused affine node with W = I and b = 0."""
+        return ad.affine(variables["x"], tape.constant(np.eye(3)), tape.constant(np.zeros(3)), "elu").sum_all()
+
     def test_elu_kink_flagged_and_excluded(self):
         # x[0] sits at elu's kink: its probes +-step take the two branches
-        report = gradient_check(lambda tape, v: ad.nonlinearity(v["x"], "elu").sum_all(),
-                                {"x": np.array([0.0, -0.5, 0.7])})
+        report = gradient_check(self.elu_of, {"x": np.array([[0.0, -0.5, 0.7]])})
         assert report.passed
         assert (report.entries_flagged, report.entries_checked) == (1, 2)
 
@@ -470,8 +472,7 @@ class TestGradientCheck:
 
         right = T.elementwise_grad
         monkeypatch.setattr(T, "elementwise_grad", wrong)
-        report = gradient_check(lambda tape, v: ad.nonlinearity(v["x"], "elu").sum_all(),
-                                {"x": np.array([0.0, -0.5, 0.7])})
+        report = gradient_check(self.elu_of, {"x": np.array([[0.0, -0.5, 0.7]])})
         assert [f.split(":")[0] for f in report.failures] == ["x[1]"]  # x[0] is flagged, elu' is 1 at x[2]
 
     def test_non_finite_central_difference_fails_its_entry(self):

@@ -15,6 +15,7 @@ from setnet.errors import (
     DimensionError,
     EmptyReductionError,
     FormatError,
+    NumericError,
 )
 from setnet.layers import (
     Dense,
@@ -40,6 +41,7 @@ from helpers import (
     composite_pre_activation,
     count_params,
     gradient_check,
+    nonlinearity,
     peak_bytes,
     permute_members,
 )
@@ -397,10 +399,10 @@ def bits(a):
 @st.composite
 def fused_cases(draw):
     """(layer, values, cards, weights, x_is_variable): an ``EquivariantLayer``
-    or a ``Dense`` layer, both with tanh, on an equal-size or
-    ragged batch, with ``weights`` for a linear loss on the output. Inputs
-    drawn from a few levels tie the maxima; large parameters saturate tanh,
-    so many of its derivatives are +-0."""
+    or a ``Dense`` layer with any activation, on an equal-size or ragged
+    batch, with ``weights`` for a linear loss on the output. Inputs drawn from
+    a few levels tie the maxima and put elu's input at 0; large parameters
+    saturate tanh and sigmoid, so many of their derivatives are +-0."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sets = draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -413,10 +415,11 @@ def fused_cases(draw):
         values = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
     else:
         values = rng.normal(size=shape)
+    activation = draw(st.sampled_from(tensor_module.NONLINEARITIES))
     if draw(st.booleans()):
-        layer = Dense(k_in, k_out, "tanh", rng)
+        layer = Dense(k_in, k_out, activation, rng)
     else:
-        layer = EquivariantLayer(k_in, k_out, "tanh", rng=rng)
+        layer = EquivariantLayer(k_in, k_out, activation, rng=rng)
     scale = draw(st.sampled_from([1.0, 50.0]))
     for p in layer.params():
         p.value = rng.normal(scale=scale, size=p.value.shape)
@@ -439,13 +442,30 @@ class TestFusedPreActivation:
             return out.value, ad.backward(tape, loss), tape.nodes
 
         fused = run(lambda tape, x, bound: layer.apply(tape, x, cards, bound))
-        chain = run(lambda tape, x, bound: ad.nonlinearity(composite_pre_activation(layer, x, cards, bound), "tanh"))
+        chain = run(lambda tape, x, bound: nonlinearity(composite_pre_activation(layer, x, cards, bound),
+                                                        layer.activation))
         assert np.array_equal(bits(fused[0]), bits(chain[0]))
         assert fused[1].keys() == chain[1].keys()
         for name, grad in chain[1].items():
             assert np.array_equal(bits(fused[1][name]), bits(grad)), name
-        pre_ops = [n.op for n in fused[2] if n.op not in ("variable", "nl_tanh", "mul", "sum_all")]
-        assert len(pre_ops) == 1 and len(fused[2]) < len(chain[2])
+        layer_ops = [n.op for n in fused[2] if n.op not in ("variable", "mul", "sum_all")]
+        assert layer_ops == ["affine" if isinstance(layer, Dense) else "max_centred_affine"]
+        assert len(fused[2]) < len(chain[2])
+
+    @pytest.mark.parametrize("kind", ["equivariant", "dense"])
+    def test_the_pre_activation_is_checked_before_tanh(self, kind):
+        # a 1e308 weight, set after the variable's own check, takes one product
+        # entry to -inf, which tanh would map to -1.0
+        if kind == "equivariant":
+            layer, weight, op = EquivariantLayer(1, 1, "tanh"), "eq.Gamma", "max_centred_affine"
+        else:
+            layer, weight, op = Dense(1, 1, "tanh"), "dense.W", "affine"
+        tape = ad.Tape()
+        bound = bind(tape, layer.params())
+        bound[weight].value[...] = 1e308
+        x = tape.constant([[-5.0], [0.0]])  # the set's max is 0, so centring leaves x as it is
+        with pytest.raises(NumericError, match=rf"node#\d+\[{op}\]: 1 non-finite"):
+            layer.apply(tape, x, np.array([2]), bound)
 
 
 class TestSetPool:
@@ -463,6 +483,13 @@ class TestSetPool:
     def test_unknown_kind(self):
         with pytest.raises(DimensionError):
             SetPool("median")
+
+
+def dropout_mask(drop, rng, cards, shape):
+    """The scaled keep mask ``drop`` draws from ``rng`` for [rows, K] rows of
+    sets with ``cards`` members: its training output on ones."""
+    tape = ad.Tape()
+    return drop.apply(tape, tape.constant(np.ones(shape)), np.asarray(cards), {}, rng).value
 
 
 class TestDropout:
@@ -491,7 +518,7 @@ class TestDropout:
         drop = Dropout(0.5, simultaneous=True)
         cards = np.array([7, 3, 1, 5])
         for _ in range(100):
-            mask = drop.sample_mask(rng, cards, (16, 6))
+            mask = dropout_mask(drop, rng, cards, (16, 6))
             assert mask.shape == (16, 6)
             for rows in batch_sets(SetBatch(mask, cards)):  # one value per (set, channel)
                 assert np.array_equal(rows, np.broadcast_to(rows[:1], rows.shape))
@@ -499,7 +526,7 @@ class TestDropout:
     def test_per_member_mask_varies_across_members(self):
         rng = np.random.default_rng(2)
         drop = Dropout(0.5, simultaneous=False)
-        mask = drop.sample_mask(rng, np.array([50, 50]), (100, 4))
+        mask = dropout_mask(drop, rng, [50, 50], (100, 4))
         assert mask.shape == (100, 4)
         assert not all(np.allclose(mask[0], mask[i]) for i in range(50))
 
@@ -513,13 +540,36 @@ class TestDropout:
             return (np.random.default_rng(9).random(shape) >= rate) / (1.0 - rate)
 
         ids, pos = np.repeat(np.arange(3), cards), np.array([0, 1, 2, 0, 0, 1])
-        shared = Dropout(rate, True).sample_mask(np.random.default_rng(9), cards, (6, 4))
+        shared = dropout_mask(Dropout(rate, True), np.random.default_rng(9), cards, (6, 4))
         assert np.array_equal(shared, stream((3, 4))[ids])
-        own = Dropout(rate, False).sample_mask(np.random.default_rng(9), cards, (6, 4))
+        own = dropout_mask(Dropout(rate, False), np.random.default_rng(9), cards, (6, 4))
         assert np.array_equal(own, stream((3, 3, 4))[ids, pos])
         for simultaneous in (True, False):
-            pooled = Dropout(rate, simultaneous).sample_mask(np.random.default_rng(9), cards, (3, 4))
+            pooled = dropout_mask(Dropout(rate, simultaneous), np.random.default_rng(9), cards, (3, 4))
             assert np.array_equal(pooled, stream((3, 4)))
+
+    @pytest.mark.parametrize("simultaneous, rows", [(True, 6), (False, 6), (True, 3)],
+                             ids=["shared", "per_member", "set_rows"])
+    def test_one_node_whose_gradient_is_its_mask(self, monkeypatch, simultaneous, rows):
+        # the mask is 0 or 1 / (1 - rate) by construction: only the product is scanned
+        scanned = []
+        monkeypatch.setattr(tensor_module, "ensure_finite", lambda arr, where: scanned.append(where) or arr)
+        drop, cards = Dropout(0.4, simultaneous), np.array([3, 1, 2])
+        mask = dropout_mask(drop, np.random.default_rng(9), cards, (rows, 4))
+        tape = ad.Tape()
+        x = tape.variable(np.random.default_rng(1).normal(size=(rows, 4)), "x")
+        del scanned[:]
+        out = drop.apply(tape, x, cards, {}, np.random.default_rng(9))
+        assert tape.nodes == [x, out] and out.op == "dropout" and len(scanned) == 1
+        assert np.array_equal(bits(out.value), bits(x.value * mask))
+        assert np.array_equal(bits(ad.backward(tape, out.sum_all())["x"]), bits(mask))
+
+    def test_an_overflowing_product_is_refused(self):
+        tape = ad.Tape()
+        x = tape.variable(np.full((2, 1), 1e308), "x")
+        with pytest.raises(NumericError, match=r"node#\d+\[dropout\]: 2 non-finite"):
+            # this draw keeps the channel, so both entries become 1e308 / 0.5
+            Dropout(0.5).apply(tape, x, np.array([2]), {}, np.random.default_rng(0))
 
     def test_monte_carlo_mean_matches_identity(self):
         # inverted dropout is unbiased: the mask average approaches 1 within 3 sigma
@@ -529,7 +579,7 @@ class TestDropout:
         trials = 10_000
         acc = np.zeros((2, 4))
         for _ in range(trials):
-            acc += drop.sample_mask(rng, np.array([3, 3]), (6, 4))[[0, 3]]
+            acc += dropout_mask(drop, rng, [3, 3], (6, 4))[[0, 3]]
         mean = acc / trials
         keep = 1.0 - rate
         sigma = np.sqrt(rate / keep / trials)  # std of the scaled Bernoulli mean

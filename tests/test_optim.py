@@ -179,6 +179,22 @@ class TestContracts:
         opt.step({"w": np.array([3.0, 4.0])})  # norm 5 -> scaled to 1
         assert np.allclose(p.value, [-0.6, -0.8])
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adamax"])
+    @pytest.mark.parametrize("w, b", [([1.0, 0.0, 0.0], 0.0), ([3.0, 0.0, 0.0], 4.0)], ids=["unit", "clipped"])
+    def test_a_huge_finite_gradient_is_clipped_not_zeroed(self, kind, w, b):
+        # 1e200 squared is past the float64 range; the step is that of the gradient over 1e200
+        def moved(scale):
+            params = [Param("w", np.zeros(3)), Param("b", np.zeros(1))]
+            opt = Optimizer(kind, params, lr=0.1, clip_norm=1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                opt.step({"w": np.array(w) * scale, "b": np.array([b]) * scale})
+            return np.concatenate([p.value for p in params])
+
+        want = moved(1.0)
+        assert np.any(want != 0.0)
+        np.testing.assert_allclose(moved(1e200), want, rtol=1e-12, atol=0.0)
+
 
 class TestArena:
     @settings(max_examples=150, deadline=None)

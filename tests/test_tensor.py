@@ -162,8 +162,12 @@ class TestElementwise:
         assert elementwise_grad(x, fn, elementwise(x, fn)).tobytes() == want.tobytes()
         upstream = np.linspace(-2.0, 3.0, len(x))
         tape = ad.Tape()
-        grads = ad.backward(tape, (ad.nonlinearity(tape.variable(x, "x"), fn) * upstream).sum_all())
-        assert grads["x"].tobytes() == (upstream * want).tobytes()
+        # fn of each entry as a fused affine node, x I + b with b = 0: b's gradient
+        # is the pre-activation's, summed over its one row from 0.0 (so -0.0 reads 0.0)
+        b = tape.variable(np.zeros(len(x)), "b")
+        out = ad.affine(tape.constant(x[None, :]), tape.constant(np.eye(len(x))), b, fn)
+        grads = ad.backward(tape, (out * upstream).sum_all())
+        assert grads["b"].tobytes() == (0.0 + upstream * want).tobytes()
 
 
 class TestPlumbing:
