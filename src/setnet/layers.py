@@ -94,9 +94,6 @@ class SetBatch:
         """The largest cardinality."""
         return int(self.cardinalities.max())
 
-    def with_values(self, values: np.ndarray) -> "SetBatch":
-        return SetBatch(values, self.cardinalities)
-
 
 class Param:
     """A named, mutable parameter array. An ``Optimizer`` makes ``value`` a

@@ -1,36 +1,29 @@
 """Computational verification that tied weights are exactly the matrices
 commuting with every permutation.
 
+The transpositions generate the full group, so both checks run over them.
 The forward direction (lam*I + gam*ones commutes with all permutation
-matrices) is checked directly against either every permutation matrix or just
-the transpositions, which generate the full group. The converse is checked by
-solving the homogeneous system {Theta P - P Theta = 0 for all transpositions
-P} over the n^2 entries of Theta and inspecting the null space: its dimension
-must be exactly 2, spanned by the identity and the all-ones matrix.
+matrices) is checked on the identity and the all-ones matrix, which span that
+family. The converse is checked by solving the homogeneous system
+{Theta P - P Theta = 0 for all transpositions P} over the n^2 entries of Theta
+and inspecting the null space: its dimension must be exactly 2, spanned by the
+identity and the all-ones matrix.
 
-Also provides an empirical equivariance probe for arbitrary black-box set
-functions, used by the CLI to certify composed models.
+Also provides an empirical equivariance probe for black-box set functions,
+used by the CLI to probe the experiment models.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, List
+from typing import Callable, List
 
 import numpy as np
 
 from .errors import BudgetError, DimensionError
 
-_EXHAUSTIVE_CAP = 7  # 7! = 5040 matrices
+_BASIS_CAP = 7  # verify-theorem's --n range is 2..7
 _TRANSPOSITION_CAP = 64
-
-
-def permutation_matrices(n: int) -> Iterator[np.ndarray]:
-    """All n! permutation matrices, identity first. The matrix of an index
-    array ``p`` is ``np.eye(n)[p]``, so that ``M @ x == x[p]``."""
-    for mapping in itertools.permutations(range(n)):
-        yield np.eye(n)[list(mapping)]
 
 
 def transposition_matrices(n: int) -> List[np.ndarray]:
@@ -44,11 +37,6 @@ def transposition_matrices(n: int) -> List[np.ndarray]:
     return out
 
 
-def tied_weight_matrix(lam: float, gam: float, n: int) -> np.ndarray:
-    """lam on the diagonal plus gam everywhere: the two-parameter family."""
-    return lam * np.eye(n) + gam * np.ones((n, n))
-
-
 def _check_square(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
@@ -56,21 +44,13 @@ def _check_square(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def commutes_with_all(theta: np.ndarray, mode: str = "transpositions") -> bool:
-    """True iff theta commutes with every tested permutation matrix, to 1e-12."""
+def commutes_with_all(theta: np.ndarray) -> bool:
+    """True iff theta commutes with every transposition, so every permutation, to 1e-12."""
     theta = _check_square(theta)
     n = theta.shape[0]
-    if mode == "exhaustive":
-        if n > _EXHAUSTIVE_CAP:
-            raise BudgetError(f"exhaustive mode enumerates n! matrices; n={n} exceeds cap {_EXHAUSTIVE_CAP}")
-        mats = permutation_matrices(n)
-    elif mode == "transpositions":
-        if n >= _TRANSPOSITION_CAP:
-            raise BudgetError(f"n={n} exceeds transposition-mode cap {_TRANSPOSITION_CAP}")
-        mats = iter(transposition_matrices(n))
-    else:
-        raise DimensionError(f"unknown mode {mode!r}")
-    return all(np.max(np.abs(theta @ p - p @ theta)) <= 1e-12 for p in mats)
+    if n >= _TRANSPOSITION_CAP:
+        raise BudgetError(f"n={n} exceeds the transposition cap {_TRANSPOSITION_CAP}")
+    return all(np.max(np.abs(theta @ p - p @ theta)) <= 1e-12 for p in transposition_matrices(n))
 
 
 def commutant_basis(n: int) -> List[np.ndarray]:
@@ -82,8 +62,8 @@ def commutant_basis(n: int) -> List[np.ndarray]:
     """
     if n < 2:
         raise DimensionError(f"commutant_basis needs a set of at least 2 points, got n={n}")
-    if n > _EXHAUSTIVE_CAP:
-        raise BudgetError(f"commutant_basis supports 2 <= n <= {_EXHAUSTIVE_CAP}, got {n}")
+    if n > _BASIS_CAP:
+        raise BudgetError(f"commutant_basis supports 2 <= n <= {_BASIS_CAP}, got {n}")
     # the linear map Theta -> Theta P - P Theta on row-major vec(Theta), one
     # matrix row per output entry: vec(Theta P) = (I kron P^T) vec(Theta) and
     # vec(P Theta) = (P kron I) vec(Theta)
@@ -135,12 +115,13 @@ def check_equivariance_empirical(
     Reports the worst deviation of f(perm(x)) from perm(f(x)) (equivariance)
     and from f(x) itself (the latter catching functions that merely normalise
     away the input order, e.g. row sorting). Inputs are standard normal; a
-    deviation up to 1e-9 counts as exact.
+    deviation up to 1e-9 counts as exact. A one-member set has only the
+    identity permutation, which tests nothing, so n must be at least 2.
     """
     if trials < 1:
         raise DimensionError("trials must be >= 1")
-    if n < 1 or channels < 1:
-        raise DimensionError(f"need a set of at least one member and one channel, got n={n}, channels={channels}")
+    if n < 2 or channels < 1:
+        raise DimensionError(f"need a set of at least two members and one channel, got n={n}, channels={channels}")
     worst_eq = 0.0
     worst_inv = 0.0
     for _ in range(trials):

@@ -226,14 +226,18 @@ def config_lines(cfg: Dict[str, str]) -> str:
 
 def parse_config_text(text: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
+    first_line: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in first_line:  # a silent last-wins would hide which value a run used
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {first_line[key]}")
+        first_line[key] = lineno
+        out[key] = val
     return out
 
 

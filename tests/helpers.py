@@ -28,6 +28,7 @@ along it.
 """
 
 import csv
+import itertools
 import math
 import struct
 import tracemalloc
@@ -39,6 +40,7 @@ from setnet import autodiff as ad
 from setnet import tensor as T
 from setnet.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, LabeledSetDataset, _read_text, rotate_z
 from setnet.errors import ContractError, DimensionError, FormatError, NumericError
+from setnet.layers import SetBatch
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -207,7 +209,7 @@ def permute_members(batch, perms):
     for b, (p, n) in enumerate(zip(perms, batch.cardinalities)):
         if not np.array_equal(np.sort(p), np.arange(n)):
             raise DimensionError(f"set {b} has {n} members, and {p!r} is not a permutation of 0..{n - 1}")
-    return batch.with_values(np.concatenate([s[p] for s, p in zip(batch_sets(batch), perms)]))
+    return SetBatch(np.concatenate([s[p] for s, p in zip(batch_sets(batch), perms)]), batch.cardinalities)
 
 
 def sets_of(dataset) -> list:
@@ -230,6 +232,19 @@ def peak_bytes(fn, *args):
         return out, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def permutation_matrices(n: int):
+    """All n! permutation matrices, identity first: an oracle for the
+    transposition checks in ``setnet.theorem``. The matrix of an index array
+    ``p`` is ``np.eye(n)[p]``, so that ``M @ x == x[p]``."""
+    for mapping in itertools.permutations(range(n)):
+        yield np.eye(n)[list(mapping)]
+
+
+def tied_weight_matrix(lam: float, gam: float, n: int) -> np.ndarray:
+    """lam on the diagonal plus gam everywhere: the two-parameter family."""
+    return lam * np.eye(n) + gam * np.ones((n, n))
 
 
 def exact_sum_distribution(label_frequencies: np.ndarray, n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from setnet.train import _TABLES
 from helpers import save_cluster_catalog, save_off
 
 SMALL_MNIST = ["--set", "data.source_count=200", "--set", "data.train_sets=8", "--set", "data.val_sets=4"]
+SMALL_REGRESSION = ["--experiment", "setregression", "--trials", "2", "--set", "data.train_sets=4",
+                    "--set", "data.val_sets=2", "--set", "model.widths=4,1"]
 
 
 def test_check_equivariance_mnist_defaults_to_model_set_size(capsys):
@@ -27,29 +30,20 @@ def test_check_equivariance_explicit_n_is_honoured(capsys):
     assert "DimensionError" in capsys.readouterr().err
 
 
-def test_check_equivariance_stack_demo_with_one_channel(capsys):
-    assert main(["check-equivariance", "--demo", "stack", "--channels", "1", "--trials", "3"]) == 0
-    assert "verdict=equivariant" in capsys.readouterr().out
+def test_check_equivariance_pointcloud_stack_is_equivariant(capsys):
+    argv = ["check-equivariance", "--experiment", "pointcloud", "--trials", "3",
+            "--set", "data.train_sets=4", "--set", "data.val_sets=2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "verdict=equivariant" in out and "invariant_output_ordering=False" in out
 
 
-@pytest.mark.parametrize(
-    "option", [["--experiment", "nosuch"], ["--config", "missing.cfg"], ["--set", "bogus"], ["--checkpoint", "x.txt"]]
-)
-def test_demo_refuses_the_experiment_options(capsys, monkeypatch, option):
-    monkeypatch.setattr(cli, "EquivariantLayer", None)  # refused before the demo builds anything
-    assert main(["check-equivariance", "--demo", "stack", "--seed", "3", "--n", "4", *option]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error (ConfigError): --demo") and option[0] in captured.err
-
-
-@pytest.mark.parametrize("channels", ["0", "3"])
-def test_a_model_probe_refuses_channels(capsys, monkeypatch, channels):
-    monkeypatch.setattr(cli, "build_experiment_data", None)  # refused before the experiment is built
-    assert main(["check-equivariance", "--experiment", "pointcloud", "--channels", channels]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error (ConfigError): --channels applies to --demo only")
+def test_check_equivariance_mnist_variant_one_is_not_equivariant(capsys):
+    # variant I flattens the set into one dense input, so member order matters
+    argv = ["check-equivariance", "--experiment", "mnist_sum", "--set", "model.variant=I", "--trials", "3"]
+    assert main(argv + SMALL_MNIST) == 0
+    out = capsys.readouterr().out
+    assert "equivariant=False" in out and "verdict=not-equivariant" in out
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
@@ -200,7 +194,7 @@ def test_regression_without_a_labeled_training_member_is_refused(tmp_path, capsy
 
 @pytest.mark.parametrize("n, code, error", [(1, 2, "DimensionError"), (0, 2, "DimensionError"), (8, 5, "BudgetError")])
 def test_verify_theorem_set_size_outside_range(capsys, n, code, error):
-    assert main(["verify-theorem", "--n", str(n), "--trials", "1"]) == code
+    assert main(["verify-theorem", "--n", str(n)]) == code
     assert capsys.readouterr().err.startswith(f"error ({error}): ")
 
 
@@ -224,16 +218,20 @@ def test_zero_area_mesh_exits_with_format_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command",
+    "command, error",
     [
-        ["actmax", "--experiment", "pointcloud", "--points", "1", "--iters", "1", "--out", "{tmp}/act.xyz"],
-        ["check-equivariance", "--experiment", "pointcloud", "--n", "1", "--trials", "1"],
+        (["actmax", "--experiment", "pointcloud", "--points", "1", "--iters", "1", "--out", "{tmp}/act.xyz"],
+         "DegenerateSetError"),
+        # a one-member set has only the identity permutation, which tests nothing
+        (["check-equivariance", "--experiment", "pointcloud", "--n", "1", "--trials", "1"], "DimensionError"),
+        (["check-equivariance", *SMALL_REGRESSION, "--n", "1"], "DimensionError"),
     ],
-    ids=["actmax_one_point", "check_equivariance_one_member"],
+    ids=["actmax_one_point", "check_equivariance_one_member", "check_equivariance_setregression_one_member"],
 )
-def test_too_small_set_exits_with_usage_code(tmp_path, capsys, command):
+def test_too_small_set_exits_with_usage_code(tmp_path, capsys, command, error):
     assert main([arg.format(tmp=tmp_path) for arg in command]) == 2
-    assert "DegenerateSetError" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error ({error}): ")
 
 
 def _raising(error):
@@ -270,20 +268,16 @@ def _tetrahedron_off(tmp_path):
 @pytest.mark.parametrize(
     "command, message",
     [
-        (["check-equivariance", "--demo", "stack", "--channels", "-1"], "--n and --channels must be >= 1"),
-        (["check-equivariance", "--demo", "dense", "--n", "-2"], "--n and --channels must be >= 1"),
         (["check-equivariance", "--experiment", "pointcloud", "--n", "-2", "--trials", "1"],
-         "need a set of at least one member"),
+         "need a set of at least two members"),
         (["actmax", "--experiment", "pointcloud", "--points", "-3", "--iters", "1", "--out", "{tmp}/act.xyz"],
          "need at least one point"),
         (["sample-mesh", "--off", "{off}", "--points", "-1", "--out", "{tmp}/pts.xyz"],
          "need at least one point to sample"),
         (["sample-mesh", "--off", "{off}", "--points", "0", "--out", "{tmp}/pts.xyz"],
          "need at least one point to sample"),
-        (["verify-theorem", "--trials", "-5"], "--trials must be >= 1"),
     ],
-    ids=["stack_channels", "dense_n", "model_n", "actmax_points", "sample_mesh_negative", "sample_mesh_zero",
-         "verify_theorem_trials"],
+    ids=["model_n", "actmax_points", "sample_mesh_negative", "sample_mesh_zero"],
 )
 def test_negative_size_or_count_is_a_usage_error(tmp_path, capsys, command, message):
     paths = {"tmp": tmp_path, "off": _tetrahedron_off(tmp_path)}
@@ -291,10 +285,6 @@ def test_negative_size_or_count_is_a_usage_error(tmp_path, capsys, command, mess
     err = capsys.readouterr().err
     assert err.startswith("error (DimensionError): ") and message in err and "Traceback" not in err
     assert not (tmp_path / "pts.xyz").exists() and not (tmp_path / "act.xyz").exists()
-
-
-SMALL_REGRESSION = ["--experiment", "setregression", "--trials", "2", "--set", "data.train_sets=4",
-                    "--set", "data.val_sets=2", "--set", "model.widths=4,1"]
 
 
 def test_check_equivariance_seeds_from_the_config(tmp_path, capsys):
@@ -308,6 +298,49 @@ def test_check_equivariance_seeds_from_the_config(tmp_path, capsys):
     assert probe("--set", "seed=3") == by_flag
     assert probe("--config", str(config)) == by_flag
     assert probe() == probe("--seed", "0") != by_flag
+
+
+def test_a_config_key_set_twice_is_refused(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "twice.cfg"
+    config.write_text("experiment=pointcloud\ntrain.epochs=1\n# a comment\ntrain.epochs=3\n")
+    out = tmp_path / "run"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_experiment_data", None)  # refused before the experiment is built
+        assert main(["train", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error (ConfigError): line 4: key 'train.epochs' is already set on line 2\n"
+    assert not out.exists()
+    # a key the file sets once is still overridden by --set
+    once = tmp_path / "seed5.cfg"
+    once.write_text("experiment=setregression\nseed=5\n")
+    assert main(["check-equivariance", *SMALL_REGRESSION, "--config", str(once), "--set", "seed=3"]) == 0
+    by_set = capsys.readouterr().out
+    assert main(["check-equivariance", *SMALL_REGRESSION, "--seed", "3"]) == 0
+    assert capsys.readouterr().out == by_set
+
+
+# every subcommand's options, so adding or removing a flag is a visible edit here
+OPTIONS = {
+    "verify-theorem": ["--n"],
+    "check-equivariance": ["--checkpoint", "--config", "--experiment", "--n", "--seed", "--set", "--trials"],
+    "train": ["--config", "--experiment", "--out", "--quiet", "--resume", "--seed", "--set"],
+    "eval": ["--checkpoint", "--config", "--experiment", "--seed", "--set"],
+    "actmax": ["--checkpoint", "--config", "--experiment", "--iters", "--layer", "--out", "--points", "--seed",
+               "--set", "--threshold", "--unit"],
+    "sample-mesh": ["--augment", "--off", "--out", "--points", "--seed"],
+}
+
+
+def test_each_subcommand_takes_exactly_its_pinned_options():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {}
+    for name, sub in commands.items():
+        options[name] = sorted(o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help"))
+        assert sub.format_help().startswith(f"usage: setnet {name}")
+    assert options == OPTIONS
+    assert parser.format_help().startswith("usage: setnet")
 
 
 @pytest.mark.parametrize(
@@ -374,7 +407,7 @@ class _Libc:
 def test_main_sets_the_allocator_thresholds(monkeypatch, capsys):
     libc = _Libc()
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
-    assert main(["verify-theorem", "--n", "3", "--trials", "1"]) == 0
+    assert main(["verify-theorem", "--n", "3"]) == 0
     assert libc.calls == [(-3, 32 << 20), (-1, 512 << 20)]
 
 

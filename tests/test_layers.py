@@ -65,7 +65,7 @@ def single_set(values):
 
 def forward(layer, batch):
     """A per-member layer's output as a batch."""
-    return batch.with_values(evaluate(layer, batch))
+    return SetBatch(evaluate(layer, batch), batch.cardinalities)
 
 
 def random_layer(k_in, k_out, rng, activation="tanh"):
@@ -107,7 +107,7 @@ def assert_equivariant(fn, batch, rng, tol=1e-12):
     perms = [rng.permutation(int(n)) for n in batch.cardinalities]
     base, permuted = fn(batch), fn(permute_members(batch, perms))
     if per_member(base, batch):
-        base = permute_members(batch.with_values(base), perms).values
+        base = permute_members(SetBatch(base, batch.cardinalities), perms).values
     assert np.max(np.abs(permuted - base)) <= tol
 
 
@@ -218,7 +218,7 @@ class TestSegmentIsolation:
         rng = np.random.default_rng(53)
         batch = SetBatch(rng.normal(size=(6, 3)), [4, 2])
         max_layer = random_layer(3, 4, rng)
-        together = batch_sets(batch.with_values(evaluate(max_layer, batch)))
+        together = batch_sets(SetBatch(evaluate(max_layer, batch), batch.cardinalities))
         for got, members in zip(together, batch_sets(batch)):
             assert np.array_equal(got, evaluate(max_layer, single_set(members)))  # bit-level for this example
 
@@ -510,7 +510,7 @@ class TestDropout:
         out = Dropout(rate, True).apply(tape, tape.constant(batch.values), batch.cardinalities, {},
                                         np.random.default_rng(3)).value
         assert set(np.unique(out)) <= {0.0, 1.0 / (1.0 - rate)}
-        for rows in batch_sets(batch.with_values(out)):
+        for rows in batch_sets(SetBatch(out, batch.cardinalities)):
             assert np.array_equal(rows, np.broadcast_to(rows[:1], rows.shape))  # same mask for every member
 
     def test_simultaneous_mask_constant_across_members(self):
@@ -631,7 +631,7 @@ class TestNormalize:
     def test_postconditions(self):
         rng = np.random.default_rng(8)
         batch = SetBatch(rng.normal(2.0, 3.0, size=(16, 4)), [9, 5, 2])
-        for real in batch_sets(batch.with_values(evaluate(NormalizeSets(), batch))):
+        for real in batch_sets(SetBatch(evaluate(NormalizeSets(), batch), batch.cardinalities)):
             assert np.max(np.abs(real.mean(axis=0))) < 1e-9
             assert (real**2).mean() == pytest.approx(1.0, abs=1e-6)
 

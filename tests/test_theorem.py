@@ -5,26 +5,26 @@ import pytest
 
 from setnet.errors import BudgetError, DimensionError
 from setnet.layers import EquivariantLayer, SetBatch, evaluate
-from setnet.theorem import (
-    check_equivariance_empirical,
-    commutant_basis,
-    commutes_with_all,
-    permutation_matrices,
-    tied_weight_matrix,
-    transposition_matrices,
-)
+from setnet.theorem import check_equivariance_empirical, commutant_basis, commutes_with_all, transposition_matrices
+
+from helpers import permutation_matrices, tied_weight_matrix
+
+
+def commutes_with_every_permutation(theta):
+    """The n! oracle: theta against each permutation matrix, to 1e-12."""
+    return all(np.max(np.abs(theta @ p - p @ theta)) <= 1e-12 for p in permutation_matrices(theta.shape[0]))
 
 
 class TestCommutesWithAll:
     def test_tied_matrix_commutes(self):
-        assert commutes_with_all(tied_weight_matrix(2.0, 3.0, 4), mode="exhaustive")
-        assert commutes_with_all(tied_weight_matrix(2.0, 3.0, 4), mode="transpositions")
+        assert commutes_with_all(tied_weight_matrix(2.0, 3.0, 4))
+        assert commutes_with_every_permutation(tied_weight_matrix(2.0, 3.0, 4))
 
     def test_perturbed_off_diagonal_fails(self):
         theta = tied_weight_matrix(2.0, 3.0, 4)
         theta[0, 1] += 1e-3
-        assert not commutes_with_all(theta, mode="transpositions")
-        assert not commutes_with_all(theta, mode="exhaustive")
+        assert not commutes_with_all(theta)
+        assert not commutes_with_every_permutation(theta)
 
     def test_forward_direction_random_coefficients(self):
         rng = np.random.default_rng(0)
@@ -33,9 +33,9 @@ class TestCommutesWithAll:
                 lam, gam = rng.uniform(-10, 10, size=2)
                 assert commutes_with_all(tied_weight_matrix(lam, gam, n))
 
-    def test_modes_agree_on_random_matrices(self):
-        # transpositions generate the group, so the cheap mode must match the
-        # exhaustive oracle verdict exactly
+    def test_agrees_with_the_permutation_oracle(self):
+        # transpositions generate the group, so checking them must give the
+        # n! oracle's verdict exactly
         rng = np.random.default_rng(1)
         agree = 0
         for i in range(1000):
@@ -45,15 +45,16 @@ class TestCommutesWithAll:
                     theta[2, 1] += rng.normal() * 1e-2
             else:
                 theta = rng.normal(size=(4, 4))
-            a = commutes_with_all(theta, mode="exhaustive")
-            b = commutes_with_all(theta, mode="transpositions")
+            a = commutes_with_every_permutation(theta)
+            b = commutes_with_all(theta)
             assert a == b
             agree += a
         assert agree > 0  # some positive cases were actually exercised
 
-    def test_exhaustive_budget(self):
+    def test_transposition_budget(self):
+        assert commutes_with_all(np.eye(63))
         with pytest.raises(BudgetError):
-            commutes_with_all(np.eye(8), mode="exhaustive")
+            commutes_with_all(np.eye(64))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
@@ -129,7 +130,7 @@ class TestEmpiricalChecker:
         def f(x):
             batch = SetBatch(x, [x.shape[0]])
             for layer in layers:
-                batch = batch.with_values(evaluate(layer, batch))
+                batch = SetBatch(evaluate(layer, batch), batch.cardinalities)
             return batch.values
 
         report = check_equivariance_empirical(f, n=7, trials=50, rng=rng, channels=2)
@@ -155,3 +156,13 @@ class TestEmpiricalChecker:
         assert report.max_invariance_deviation == 0.0
         assert report.invariant_output_ordering
         assert not report.equivariant
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_a_set_of_fewer_than_two_members_is_refused(self, n):
+        # one member has only the identity permutation: both deviations would
+        # be 0 by construction, so the probe refuses before calling f
+        def f(x):
+            raise AssertionError("f must not be called")
+
+        with pytest.raises(DimensionError, match="at least two members"):
+            check_equivariance_empirical(f, n=n, trials=3, rng=np.random.default_rng(0))

@@ -262,7 +262,7 @@ class TestRegressionModel:
         base = evaluate(model, batch)
         perms = [rng.permutation(6) for _ in range(2)]
         permuted = evaluate(model, permute_members(batch, perms))
-        assert np.max(np.abs(permuted - permute_members(batch.with_values(base), perms).values)) < 1e-9
+        assert np.max(np.abs(permuted - permute_members(SetBatch(base, batch.cardinalities), perms).values)) < 1e-9
 
     def test_masked_loss_ignores_unlabeled(self):
         rng = np.random.default_rng(2)
