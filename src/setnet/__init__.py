@@ -6,7 +6,6 @@ data pipelines, training experiments, and a CLI.
 """
 
 from .errors import (
-    BudgetError,
     ConfigError,
     ContractError,
     DegenerateMeshError,
@@ -37,7 +36,6 @@ __all__ = [
     "ContractError",
     "FormatError",
     "ConfigError",
-    "BudgetError",
     "DegenerateSetError",
     "DegenerateMeshError",
     "SetBatch",

@@ -578,11 +578,11 @@ def load_cluster_catalog(
             raise FormatError(f"{path}: row {lineno} has {len(row)} columns, need {needed + 1}")
         try:
             feats = [float(row[i]) for i in feat_idx]
-            masked = float(row[mask_idx]) != 0.0
-            label = float(row[label_idx]) if masked else 0.0
+            mask = float(row[mask_idx])
+            label = float(row[label_idx]) if mask != 0.0 else 0.0
         except ValueError as exc:
             raise FormatError(f"{path}: non-numeric cell in row {lineno}") from exc
-        if not all(math.isfinite(v) for v in feats + [label]):
+        if not all(math.isfinite(v) for v in feats + [mask, label]):  # nan != 0.0 would mark a label
             raise FormatError(f"{path}: non-finite cell in row {lineno}")
         if label <= -1.0:  # the scatter metric divides by 1 + label
             raise FormatError(f"{path}:{lineno}: observed label {label!r} must exceed -1")
@@ -590,7 +590,7 @@ def load_cluster_catalog(
         if cid not in clusters:
             clusters[cid] = []
             order.append(cid)
-        clusters[cid].append((feats, label, masked))
+        clusters[cid].append((feats, label, mask != 0.0))
 
     if not order:
         raise FormatError(f"{path}: no data rows")

@@ -2,7 +2,7 @@
 
 Every error the library raises on purpose derives from SetNetError. Each
 class carries the exit code the CLI returns for it: 2 config/usage, 3 file
-format, 4 numeric, 5 budget, 1 anything else.
+format, 4 numeric, 1 anything else.
 """
 
 
@@ -39,11 +39,6 @@ class FormatError(SetNetError):
 class ConfigError(SetNetError):
     """An experiment or CLI configuration is invalid."""
     exit_code = 2
-
-
-class BudgetError(SetNetError):
-    """A requested computation exceeds a hard size/iteration cap."""
-    exit_code = 5
 
 
 class DegenerateSetError(SetNetError):

@@ -1,13 +1,17 @@
-"""Computational verification that tied weights are exactly the matrices
-commuting with every permutation.
+"""Exact verification that the matrices commuting with every permutation are
+the tied weights lam*I + gam*ones and no others.
 
-The transpositions generate the full group, so both checks run over them.
-The forward direction (lam*I + gam*ones commutes with all permutation
-matrices) is checked on the identity and the all-ones matrix, which span that
-family. The converse is checked by solving the homogeneous system
-{Theta P - P Theta = 0 for all transpositions P} over the n^2 entries of Theta
-and inspecting the null space: its dimension must be exactly 2, spanned by the
-identity and the all-ones matrix.
+A matrix Theta commutes with the permutation matrix of an index array s
+exactly when ``Theta[s[i], s[j]] == Theta[i, j]`` for every i and j. So the
+matrices that commute with every permutation are those constant on each
+orbit of index pairs (i, j), and the orbits' indicator matrices are a basis
+of them. The transposition (0 1) and the n-cycle generate every permutation
+of n points, so both checks run over these two generators only, and both
+reorder entries and do no arithmetic: they are exact, with no tolerance. The
+forward direction (lam*I + gam*ones commutes with every permutation) is
+checked on the identity and the all-ones matrix, which span that family. The
+converse holds when the pairs fall in exactly two orbits, the diagonal and
+the rest, whose indicators are I and ones - I.
 
 Also provides an empirical equivariance probe for black-box set functions,
 used by the CLI to probe the experiment models.
@@ -20,60 +24,53 @@ from typing import Callable, List
 
 import numpy as np
 
-from .errors import BudgetError, DimensionError
+from .errors import DimensionError
 
-_BASIS_CAP = 7  # verify-theorem's --n range is 2..7
-_TRANSPOSITION_CAP = 64
-
-
-def transposition_matrices(n: int) -> List[np.ndarray]:
-    """The n(n-1)/2 transposition matrices (they generate the whole group)."""
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            mapping = np.arange(n)
-            mapping[i], mapping[j] = j, i
-            out.append(np.eye(n)[mapping])
-    return out
+MAX_SET_SIZE = 1000  # commutant_orbits labels all n^2 index pairs
 
 
-def _check_square(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-        raise DimensionError(f"weight matrix must be square, got shape {theta.shape}")
-    return theta
+def generators(n: int) -> List[np.ndarray]:
+    """The transposition (0 1) and the n-cycle i -> i + 1 (mod n) as index
+    arrays; together they generate every permutation of n points. Below two
+    points both are the identity, the whole group."""
+    swap = np.arange(n)
+    swap[:2] = swap[:2][::-1]
+    return [swap, np.roll(np.arange(n), -1)]
 
 
 def commutes_with_all(theta: np.ndarray) -> bool:
-    """True iff theta commutes with every transposition, so every permutation, to 1e-12."""
-    theta = _check_square(theta)
-    n = theta.shape[0]
-    if n >= _TRANSPOSITION_CAP:
-        raise BudgetError(f"n={n} exceeds the transposition cap {_TRANSPOSITION_CAP}")
-    return all(np.max(np.abs(theta @ p - p @ theta)) <= 1e-12 for p in transposition_matrices(n))
+    """True iff theta commutes with both generators, so with every permutation."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+        raise DimensionError(f"weight matrix must be square, got shape {theta.shape}")
+    return all(np.array_equal(theta[np.ix_(s, s)], theta) for s in generators(theta.shape[0]))
 
 
-def commutant_basis(n: int) -> List[np.ndarray]:
-    """Orthonormal basis of {Theta : Theta P = P Theta for all transpositions P}.
+def commutant_orbits(n: int) -> np.ndarray:
+    """The orbit of each index pair (i, j) under the permutations of n points,
+    as an [n, n] array of labels: each pair is labelled with the smallest flat
+    index ``i * n + j`` in its orbit, so the commutant's dimension is the
+    number of distinct labels.
 
-    Built by stacking the linear constraints Theta P - P Theta = 0 for every
-    transposition and extracting the null space by SVD; singular values below
-    1e-8 times the largest are treated as zero.
+    Each pass takes, for every pair, the smallest label among the pair and
+    its images under the generators and their inverses, then follows labels
+    to their own labels (pointer jumping); it stops when a pass changes
+    nothing, which is when the labels are constant on each orbit.
     """
-    if n < 2:
-        raise DimensionError(f"commutant_basis needs a set of at least 2 points, got n={n}")
-    if n > _BASIS_CAP:
-        raise BudgetError(f"commutant_basis supports 2 <= n <= {_BASIS_CAP}, got {n}")
-    # the linear map Theta -> Theta P - P Theta on row-major vec(Theta), one
-    # matrix row per output entry: vec(Theta P) = (I kron P^T) vec(Theta) and
-    # vec(P Theta) = (P kron I) vec(Theta)
-    eye = np.eye(n)
-    system = np.vstack([np.kron(eye, p.T) - np.kron(p, eye) for p in transposition_matrices(n)])
-    _, svals, vt = np.linalg.svd(system)
-    cutoff = 1e-8 * svals[0]
-    null_dim = int(np.sum(svals <= cutoff)) + (n * n - len(svals))
-    basis = vt[len(vt) - null_dim :] if null_dim > 0 else np.zeros((0, n * n))
-    return [row.reshape(n, n) for row in basis]
+    if not 2 <= n <= MAX_SET_SIZE:
+        raise DimensionError(f"set size must be in 2..{MAX_SET_SIZE}, got n={n}")
+    pairs = np.arange(n * n).reshape(n, n)
+    # pair p goes to maps[k][p] under each generator and each inverse
+    maps = [pairs[np.ix_(t, t)].ravel() for s in generators(n) for t in (s, np.argsort(s))]
+    labels = pairs.ravel()
+    while True:
+        hooked = labels.copy()
+        for m in maps:
+            np.minimum(hooked, labels[m], out=hooked)
+        jumped = hooked[hooked]
+        if np.array_equal(jumped, labels):
+            return labels.reshape(n, n)
+        labels = jumped
 
 
 @dataclass

@@ -224,7 +224,8 @@ def config_lines(cfg: Dict[str, str]) -> str:
     return "".join(f"{k}={cfg[k]}\n" for k in sorted(cfg))
 
 
-def parse_config_text(text: str) -> Dict[str, str]:
+def parse_config_text(text: str, name: str) -> Dict[str, str]:
+    """The key=value lines of a config file; ``name`` names it in errors."""
     out: Dict[str, str] = {}
     first_line: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -232,10 +233,10 @@ def parse_config_text(text: str) -> Dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"{name}:{lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         if key in first_line:  # a silent last-wins would hide which value a run used
-            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {first_line[key]}")
+            raise ConfigError(f"{name}:{lineno}: key {key!r} is already set on line {first_line[key]}")
         first_line[key] = lineno
         out[key] = val
     return out

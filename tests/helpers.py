@@ -236,10 +236,37 @@ def peak_bytes(fn, *args):
 
 def permutation_matrices(n: int):
     """All n! permutation matrices, identity first: an oracle for the
-    transposition checks in ``setnet.theorem``. The matrix of an index array
+    generator checks in ``setnet.theorem``. The matrix of an index array
     ``p`` is ``np.eye(n)[p]``, so that ``M @ x == x[p]``."""
     for mapping in itertools.permutations(range(n)):
         yield np.eye(n)[list(mapping)]
+
+
+def transposition_matrices(n: int) -> list:
+    """The n(n-1)/2 transposition matrices (they generate the whole group)."""
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            mapping = np.arange(n)
+            mapping[i], mapping[j] = j, i
+            out.append(np.eye(n)[mapping])
+    return out
+
+
+def commutant_basis_svd(n: int) -> list:
+    """Orthonormal basis of {Theta : Theta P = P Theta for all transpositions P},
+    as [n, n] matrices: the null space, by SVD, of the linear constraints
+    Theta P - P Theta = 0 stacked for every transposition, with singular
+    values below 1e-8 times the largest taken as zero. Floating-point oracle
+    for ``setnet.theorem.commutant_orbits``; about n^4/2 rows, so n <= 7."""
+    # the linear map Theta -> Theta P - P Theta on row-major vec(Theta), one
+    # matrix row per output entry: vec(Theta P) = (I kron P^T) vec(Theta) and
+    # vec(P Theta) = (P kron I) vec(Theta)
+    eye = np.eye(n)
+    system = np.vstack([np.kron(eye, p.T) - np.kron(p, eye) for p in transposition_matrices(n)])
+    _, svals, vt = np.linalg.svd(system)
+    null_dim = int(np.sum(svals <= 1e-8 * svals[0])) + (n * n - len(svals))
+    return [row.reshape(n, n) for row in vt[len(vt) - null_dim :]]
 
 
 def tied_weight_matrix(lam: float, gam: float, n: int) -> np.ndarray:

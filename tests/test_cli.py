@@ -192,10 +192,19 @@ def test_regression_without_a_labeled_training_member_is_refused(tmp_path, capsy
     assert not (out / "checkpoint_last.txt").exists()
 
 
-@pytest.mark.parametrize("n, code, error", [(1, 2, "DimensionError"), (0, 2, "DimensionError"), (8, 5, "BudgetError")])
+@pytest.mark.parametrize("n, code, error", [(1, 2, "DimensionError"), (0, 2, "DimensionError"),
+                                             (1001, 2, "DimensionError")])
 def test_verify_theorem_set_size_outside_range(capsys, n, code, error):
     assert main(["verify-theorem", "--n", str(n)]) == code
-    assert capsys.readouterr().err.startswith(f"error ({error}): ")
+    assert capsys.readouterr().err == f"error ({error}): set size must be in 2..1000, got n={n}\n"
+
+
+@pytest.mark.parametrize("n", [2, 50, 1000])
+def test_verify_theorem_passes_up_to_its_bound(capsys, n):
+    assert main(["verify-theorem", "--n", str(n)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [f"commutant of the permutation matrices on n={n} points", "commutant_dimension=2",
+                         "forward_direction_ok=True", "verdict=pass"]
 
 
 @pytest.mark.parametrize(
@@ -246,12 +255,15 @@ def test_empty_reduction_maps_to_usage_code(monkeypatch, capsys):
     assert capsys.readouterr().err == "error (EmptyReductionError): refused\n"
 
 
-@pytest.mark.parametrize(
-    "name, code",
-    [("SetNetError", 1), ("DimensionError", 2), ("NumericError", 4), ("ContractError", 2), ("FormatError", 3),
-     ("ConfigError", 2), ("BudgetError", 5), ("DegenerateSetError", 2), ("DegenerateMeshError", 3)],
-)
+EXIT_CODES = {"SetNetError": 1, "DimensionError": 2, "EmptyReductionError": 2, "NumericError": 4, "ContractError": 2,
+              "FormatError": 3, "ConfigError": 2, "DegenerateSetError": 2, "DegenerateMeshError": 3}
+
+
+@pytest.mark.parametrize("name, code", EXIT_CODES.items())
 def test_main_returns_the_exit_code_of_the_error_class(monkeypatch, capsys, name, code):
+    # the table names the whole taxonomy, so a class added or removed is an edit here
+    taxonomy = {k for k, v in vars(errors).items() if isinstance(v, type) and issubclass(v, errors.SetNetError)}
+    assert set(EXIT_CODES) == taxonomy
     monkeypatch.setattr(cli, "cmd_verify_theorem", _raising(getattr(errors, name)))
     assert main(["verify-theorem"]) == code
     assert capsys.readouterr().err == f"error ({name}): refused\n"
@@ -309,7 +321,7 @@ def test_a_config_key_set_twice_is_refused(tmp_path, capsys, monkeypatch):
         assert main(["train", "--config", str(config), "--out", str(out), "--quiet"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error (ConfigError): line 4: key 'train.epochs' is already set on line 2\n"
+    assert captured.err == f"error (ConfigError): {config}:4: key 'train.epochs' is already set on line 2\n"
     assert not out.exists()
     # a key the file sets once is still overridden by --set
     once = tmp_path / "seed5.cfg"
@@ -318,6 +330,17 @@ def test_a_config_key_set_twice_is_refused(tmp_path, capsys, monkeypatch):
     by_set = capsys.readouterr().out
     assert main(["check-equivariance", *SMALL_REGRESSION, "--seed", "3"]) == 0
     assert capsys.readouterr().out == by_set
+
+
+def test_a_malformed_config_line_names_the_file(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("experiment=pointcloud\n\ntrain.epochs 3\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error (ConfigError): {config}:3: expected key=value, got 'train.epochs 3'\n"
+    assert not out.exists()
 
 
 # every subcommand's options, so adding or removing a flag is a visible edit here

@@ -517,12 +517,14 @@ class TestClusterCatalog:
             load_cluster_catalog(path, ["f0"], "target", "has_target", "cluster_id")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("column", ["feature", "label"])
+    @pytest.mark.parametrize("column", ["feature", "label", "mask"])
     def test_non_finite_cell_reports_row(self, tmp_path, token, column):
-        feature, label = (token, "0.5") if column == "feature" else ("1.0", token)
+        # a non-finite mask is not 0.0, so it would otherwise mark the label observed
+        cells = {"feature": "1.0", "label": "0.5", "mask": "1", column: token}
         path = tmp_path / "f.csv"
-        path.write_text(f"cluster_id,f0,target,has_target\na,1.0,0.5,1\na,{feature},{label},1\n")
-        with pytest.raises(FormatError, match="non-finite cell in row 3"):
+        path.write_text(f"cluster_id,f0,target,has_target\na,1.0,0.5,1\na,{cells['feature']},{cells['label']},"
+                        f"{cells['mask']}\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: non-finite cell in row 3")):
             load_cluster_catalog(path, ["f0"], "target", "has_target", "cluster_id")
 
     def test_headerless_catalog_refused(self, tmp_path):

@@ -1,18 +1,29 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from setnet.errors import BudgetError, DimensionError
+from setnet import theorem
+from setnet.errors import DimensionError
 from setnet.layers import EquivariantLayer, SetBatch, evaluate
-from setnet.theorem import check_equivariance_empirical, commutant_basis, commutes_with_all, transposition_matrices
+from setnet.theorem import (
+    MAX_SET_SIZE,
+    check_equivariance_empirical,
+    commutant_orbits,
+    commutes_with_all,
+    generators,
+)
 
-from helpers import permutation_matrices, tied_weight_matrix
+from helpers import commutant_basis_svd, permutation_matrices, tied_weight_matrix, transposition_matrices
 
 
 def commutes_with_every_permutation(theta):
-    """The n! oracle: theta against each permutation matrix, to 1e-12."""
-    return all(np.max(np.abs(theta @ p - p @ theta)) <= 1e-12 for p in permutation_matrices(theta.shape[0]))
+    """The n! oracle: theta against each permutation matrix. A product with a
+    permutation matrix adds only zeros to each entry, so it is exact."""
+    return all(np.array_equal(theta @ p, p @ theta) for p in permutation_matrices(theta.shape[0]))
 
 
 class TestCommutesWithAll:
@@ -34,8 +45,8 @@ class TestCommutesWithAll:
                 assert commutes_with_all(tied_weight_matrix(lam, gam, n))
 
     def test_agrees_with_the_permutation_oracle(self):
-        # transpositions generate the group, so checking them must give the
-        # n! oracle's verdict exactly
+        # the two generators generate the group, so checking them must give
+        # the n! oracle's verdict exactly
         rng = np.random.default_rng(1)
         agree = 0
         for i in range(1000):
@@ -51,10 +62,34 @@ class TestCommutesWithAll:
             agree += a
         assert agree > 0  # some positive cases were actually exercised
 
-    def test_transposition_budget(self):
-        assert commutes_with_all(np.eye(63))
-        with pytest.raises(BudgetError):
-            commutes_with_all(np.eye(64))
+    def test_each_generator_is_checked(self):
+        # a circulant commutes with the n-cycle, and a matrix that treats
+        # points 0 and 1 alike commutes with (0 1); neither commutes with both
+        n = 4
+        circulant = ((np.arange(n)[None, :] - np.arange(n)[:, None]) % n).astype(float)
+        swap_fixed = tied_weight_matrix(2.0, 3.0, n)
+        swap_fixed[3, 3] = 7.0
+        for theta in (circulant, swap_fixed):
+            assert not commutes_with_all(theta)
+            assert not commutes_with_every_permutation(theta)
+
+    @given(
+        st.integers(2, 6),
+        st.floats(-1e300, 1e300),
+        st.floats(-1e300, 1e300),
+        st.integers(0, 35),
+        st.sampled_from([-math.inf, None, math.inf]),
+    )
+    def test_one_ulp_breaks_the_tie(self, n, lam, gam, entry, toward):
+        # moved one ulp up or down, any entry breaks the tie; left as it is,
+        # the tied matrix commutes. The n! oracle gives the same verdict.
+        theta = tied_weight_matrix(lam, gam, n)
+        if toward is not None:
+            i, j = divmod(entry % (n * n), n)
+            theta[i, j] = np.nextafter(theta[i, j], toward)
+        assert commutes_with_all(theta) == (toward is None)
+        if n <= 5:
+            assert commutes_with_every_permutation(theta) == (toward is None)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
@@ -69,14 +104,35 @@ class TestCommutesWithAll:
             assert commutes_with_all(a * t1 + b * t2)
 
 
+class TestGenerators:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_closure_is_the_whole_group(self, n):
+        gens = [tuple(s) for s in generators(n)]
+        assert all(sorted(s) == list(range(n)) for s in gens)
+        group = {tuple(range(n))}
+        frontier = list(group)
+        while frontier:
+            found = {tuple(p[i] for i in s) for p in frontier for s in gens} - group
+            group |= found
+            frontier = list(found)
+        assert len(group) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_below_two_points_both_are_the_identity(self, n):
+        assert [s.tolist() for s in generators(n)] == [list(range(n))] * 2
+        assert commutes_with_all(np.arange(n * n, dtype=float).reshape(n, n))
+
+
 class TestCommutantBasis:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    """The orbits of ``commutant_orbits``, whose indicators are the basis."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_dimension_is_exactly_two(self, n):
-        assert len(commutant_basis(n)) == 2
+        assert len(np.unique(commutant_orbits(n))) == 2
 
     def test_n2_span_contains_identity_and_ones(self):
-        basis = commutant_basis(2)
-        stacked = np.stack([b.ravel() for b in basis])
+        orbits = commutant_orbits(2)
+        stacked = np.stack([(orbits == label).ravel() for label in np.unique(orbits)]).astype(float)
         for target in (np.eye(2), np.ones((2, 2))):
             coeffs, residual, *_ = np.linalg.lstsq(stacked.T, target.ravel(), rcond=None)
             recon = stacked.T @ coeffs
@@ -84,23 +140,41 @@ class TestCommutantBasis:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_basis_elements_have_tied_entries(self, n):
-        for b in commutant_basis(n):
-            diag = np.diag(b)
-            off = b[~np.eye(n, dtype=bool)]
-            assert diag.max() - diag.min() < 1e-10
-            if off.size:
-                assert off.max() - off.min() < 1e-10
+        # one orbit is the diagonal and the other the rest, each labelled with
+        # its smallest flat index: (0, 0) and (0, 1)
+        assert np.array_equal(commutant_orbits(n), np.where(np.eye(n, dtype=bool), 0, 1))
 
     def test_basis_is_orthonormal(self):
-        basis = commutant_basis(5)
+        # the orbits partition the pairs, so their indicators, each scaled by
+        # one over the square root of its orbit's size, are orthonormal
+        orbits = commutant_orbits(5)
+        basis = [(orbits == label) / np.sqrt(np.sum(orbits == label)) for label in np.unique(orbits)]
         gram = np.array([[np.sum(a * b) for b in basis] for a in basis])
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_indicators_span_the_svd_null_space(self, n):
+        orbits = commutant_orbits(n)
+        indicators = np.stack([(orbits == label).ravel() for label in np.unique(orbits)]).astype(float)
+        oracle = np.stack([b.ravel() for b in commutant_basis_svd(n)])
+        assert len(indicators) == len(oracle)
+        # each oracle vector lies in the indicators' span, and vice versa
+        for source, target in ((indicators, oracle), (oracle, indicators)):
+            coeffs, *_ = np.linalg.lstsq(source.T, target.T, rcond=None)
+            assert np.max(np.abs(source.T @ coeffs - target.T)) < 1e-10
+
+    def test_the_cycle_alone_gives_the_circulants(self, monkeypatch):
+        # without the transposition the group is cyclic: pair (i, j) lies in
+        # the orbit of (0, (j - i) mod n), whose flat index is that offset
+        n = 6
+        monkeypatch.setattr(theorem, "generators", lambda n: [np.roll(np.arange(n), -1)])
+        offsets = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        assert np.array_equal(commutant_orbits(n), offsets)
+
     def test_out_of_range(self):
-        with pytest.raises(DimensionError):
-            commutant_basis(1)
-        with pytest.raises(BudgetError):
-            commutant_basis(8)
+        for n in (1, 0, -3, MAX_SET_SIZE + 1):
+            with pytest.raises(DimensionError, match=f"2..{MAX_SET_SIZE}"):
+                commutant_orbits(n)
 
 
 class TestPermutationMatrices:

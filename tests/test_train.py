@@ -95,7 +95,7 @@ class TestConfig:
     def test_defaults_round_trip_through_text(self):
         for experiment in EXPERIMENTS:
             cfg = default_config(experiment)
-            assert parse_config_text(config_lines(cfg)) == cfg
+            assert parse_config_text(config_lines(cfg), f"{experiment}.cfg") == cfg
             assert ExperimentConfig(cfg).values == cfg
 
     def test_values_are_parsed_at_load(self):
@@ -147,12 +147,12 @@ class TestConfig:
             build_experiment_data(tiny_mnist_config(**{key: str(tmp_path / "file.idx")}))
 
     def test_comment_and_blank_lines(self):
-        parsed = parse_config_text("# a comment\n\nseed=4  # trailing\n")
+        parsed = parse_config_text("# a comment\n\nseed=4  # trailing\n", "seed.cfg")
         assert parsed == {"seed": "4"}
 
     def test_malformed_line(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("seed 4\n")
+        with pytest.raises(ConfigError, match="^run.cfg:2: expected key=value, got 'seed 4'$"):
+            parse_config_text("experiment=mnist_sum\nseed 4\n", "run.cfg")
 
 
 class TestMnistModels:
