@@ -14,7 +14,10 @@ recorded node carries one vector-Jacobian product per parent: a function of
 (the node's gradient, the parents' values, the node's value) that returns
 that parent's gradient. The reverse sweep visits the recorded nodes once, in
 reverse creation order, and calls a parent's vjp only if that parent is
-recorded. Gradients are exact for every differentiable composite;
+recorded. It holds a gradient only until it is passed on: a node's gradient
+is dropped when its visit ends, and each vjp's result as soon as it is
+stored, so a visit holds its inputs and one result, not the last visit's
+too. Gradients are exact for every differentiable composite;
 ``segment_max`` is given the single-argmax subgradient (lowest index on
 ties) and ``mean`` distributes 1/N, so training runs are deterministic.
 
@@ -26,24 +29,29 @@ graph is freed by reference counting as soon as the step lets go of its
 output, loss and bound variables. ``backward`` refuses a released tape.
 
 Set batches store their members as stacked rows, one set after another; the
-segment ops (``segment_sum``, ``segment_max`` and ``repeat``) move between
-those member rows and one row per set. When all sets of a batch have one
-size, they work on the rows as one [sets, size, channels] block instead of
-set by set, with the same bits.
+segment ops (``segment_sum`` and ``segment_max``) reduce those member rows to
+one row per set. When all sets of a batch have one size, they work on the
+rows as one [sets, size, channels] block instead of set by set, with the
+same bits.
 
 A layer is one fused node, whose forward works in one output buffer and
-whose vjps are written out by hand: ``affine`` (``sigma(x W + b)``) and
-``max_centred_affine`` (``sigma(beta + (x - 1 max(x)) Gamma)``). Each gives the
-value and the gradients, to the bit, of the chain of nodes it replaces (the
-test suite keeps that chain as its oracle), with one finiteness check, of the
-pre-activation, before ``sigma`` could map an infinity to a finite value. The
-sweep turns the node's gradient into the pre-activation's once per visit, for
-every parent's vjp; only elu keeps the pre-activation, which its derivative
-reads.
+whose vjps are written out by hand: ``affine`` (``sigma(x W + b)``),
+``max_centred_affine`` (``sigma(beta + (x - 1 max(x)) Gamma)``) and
+``normalize_sets``; so is the loss, ``softmax_cross_entropy`` or
+``masked_mse``. Each gives the value and the gradients, to the bit, of the
+chain of nodes it replaces (the test suite keeps that chain as its oracle),
+with one finiteness check: of the pre-activation, before ``sigma`` could map
+an infinity to a finite value, or of the variance for ``normalize_sets``.
+The sweep turns the node's gradient into the pre-activation's once per
+visit, for every parent's vjp; only elu keeps the pre-activation, which its
+derivative reads. ``max_centred_affine`` keeps its centred rows for Gamma's
+gradient, and finds the rows that won each max from them, as their first
+zero, rather than from another pass over its input.
 
 Every node value is checked for finiteness when it is made, except the values
-of ops that map finite inputs to finite outputs (``_FINITE_PRESERVING``):
-their inputs have passed the check already.
+of ops that map finite inputs to finite outputs (``_FINITE_PRESERVING``),
+whose inputs have passed the check already, and of ``normalize_sets``, which
+checks its variance instead.
 """
 
 from __future__ import annotations
@@ -93,32 +101,32 @@ def _per_set(fn, a: np.ndarray, bounds: np.ndarray, size: Optional[int]) -> np.n
 
 
 def _first_hits(a: np.ndarray, bounds: np.ndarray, size: Optional[int]) -> np.ndarray:
-    """The row of ``a`` each (set, channel) max came from; argmax takes the lowest on ties."""
+    """The row of ``a`` that holds each (set, channel) max, the lowest on ties;
+    for a boolean ``a``, the first True row."""
     return _per_set(np.argmax, a, bounds, size) + bounds[:-1].reshape((-1,) + (1,) * (a.ndim - 1))
 
 
-def _add_at_winners(rows: np.ndarray, x: np.ndarray, bounds: np.ndarray, size: Optional[int], per_set) -> None:
-    """``rows += segment_max(x)``'s vjp of ``per_set``, in place: each (set,
-    channel) entry added at the row of ``x`` that holds that max."""
-    hits = _first_hits(x, bounds, size)
+def _add_at_rows(rows: np.ndarray, hits: np.ndarray, per_set: np.ndarray) -> None:
+    """``rows[hits] += per_set`` column by column, in place: each (set, channel)
+    entry of ``per_set`` added at the row ``hits`` names."""
     won = np.take_along_axis(rows, hits, axis=0)
     won += per_set
     np.put_along_axis(rows, hits, won, axis=0)
 
 
-def _centred(x: np.ndarray, bounds: np.ndarray, size: Optional[int]) -> np.ndarray:
-    """``x - 1 max(x)``: each member row less its set's per-channel max, as a new array."""
-    top = _per_set(np.maximum.reduce, x, bounds, size)
+def _per_member(op, rows: np.ndarray, per_set: np.ndarray, bounds: np.ndarray, size: Optional[int], out=None):
+    """The ufunc ``op`` of each member row of ``rows`` [M, K] and its set's row
+    of ``per_set`` ([B, K] or [B, 1]), into ``out`` or a new [M, K] array."""
     if size is not None:
-        return (x.reshape((-1, size) + x.shape[1:]) - top[:, None]).reshape(x.shape)
-    rep = np.repeat(top, np.diff(bounds), axis=0)
-    return np.subtract(x, rep, out=rep)
+        shape = (-1, size) + rows.shape[1:]
+        res = op(rows.reshape(shape), per_set[:, None], out=None if out is None else out.reshape(shape))
+        return res.reshape(rows.shape)
+    rep = np.repeat(per_set, np.diff(bounds), axis=0)
+    return op(rows, rep, out=rep if out is None and rep.shape == rows.shape else out)
 
 
 # Ops whose vjps capture nothing share one tuple rather than making closures
 # for every node they record.
-_ADD_VJPS = (lambda g, pv, out: _unbroadcast(g, pv[0].shape), lambda g, pv, out: _unbroadcast(g, pv[1].shape))
-_SUB_VJPS = (lambda g, pv, out: _unbroadcast(g, pv[0].shape), lambda g, pv, out: _unbroadcast(-g, pv[1].shape))
 _MUL_VJPS = (
     lambda g, pv, out: _unbroadcast(g * pv[1], pv[0].shape),
     lambda g, pv, out: _unbroadcast(g * pv[0], pv[1].shape),
@@ -126,7 +134,6 @@ _MUL_VJPS = (
 _NEG_VJPS = (lambda g, pv, out: -g,)
 _MATMUL_VJPS = (lambda g, pv, out: g @ pv[1].T, lambda g, pv, out: pv[0].T @ g)
 _RESHAPE_VJPS = (lambda g, pv, out: g.reshape(pv[0].shape),)
-_SUM_VJPS = (lambda g, pv, out: np.broadcast_to(g, pv[0].shape).copy(),)
 _SUM_ALL_VJPS = (lambda g, pv, out: np.full(pv[0].shape, float(g)),)
 _AFFINE_VJPS = (  # x W + b, from the gradient of the pre-activation
     lambda g, pv, out: g @ pv[1].T,
@@ -136,7 +143,7 @@ _AFFINE_VJPS = (  # x W + b, from the gradient of the pre-activation
 
 # Ops whose value is finite whenever their parents' values are, so _record
 # does not check it again.
-_FINITE_PRESERVING = frozenset(("repeat", "segment_max", "reshape", "transpose", "neg"))
+_FINITE_PRESERVING = frozenset(("segment_max", "reshape", "transpose", "neg"))
 
 
 class Node:
@@ -162,23 +169,16 @@ class Node:
             return other
         return self.tape.constant(other)
 
-    def __add__(self, other):
-        return self.tape._binary(
-            "add", self, self._coerce(other), np.add,
-            _ADD_VJPS,
-        )
-
-    def __sub__(self, other):
-        return self.tape._binary(
-            "sub", self, self._coerce(other), np.subtract,
-            _SUB_VJPS,
-        )
-
     def __mul__(self, other):
-        return self.tape._binary(
-            "mul", self, self._coerce(other), np.multiply,
-            _MUL_VJPS,
-        )
+        other = self._coerce(other)
+
+        def fwd(a, b):
+            try:
+                return np.multiply(a, b)
+            except ValueError as exc:
+                raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
+
+        return self.tape._record("mul", (self, other), fwd=fwd, vjps=_MUL_VJPS)
 
     def __neg__(self):
         return self.tape._record(
@@ -219,14 +219,6 @@ class Node:
             vjps=(lambda g, pv, out: g.transpose(inverse),),
         )
 
-    def sum(self, axis: int) -> "Node":
-        """Sum over ``axis``, kept with length 1."""
-        return self.tape._record(
-            "sum_axis", (self,),
-            fwd=lambda a: np.sum(a, axis=axis, keepdims=True),
-            vjps=_SUM_VJPS,
-        )
-
     def mean(self, axis: int) -> "Node":
         """Mean over ``axis``, kept with length 1."""
         return self.tape._record(
@@ -243,17 +235,6 @@ class Node:
             "segment_sum", (self,),
             fwd=lambda a: _per_set(np.add.reduce, a, bounds, size),
             vjps=(lambda g, pv, out: np.repeat(g, cards, axis=0),),
-        )
-
-    def repeat(self, cards) -> "Node":
-        """Each set's row once per member, [B, K] -> [M, K]: the vjp of ``segment_sum`` and vice versa."""
-        if self.value.shape[0] != len(cards):
-            raise DimensionError(f"repeat: {self.value.shape[0]} rows for {len(cards)} sets")
-        bounds, size = _segments(cards, int(np.sum(cards)))
-        return self.tape._record(
-            "repeat", (self,),
-            fwd=lambda a: np.repeat(a, cards, axis=0),
-            vjps=(lambda g, pv, out: _per_set(np.add.reduce, g, bounds, size),),
         )
 
     def segment_max(self, cards) -> "Node":
@@ -275,13 +256,6 @@ class Node:
             "sum_all", (self,),
             fwd=lambda a: np.sum(a),
             vjps=_SUM_ALL_VJPS,
-        )
-
-    def pow_const(self, p: float) -> "Node":
-        return self.tape._record(
-            "pow_const", (self,),
-            fwd=lambda a: np.power(a, p),
-            vjps=(lambda g, pv, out: g * p * np.power(pv[0], p - 1.0),),
         )
 
 
@@ -323,27 +297,19 @@ class Tape:
         arr = T.as_tensor(value, "constant")
         return self._append(arr, (), "constant", None, None, False)
 
-    def _record(self, op, parents, fwd, vjps, activation="identity") -> Node:
+    def _record(self, op, parents, fwd, vjps, activation="identity", check=True) -> Node:
         """A node for ``activation`` of ``fwd`` of the parents' values. ``fwd`` is
-        called once and makes a new array, checked before tanh overwrites it."""
+        called once and makes a new array, checked before tanh overwrites it,
+        unless ``check`` is off because ``fwd`` checks an array that bounds it."""
         pv = tuple(p.value for p in parents)
         with np.errstate(over="ignore", invalid="ignore"):  # the finite check below surfaces these
             value = np.asarray(fwd(*pv), dtype=np.float64)
-        if op not in _FINITE_PRESERVING:
+        if check and op not in _FINITE_PRESERVING:
             T.ensure_finite(value, f"node#{self._created}[{op}]")
         fused = None if activation == "identity" else (activation, value if activation == "elu" else None)
         if fused:  # tanh in place, with the bits of np.tanh(value)
             value = np.tanh(value, out=value) if activation == "tanh" else T.elementwise(value, activation)
         return self._append(value, parents, op, vjps, None, False, fused)
-
-    def _binary(self, op, a: Node, b: Node, ufunc, vjps) -> Node:
-        def fwd(x, y):
-            try:
-                return ufunc(x, y)
-            except ValueError as exc:
-                raise DimensionError(f"{op}: shapes {x.shape} and {y.shape} do not broadcast") from exc
-
-        return self._record(op, (a, b), fwd=fwd, vjps=vjps)
 
 
 def _require_graph(tape: Tape) -> None:
@@ -379,7 +345,8 @@ def max_centred_affine(x: Node, gam: Node, beta: Node, cards, activation: str) -
     ``segment_max``, ``repeat``, ``sub``, ``matmul`` and ``add`` chain: Gamma
     gets ``d^T g`` for the centred rows ``d``, beta the column sums of ``g``,
     and x gets ``g Gamma^T`` with minus each set's column sums of it added at
-    the rows that won the max (lowest index on ties).
+    the rows that won the max (lowest index on ties), found as the first zero
+    of each set's column of ``d``.
     """
     _rank2(x, gam)
     bounds, size = _segments(cards, x.value.shape[0])
@@ -387,7 +354,7 @@ def max_centred_affine(x: Node, gam: Node, beta: Node, cards, activation: str) -
 
     def centred_product(xv, gv, bv):
         nonlocal d
-        d = _centred(xv, bounds, size)
+        d = _per_member(np.subtract, xv, _per_set(np.maximum.reduce, xv, bounds, size), bounds, size)
         out = T.matmul(d, gv)
         out += bv
         return out
@@ -395,7 +362,9 @@ def max_centred_affine(x: Node, gam: Node, beta: Node, cards, activation: str) -
     def x_vjp(g, pv, out):
         gd = g @ pv[1].T
         sums = _per_set(np.add.reduce, gd, bounds, size)
-        _add_at_winners(gd, pv[0], bounds, size, np.negative(sums, out=sums))
+        # for finite values x - max is 0 exactly where x == max, so the first
+        # zero of each set's centred column is argmax's winner
+        _add_at_rows(gd, _first_hits(d == 0.0, bounds, size), np.negative(sums, out=sums))
         return gd
 
     return x.tape._record(
@@ -404,6 +373,52 @@ def max_centred_affine(x: Node, gam: Node, beta: Node, cards, activation: str) -
         vjps=(x_vjp, lambda g, pv, out: d.T @ g, _AFFINE_VJPS[2]),
         activation=activation,
     )
+
+
+def normalize_sets(x: Node, cards, eps: float) -> Node:
+    """Each member row of sets with ``cards`` members less its set's
+    per-channel mean, divided by one deviation per set: the root of ``eps``
+    plus the set's variance, the mean of its squared centred values over
+    members and channels. One node, [M, K] -> [M, K].
+
+    The forward runs the numpy ops of the chain of generic nodes this node
+    replaces, in the chain's order, and the vjp is that chain's, written out,
+    so values and gradients have the chain's bits (the test suite keeps the
+    chain as its oracle); x's gradient from this node is one term. The one
+    finiteness check is of the [B, 1] variance, before the division: an
+    overflow in the sums or the squares makes it infinite or NaN. When it is
+    finite, so is every centred value, and no output of a set of N members
+    and K channels exceeds about ``sqrt(N K)`` in magnitude, so the output is
+    not scanned.
+    """
+    k = x.value.shape[1]
+    bounds, size = _segments(cards, x.value.shape[0])
+    inv_n = 1.0 / np.asarray(cards, dtype=np.float64)[:, None]
+    tape = x.tape
+    c = shifted = inv_std = None  # the centred rows, eps + variance and its power -0.5, kept for the vjp
+
+    def fwd(xv):
+        nonlocal c, shifted, inv_std
+        mean = _per_set(np.add.reduce, xv, bounds, size)
+        mean *= inv_n
+        c = _per_member(np.subtract, xv, mean, bounds, size)
+        var = np.sum(_per_set(np.add.reduce, c * c, bounds, size), axis=1, keepdims=True) * inv_n * (1.0 / k)
+        T.ensure_finite(var, f"node#{tape._created}[normalize_sets]")
+        shifted = var + eps
+        inv_std = np.power(shifted, -0.5)
+        return _per_member(np.multiply, c, inv_std, bounds, size)
+
+    def vjp(g, pv, out):
+        gc = _per_member(np.multiply, g, inv_std, bounds, size)
+        gvar = np.sum(_per_set(np.add.reduce, g * c, bounds, size), axis=1, keepdims=True)
+        gvar = gvar * -0.5 * np.power(shifted, -1.5) * (1.0 / k) * inv_n
+        spread = _per_member(np.multiply, c, gvar, bounds, size)
+        gc += spread  # from each factor of the square, one after the other
+        gc += spread
+        gmean = _per_set(np.add.reduce, gc, bounds, size) * -inv_n  # the chain's sum of -gc, negated: same bits
+        return _per_member(np.add, gc, gmean, bounds, size, out=gc)
+
+    return tape._record("normalize_sets", (x,), fwd=fwd, vjps=(vjp,), check=False)
 
 
 def dropout(x: Node, keep: np.ndarray, cards) -> Node:
@@ -446,6 +461,37 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     return logits.tape._record("softmax_ce", (logits,), fwd=fwd, vjps=(vjp,))
 
 
+def masked_mse(pred: Node, targets: np.ndarray, mask: np.ndarray) -> Node:
+    """Mean squared error of [M, 1] member predictions against [M] targets,
+    over the members whose ``mask`` (0 or 1) is 1, as one node. Value and
+    gradient have the bits of the chain of generic nodes it replaces, which
+    the test suite keeps as its oracle; the loss is the node's one check."""
+    labeled = float(mask.sum())
+    if labeled == 0:
+        raise ContractError("batch has no labeled members")
+    if pred.value.shape != (len(targets), 1) or mask.shape != targets.shape:
+        raise DimensionError(f"masked_mse: predictions {pred.value.shape} for {targets.shape} targets")
+    targets, mask = targets[:, None], mask[:, None]
+
+    def masked_diff(p):
+        d = p - targets
+        d *= mask
+        return d
+
+    def vjp(g, pv, out):
+        d = masked_diff(pv[0])
+        d *= float(g * (1.0 / labeled))
+        d += d  # from each factor of the square
+        d *= mask
+        return d
+
+    def fwd(p):
+        d = masked_diff(p)
+        return np.sum(d * d) * (1.0 / labeled)
+
+    return pred.tape._record("masked_mse", (pred,), fwd=fwd, vjps=(vjp,))
+
+
 def backward(tape: Tape, root: Node) -> GradientMap:
     """Reverse sweep from a scalar root; returns per-variable gradients.
 
@@ -479,6 +525,8 @@ def backward(tape: Tape, root: Node) -> GradientMap:
                     grads[p.index] = grads[p.index] + pg
                 else:
                     grads[p.index] = np.asarray(pg, dtype=np.float64)
+                del pg  # stored: the sweep keeps no other reference to it
+            del g, pv  # passed on to the parents
     out: GradientMap = {}
     for var in tape.variables:
         g = grads.get(var.index)

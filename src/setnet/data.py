@@ -548,9 +548,9 @@ def load_cluster_catalog(
     """Group CSV rows by cluster id into variable-cardinality sets.
 
     The first row is the header: it names the columns, and the columns are
-    picked by those names. The mask column marks rows whose label is an
-    observed ground-truth estimate, which must exceed -1; other rows carry a
-    zero label and an unset mask.
+    picked by those names. The mask column, 0 or 1, marks with 1 the rows
+    whose label is an observed ground-truth estimate, which must exceed -1;
+    other rows carry a zero label and an unset mask.
     """
     rows = list(csv.reader(io.StringIO(_read_text(path, newline=""), newline="")))
     if not rows:
@@ -584,6 +584,8 @@ def load_cluster_catalog(
             raise FormatError(f"{path}: non-numeric cell in row {lineno}") from exc
         if not all(math.isfinite(v) for v in feats + [mask, label]):  # nan != 0.0 would mark a label
             raise FormatError(f"{path}: non-finite cell in row {lineno}")
+        if mask not in (0.0, 1.0):
+            raise FormatError(f"{path}:{lineno}: mask must be 0 or 1, got {row[mask_idx].strip()!r}")
         if label <= -1.0:  # the scatter metric divides by 1 + label
             raise FormatError(f"{path}:{lineno}: observed label {label!r} must exceed -1")
         cid = row[id_idx].strip()

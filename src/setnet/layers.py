@@ -20,8 +20,9 @@ where they enter a tape.
 
 An ``EquivariantLayer`` or a ``Dense`` layer records itself, activation
 included (``sigma(beta + (x - 1 max(x)) Gamma)``, or ``sigma(x W + b)``), as
-one fused tape node, and a training ``Dropout`` as one ``dropout`` node; see
-``autodiff`` for the fused nodes' gradients.
+one fused tape node, a ``NormalizeSets`` as one ``normalize_sets`` node, and
+a training ``Dropout`` as one ``dropout`` node; see ``autodiff`` for the fused
+nodes' gradients.
 
 Every layer has the same protocol: ``params()`` lists its named ``Param``
 objects (none for pooling, normalisation, flattening and dropout) and
@@ -235,7 +236,9 @@ class NormalizeSets:
 
     Means and the (single, per-set) standard deviation are computed over the
     set's members; every axis is divided by the same deviation. Sets need at
-    least two members.
+    least two members. The layer is one ``normalize_sets`` node, whose one
+    finiteness check is of the per-set variance: an overflow in its sums or
+    squares shows there, and a finite variance bounds the output.
     """
 
     eps = 1e-8
@@ -246,14 +249,7 @@ class NormalizeSets:
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if np.any(cards < 2):
             raise DegenerateSetError("normalization needs sets of at least two members")
-        k = x.value.shape[1]
-        inv_n = tape.constant(1.0 / cards.astype(np.float64)[:, None])
-        centered = x - (x.segment_sum(cards) * inv_n).repeat(cards)
-        var = (centered * centered).segment_sum(cards).sum(axis=1) * inv_n * (1.0 / k)  # [B, 1]
-        # widened to [B, K] before it goes to the members, so the gradient of
-        # the deviation adds each channel over the members, then the channels
-        inv_std = (var + self.eps).pow_const(-0.5) * tape.constant(np.ones((1, k)))
-        return centered * inv_std.repeat(cards)
+        return ad.normalize_sets(x, cards, self.eps)
 
 
 class Flatten:
@@ -280,14 +276,45 @@ class Flatten:
         return x.reshape((b, -1))
 
 
+# The most member rows one forward pass of ``evaluate`` takes at once.
+_EVAL_ROWS = 2048
+
+
 def evaluate(module, batch: SetBatch, **options) -> np.ndarray:
     """Value of ``module.apply`` on ``batch``: parameters are constants and no
     rng is passed, so dropout is off. With no variables the tape records
     nothing, and each intermediate is freed as soon as nothing uses it.
-    ``options`` go on to ``apply`` (a model's ``upto``)."""
+    ``options`` go on to ``apply`` (a model's ``upto``).
+
+    A layer's arrays grow with the member rows it takes at once, so a large
+    batch runs in pieces of whole sets, in order, each of at most
+    ``_EVAL_ROWS`` member rows (a larger set is a piece of its own), and the
+    pieces' outputs are joined in set order. A set's outputs depend on its
+    own members only, so the pieces give the whole batch's values, up to a
+    product row's rounding, which can depend on the product's row count (at
+    the default configs, to the bit). They keep a 64-set batch of 100-point
+    clouds at the memory of a training step."""
     tape = ad.Tape()
     bound = {p.name: tape.constant(p.value) for p in module.params()}
-    return module.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, **options).value
+    outs = [module.apply(tape, tape.constant(piece.values), piece.cardinalities, bound, **options).value
+            for piece in _pieces(batch)]
+    return outs[0] if len(outs) == 1 else np.concatenate(outs)
+
+
+def _pieces(batch: SetBatch):
+    """``batch`` as consecutive batches of whole sets, each of at most
+    ``_EVAL_ROWS`` member rows or of one set that has more; each a view of
+    the batch's arrays."""
+    if batch.values.shape[0] <= _EVAL_ROWS:
+        yield batch
+        return
+    bounds = np.concatenate(([0], np.cumsum(batch.cardinalities)))
+    first = 0
+    while first < batch.num_sets:
+        # the sets that end within _EVAL_ROWS rows of this piece's start, at least one
+        stop = max(first + 1, int(np.searchsorted(bounds, bounds[first] + _EVAL_ROWS, side="right")) - 1)
+        yield SetBatch(batch.values[bounds[first] : bounds[stop]], batch.cardinalities[first:stop])
+        first = stop
 
 
 # --- parameter checkpoints ----------------------------------------------------

@@ -350,16 +350,6 @@ class SetModel:
         return x
 
 
-def masked_mse(pred: ad.Node, targets: np.ndarray, mask: np.ndarray) -> ad.Node:
-    """Mean squared error of [M, 1] member predictions over the observed members."""
-    labeled = float(mask.sum())
-    if labeled == 0:
-        raise ContractError("batch has no labeled members")
-    tape = pred.tape
-    diff = (pred - tape.constant(targets[:, None])) * tape.constant(mask[:, None])
-    return (diff * diff).sum_all() * (1.0 / labeled)
-
-
 def _mnist_model(config: ExperimentConfig, input_dim: int, rng: np.random.Generator) -> SetModel:
     """Digit-sum classifier over sets of flattened images, four variants.
 
@@ -568,7 +558,7 @@ def train_loop(
                 if classification:
                     loss = ad.softmax_cross_entropy(out, train_data.set_labels[idx])
                 else:
-                    loss = masked_mse(out, targets, mask)
+                    loss = ad.masked_mse(out, targets, mask)
                 grads = ad.backward(tape, loss)
                 tape.release()
                 opt.step(grads)

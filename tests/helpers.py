@@ -285,14 +285,80 @@ def exact_sum_distribution(label_frequencies: np.ndarray, n: int) -> np.ndarray:
     return dist
 
 
+def add(a, b):
+    """``a + b`` as an ``add`` node; ``b`` may be a node or a constant."""
+    b = a._coerce(b)
+    return a.tape._record("add", (a, b), fwd=np.add, vjps=(
+        lambda g, pv, out: ad._unbroadcast(g, pv[0].shape), lambda g, pv, out: ad._unbroadcast(g, pv[1].shape)))
+
+
+def sub(a, b):
+    """``a - b`` as a ``sub`` node; ``b`` may be a node or a constant."""
+    b = a._coerce(b)
+    return a.tape._record("sub", (a, b), fwd=np.subtract, vjps=(
+        lambda g, pv, out: ad._unbroadcast(g, pv[0].shape), lambda g, pv, out: ad._unbroadcast(-g, pv[1].shape)))
+
+
+def repeat(x, cards):
+    """Each set's row of node ``x`` once per member, [B, K] -> [M, K], as a
+    ``repeat`` node: the vjp of ``segment_sum`` and vice versa."""
+    if x.value.shape[0] != len(cards):
+        raise DimensionError(f"repeat: {x.value.shape[0]} rows for {len(cards)} sets")
+    bounds, size = ad._segments(cards, int(np.sum(cards)))
+    return x.tape._record("repeat", (x,), fwd=lambda a: np.repeat(a, cards, axis=0),
+                          vjps=(lambda g, pv, out: ad._per_set(np.add.reduce, g, bounds, size),))
+
+
+def sum_axis(x, axis):
+    """The sum of node ``x`` over ``axis``, kept with length 1, as a node."""
+    return x.tape._record("sum_axis", (x,), fwd=lambda a: np.sum(a, axis=axis, keepdims=True),
+                          vjps=(lambda g, pv, out: np.broadcast_to(g, pv[0].shape).copy(),))
+
+
+def pow_const(x, p):
+    """Node ``x`` to the constant power ``p``, as a node."""
+    return x.tape._record("pow_const", (x,), fwd=lambda a: np.power(a, p),
+                          vjps=(lambda g, pv, out: g * p * np.power(pv[0], p - 1.0),))
+
+
+def normalize_sets_chain(x, cards, eps):
+    """``autodiff.normalize_sets`` as the chain of generic nodes that
+    ``NormalizeSets`` recorded before it became one node: the oracle for that
+    node's values and gradients, bit for bit."""
+    tape, k = x.tape, x.value.shape[1]
+    inv_n = tape.constant(1.0 / cards.astype(np.float64)[:, None])
+    centered = sub(x, repeat(x.segment_sum(cards) * inv_n, cards))
+    var = sum_axis((centered * centered).segment_sum(cards), 1) * inv_n * (1.0 / k)  # [B, 1]
+    # widened to [B, K] before it goes to the members, so the gradient of
+    # the deviation adds each channel over the members, then the channels
+    inv_std = pow_const(add(var, eps), -0.5) * tape.constant(np.ones((1, k)))
+    return centered * repeat(inv_std, cards)
+
+
+def masked_mse_chain(pred, targets, mask):
+    """``autodiff.masked_mse`` as the chain of generic nodes it replaced: the
+    oracle for that node's value and gradient, bit for bit."""
+    tape = pred.tape
+    diff = sub(pred, tape.constant(targets[:, None])) * tape.constant(mask[:, None])
+    return (diff * diff).sum_all() * (1.0 / float(mask.sum()))
+
+
+def evaluate_whole(module, batch, **options):
+    """``layers.evaluate`` as one forward pass over the whole batch, however
+    many member rows it has: the oracle for the values of its pieces."""
+    tape = ad.Tape()
+    bound = {p.name: tape.constant(p.value) for p in module.params()}
+    return module.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, **options).value
+
+
 def composite_pre_activation(layer, x, cards, bound):
     """The pre-activation of an ``EquivariantLayer`` or a ``Dense`` layer
     built from the unfused nodes (``segment_max``, ``repeat``, ``sub``,
     ``matmul`` and ``add``), as the layers recorded it before each became one
     fused node. Oracle for the fused nodes' values and gradients."""
     if hasattr(layer, "w"):  # Dense
-        return x @ bound[layer.w.name] + bound[layer.b.name]
-    return (x - x.segment_max(cards).repeat(cards)) @ bound[layer.gam.name] + bound[layer.beta.name]
+        return add(x @ bound[layer.w.name], bound[layer.b.name])
+    return add(sub(x, repeat(x.segment_max(cards), cards)) @ bound[layer.gam.name], bound[layer.beta.name])
 
 
 def nonlinearity(x, fn):

@@ -183,6 +183,19 @@ def test_catalog_label_at_or_below_minus_one_is_refused_before_training(tmp_path
     assert not out.exists()
 
 
+def test_catalog_mask_other_than_0_or_1_is_refused_before_training(tmp_path, capsys):
+    catalog = tmp_path / "cat.csv"
+    catalog.write_text("cluster_id,f0,target,has_target\n" + "".join(
+        f"c{c},{c + m / 10},0.5,{0.3 if (c, m) == (0, 1) else 1}\n" for c in range(40) for m in range(6)))
+    out = tmp_path / "run"
+    settings = [f"data.catalog={catalog}", "data.feature_columns=f0", "data.label_column=target",
+                "data.mask_column=has_target", "data.cluster_id_column=cluster_id", "train.epochs=3"]
+    argv = ["train", "--experiment", "setregression", "--out", str(out), "--quiet"]
+    assert main(argv + [arg for kv in settings for arg in ("--set", kv)]) == 3
+    assert f"error (FormatError): {catalog}:3: mask must be 0 or 1, got '0.3'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_regression_without_a_labeled_training_member_is_refused(tmp_path, capsys):
     out = tmp_path / "run"
     settings = ["data.labeled_fraction=0", "train.epochs=2", "data.train_sets=8", "data.val_sets=4"]

@@ -527,6 +527,19 @@ class TestClusterCatalog:
         with pytest.raises(FormatError, match=re.escape(f"{path}: non-finite cell in row 3")):
             load_cluster_catalog(path, ["f0"], "target", "has_target", "cluster_id")
 
+    @pytest.mark.parametrize("mask", ["0.3", "-1", "2"])
+    def test_mask_other_than_0_or_1_is_refused(self, tmp_path, mask):
+        path = tmp_path / "m.csv"
+        path.write_text(f"id,f1,z,m\na,1,0.5,1\na,2,0.25,{mask}\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:3: mask must be 0 or 1, got '{mask}'")):
+            load_cluster_catalog(path, ["f1"], "z", "m", "id")
+
+    def test_mask_written_as_float_is_read(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("id,f1,z,m\na,1,0.5,1.0\na,2,0.25,0.0\n")
+        ds = load_cluster_catalog(path, ["f1"], "z", "m", "id")
+        assert ds.member_mask.tolist() == [True, False] and ds.member_labels.tolist() == [0.5, 0.0]
+
     def test_headerless_catalog_refused(self, tmp_path):
         # the first row is always the header, so a file without one names no column
         path = tmp_path / "idx.csv"

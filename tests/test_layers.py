@@ -40,8 +40,10 @@ from helpers import (
     batch_sets,
     composite_pre_activation,
     count_params,
+    evaluate_whole,
     gradient_check,
     nonlinearity,
+    normalize_sets_chain,
     peak_bytes,
     permute_members,
 )
@@ -646,6 +648,84 @@ class TestNormalize:
     def test_singleton_set_rejected(self):
         with pytest.raises(DegenerateSetError):
             evaluate(NormalizeSets(), SetBatch(np.ones((4, 2)), [3, 1]))
+
+    @PROPERTY
+    @given(packed_batches(max_size=12, max_channels=4), st.booleans(), st.booleans())
+    def test_one_node_with_the_bits_of_the_chain(self, case, equal_sizes, shifted):
+        batch, rng = case
+        if equal_sizes:
+            batch = SetBatch(rng.normal(size=(3 * batch.cardinalities[0], batch_channels(batch))),
+                             [batch.cardinalities[0]] * 3)
+        # far from 0, the centring cancels most of each value's bits
+        values = batch.values * 10.0 ** rng.integers(-6, 6, size=(len(batch.values), 1)) + shifted * 1e6
+        weights = rng.normal(size=values.shape)
+
+        def run(normalize):
+            tape = ad.Tape()
+            x = tape.variable(values, "x")
+            out = normalize(x, batch.cardinalities, NormalizeSets.eps)
+            return out.value, ad.backward(tape, (out * weights).sum_all())["x"], [n.op for n in tape.nodes]
+
+        node, chain = run(ad.normalize_sets), run(normalize_sets_chain)
+        assert np.array_equal(bits(node[0]), bits(chain[0]))
+        assert np.array_equal(bits(node[1]), bits(chain[1]))
+        assert node[2] == ["variable", "normalize_sets", "mul", "sum_all"]
+
+    @pytest.mark.parametrize("values", [[[1e200], [-1e200]], [[1.7e308], [1.7e308]]], ids=["squares", "sums"])
+    def test_an_overflow_is_refused_naming_the_node(self, values):
+        tape = ad.Tape()
+        with pytest.raises(NumericError, match=r"node#\d+\[normalize_sets\]: 1 non-finite"):
+            NormalizeSets().apply(tape, tape.variable(values, "x"), np.array([2]), {})
+
+
+class TestEvaluatePieces:
+    """``evaluate`` runs a batch of more than 2,048 member rows in pieces of
+    whole sets, in set order, and joins their outputs."""
+
+    class Spy:
+        """A module that passes its input through and records the
+        cardinalities and the input array of each forward."""
+
+        def __init__(self):
+            self.calls = []
+
+        def params(self):
+            return []
+
+        def apply(self, tape, x, cards, bound, rng=None):
+            self.calls.append((cards.tolist(), x.value))
+            return x
+
+    @pytest.mark.parametrize(
+        "cards, pieces",
+        [
+            ([1000, 1000, 100, 2048, 5, 3000, 10], [[1000, 1000], [100], [2048], [5], [3000], [10]]),
+            ([100] * 64, [[100] * 20] * 3 + [[100] * 4]),
+            ([2049], [[2049]]),
+            ([1024, 1024], [[1024, 1024]]),
+        ],
+        ids=["ragged", "pointcloud", "one-large-set", "at-the-cap"],
+    )
+    def test_pieces_end_at_set_boundaries(self, cards, pieces):
+        batch = SetBatch(np.arange(float(sum(cards)))[:, None], cards)
+        spy = self.Spy()
+        out = evaluate(spy, batch)
+        assert [c for c, _ in spy.calls] == pieces
+        assert all(np.shares_memory(x, batch.values) for _, x in spy.calls)  # views, not copies
+        assert np.array_equal(out, batch.values)
+
+    @pytest.mark.parametrize("experiment", ["pointcloud", "setregression"])
+    def test_a_model_gives_the_values_of_one_pass(self, experiment):
+        # to 1e-12, not to the bit: a product's row can get other bits in a
+        # product of another row count (the default models' are pinned to
+        # the bit in test_train.py)
+        rng = np.random.default_rng(3)
+        cards = rng.integers(300, 900, size=8)
+        batch = SetBatch(rng.normal(size=(cards.sum(), MODEL_CASES[experiment][1])), cards)
+        model = experiment_model(experiment, 0)
+        pieces, whole = evaluate(model, batch), evaluate_whole(model, batch)
+        assert pieces.shape == whole.shape
+        assert np.max(np.abs(pieces - whole)) <= 1e-12 * max(1.0, np.max(np.abs(whole)))
 
 
 def hex_payload(*values):

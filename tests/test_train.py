@@ -34,7 +34,6 @@ from setnet.train import (
     evaluate_classifier,
     evaluate_regressor,
     make_set_batch,
-    masked_mse,
     member_targets,
     parse_config_text,
     resolve_config,
@@ -45,7 +44,9 @@ from setnet.train import (
 
 from helpers import (
     count_params,
+    evaluate_whole,
     gradient_check,
+    peak_bytes,
     permute_members,
     save_cluster_catalog,
     sets_of,
@@ -274,7 +275,7 @@ class TestRegressionModel:
         crazy[mask == 0.0] = 1e6  # unlabeled targets must not matter
         def loss_value(t):
             tape = ad.Tape()
-            return float(masked_mse(training_output(model, tape, batch), t, mask).value)
+            return float(ad.masked_mse(training_output(model, tape, batch), t, mask).value)
         assert loss_value(targets) == loss_value(crazy)
 
     def test_loss_requires_labels(self):
@@ -285,7 +286,7 @@ class TestRegressionModel:
         targets, _ = member_targets(ds, range(1))
         tape = ad.Tape()
         with pytest.raises(ContractError):
-            masked_mse(training_output(model, tape, batch), targets, np.zeros_like(targets))
+            ad.masked_mse(training_output(model, tape, batch), targets, np.zeros_like(targets))
 
     def test_parameter_matched_baseline(self):
         ds = synth_clusters(2, (4, 4), np.random.default_rng(4))
@@ -299,7 +300,7 @@ class TestRegressionModel:
         model = model_for("setregression", ds, model_widths="5,1", model_dropout=0.4, seed=5)
         batch = make_set_batch(ds, range(2))
         targets, mask = member_targets(ds, range(2))
-        report = gradient_report(model, lambda out: masked_mse(out, targets, mask), batch, rng_seed=0)
+        report = gradient_report(model, lambda out: ad.masked_mse(out, targets, mask), batch, rng_seed=0)
         assert report.passed, report.failures[:3]
 
 
@@ -649,7 +650,7 @@ class TestNodeCounts:
     the graph of a step does not depend on how many sets there are, and its
     bytes depend on them only through the batch's cardinalities."""
 
-    SCANS = {"mnist_sum": 18, "pointcloud": 33, "setregression": 24}
+    SCANS = {"mnist_sum": 18, "pointcloud": 18, "setregression": 17}
 
     @pytest.mark.parametrize(
         "experiment, data, nodes, node_bytes",
@@ -657,7 +658,7 @@ class TestNodeCounts:
             ("mnist_sum", {"data.source_count": "200", "data.train_sets": "64", "data.val_sets": "8"}, 17,
              [1595624, 1595624]),
             ("pointcloud", {"data.train_sets": "32", "data.val_sets": "4"}, 17, [2578472, 2578472]),
-            ("setregression", {"data.train_sets": "32", "data.val_sets": "4"}, 20, [2964056, 3322264]),
+            ("setregression", {"data.train_sets": "32", "data.val_sets": "4"}, 16, [2953632, 3310448]),
         ],
         ids=["mnist_sum", "pointcloud", "setregression"],
     )
@@ -692,3 +693,66 @@ class TestNodeCounts:
         train_loop(model, config, train_data, val_data)
         assert counts == [(nodes, node_bytes[0]), (nodes, node_bytes[1])]
         assert step_scans[:2] == [self.SCANS[experiment]] * 2
+
+
+SMALL_DATA = {  # the default configs with fewer sets: a step's graph and a batch's arrays are the same
+    "mnist_sum": {"data.source_count": "200", "data.train_sets": "64", "data.val_sets": "8"},
+    "pointcloud": {"data.train_sets": "64", "data.val_sets": "4"},
+    "setregression": {"data.train_sets": "64", "data.val_sets": "4"},
+}
+
+
+def default_setup(experiment):
+    """(config, training data, model) of the experiment's default config, on fewer sets."""
+    config = ExperimentConfig({"experiment": experiment, **SMALL_DATA[experiment]})
+    train_data, _ = build_experiment_data(config)
+    return config, train_data, build_experiment_model(config, train_data)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_evaluate_in_pieces_gives_the_bits_of_one_pass(experiment):
+    # pointcloud's 6,400 rows run as 20 + 20 + 20 + 4 sets; the others fit in one piece
+    _, train_data, model = default_setup(experiment)
+    batch = make_set_batch(train_data, np.arange(64))
+    assert np.array_equal(evaluate(model, batch), evaluate_whole(model, batch))
+
+
+class TestTracedPeaks:
+    """The most memory ``tracemalloc`` traces above the start of one default
+    pointcloud training step, and of ``evaluate`` on one 64-set default
+    pointcloud batch: 100-point clouds through three 64-channel equivariant
+    layers. Each is taken on a second run, after numpy's first-call caches,
+    and held under a pin in bytes, as ``TestNodeCounts`` pins node bytes, with
+    no timing needed. A step's pin is less than one [1600, 64] float64 array
+    (819,200 bytes) above its measured 6.13 MB, so a step that holds one more
+    such array fails here."""
+
+    STEP_PIN = 6_291_456  # 6 MiB
+    EVAL_PIN = 4 * 2048 * 64 * 8  # four [2048, 64] float64 arrays: 4 MiB
+
+    def test_one_training_step(self):
+        config, train_data, model = default_setup("pointcloud")
+        opt = start_training(model, config, train_data).opt
+        idx = np.arange(config["train.batch_size"])
+        batch = make_set_batch(train_data, idx)
+        rng = np.random.default_rng(0)
+
+        def step():  # as train_loop makes it
+            tape = ad.Tape()
+            out = model.apply(tape, tape.constant(batch.values), batch.cardinalities, bind(tape, opt.params), rng)
+            grads = ad.backward(tape, ad.softmax_cross_entropy(out, train_data.set_labels[idx]))
+            tape.release()
+            opt.step(grads)
+
+        step()
+        _, peak = peak_bytes(step)
+        assert batch.values.shape == (1600, 3)
+        assert peak <= self.STEP_PIN
+
+    def test_evaluate_on_one_batch(self):
+        _, train_data, model = default_setup("pointcloud")
+        batch = make_set_batch(train_data, np.arange(64))
+        evaluate(model, batch)
+        _, peak = peak_bytes(evaluate, model, batch)
+        assert batch.values.shape == (6400, 3)
+        assert peak <= self.EVAL_PIN
