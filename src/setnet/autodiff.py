@@ -4,6 +4,22 @@ Execution is define-by-run: building a node computes its value eagerly, so
 node references only ever point backward. Every node gets a number, its
 creation order on the tape, which names it in ``NumericError`` messages.
 
+Every op is a function whose first argument is the tape it records on:
+
+- ``affine``: ``sigma(x W + b)``, a dense layer;
+- ``max_centred_affine``: ``sigma(beta + (x - 1 max(x)) Gamma)``, the
+  equivariant layer;
+- ``set_pool``: each set's sum, max or mean;
+- ``normalize_sets``, ``dropout`` and ``flatten``;
+- the losses, ``softmax_cross_entropy`` and ``masked_mse``, and
+  ``negated_channel_mean``, the objective of activation maximization.
+
+A node is a plain record that holds no reference to its tape, and no vjp
+captures the tape, so nothing points from a step's graph back to the tape
+that owns it: the tape keeps its recorded nodes until its caller drops it,
+and then the graph is freed by reference counting, without the cyclic
+collector.
+
 A tape records only the graph that gradients flow through. A node is
 recorded (keeps its parents and its ``vjps``, and is appended to
 ``tape.nodes``) when it is a variable or has a recorded parent; its
@@ -17,41 +33,30 @@ reverse creation order, and calls a parent's vjp only if that parent is
 recorded. It holds a gradient only until it is passed on: a node's gradient
 is dropped when its visit ends, and each vjp's result as soon as it is
 stored, so a visit holds its inputs and one result, not the last visit's
-too. Gradients are exact for every differentiable composite;
-``segment_max`` is given the single-argmax subgradient (lowest index on
-ties) and ``mean`` distributes 1/N, so training runs are deterministic.
-
-A recording tape and its nodes form a reference cycle (``Node.tape`` and
-``Tape.nodes``), which only the cyclic collector could free, and it runs on
-object counts, not bytes. So a training step calls ``Tape.release()`` once
-``backward`` has returned: the tape drops its recorded nodes, and the step's
-graph is freed by reference counting as soon as the step lets go of its
-output, loss and bound variables. ``backward`` refuses a released tape.
+too. Gradients are exact for every differentiable composite; a max is given
+the single-argmax subgradient (lowest index on ties) and a mean distributes
+1/N, so training runs are deterministic.
 
 Set batches store their members as stacked rows, one set after another; the
-segment ops (``segment_sum`` and ``segment_max``) reduce those member rows to
-one row per set. When all sets of a batch have one size, they work on the
-rows as one [sets, size, channels] block instead of set by set, with the
-same bits.
+set ops reduce those member rows to one row per set. When all sets of a
+batch have one size, they work on the rows as one [sets, size, channels]
+block instead of set by set, with the same bits.
 
-A layer is one fused node, whose forward works in one output buffer and
-whose vjps are written out by hand: ``affine`` (``sigma(x W + b)``),
-``max_centred_affine`` (``sigma(beta + (x - 1 max(x)) Gamma)``) and
-``normalize_sets``; so is the loss, ``softmax_cross_entropy`` or
-``masked_mse``. Each gives the value and the gradients, to the bit, of the
-chain of nodes it replaces (the test suite keeps that chain as its oracle),
-with one finiteness check: of the pre-activation, before ``sigma`` could map
-an infinity to a finite value, or of the variance for ``normalize_sets``.
-The sweep turns the node's gradient into the pre-activation's once per
-visit, for every parent's vjp; only elu keeps the pre-activation, which its
-derivative reads. ``max_centred_affine`` keeps its centred rows for Gamma's
-gradient, and finds the rows that won each max from them, as their first
-zero, rather than from another pass over its input.
+Each op is one node, whose vjps are written out by hand. Each gives the
+value and the gradients, to the bit, of the chain of generic nodes it
+replaced (the test suite keeps that chain as its oracle). A layer's forward
+works in one output buffer and checks its pre-activation, before ``sigma``
+could map an infinity to a finite value. The sweep turns the node's gradient
+into the pre-activation's once per visit, for every parent's vjp; only elu
+keeps the pre-activation, which its derivative reads.
+``max_centred_affine`` keeps its centred rows for Gamma's gradient, and
+finds the rows that won each max from them, as their first zero, rather
+than from another pass over its input.
 
-Every node value is checked for finiteness when it is made, except the values
-of ops that map finite inputs to finite outputs (``_FINITE_PRESERVING``),
-whose inputs have passed the check already, and of ``normalize_sets``, which
-checks its variance instead.
+Every node value is checked for finiteness once, when it is made, except
+three: a max pool and ``flatten`` only pick or move their input's values,
+which have passed the check already, and ``normalize_sets`` checks its
+variance instead, which bounds its output.
 """
 
 from __future__ import annotations
@@ -64,17 +69,6 @@ from . import tensor as T
 from .errors import ContractError, DimensionError, EmptyReductionError
 
 GradientMap = Dict[str, np.ndarray]
-
-
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    g = grad
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for i, s in enumerate(shape):
-        if s == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True)
-    return g
 
 
 def _segments(cards, rows: int) -> Tuple[np.ndarray, Optional[int]]:
@@ -125,34 +119,19 @@ def _per_member(op, rows: np.ndarray, per_set: np.ndarray, bounds: np.ndarray, s
     return op(rows, rep, out=rep if out is None and rep.shape == rows.shape else out)
 
 
-# Ops whose vjps capture nothing share one tuple rather than making closures
-# for every node they record.
-_MUL_VJPS = (
-    lambda g, pv, out: _unbroadcast(g * pv[1], pv[0].shape),
-    lambda g, pv, out: _unbroadcast(g * pv[0], pv[1].shape),
-)
-_NEG_VJPS = (lambda g, pv, out: -g,)
-_MATMUL_VJPS = (lambda g, pv, out: g @ pv[1].T, lambda g, pv, out: pv[0].T @ g)
-_RESHAPE_VJPS = (lambda g, pv, out: g.reshape(pv[0].shape),)
-_SUM_ALL_VJPS = (lambda g, pv, out: np.full(pv[0].shape, float(g)),)
 _AFFINE_VJPS = (  # x W + b, from the gradient of the pre-activation
     lambda g, pv, out: g @ pv[1].T,
     lambda g, pv, out: pv[0].T @ g,
-    lambda g, pv, out: _unbroadcast(g, pv[2].shape),
+    lambda g, pv, out: g.sum(axis=0),
 )
-
-# Ops whose value is finite whenever their parents' values are, so _record
-# does not check it again.
-_FINITE_PRESERVING = frozenset(("segment_max", "reshape", "transpose", "neg"))
 
 
 class Node:
-    """One value on a tape. Operators build new nodes on the same tape."""
+    """One value on a tape: a plain record, with no reference to its tape."""
 
-    __slots__ = ("tape", "index", "value", "parents", "op", "vjps", "name", "requires_grad", "activation")
+    __slots__ = ("index", "value", "parents", "op", "vjps", "name", "requires_grad", "activation")
 
-    def __init__(self, tape, index, value, parents, op, vjps, name, requires_grad, activation):
-        self.tape = tape
+    def __init__(self, index, value, parents, op, vjps, name, requires_grad, activation):
         self.index = index  # creation order on the tape
         self.value = value
         self.parents = parents
@@ -161,102 +140,6 @@ class Node:
         self.name = name
         self.requires_grad = requires_grad  # recorded: a variable lies behind this node
         self.activation = activation  # None, or (fn, the pre-activation if fn' reads it) fused in
-
-    def _coerce(self, other) -> "Node":
-        if isinstance(other, Node):
-            if other.tape is not self.tape:
-                raise ContractError("cannot mix nodes from different tapes")
-            return other
-        return self.tape.constant(other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-
-        def fwd(a, b):
-            try:
-                return np.multiply(a, b)
-            except ValueError as exc:
-                raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
-
-        return self.tape._record("mul", (self, other), fwd=fwd, vjps=_MUL_VJPS)
-
-    def __neg__(self):
-        return self.tape._record(
-            "neg", (self,),
-            fwd=lambda a: -a,
-            vjps=_NEG_VJPS,
-        )
-
-    def __matmul__(self, other):
-        other = self._coerce(other)
-        _rank2(self, other)
-        return self.tape._record(
-            "matmul", (self, other),
-            fwd=lambda a, b: T.matmul(a, b),
-            vjps=_MATMUL_VJPS,
-        )
-
-    def reshape(self, shape) -> "Node":
-        shape = tuple(shape)
-
-        def fwd(a):
-            try:
-                return a.reshape(shape)
-            except ValueError as exc:
-                raise DimensionError(f"cannot reshape {a.shape} to {shape}") from exc
-
-        return self.tape._record(
-            "reshape", (self,),
-            fwd=fwd,
-            vjps=_RESHAPE_VJPS,
-        )
-
-    def transpose(self, axes) -> "Node":
-        inverse = tuple(np.argsort(axes))
-        return self.tape._record(
-            "transpose", (self,),
-            fwd=lambda a: a.transpose(axes),
-            vjps=(lambda g, pv, out: g.transpose(inverse),),
-        )
-
-    def mean(self, axis: int) -> "Node":
-        """Mean over ``axis``, kept with length 1."""
-        return self.tape._record(
-            "mean_axis", (self,),
-            fwd=lambda a: np.mean(a, axis=axis, keepdims=True),
-            vjps=(lambda g, pv, out: np.broadcast_to(g / pv[0].shape[axis], pv[0].shape).copy(),),
-        )
-
-    def segment_sum(self, cards) -> "Node":
-        """Per-set sums of member rows, [M, K] -> [B, K]; with several channels
-        each set's members are added one after another, in row order."""
-        bounds, size = _segments(cards, self.value.shape[0])
-        return self.tape._record(
-            "segment_sum", (self,),
-            fwd=lambda a: _per_set(np.add.reduce, a, bounds, size),
-            vjps=(lambda g, pv, out: np.repeat(g, cards, axis=0),),
-        )
-
-    def segment_max(self, cards) -> "Node":
-        """Per-set maxima of member rows, [M, K] -> [B, K]; the subgradient goes
-        to the lowest-index member that attains the max."""
-        bounds, size = _segments(cards, self.value.shape[0])
-
-        def vjp(g, pv, out):
-            grad = np.zeros_like(pv[0])
-            np.put_along_axis(grad, _first_hits(pv[0], bounds, size), g, axis=0)
-            return grad
-
-        return self.tape._record(
-            "segment_max", (self,), fwd=lambda a: _per_set(np.maximum.reduce, a, bounds, size), vjps=(vjp,)
-        )
-
-    def sum_all(self) -> "Node":
-        return self.tape._record(
-            "sum_all", (self,),
-            fwd=lambda a: np.sum(a),
-            vjps=_SUM_ALL_VJPS,
-        )
 
 
 class Tape:
@@ -267,20 +150,13 @@ class Tape:
         self.variables: List[Node] = []
         self._created = 0  # nodes made so far, recorded or not
         self._var_names = set()
-        self.released = False
-
-    def release(self) -> None:
-        """Drop the recorded graph, so that nothing on the tape refers back to
-        its nodes. Call it after ``backward``; calling it twice is harmless."""
-        self.nodes, self.variables = [], []
-        self.released = True
 
     def _append(self, value, parents, op, vjps, name, is_variable, activation=None) -> Node:
         index = self._created
         self._created += 1
         if not (is_variable or any(p.requires_grad for p in parents)):
-            return Node(self, index, value, (), op, None, None, False, None)
-        node = Node(self, index, value, parents, op, vjps, name, True, activation)
+            return Node(index, value, (), op, None, None, False, None)
+        node = Node(index, value, parents, op, vjps, name, True, activation)
         self.nodes.append(node)
         return node
 
@@ -300,11 +176,12 @@ class Tape:
     def _record(self, op, parents, fwd, vjps, activation="identity", check=True) -> Node:
         """A node for ``activation`` of ``fwd`` of the parents' values. ``fwd`` is
         called once and makes a new array, checked before tanh overwrites it,
-        unless ``check`` is off because ``fwd`` checks an array that bounds it."""
+        unless ``check`` is off because ``fwd`` checks an array that bounds it
+        or only moves or picks its input's values."""
         pv = tuple(p.value for p in parents)
         with np.errstate(over="ignore", invalid="ignore"):  # the finite check below surfaces these
             value = np.asarray(fwd(*pv), dtype=np.float64)
-        if check and op not in _FINITE_PRESERVING:
+        if check:
             T.ensure_finite(value, f"node#{self._created}[{op}]")
         fused = None if activation == "identity" else (activation, value if activation == "elu" else None)
         if fused:  # tanh in place, with the bits of np.tanh(value)
@@ -312,43 +189,42 @@ class Tape:
         return self._append(value, parents, op, vjps, None, False, fused)
 
 
-def _require_graph(tape: Tape) -> None:
-    if tape.released:
-        raise ContractError("the tape was released; its recorded graph is gone")
-
-
-def _rank2(a: Node, b: Node) -> None:
-    """Check the shapes of the product ``a @ b`` before it is taken."""
+def _rank2(a: Node, b: Node, bias: Optional[Node] = None) -> None:
+    """Check the shapes of the product ``a @ b``, and of the ``bias`` added
+    to each of its rows (one entry per column, the shape its gradient, the
+    column sums, takes), before it is taken."""
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise DimensionError("matmul nodes must be rank-2; reshape first")
     if a.value.shape[1] != b.value.shape[0]:
         raise DimensionError(f"matmul inner dimensions differ: {a.value.shape} x {b.value.shape}")
+    if bias is not None and bias.value.shape != b.value.shape[1:]:
+        raise DimensionError(f"bias of shape {bias.value.shape} for {b.value.shape[1]} output channels")
 
 
-def affine(x: Node, w: Node, b: Node, activation: str) -> Node:
+def affine(tape: Tape, x: Node, w: Node, b: Node, activation: str) -> Node:
     """``activation(x W + b)`` as one node: the product, with the bias added in place."""
-    _rank2(x, w)
+    _rank2(x, w, b)
 
     def fwd(xv, wv, bv):
         out = T.matmul(xv, wv)
         out += bv
         return out
 
-    return x.tape._record("affine", (x, w, b), fwd=fwd, vjps=_AFFINE_VJPS, activation=activation)
+    return tape._record("affine", (x, w, b), fwd=fwd, vjps=_AFFINE_VJPS, activation=activation)
 
 
-def max_centred_affine(x: Node, gam: Node, beta: Node, cards, activation: str) -> Node:
+def max_centred_affine(tape: Tape, x: Node, gam: Node, beta: Node, cards, activation: str) -> Node:
     """``activation(beta + (x - 1 max(x)) Gamma)`` over the member rows of sets
     with ``cards`` members, as one node: [M, K] -> [M, K'].
 
     Given the pre-activation's gradient ``g``, the vjps are those of the
-    ``segment_max``, ``repeat``, ``sub``, ``matmul`` and ``add`` chain: Gamma
+    max pool, ``repeat``, ``sub``, ``matmul`` and ``add`` chain: Gamma
     gets ``d^T g`` for the centred rows ``d``, beta the column sums of ``g``,
     and x gets ``g Gamma^T`` with minus each set's column sums of it added at
     the rows that won the max (lowest index on ties), found as the first zero
     of each set's column of ``d``.
     """
-    _rank2(x, gam)
+    _rank2(x, gam, beta)
     bounds, size = _segments(cards, x.value.shape[0])
     d = None  # the centred rows, kept by the forward for the Gamma gradient
 
@@ -367,7 +243,7 @@ def max_centred_affine(x: Node, gam: Node, beta: Node, cards, activation: str) -
         _add_at_rows(gd, _first_hits(d == 0.0, bounds, size), np.negative(sums, out=sums))
         return gd
 
-    return x.tape._record(
+    return tape._record(
         "max_centred_affine", (x, gam, beta),
         fwd=centred_product,
         vjps=(x_vjp, lambda g, pv, out: d.T @ g, _AFFINE_VJPS[2]),
@@ -375,7 +251,32 @@ def max_centred_affine(x: Node, gam: Node, beta: Node, cards, activation: str) -
     )
 
 
-def normalize_sets(x: Node, cards, eps: float) -> Node:
+def set_pool(tape: Tape, x: Node, cards, kind: str) -> Node:
+    """Each set's sum, max or mean (``kind``) of its member rows, channel by
+    channel, as one node: [M, K] -> [B, K]. A sum adds each set's members one
+    after another, in row order, and a mean is that sum times 1/N. The max's
+    subgradient goes to the lowest-index member that attains it, and its
+    value, one of x's, is not scanned again."""
+    bounds, size = _segments(cards, x.value.shape[0])
+    if kind == "max":
+        def vjp(g, pv, out):
+            grad = np.zeros_like(pv[0])
+            np.put_along_axis(grad, _first_hits(pv[0], bounds, size), g, axis=0)
+            return grad
+
+        return tape._record("max_pool", (x,), fwd=lambda a: _per_set(np.maximum.reduce, a, bounds, size),
+                            vjps=(vjp,), check=False)
+    if kind == "sum":
+        return tape._record("sum_pool", (x,), fwd=lambda a: _per_set(np.add.reduce, a, bounds, size),
+                            vjps=(lambda g, pv, out: np.repeat(g, cards, axis=0),))
+    if kind != "mean":
+        raise DimensionError(f"unknown pool kind {kind!r}")
+    inv = 1.0 / np.asarray(cards, dtype=np.float64)[:, None]
+    return tape._record("mean_pool", (x,), fwd=lambda a: np.multiply(_per_set(np.add.reduce, a, bounds, size), inv),
+                        vjps=(lambda g, pv, out: np.repeat(g * inv, cards, axis=0),))
+
+
+def normalize_sets(tape: Tape, x: Node, cards, eps: float) -> Node:
     """Each member row of sets with ``cards`` members less its set's
     per-channel mean, divided by one deviation per set: the root of ``eps``
     plus the set's variance, the mean of its squared centred values over
@@ -394,7 +295,6 @@ def normalize_sets(x: Node, cards, eps: float) -> Node:
     k = x.value.shape[1]
     bounds, size = _segments(cards, x.value.shape[0])
     inv_n = 1.0 / np.asarray(cards, dtype=np.float64)[:, None]
-    tape = x.tape
     c = shifted = inv_std = None  # the centred rows, eps + variance and its power -0.5, kept for the vjp
 
     def fwd(xv):
@@ -421,16 +321,36 @@ def normalize_sets(x: Node, cards, eps: float) -> Node:
     return tape._record("normalize_sets", (x,), fwd=fwd, vjps=(vjp,), check=False)
 
 
-def dropout(x: Node, keep: np.ndarray, cards) -> Node:
+def dropout(tape: Tape, x: Node, keep: np.ndarray, cards) -> Node:
     """``x`` times the scaled keep mask ``keep``, as one node. ``keep`` has x's
     shape, or with ``cards`` one row per set, repeated to the members in the
     forward and again in the vjp. Only the product is checked: the mask is 0
     or ``1 / (1 - rate)``, and the product can overflow."""
     spread = (lambda k: k) if cards is None else (lambda k: np.repeat(k, cards, axis=0))
-    return x.tape._record("dropout", (x,), fwd=lambda a: a * spread(keep), vjps=(lambda g, pv, out: g * spread(keep),))
+    return tape._record("dropout", (x,), fwd=lambda a: a * spread(keep), vjps=(lambda g, pv, out: g * spread(keep),))
 
 
-def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
+def flatten(tape: Tape, x: Node, cards, interleave: bool) -> Node:
+    """Each set's member rows joined into one row, as one node: [B*N, K] ->
+    [B, N*K] for sets of N members each. The members follow each other, or
+    with ``interleave`` the row runs channel by channel across the members.
+    Its value only moves x's, so it is not scanned again."""
+    _, size = _segments(cards, x.value.shape[0])
+    if size is None:
+        raise DimensionError("Flatten needs sets of equal cardinality")
+    b, k = len(cards), x.value.shape[1]
+    if not interleave:
+        return tape._record("flatten", (x,), fwd=lambda a: a.reshape((b, -1)),
+                            vjps=(lambda g, pv, out: g.reshape(pv[0].shape),), check=False)
+    return tape._record(
+        "flatten", (x,),
+        fwd=lambda a: a.reshape((b, -1, k)).transpose((0, 2, 1)).reshape((b, -1)),
+        vjps=(lambda g, pv, out: g.reshape((b, k, -1)).transpose((0, 2, 1)).reshape(pv[0].shape),),
+        check=False,
+    )
+
+
+def softmax_cross_entropy(tape: Tape, logits: Node, labels: np.ndarray) -> Node:
     """Mean cross-entropy of row-wise softmax against integer labels.
 
     Fused and shift-stabilised (log-sum-exp with the row max subtracted), so
@@ -458,10 +378,10 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
         p[rows, labels] -= 1.0
         return g * p / labels.shape[0]
 
-    return logits.tape._record("softmax_ce", (logits,), fwd=fwd, vjps=(vjp,))
+    return tape._record("softmax_ce", (logits,), fwd=fwd, vjps=(vjp,))
 
 
-def masked_mse(pred: Node, targets: np.ndarray, mask: np.ndarray) -> Node:
+def masked_mse(tape: Tape, pred: Node, targets: np.ndarray, mask: np.ndarray) -> Node:
     """Mean squared error of [M, 1] member predictions against [M] targets,
     over the members whose ``mask`` (0 or 1) is 1, as one node. Value and
     gradient have the bits of the chain of generic nodes it replaces, which
@@ -489,7 +409,20 @@ def masked_mse(pred: Node, targets: np.ndarray, mask: np.ndarray) -> Node:
         d = masked_diff(p)
         return np.sum(d * d) * (1.0 / labeled)
 
-    return pred.tape._record("masked_mse", (pred,), fwd=fwd, vjps=(vjp,))
+    return tape._record("masked_mse", (pred,), fwd=fwd, vjps=(vjp,))
+
+
+def negated_channel_mean(tape: Tape, h: Node, unit: int) -> Node:
+    """Minus the mean of channel ``unit`` of ``h`` over its rows, as one node:
+    the objective that activation maximization minimises. Its gradient is
+    -1/N in that channel and zero elsewhere."""
+
+    def vjp(g, pv, out):
+        grad = np.zeros_like(pv[0])
+        grad[:, unit] = -g / pv[0].shape[0]
+        return grad
+
+    return tape._record("negated_channel_mean", (h,), fwd=lambda a: -np.mean(a[:, unit]), vjps=(vjp,))
 
 
 def backward(tape: Tape, root: Node) -> GradientMap:
@@ -501,9 +434,8 @@ def backward(tape: Tape, root: Node) -> GradientMap:
     them all at once before it changes anything. ``tape.nodes`` is left as
     it was.
     """
-    _require_graph(tape)
-    if root.tape is not tape:
-        raise ContractError("root does not belong to this tape")
+    if root.requires_grad and not any(node is root for node in reversed(tape.nodes)):
+        raise ContractError("the root is not recorded on this tape")
     if root.value.shape != ():
         raise ContractError(f"backward root must be scalar, got shape {root.value.shape}")
     grads: Dict[int, np.ndarray] = {root.index: np.asarray(1.0)}

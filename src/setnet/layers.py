@@ -12,17 +12,17 @@ representation.
 A batch is packed: the member rows of all its sets stacked one set after
 another, [M, K] with M the total number of members, plus each set's
 cardinality. Per-member maps are one [M, K] matrix product; an aggregate is a
-segment reduction to one row per set ([B, K]) and goes back to the members
-with ``repeat``. No row belongs to more than one set and there are no padding
-rows, so a set's outputs depend on its own members only. A ``SetBatch`` keeps
-the member array it is given; its values are scanned for finiteness once,
-where they enter a tape.
+reduction of each set's rows to one row per set ([B, K]), repeated back to
+the members where a layer needs it. No row belongs to more than one set and
+there are no padding rows, so a set's outputs depend on its own members
+only. A ``SetBatch`` keeps the member array it is given; its values are
+scanned for finiteness once, where they enter a tape.
 
-An ``EquivariantLayer`` or a ``Dense`` layer records itself, activation
-included (``sigma(beta + (x - 1 max(x)) Gamma)``, or ``sigma(x W + b)``), as
-one fused tape node, a ``NormalizeSets`` as one ``normalize_sets`` node, and
-a training ``Dropout`` as one ``dropout`` node; see ``autodiff`` for the fused
-nodes' gradients.
+Every layer records on the ``tape`` its ``apply`` is given, and each is one
+node there: an ``EquivariantLayer`` or a ``Dense`` layer, activation
+included (``sigma(beta + (x - 1 max(x)) Gamma)``, or ``sigma(x W + b)``), a
+``SetPool`` of any kind, a ``NormalizeSets``, a ``Flatten`` and a training
+``Dropout``; see ``autodiff`` for the nodes' gradients.
 
 Every layer has the same protocol: ``params()`` lists its named ``Param``
 objects (none for pooling, normalisation, flattening and dropout) and
@@ -151,7 +151,7 @@ class EquivariantLayer:
             raise DimensionError(
                 f"{self.name}: expected {self.k_in} input channels, got {x.value.shape[1]}"
             )
-        return ad.max_centred_affine(x, bound[self.gam.name], bound[self.beta.name], cards, self.activation)
+        return ad.max_centred_affine(tape, x, bound[self.gam.name], bound[self.beta.name], cards, self.activation)
 
 
 class Dense:
@@ -174,7 +174,7 @@ class Dense:
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if x.value.shape[-1] != self.k_in:
             raise DimensionError(f"{self.name}: expected {self.k_in} inputs, got {x.value.shape[-1]}")
-        return ad.affine(x, bound[self.w.name], bound[self.b.name], self.activation)
+        return ad.affine(tape, x, bound[self.w.name], bound[self.b.name], self.activation)
 
 
 class SetPool:
@@ -189,12 +189,7 @@ class SetPool:
         return []
 
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
-        if self.kind == "max":
-            return x.segment_max(cards)
-        pooled = x.segment_sum(cards)
-        if self.kind == "mean":
-            return pooled * tape.constant(1.0 / cards.astype(np.float64)[:, None])
-        return pooled
+        return ad.set_pool(tape, x, cards, self.kind)
 
 
 class Dropout:
@@ -228,7 +223,7 @@ class Dropout:
         keep = (draw >= self.rate).astype(np.float64) / (1.0 - self.rate)
         if per_member:
             keep = keep[np.arange(keep.shape[1]) < cards[:, None]]  # each set's first rows
-        return ad.dropout(x, keep, None if len(keep) == rows else cards)
+        return ad.dropout(tape, x, keep, None if len(keep) == rows else cards)
 
 
 class NormalizeSets:
@@ -249,7 +244,7 @@ class NormalizeSets:
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if np.any(cards < 2):
             raise DegenerateSetError("normalization needs sets of at least two members")
-        return ad.normalize_sets(x, cards, self.eps)
+        return ad.normalize_sets(tape, x, cards, self.eps)
 
 
 class Flatten:
@@ -268,12 +263,7 @@ class Flatten:
         return []
 
     def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
-        if np.any(cards != cards[0]):
-            raise DimensionError("Flatten needs sets of equal cardinality")
-        b, k = len(cards), x.value.shape[1]
-        if self.interleave:
-            return x.reshape((b, -1, k)).transpose((0, 2, 1)).reshape((b, -1))
-        return x.reshape((b, -1))
+        return ad.flatten(tape, x, cards, self.interleave)
 
 
 # The most member rows one forward pass of ``evaluate`` takes at once.

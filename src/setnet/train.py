@@ -385,7 +385,8 @@ def evaluate_classifier(model: SetModel, dataset: LabeledSetDataset) -> Tuple[fl
         batch = make_set_batch(dataset, idx)
         labels = dataset.set_labels[idx]
         logits = evaluate(model, batch)
-        total_loss += float(ad.softmax_cross_entropy(ad.Tape().constant(logits), labels).value) * len(idx)
+        tape = ad.Tape()
+        total_loss += float(ad.softmax_cross_entropy(tape, tape.constant(logits), labels).value) * len(idx)
         hits += int(np.sum(np.argmax(logits, axis=1) == labels))
     n = len(dataset)
     return total_loss / n, hits / n
@@ -556,11 +557,10 @@ def train_loop(
             try:
                 out = model.apply(tape, x, batch.cardinalities, bound, dropout_rng)
                 if classification:
-                    loss = ad.softmax_cross_entropy(out, train_data.set_labels[idx])
+                    loss = ad.softmax_cross_entropy(tape, out, train_data.set_labels[idx])
                 else:
-                    loss = ad.masked_mse(out, targets, mask)
+                    loss = ad.masked_mse(tape, out, targets, mask)
                 grads = ad.backward(tape, loss)
-                tape.release()
                 opt.step(grads)
             except NumericError as exc:
                 raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
@@ -720,25 +720,20 @@ def activation_maximization(
     width = model.layers[ends[layer_index] - 1].k_out
     if not 0 <= unit < width:
         raise ContractError(f"unit {unit} out of range for width {width}")
-    selector = np.zeros((width, 1))
-    selector[unit, 0] = 1.0
     coords = Param("input.points", rng.uniform(-1.0, 1.0, size=(m, 3)))
     cards = np.array([m])
 
-    def unit_mean(tape: ad.Tape, x: ad.Node) -> ad.Node:
+    def objective(tape: ad.Tape, x: ad.Node) -> ad.Node:
         bound = {p.name: tape.constant(p.value) for p in model.params()}
         h = model.apply(tape, x, cards, bound, upto=ends[layer_index])
-        return (h @ tape.constant(selector)).mean(axis=0).sum_all()
+        return ad.negated_channel_mean(tape, h, unit)
 
     opt = Optimizer("adamax", [coords], lr=0.01, beta1=0.1, beta2=0.9)
     for _ in range(iterations):
         tape = ad.Tape()
-        objective = unit_mean(tape, tape.variable(coords.value, coords.name))
-        grads = ad.backward(tape, -objective)
-        tape.release()
-        opt.step(grads)
+        opt.step(ad.backward(tape, objective(tape, tape.variable(coords.value, coords.name))))
     tape = ad.Tape()
-    final = float(unit_mean(tape, tape.constant(coords.value)).value)
+    final = -float(objective(tape, tape.constant(coords.value)).value)
     return ActMaxResult(
         points=coords.value.copy(),
         activation=final,

@@ -285,62 +285,123 @@ def exact_sum_distribution(label_frequencies: np.ndarray, n: int) -> np.ndarray:
     return dist
 
 
-def add(a, b):
-    """``a + b`` as an ``add`` node; ``b`` may be a node or a constant."""
-    b = a._coerce(b)
-    return a.tape._record("add", (a, b), fwd=np.add, vjps=(
-        lambda g, pv, out: ad._unbroadcast(g, pv[0].shape), lambda g, pv, out: ad._unbroadcast(g, pv[1].shape)))
+# Generic ops over ``Tape._record``, for the tests' oracles and scaffolding:
+# the chains of nodes that the fused ops of ``autodiff`` replaced, and small
+# forwards to differentiate. Like the program's ops, each takes the tape it
+# records on first; an operand that is not a node is recorded as a constant.
 
 
-def sub(a, b):
-    """``a - b`` as a ``sub`` node; ``b`` may be a node or a constant."""
-    b = a._coerce(b)
-    return a.tape._record("sub", (a, b), fwd=np.subtract, vjps=(
-        lambda g, pv, out: ad._unbroadcast(g, pv[0].shape), lambda g, pv, out: ad._unbroadcast(-g, pv[1].shape)))
+def _node(tape, v):
+    return v if isinstance(v, ad.Node) else tape.constant(v)
 
 
-def repeat(x, cards):
+def _unbroadcast(grad, shape):
+    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
+    g = grad
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for i, s in enumerate(shape):
+        if s == 1 and g.shape[i] != 1:
+            g = g.sum(axis=i, keepdims=True)
+    return g
+
+
+def add(tape, a, b):
+    """``a + b`` as an ``add`` node."""
+    return tape._record("add", (_node(tape, a), _node(tape, b)), fwd=np.add, vjps=(
+        lambda g, pv, out: _unbroadcast(g, pv[0].shape), lambda g, pv, out: _unbroadcast(g, pv[1].shape)))
+
+
+def sub(tape, a, b):
+    """``a - b`` as a ``sub`` node."""
+    return tape._record("sub", (_node(tape, a), _node(tape, b)), fwd=np.subtract, vjps=(
+        lambda g, pv, out: _unbroadcast(g, pv[0].shape), lambda g, pv, out: _unbroadcast(-g, pv[1].shape)))
+
+
+def mul(tape, a, b):
+    """``a * b`` as a ``mul`` node."""
+    return tape._record("mul", (_node(tape, a), _node(tape, b)), fwd=np.multiply, vjps=(
+        lambda g, pv, out: _unbroadcast(g * pv[1], pv[0].shape),
+        lambda g, pv, out: _unbroadcast(g * pv[0], pv[1].shape)))
+
+
+def matmul(tape, a, b):
+    """``a @ b`` of rank-2 nodes as a ``matmul`` node, its shapes checked as
+    the layers' products check theirs."""
+    a, b = _node(tape, a), _node(tape, b)
+    ad._rank2(a, b)
+    return tape._record("matmul", (a, b), fwd=T.matmul,
+                        vjps=(lambda g, pv, out: g @ pv[1].T, lambda g, pv, out: pv[0].T @ g))
+
+
+def neg(tape, x):
+    """``-x`` as a ``neg`` node."""
+    return tape._record("neg", (x,), fwd=np.negative, vjps=(lambda g, pv, out: -g,))
+
+
+def sum_all(tape, x):
+    """The sum of every entry of node ``x``, as a scalar node."""
+    return tape._record("sum_all", (x,), fwd=np.sum, vjps=(lambda g, pv, out: np.full(pv[0].shape, float(g)),))
+
+
+def mean_axis(tape, x, axis):
+    """The mean of node ``x`` over ``axis``, kept with length 1, as a node."""
+    return tape._record("mean_axis", (x,), fwd=lambda a: np.mean(a, axis=axis, keepdims=True),
+                        vjps=(lambda g, pv, out: np.broadcast_to(g / pv[0].shape[axis], pv[0].shape).copy(),))
+
+
+def repeat(tape, x, cards):
     """Each set's row of node ``x`` once per member, [B, K] -> [M, K], as a
-    ``repeat`` node: the vjp of ``segment_sum`` and vice versa."""
+    ``repeat`` node: the vjp of a sum pool and vice versa."""
     if x.value.shape[0] != len(cards):
         raise DimensionError(f"repeat: {x.value.shape[0]} rows for {len(cards)} sets")
     bounds, size = ad._segments(cards, int(np.sum(cards)))
-    return x.tape._record("repeat", (x,), fwd=lambda a: np.repeat(a, cards, axis=0),
-                          vjps=(lambda g, pv, out: ad._per_set(np.add.reduce, g, bounds, size),))
+    return tape._record("repeat", (x,), fwd=lambda a: np.repeat(a, cards, axis=0),
+                        vjps=(lambda g, pv, out: ad._per_set(np.add.reduce, g, bounds, size),))
 
 
-def sum_axis(x, axis):
+def sum_axis(tape, x, axis):
     """The sum of node ``x`` over ``axis``, kept with length 1, as a node."""
-    return x.tape._record("sum_axis", (x,), fwd=lambda a: np.sum(a, axis=axis, keepdims=True),
-                          vjps=(lambda g, pv, out: np.broadcast_to(g, pv[0].shape).copy(),))
+    return tape._record("sum_axis", (x,), fwd=lambda a: np.sum(a, axis=axis, keepdims=True),
+                        vjps=(lambda g, pv, out: np.broadcast_to(g, pv[0].shape).copy(),))
 
 
-def pow_const(x, p):
+def pow_const(tape, x, p):
     """Node ``x`` to the constant power ``p``, as a node."""
-    return x.tape._record("pow_const", (x,), fwd=lambda a: np.power(a, p),
-                          vjps=(lambda g, pv, out: g * p * np.power(pv[0], p - 1.0),))
+    return tape._record("pow_const", (x,), fwd=lambda a: np.power(a, p),
+                        vjps=(lambda g, pv, out: g * p * np.power(pv[0], p - 1.0),))
 
 
-def normalize_sets_chain(x, cards, eps):
+def normalize_sets_chain(tape, x, cards, eps):
     """``autodiff.normalize_sets`` as the chain of generic nodes that
     ``NormalizeSets`` recorded before it became one node: the oracle for that
     node's values and gradients, bit for bit."""
-    tape, k = x.tape, x.value.shape[1]
+    k = x.value.shape[1]
     inv_n = tape.constant(1.0 / cards.astype(np.float64)[:, None])
-    centered = sub(x, repeat(x.segment_sum(cards) * inv_n, cards))
-    var = sum_axis((centered * centered).segment_sum(cards), 1) * inv_n * (1.0 / k)  # [B, 1]
+    centered = sub(tape, x, repeat(tape, mul(tape, ad.set_pool(tape, x, cards, "sum"), inv_n), cards))
+    squares = ad.set_pool(tape, mul(tape, centered, centered), cards, "sum")
+    var = mul(tape, mul(tape, sum_axis(tape, squares, 1), inv_n), 1.0 / k)  # [B, 1]
     # widened to [B, K] before it goes to the members, so the gradient of
     # the deviation adds each channel over the members, then the channels
-    inv_std = pow_const(add(var, eps), -0.5) * tape.constant(np.ones((1, k)))
-    return centered * repeat(inv_std, cards)
+    inv_std = mul(tape, pow_const(tape, add(tape, var, eps), -0.5), np.ones((1, k)))
+    return mul(tape, centered, repeat(tape, inv_std, cards))
 
 
-def masked_mse_chain(pred, targets, mask):
+def masked_mse_chain(tape, pred, targets, mask):
     """``autodiff.masked_mse`` as the chain of generic nodes it replaced: the
     oracle for that node's value and gradient, bit for bit."""
-    tape = pred.tape
-    diff = sub(pred, tape.constant(targets[:, None])) * tape.constant(mask[:, None])
-    return (diff * diff).sum_all() * (1.0 / float(mask.sum()))
+    diff = mul(tape, sub(tape, pred, targets[:, None]), mask[:, None])
+    return mul(tape, sum_all(tape, mul(tape, diff, diff)), 1.0 / float(mask.sum()))
+
+
+def negated_channel_mean_chain(tape, h, unit):
+    """``autodiff.negated_channel_mean`` as the chain of generic nodes that
+    activation maximization recorded before it became one node, the product
+    with a one-hot column, a mean over the rows, a sum and a negation: the
+    oracle for that node's value and gradient."""
+    selector = np.zeros((h.value.shape[1], 1))
+    selector[unit, 0] = 1.0
+    return neg(tape, sum_all(tape, mean_axis(tape, matmul(tape, h, selector), 0)))
 
 
 def evaluate_whole(module, batch, **options):
@@ -351,17 +412,18 @@ def evaluate_whole(module, batch, **options):
     return module.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, **options).value
 
 
-def composite_pre_activation(layer, x, cards, bound):
+def composite_pre_activation(tape, layer, x, cards, bound):
     """The pre-activation of an ``EquivariantLayer`` or a ``Dense`` layer
-    built from the unfused nodes (``segment_max``, ``repeat``, ``sub``,
+    built from the unfused nodes (a max pool, ``repeat``, ``sub``,
     ``matmul`` and ``add``), as the layers recorded it before each became one
     fused node. Oracle for the fused nodes' values and gradients."""
     if hasattr(layer, "w"):  # Dense
-        return add(x @ bound[layer.w.name], bound[layer.b.name])
-    return add(sub(x, repeat(x.segment_max(cards), cards)) @ bound[layer.gam.name], bound[layer.beta.name])
+        return add(tape, matmul(tape, x, bound[layer.w.name]), bound[layer.b.name])
+    centred = sub(tape, x, repeat(tape, ad.set_pool(tape, x, cards, "max"), cards))
+    return add(tape, matmul(tape, centred, bound[layer.gam.name]), bound[layer.beta.name])
 
 
-def nonlinearity(x, fn):
+def nonlinearity(tape, x, fn):
     """``fn`` of node ``x`` as a node of its own, ``nl_<fn>``, as the layers
     recorded their activations before each was fused into the layer's node.
     Oracle, with ``composite_pre_activation``, for the fused nodes."""
@@ -373,7 +435,7 @@ def nonlinearity(x, fn):
         d *= g  # a new array, and d * g has the bits of g * d
         return d
 
-    return x.tape._record(f"nl_{fn}", (x,), fwd=lambda a: T.elementwise(a, fn), vjps=(vjp,))
+    return tape._record(f"nl_{fn}", (x,), fwd=lambda a: T.elementwise(a, fn), vjps=(vjp,))
 
 
 def elu_inputs(node):
@@ -426,11 +488,11 @@ def max_winners(node):
     """The member rows that won the per-set maxima inside a recorded node, as
     [sets, channels] row indices (the lowest index on ties); None for a node
     without a max. They are read off the node's vjp for its first parent x:
-    ``segment_max``'s, applied to ones, is one at the winning rows and zero
+    a max pool's, applied to ones, is one at the winning rows and zero
     elsewhere. ``max_centred_affine``'s is ``g Gamma^T`` less each set's column
     sums of it at the winning rows; with ``g`` ones and Gamma the identity that
     is ``1 - n`` there, for a set of n members, and 1 elsewhere."""
-    if node.op == "segment_max":
+    if node.op == "max_pool":
         x = node.parents[0].value
         won = node.vjps[0](np.ones(node.value.shape), (x,), node.value) != 0.0
     elif node.op == "max_centred_affine":

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,36 +12,38 @@ from setnet import tensor as T
 from setnet.errors import ContractError, DimensionError, EmptyReductionError, NumericError
 from setnet.layers import Dense, EquivariantLayer, SetBatch, SetPool, bind, evaluate
 
-from helpers import add, gradient_check, max_winners, pow_const, repeat, sub
+from helpers import add, gradient_check, max_winners, mul, pow_const, repeat, sub, sum_all
 
 
 class TestForward:
     def test_scale_by_two(self):
+        # dropout at rate 0.5 scales what it keeps by two
         tape = ad.Tape()
-        x = tape.variable(np.array(3.0), "x")
-        y = x * 2.0
-        assert y.value == 6.0
+        x = tape.variable(np.array([[3.0, 1.0]]), "x")
+        y = ad.dropout(tape, x, np.array([[2.0, 0.0]]), None)
+        assert np.array_equal(y.value, [[6.0, 0.0]])
 
     def test_max_of_vector(self):
         tape = ad.Tape()
         x = tape.variable(np.array([1.0, 5.0, 2.0]), "x")
-        assert np.array_equal(x.segment_max([3]).value, [5.0])
+        assert np.array_equal(ad.set_pool(tape, x, [3], "max").value, [5.0])
 
     def test_max_normalized_identity_layer(self):
         # one channel, weight 1, no bias: y = x - max(x), per set
         tape = ad.Tape()
         x = tape.variable(np.array([[1.0], [2.0], [7.0]]), "x")
-        y = sub(x, repeat(x.segment_max([2, 1]), [2, 1]))
+        y = ad.max_centred_affine(tape, x, tape.constant(np.eye(1)), tape.constant(np.zeros(1)), [2, 1], "identity")
         assert np.array_equal(y.value, [[-1.0], [0.0], [0.0]])
 
     def test_tape_records_only_the_gradient_graph(self):
         tape = ad.Tape()
         x = tape.constant(np.arange(6.0).reshape(3, 2))
-        c = (sub(x * 2.0, 1.0).segment_max([2, 1]) * x.segment_sum([2, 1])).sum_all()
+        top = ad.set_pool(tape, sub(tape, mul(tape, x, 2.0), 1.0), [2, 1], "max")
+        c = sum_all(tape, mul(tape, top, ad.set_pool(tape, x, [2, 1], "sum")))
         assert c.value == 3.0 * 2.0 + 5.0 * 4.0 + 7.0 * 4.0 + 9.0 * 5.0
         assert tape.nodes == [] and c.parents == () and c.vjps is None and not c.requires_grad
         w = tape.variable(np.array([2.0, 3.0]), "w")
-        y = (w * c).sum_all()
+        y = sum_all(tape, mul(tape, w, c))
         assert tape.nodes == [w, y.parents[0], y] and y.parents[0].parents == (w, c)
         assert all(n.op == "variable" or any(p.requires_grad for p in n.parents) for n in tape.nodes)
         assert ad.backward(tape, y)["w"].tolist() == [c.value, c.value]
@@ -53,8 +57,8 @@ class TestForward:
 
             def apply(self, tape, x, cards, bound, rng=None):
                 for _ in range(2):
-                    with pytest.raises(NumericError, match=r"node#\d+\[mul\]") as info:
-                        x * 1e308 * 1e308
+                    with pytest.raises(NumericError, match=r"node#\d+\[affine\]") as info:
+                        ad.affine(tape, x, tape.constant([[1e308]]), tape.constant([1e308]), "identity")
                     messages.append(str(info.value))
                 return x
 
@@ -63,37 +67,82 @@ class TestForward:
 
     def test_nonfinite_names_node(self):
         tape = ad.Tape()
-        x = tape.variable(np.array([1e308]), "x")
-        with pytest.raises(NumericError, match=r"node#\d+\[mul\]"):
-            _ = x * x
+        x = tape.variable(np.array([[1e308], [1e308]]), "x")
+        with pytest.raises(NumericError, match=r"node#1\[sum_pool\]: 1 non-finite"):
+            ad.set_pool(tape, x, [2], "sum")
         w = tape.variable(np.array([[1e200]]), "w")
-        with pytest.raises(NumericError, match=r"node#\d+\[matmul\]: 1 non-finite"):
-            _ = w @ w
+        with pytest.raises(NumericError, match=r"node#3\[affine\]: 1 non-finite"):
+            ad.affine(tape, w, w, tape.constant(np.zeros(1)), "identity")
 
     def test_products_check_the_inner_dimension(self):
         tape = ad.Tape()
         x, w, b = tape.variable(np.ones((4, 3)), "x"), tape.variable(np.ones((2, 5)), "w"), tape.variable(np.ones(5), "b")
-        for product in (lambda: x @ w, lambda: ad.affine(x, w, b, "tanh"),
-                        lambda: ad.max_centred_affine(x, w, b, [2, 2], "tanh")):
+        for product in (lambda: ad.affine(tape, x, w, b, "tanh"),
+                        lambda: ad.max_centred_affine(tape, x, w, b, [2, 2], "tanh")):
             with pytest.raises(DimensionError, match=r"matmul inner dimensions differ: \(4, 3\) x \(2, 5\)"):
                 product()
         assert tape.nodes == [x, w, b]  # nothing recorded
 
+    @pytest.mark.parametrize("bias_shape", [(4,), (1,), (1, 5)])
+    def test_a_bias_has_one_entry_per_output_channel(self, bias_shape):
+        # a bias that broadcasts over the columns would get a gradient of another shape
+        tape = ad.Tape()
+        x, w = tape.variable(np.ones((4, 2)), "x"), tape.variable(np.ones((2, 5)), "w")
+        b = tape.variable(np.ones(bias_shape), "b")
+        for product in (lambda: ad.affine(tape, x, w, b, "tanh"),
+                        lambda: ad.max_centred_affine(tape, x, w, b, [2, 2], "tanh")):
+            with pytest.raises(DimensionError, match=r"bias of shape .* for 5 output channels"):
+                product()
+        assert tape.nodes == [x, w, b]
 
-# Each op _record does not check: (the op on a [4, 2] node, the array
-# function behind it on that node's value).
+
+# Each op that makes no finiteness check: (its op name, the op on a [4, 2]
+# node of sets of 2 and 2 members or 3 and 1, the array function behind it on
+# that node's value).
 FINITE_PRESERVING_OPS = {
-    "segment_max": (lambda x: x.segment_max([3, 1]), lambda a: np.stack([a[:3].max(axis=0), a[3:].max(axis=0)])),
-    "reshape": (lambda x: x.reshape((2, 4)), lambda a: a.reshape((2, 4))),
-    "transpose": (lambda x: x.transpose((1, 0)), lambda a: a.transpose((1, 0))),
-    "neg": (lambda x: -x, np.negative),
+    "max_pool": ("max_pool", lambda tape, x: ad.set_pool(tape, x, [3, 1], "max"),
+                 lambda a: np.stack([a[:3].max(axis=0), a[3:].max(axis=0)])),
+    "flatten": ("flatten", lambda tape, x: ad.flatten(tape, x, [2, 2], False), lambda a: a.reshape((2, 4))),
+    "flatten_interleaved": ("flatten", lambda tape, x: ad.flatten(tape, x, [2, 2], True),
+                            lambda a: a.reshape((2, 2, 2)).transpose((0, 2, 1)).reshape((2, 4))),
+}
+# Every other op, on the same node.
+CHECKED_OPS = {
+    "affine": lambda tape, x: ad.affine(tape, x, tape.constant(np.ones((2, 3))), tape.constant(np.zeros(3)), "tanh"),
+    "max_centred_affine": lambda tape, x: ad.max_centred_affine(
+        tape, x, tape.constant(np.ones((2, 3))), tape.constant(np.zeros(3)), [3, 1], "tanh"),
+    "sum_pool": lambda tape, x: ad.set_pool(tape, x, [3, 1], "sum"),
+    "mean_pool": lambda tape, x: ad.set_pool(tape, x, [3, 1], "mean"),
+    "normalize_sets": lambda tape, x: ad.normalize_sets(tape, x, [2, 2], 1e-8),
+    "dropout": lambda tape, x: ad.dropout(tape, x, np.full((4, 2), 2.0), None),
+    "softmax_ce": lambda tape, x: ad.softmax_cross_entropy(tape, x, np.array([0, 1, 1, 0])),
+    "masked_mse": lambda tape, x: ad.masked_mse(
+        tape, ad.affine(tape, x, tape.constant(np.ones((2, 1))), tape.constant(np.zeros(1)), "identity"),
+        np.zeros(4), np.ones(4)),
+    "negated_channel_mean": lambda tape, x: ad.negated_channel_mean(tape, x, 1),
 }
 FINITE_EDGES = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0]
 
 
 class TestFiniteChecks:
-    def test_exactly_these_ops_skip_the_check(self):
-        assert ad._FINITE_PRESERVING == set(FINITE_PRESERVING_OPS)
+    def test_exactly_these_ops_skip_the_check(self, monkeypatch):
+        scanned, real = [], T.ensure_finite
+
+        def ensure_finite(arr, where):
+            scanned.append(where)
+            return real(arr, where)
+
+        monkeypatch.setattr(T, "ensure_finite", ensure_finite)
+        unchecked = set()
+        builds = {**{case: build for case, (_, build, _) in FINITE_PRESERVING_OPS.items()}, **CHECKED_OPS}
+        for case, build in builds.items():
+            tape = ad.Tape()
+            x = tape.variable(np.random.default_rng(0).normal(size=(4, 2)), "x")
+            scanned.clear()
+            node = build(tape, x)
+            if not any(where.endswith(f"[{node.op}]") for where in scanned):
+                unchecked.add(case)
+        assert unchecked == set(FINITE_PRESERVING_OPS)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -104,9 +153,9 @@ class TestFiniteChecks:
     def test_unchecked_ops_map_finite_inputs_to_finite_outputs(self, op, entries):
         tape = ad.Tape()
         x = tape.variable(np.array(entries).reshape(4, 2), "x")
-        build, array_fn = FINITE_PRESERVING_OPS[op]
-        node = build(x)
-        assert node.op == op and node.requires_grad
+        name, build, array_fn = FINITE_PRESERVING_OPS[op]
+        node = build(tape, x)
+        assert node.op == name and node.requires_grad
         # underflow is left to its default: a value rounded towards zero is finite
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             value = array_fn(x.value)
@@ -118,31 +167,31 @@ class TestFiniteChecks:
         x = tape.variable(np.array([[-1.7e308], [1.7e308]]), "x")  # x - max(x) overflows
         w, b = tape.variable(np.ones((1, 1)), "w"), tape.variable(np.zeros(1), "b")
         with pytest.raises(NumericError, match=r"node#\d+\[max_centred_affine\]"):
-            ad.max_centred_affine(x, w, b, [2], "identity")
+            ad.max_centred_affine(tape, x, w, b, [2], "identity")
         with pytest.raises(NumericError, match=r"node#\d+\[affine\]: 1 non-finite"):
-            ad.affine(tape.constant([[1e200]]), tape.constant([[1e200]]), b, "identity")
+            ad.affine(tape, tape.constant([[1e200]]), tape.constant([[1e200]]), b, "identity")
 
 
 class TestBackward:
     def test_square(self):
         tape = ad.Tape()
         x = tape.variable(np.array(3.0), "x")
-        grads = ad.backward(tape, x * x)
+        grads = ad.backward(tape, mul(tape, x, x))
         assert grads["x"] == pytest.approx(6.0)
 
     def test_max_subgradient_routing(self):
         # gradient of sum(max over the set's members) hits one argmax row per channel
         tape = ad.Tape()
         x = tape.variable(np.array([[1.0, 9.0], [5.0, 2.0], [5.0, 2.0]]), "x")
-        loss = x.segment_max([3]).sum_all()
+        loss = sum_all(tape, ad.set_pool(tape, x, [3], "max"))
         grads = ad.backward(tape, loss)
         assert np.array_equal(grads["x"], [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
 
     def test_mean_distributes(self):
         tape = ad.Tape()
-        x = tape.variable(np.arange(4.0), "x")
-        grads = ad.backward(tape, x.mean(axis=0).sum_all())
-        assert np.allclose(grads["x"], 0.25)
+        x = tape.variable(np.arange(4.0)[:, None], "x")
+        grads = ad.backward(tape, sum_all(tape, ad.set_pool(tape, x, [4], "mean")))
+        assert np.array_equal(grads["x"], np.full((4, 1), 0.25))
 
     def test_matmul_and_broadcast_bias(self):
         rng = np.random.default_rng(0)
@@ -150,22 +199,22 @@ class TestBackward:
         tape = ad.Tape()
         w = tape.variable(rng.normal(size=(4, 2)), "w")
         b = tape.variable(np.zeros(2), "b")
-        y = add(tape.constant(a) @ w, b)
-        grads = ad.backward(tape, y.sum_all())
+        y = ad.affine(tape, tape.constant(a), w, b, "identity")
+        grads = ad.backward(tape, sum_all(tape, y))
         assert np.allclose(grads["w"], a.T @ np.ones((3, 2)))
         assert np.allclose(grads["b"], [3.0, 3.0])
 
     def test_non_scalar_root_rejected(self):
         tape = ad.Tape()
         x = tape.variable(np.ones(3), "x")
-        with pytest.raises(ContractError):
-            ad.backward(tape, x * 2.0)
+        with pytest.raises(ContractError, match="must be scalar"):
+            ad.backward(tape, x)
 
     def test_unused_variable_gets_zero_gradient(self):
         tape = ad.Tape()
         x = tape.variable(np.array(1.0), "x")
         z = tape.variable(np.ones(4), "z")
-        grads = ad.backward(tape, x * x)
+        grads = ad.backward(tape, mul(tape, x, x))
         assert np.array_equal(grads["z"], np.zeros(4))
 
     def test_constant_subgraph_vjps_never_run(self):
@@ -174,14 +223,14 @@ class TestBackward:
 
         tape = ad.Tape()
         x = tape.constant(np.array([[1.0, 4.0], [3.0, 2.0], [5.0, 0.0]]))
-        scaled = x * 2.0
-        top = scaled.segment_max([2, 1])
-        spread = repeat(top, [2, 1])
-        centred = sub(scaled, spread)
+        scaled = mul(tape, x, 2.0)
+        top = ad.set_pool(tape, scaled, [2, 1], "max")
+        spread = repeat(tape, top, [2, 1])
+        centred = sub(tape, scaled, spread)
         for node in (scaled, top, spread, centred):
             node.vjps = tuple(spy for _ in node.parents)
         w = tape.variable(np.array([[1.0], [-1.0]]), "w")
-        grads = ad.backward(tape, (centred @ w).sum_all())
+        grads = ad.backward(tape, sum_all(tape, ad.affine(tape, centred, w, tape.constant(np.zeros(1)), "identity")))
         assert np.array_equal(grads["w"], centred.value.T @ np.ones((3, 1)))
         assert not any(node.requires_grad for node in (x, scaled, top, spread, centred))
 
@@ -191,7 +240,7 @@ class TestBackward:
         values = [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]
         tape = ad.Tape()
         a, b = (tape.variable(v, f"v{i}") if i in variable_sides else tape.constant(v) for i, v in enumerate(values))
-        y = a @ b
+        y = ad.affine(tape, a, b, tape.constant(np.zeros(2)), "identity")
         formed = []
 
         def counted(side, vjp):
@@ -201,7 +250,7 @@ class TestBackward:
             return wrapper
 
         y.vjps = tuple(counted(side, vjp) for side, vjp in enumerate(y.vjps))
-        grads = ad.backward(tape, y.sum_all())
+        grads = ad.backward(tape, sum_all(tape, y))
         assert tuple(formed) == variable_sides
         if 0 in variable_sides:
             assert np.array_equal(grads["v0"], np.ones((3, 2)) @ values[1].T)
@@ -211,9 +260,9 @@ class TestBackward:
     def test_root_without_variable_gets_zero_gradients(self):
         def build(tape, variables):
             x = variables["x"]
-            (x * x).sum_all()
+            sum_all(tape, mul(tape, x, x))
             c = tape.constant(np.array(3.0))
-            return c * c
+            return mul(tape, c, c)
 
         tape = ad.Tape()
         root = build(tape, {"x": tape.variable(np.array([1.0, 2.0]), "x")})
@@ -235,7 +284,7 @@ class TestBackward:
             h = tape.constant(x_val)
             for layer in layers:
                 h = layer.apply(tape, h, None, bound)
-            return ad.softmax_cross_entropy(h, labels)
+            return ad.softmax_cross_entropy(tape, h, labels)
 
         report = gradient_check(build, {p.name: p.value for l in layers for p in l.params()}, step=1e-5, tolerance=1e-4)
         assert report.passed, report.failures[:3]
@@ -249,7 +298,7 @@ class TestSegmentOps:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(8, 5)) * 10.0 ** rng.integers(-8, 8, size=(8, 5))
         tape = ad.Tape()
-        got = tape.constant(x).segment_sum(self.CARDS).value
+        got = ad.set_pool(tape, tape.constant(x), self.CARDS, "sum").value
         want = np.zeros((3, 5))
         for row, s in zip(x, np.repeat(np.arange(3), self.CARDS)):
             want[s] = want[s] + row  # one member after another
@@ -261,10 +310,11 @@ class TestSegmentOps:
         tape = ad.Tape()
         y = tape.variable(per_set, "y")
         x = tape.variable(per_member, "x")
-        loss = add((repeat(y, self.CARDS) * per_member).sum_all(), (x.segment_sum(self.CARDS) * per_set).sum_all())
+        loss = add(tape, sum_all(tape, mul(tape, repeat(tape, y, self.CARDS), per_member)),
+                   sum_all(tape, mul(tape, ad.set_pool(tape, x, self.CARDS, "sum"), per_set)))
         grads = ad.backward(tape, loss)
-        assert np.array_equal(grads["y"], tape.constant(per_member).segment_sum(self.CARDS).value)
-        assert np.array_equal(grads["x"], repeat(tape.constant(per_set), self.CARDS).value)
+        assert np.array_equal(grads["y"], ad.set_pool(tape, tape.constant(per_member), self.CARDS, "sum").value)
+        assert np.array_equal(grads["x"], repeat(tape, tape.constant(per_set), self.CARDS).value)
 
     def test_segment_max_routes_to_first_hit_in_each_set(self):
         x_val = np.array([[2.0, 0.0], [2.0, 1.0], [1.0, 1.0],  # set 0: ties in channel 0
@@ -272,12 +322,12 @@ class TestSegmentOps:
                           [0.0, 5.0], [4.0, 5.0], [4.0, 1.0], [0.0, 0.0]])  # set 2: ties in both channels
         tape = ad.Tape()
         x = tape.variable(x_val, "x")
-        top = x.segment_max(self.CARDS)
+        top = ad.set_pool(tape, x, self.CARDS, "max")
         assert np.array_equal(top.value, [[2.0, 1.0], [-3.0, -3.0], [4.0, 5.0]])
         want = np.zeros((8, 2))
         want[[0, 3, 5], 0] = 1.0
         want[[1, 3, 4], 1] = 1.0
-        assert np.array_equal(ad.backward(tape, top.sum_all())["x"], want)
+        assert np.array_equal(ad.backward(tape, sum_all(tape, top))["x"], want)
         assert np.array_equal(max_winners(top), [[0, 1], [3, 3], [5, 4]])
 
     def test_segment_ops_pass_gradient_check(self):
@@ -286,8 +336,8 @@ class TestSegmentOps:
 
         def build(tape, variables):
             x = variables["x"]
-            y = x.segment_max(self.CARDS) * x.segment_sum(self.CARDS)
-            return (sub(x, repeat(y, self.CARDS)) * weights).sum_all()
+            y = mul(tape, ad.set_pool(tape, x, self.CARDS, "max"), ad.set_pool(tape, x, self.CARDS, "sum"))
+            return sum_all(tape, mul(tape, sub(tape, x, repeat(tape, y, self.CARDS)), weights))
 
         report = gradient_check(build, {"x": x_val})
         assert report.passed and report.entries_checked == 24
@@ -312,11 +362,11 @@ class TestSegmentOps:
             start += n
         tape = ad.Tape()
         x = tape.variable(x_val, "x")
-        top = x.segment_max(cards)
+        top = ad.set_pool(tape, x, cards, "max")
         assert np.array_equal(max_winners(top), want)
         routed = np.zeros((m, k))
         routed[want, np.arange(k)] = 1.0
-        assert np.array_equal(ad.backward(tape, top.sum_all())["x"], routed)
+        assert np.array_equal(ad.backward(tape, sum_all(tape, top))["x"], routed)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 200), sets=st.integers(1, 6), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -337,10 +387,11 @@ class TestSegmentOps:
         tape = ad.Tape()
         x = tape.variable(x_val, "x")
         y = tape.variable(rng.normal(size=(sets, k)), "y")
-        total = x.segment_sum(cards)
-        top = x.segment_max(cards)
-        spread = repeat(y, cards)
-        grads = ad.backward(tape, add(add(total.sum_all(), top.sum_all()), (spread * weights).sum_all()))
+        total = ad.set_pool(tape, x, cards, "sum")
+        top = ad.set_pool(tape, x, cards, "max")
+        spread = repeat(tape, y, cards)
+        loss = add(tape, add(tape, sum_all(tape, total), sum_all(tape, top)), sum_all(tape, mul(tape, spread, weights)))
+        grads = ad.backward(tape, loss)
         assert total.value.tobytes() == per_set(lambda b: np.add.reduce(b, axis=0), x_val).tobytes()
         assert top.value.tobytes() == per_set(lambda b: np.maximum.reduce(b, axis=0), x_val).tobytes()
         assert np.array_equal(max_winners(top), per_set(lambda b: np.argmax(b, axis=0), x_val) + starts[:, None])
@@ -350,11 +401,11 @@ class TestSegmentOps:
         tape = ad.Tape()
         x = tape.constant(np.ones((5, 2)))
         with pytest.raises(DimensionError):
-            x.segment_sum([2, 2])
+            ad.set_pool(tape, x, [2, 2], "sum")
         with pytest.raises(DimensionError):
-            x.segment_max([4, 2])
+            ad.set_pool(tape, x, [4, 2], "max")
         with pytest.raises(EmptyReductionError):
-            x.segment_sum([5, 0])
+            ad.set_pool(tape, x, [5, 0], "mean")
 
 
 class TestSoftmaxCrossEntropy:
@@ -362,7 +413,7 @@ class TestSoftmaxCrossEntropy:
         logits = np.array([[2.0, 1.0, 0.1], [0.0, 0.0, 0.0]])
         labels = np.array([0, 2])
         tape = ad.Tape()
-        node = ad.softmax_cross_entropy(tape.variable(logits, "z"), labels)
+        node = ad.softmax_cross_entropy(tape, tape.variable(logits, "z"), labels)
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         want = -np.mean(np.log(probs[np.arange(2), labels]))
         assert float(node.value) == pytest.approx(want, rel=1e-12)
@@ -374,46 +425,80 @@ class TestSoftmaxCrossEntropy:
     def test_large_logits_stable(self):
         tape = ad.Tape()
         node = ad.softmax_cross_entropy(
-            tape.variable(np.array([[1000.0, 0.0]]), "z"), np.array([0])
+            tape, tape.variable(np.array([[1000.0, 0.0]]), "z"), np.array([0])
         )
         assert float(node.value) == pytest.approx(0.0, abs=1e-12)
 
 
-class TestRelease:
+class TestTapeLifetime:
+    """A node holds no reference to its tape, so a step's graph is freed by
+    reference counting once its caller drops the tape, the root and the
+    gradients; the collector is not needed."""
+
     def _step(self):
         tape = ad.Tape()
         x = tape.variable(np.array([[1.0, 4.0], [3.0, 2.0]]), "x")
-        return tape, (x.segment_max([2]) * x.segment_sum([2])).sum_all()
+        return tape, sum_all(tape, mul(tape, ad.set_pool(tape, x, [2], "max"), ad.set_pool(tape, x, [2], "sum")))
+
+    @staticmethod
+    def _every_op_step():
+        """A tape and a scalar root that runs every op of ``autodiff`` once or more."""
+        tape = ad.Tape()
+        cards = [2, 2]
+        x = tape.variable(np.array([[1.0, 4.0], [3.0, 2.0], [0.5, -1.0], [2.0, 2.5]]), "x")
+        w = tape.variable(np.full((2, 3), 0.5), "w")
+        h = ad.max_centred_affine(tape, ad.normalize_sets(tape, x, cards, 1e-8), w, tape.constant(np.zeros(3)),
+                                  cards, "elu")
+        flat = ad.dropout(tape, ad.flatten(tape, h, cards, True), np.full((2, 6), 2.0), None)
+        logits = ad.affine(tape, flat, tape.constant(np.ones((6, 2))), tape.constant(np.zeros(2)), "tanh")
+        pred = ad.affine(tape, ad.set_pool(tape, h, cards, "mean"), tape.constant(np.ones((3, 1))),
+                         tape.constant(np.zeros(1)), "identity")
+        pools = mul(tape, ad.set_pool(tape, h, cards, "sum"), ad.set_pool(tape, h, cards, "max"))
+        losses = [ad.softmax_cross_entropy(tape, logits, np.array([0, 1])),
+                  ad.masked_mse(tape, pred, np.zeros(2), np.ones(2)),
+                  ad.negated_channel_mean(tape, h, 0), sum_all(tape, pools)]
+        root = losses[0]
+        for loss in losses[1:]:
+            root = add(tape, root, loss)
+        return tape, root
 
     def test_backward_leaves_the_recorded_nodes(self):
         tape, loss = self._step()
         nodes = list(tape.nodes)
         ad.backward(tape, loss)
-        assert tape.nodes == nodes and len(nodes) == 5 and not tape.released
+        assert tape.nodes == nodes and len(nodes) == 5
 
-    def test_release_drops_the_graph_and_keeps_values(self):
-        tape, loss = self._step()
-        ad.backward(tape, loss)
-        value = loss.value
-        tape.release()
-        tape.release()  # a second call is harmless
-        assert tape.released and tape.nodes == [] and tape.variables == []
-        assert loss.value == value
+    def test_a_dropped_tape_is_freed_with_the_collector_off(self):
+        gc.collect()
+        gc.disable()
+        try:
+            tape, root = self._every_op_step()
+            grads = ad.backward(tape, root)
+            ops = {node.op for node in tape.nodes}
+            assert np.all(np.isfinite(grads["x"])) and np.any(grads["w"] != 0.0)
+            freed = weakref.ref(tape)
+            del tape, root, grads
+            assert freed() is None
+        finally:
+            gc.enable()
+        assert ops >= {"max_centred_affine", "normalize_sets", "dropout", "flatten", "affine", "mean_pool",
+                       "sum_pool", "max_pool", "softmax_ce", "masked_mse", "negated_channel_mean"}
 
-    @pytest.mark.parametrize("call", [lambda tape, root: ad.backward(tape, root)], ids=["backward"])
-    def test_a_released_tape_is_refused(self, call):
-        tape, loss = self._step()
-        tape.release()
-        with pytest.raises(ContractError, match="released"):
-            call(tape, loss)
+    def test_a_root_from_another_tape_is_refused(self):
+        tape, _ = self._step()
+        _, other_root = self._step()
+        with pytest.raises(ContractError, match="not recorded on this tape"):
+            ad.backward(tape, other_root)
 
 
 class TestGradientCheck:
     def test_linear_model_is_exact(self):
         rng = np.random.default_rng(2)
         w_val, a = rng.normal(size=(4, 1)), rng.normal(size=(3, 4))
-        report = gradient_check(lambda tape, v: (tape.constant(a) @ v["w"]).sum_all(), {"w": w_val},
-                                step=1e-5, tolerance=1e-4)
+        report = gradient_check(
+            lambda tape, v: sum_all(tape, ad.affine(tape, tape.constant(a), v["w"], tape.constant(np.zeros(1)),
+                                                    "identity")),
+            {"w": w_val}, step=1e-5, tolerance=1e-4)
         assert report.passed
         assert report.max_rel_error < 1e-8
 
@@ -427,19 +512,20 @@ class TestGradientCheck:
         def build(tape, bound):
             h = layer.apply(tape, bound["x"], cards, bound)
             pooled = SetPool("max").apply(tape, h, cards, bound)
-            return ad.softmax_cross_entropy(pooled, np.array([1, 0]))
+            return ad.softmax_cross_entropy(tape, pooled, np.array([1, 0]))
 
         report = gradient_check(build, values, step=1e-5, tolerance=1e-4)
         assert report.passed, report.failures[:3]
 
     def test_transpose_and_reshape(self):
+        # two sets of three members with four channels, flattened channel by channel
         rng = np.random.default_rng(6)
-        x_val, weights = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 12))
+        x_val, weights = rng.normal(size=(6, 4)), rng.normal(size=(2, 12))
 
         def build(tape, variables):
-            flat = variables["x"].transpose((0, 2, 1)).reshape((2, 12))
-            assert np.array_equal(flat.value, variables["x"].value.transpose(0, 2, 1).reshape(2, 12))
-            return (flat * tape.constant(weights)).sum_all()
+            flat = ad.flatten(tape, variables["x"], [3, 3], True)
+            assert np.array_equal(flat.value, variables["x"].value.reshape(2, 3, 4).transpose(0, 2, 1).reshape(2, 12))
+            return sum_all(tape, mul(tape, flat, weights))
 
         report = gradient_check(build, {"x": x_val}, step=1e-5, tolerance=1e-4)
         assert report.passed
@@ -447,7 +533,7 @@ class TestGradientCheck:
 
     def test_tie_point_flagged_and_excluded(self):
         x_val = np.array([1.0, 1.0, 0.0])  # exact tie at the max
-        report = gradient_check(lambda tape, v: v["x"].segment_max([3]).sum_all(), {"x": x_val},
+        report = gradient_check(lambda tape, v: sum_all(tape, ad.set_pool(tape, v["x"], [3], "max")), {"x": x_val},
                                 step=1e-5, tolerance=1e-4)
         assert report.entries_flagged >= 2
         assert report.passed
@@ -455,7 +541,8 @@ class TestGradientCheck:
     @staticmethod
     def elu_of(tape, variables):
         """elu of each entry of the [1, 3] variable x, as a fused affine node with W = I and b = 0."""
-        return ad.affine(variables["x"], tape.constant(np.eye(3)), tape.constant(np.zeros(3)), "elu").sum_all()
+        eye, zeros = tape.constant(np.eye(3)), tape.constant(np.zeros(3))
+        return sum_all(tape, ad.affine(tape, variables["x"], eye, zeros, "elu"))
 
     def test_elu_kink_flagged_and_excluded(self):
         # x[0] sits at elu's kink: its probes +-step take the two branches
@@ -475,7 +562,8 @@ class TestGradientCheck:
     def test_non_finite_central_difference_fails_its_entry(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the minus probe's sqrt of a negative is not a warning
-            report = gradient_check(lambda tape, v: pow_const(v["w"], 0.5).sum_all(), {"w": np.array(1e-6)}, step=1e-5)
+            report = gradient_check(lambda tape, v: sum_all(tape, pow_const(tape, v["w"], 0.5)), {"w": np.array(1e-6)},
+                                    step=1e-5)
         assert not report.passed
         assert len(report.failures) == 1 and report.failures[0].startswith("w[0]: ")
         assert report.summary().startswith("gradient check FAIL")
@@ -483,15 +571,16 @@ class TestGradientCheck:
     def test_non_finite_analytic_gradient_fails_its_entry(self):
         def build(tape, variables):
             x = variables["x"]
-            a, b, c = x * 1e308, x * 1e308, x * 1e308
-            return sub(add(b, c), a).sum_all()  # 1e308 * x, but the sweep adds c's and b's gradients first
+            a, b, c = mul(tape, x, 1e308), mul(tape, x, 1e308), mul(tape, x, 1e308)
+            # 1e308 * x, but the sweep adds c's and b's gradients first
+            return sum_all(tape, sub(tape, add(tape, b, c), a))
 
         report = gradient_check(build, {"x": np.array(0.5)})
         assert not report.passed and report.failures[0].startswith("x[0]: analytic inf")
 
     def test_requires_positive_step(self):
         with pytest.raises(ContractError):
-            gradient_check(lambda tape, v: v["x"] * v["x"], {"x": np.array(1.0)}, step=0.0)
+            gradient_check(lambda tape, v: mul(tape, v["x"], v["x"]), {"x": np.array(1.0)}, step=0.0)
 
 
 class TestGradientEquivariance:
@@ -508,7 +597,7 @@ class TestGradientEquivariance:
             bound = bind(tape, layer.params())
             x = tape.variable(xv, "x")
             y = layer.apply(tape, x, np.array([n]), bound)
-            loss = (y * tape.constant(gv)).sum_all()
+            loss = sum_all(tape, mul(tape, y, gv))
             return ad.backward(tape, loss)
 
         base = grads_for(x_val, upstream)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from setnet import train
+from setnet import autodiff, train
 from setnet.data import LabeledSetDataset
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -39,3 +39,17 @@ def test_the_traced_batch_has_what_the_tracer_reads():
     batch = make(train.make_set_batch)(dataset, [1, 2])
     assert (batch.cardinalities.tolist(), batch.num_sets, batch.max_size) == ([3, 1], 2, 3)
     assert (tracer.counts[("setup", "real_rows")], tracer.counts[("setup", "padded_rows")]) == (4, 6)
+
+
+def test_the_traced_backward_counts_the_graph_of_a_default_step(monkeypatch):
+    # the tracer reads tape.nodes after backward, which leaves them as they were
+    tracer = load_spans().Tracer()
+    make = next(make for owner, name, make in tracer.targets() if owner is autodiff and name == "backward")
+    config = train.ExperimentConfig({"experiment": "pointcloud", "train.epochs": "1", "data.train_sets": "16",
+                                     "data.val_sets": "4"})
+    train_data, val_data = train.build_experiment_data(config)
+    model = train.build_experiment_model(config, train_data)
+    monkeypatch.setattr(autodiff, "backward", make(autodiff.backward))
+    train.train_loop(model, config, train_data, val_data)
+    assert tracer.names == ["autodiff.backward"]  # one training step
+    assert (tracer.counts[("setup", "nodes")], tracer.counts[("setup", "node_bytes")]) == (17, 2578472)

@@ -2,9 +2,12 @@
 matching the values recorded for them.
 
 Between them the configs cover every model variant the benchmark's default
-configs leave out: mnist_sum I-IV, pointcloud with dropout on pooled rows,
-and both setregression variants. Splits, epochs and metric names must match
+configs leave out: mnist_sum I-IV, mnist_sum IV with mean pooling,
+pointcloud with dropout on pooled rows, and both setregression variants. Splits, epochs and metric names must match
 exactly, losses and metric values to 1e-12 relative.
+
+Golden actmax: the stdout and the SHA-256 of the ``.xyz`` of a small
+``setnet actmax`` run on an untrained pointcloud model, pinned bit for bit.
 
 Golden data: the bytes ``build_experiment_data`` makes for each experiment's
 default config, pinned as one SHA-256 per experiment and seed, so a change
@@ -49,6 +52,12 @@ epoch=1 split=val loss=3.292276548571426 accuracy=0.125
 epoch=2 split=train loss=2.563231495723032 accuracy=nan
 epoch=2 split=val loss=3.5682034363961446 accuracy=0.0
 """),
+    "mnist_IV_mean_pool": (MNIST + ["--set", "model.variant=IV", "--set", "model.pool=mean"], """\
+epoch=1 split=train loss=3.413348250079667 accuracy=nan
+epoch=1 split=val loss=3.24874611420851 accuracy=0.25
+epoch=2 split=train loss=2.8419168671084 accuracy=nan
+epoch=2 split=val loss=3.2285918070568336 accuracy=0.125
+"""),
     "pointcloud_dropout": (["--experiment", "pointcloud", "--set", "data.points=16", "--set", "model.dropout=0.3"], """\
 epoch=1 split=train loss=1.7502364618889115 accuracy=nan
 epoch=1 split=val loss=1.379143869013237 accuracy=0.0
@@ -90,6 +99,23 @@ def test_metrics_match_golden(name, tmp_path):
     assert [key for key, _ in got] == [key for key, _ in want]
     for (key, values), (_, expected_values) in zip(got, want):
         assert values == pytest.approx(expected_values, rel=1e-12, nan_ok=True), key
+
+
+ACTMAX_STDOUT = """\
+layer=0 unit=0 iterations=20
+final_activation=0.6941899257579613
+activated=True
+points_written={out}
+"""
+ACTMAX_XYZ_SHA256 = "860ccfd12de72557b677b32da30d21a5d4fe2194357d9b1f1028545762393cb5"
+
+
+def test_actmax_matches_golden(tmp_path, capsys):
+    out = tmp_path / "act.xyz"
+    args = ["actmax", "--experiment", "pointcloud", "--points", "16", "--iters", "20", "--out", str(out)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == ACTMAX_STDOUT.format(out=out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ACTMAX_XYZ_SHA256
 
 
 DATA_DIGESTS = {

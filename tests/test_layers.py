@@ -42,10 +42,12 @@ from helpers import (
     count_params,
     evaluate_whole,
     gradient_check,
+    mul,
     nonlinearity,
     normalize_sets_chain,
     peak_bytes,
     permute_members,
+    sum_all,
 )
 
 # channels in and out per layer form: scalar_max has one channel in and out,
@@ -325,7 +327,7 @@ def gradient_report(module, batch, rng, tie=False):
     weights = rng.normal(size=out.shape) / np.sqrt(out.size)
 
     def build(tape, bound):
-        return (module.apply(tape, bound["x"], batch.cardinalities, bound) * weights).sum_all()
+        return sum_all(tape, mul(tape, module.apply(tape, bound["x"], batch.cardinalities, bound), weights))
 
     return gradient_check(build, values, step=1e-5, tolerance=1e-4)
 
@@ -440,11 +442,11 @@ class TestFusedPreActivation:
             bound = bind(tape, layer.params())
             x = tape.variable(values, "x") if x_is_variable else tape.constant(values)
             out = forward(tape, x, bound)
-            loss = (out * weights).sum_all()
+            loss = sum_all(tape, mul(tape, out, weights))
             return out.value, ad.backward(tape, loss), tape.nodes
 
         fused = run(lambda tape, x, bound: layer.apply(tape, x, cards, bound))
-        chain = run(lambda tape, x, bound: nonlinearity(composite_pre_activation(layer, x, cards, bound),
+        chain = run(lambda tape, x, bound: nonlinearity(tape, composite_pre_activation(tape, layer, x, cards, bound),
                                                         layer.activation))
         assert np.array_equal(bits(fused[0]), bits(chain[0]))
         assert fused[1].keys() == chain[1].keys()
@@ -564,7 +566,7 @@ class TestDropout:
         out = drop.apply(tape, x, cards, {}, np.random.default_rng(9))
         assert tape.nodes == [x, out] and out.op == "dropout" and len(scanned) == 1
         assert np.array_equal(bits(out.value), bits(x.value * mask))
-        assert np.array_equal(bits(ad.backward(tape, out.sum_all())["x"]), bits(mask))
+        assert np.array_equal(bits(ad.backward(tape, sum_all(tape, out))["x"]), bits(mask))
 
     def test_an_overflowing_product_is_refused(self):
         tape = ad.Tape()
@@ -663,8 +665,8 @@ class TestNormalize:
         def run(normalize):
             tape = ad.Tape()
             x = tape.variable(values, "x")
-            out = normalize(x, batch.cardinalities, NormalizeSets.eps)
-            return out.value, ad.backward(tape, (out * weights).sum_all())["x"], [n.op for n in tape.nodes]
+            out = normalize(tape, x, batch.cardinalities, NormalizeSets.eps)
+            return out.value, ad.backward(tape, sum_all(tape, mul(tape, out, weights)))["x"], [n.op for n in tape.nodes]
 
         node, chain = run(ad.normalize_sets), run(normalize_sets_chain)
         assert np.array_equal(bits(node[0]), bits(chain[0]))

@@ -8,7 +8,7 @@ from setnet.errors import DimensionError, NumericError
 from setnet.layers import SetBatch
 from setnet.tensor import as_tensor, elementwise, elementwise_grad, matmul
 
-from helpers import elu_grad_where, elu_where, permute_members
+from helpers import elu_grad_where, elu_where, matmul as matmul_node, mul, permute_members, sum_all
 
 
 def matmul_reference(a, b):
@@ -24,9 +24,9 @@ def matmul_reference(a, b):
 
 
 def node_matmul(a, b):
-    """``a @ b`` as a node of a tape: the tape checks the shapes."""
+    """``a @ b`` as a node of a tape, its shapes checked as the layers' products check theirs."""
     tape = ad.Tape()
-    return (tape.constant(a) @ tape.constant(b)).value
+    return matmul_node(tape, tape.constant(a), tape.constant(b)).value
 
 
 class TestMatmul:
@@ -52,21 +52,21 @@ class TestMatmul:
             node_matmul(np.ones(3), np.ones((3, 2)))
 
 
-# reductions and elementwise arithmetic run on tape nodes; sum and max reduce
-# the member rows of one set
+# reductions run on tape nodes, over the member rows of one set
 def reduce(x, kind):
-    x = ad.Tape().variable(np.asarray(x, dtype=np.float64), "x")
-    return (x.mean(axis=0) if kind == "mean" else getattr(x, f"segment_{kind}")([x.value.shape[0]])).value[0]
+    tape = ad.Tape()
+    x = tape.variable(np.asarray(x, dtype=np.float64), "x")
+    return ad.set_pool(tape, x, [x.value.shape[0]], kind).value[0]
 
 
 class TestReduce:
     def test_max(self):
         tape = ad.Tape()
         x = tape.variable(np.array([[1.0, 2.0], [3.0, 0.0]]), "x")
-        top = x.segment_max([2])
+        top = ad.set_pool(tape, x, [2], "max")
         assert np.array_equal(top.value, [[3.0, 2.0]])
         # the subgradient goes to the argmax row of each column
-        assert np.array_equal(ad.backward(tape, top.sum_all())["x"], [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(ad.backward(tape, sum_all(tape, top))["x"], [[0.0, 1.0], [1.0, 0.0]])
 
     def test_sum(self):
         assert np.array_equal(reduce([[1.0, 2.0], [3.0, 0.0]], "sum"), [4.0, 2.0])
@@ -77,7 +77,7 @@ class TestReduce:
     def test_max_tie_takes_lowest_index(self):
         tape = ad.Tape()
         x = tape.variable(np.array([2.0, 5.0, 5.0]), "x")
-        assert np.array_equal(ad.backward(tape, x.segment_max([3]).sum_all())["x"], [0.0, 1.0, 0.0])
+        assert np.array_equal(ad.backward(tape, sum_all(tape, ad.set_pool(tape, x, [3], "max")))["x"], [0.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("kind", ["sum", "max", "mean"])
     def test_reduction_invariant_under_permutation(self, kind):
@@ -165,8 +165,8 @@ class TestElementwise:
         # fn of each entry as a fused affine node, x I + b with b = 0: b's gradient
         # is the pre-activation's, summed over its one row from 0.0 (so -0.0 reads 0.0)
         b = tape.variable(np.zeros(len(x)), "b")
-        out = ad.affine(tape.constant(x[None, :]), tape.constant(np.eye(len(x))), b, fn)
-        grads = ad.backward(tape, (out * upstream).sum_all())
+        out = ad.affine(tape, tape.constant(x[None, :]), tape.constant(np.eye(len(x))), b, fn)
+        grads = ad.backward(tape, sum_all(tape, mul(tape, out, upstream)))
         assert grads["b"].tobytes() == (0.0 + upstream * want).tobytes()
 
 
@@ -174,33 +174,34 @@ class TestPlumbing:
     def test_broadcast_add(self):
         # the bias of an affine node goes to every row
         tape = ad.Tape()
-        out = ad.affine(tape.constant(np.ones((2, 3))), tape.constant(np.eye(3)), tape.constant([1.0, 2.0, 3.0]),
+        out = ad.affine(tape, tape.constant(np.ones((2, 3))), tape.constant(np.eye(3)), tape.constant([1.0, 2.0, 3.0]),
                         "identity")
         assert np.array_equal(out.value, [[2.0, 3.0, 4.0]] * 2)
 
     def test_subtract_multiply(self):
         tape = ad.Tape()
-        a = tape.constant(np.array([4.0, 9.0]))
-        assert np.array_equal((a * 2.0).value, [8.0, 18.0])
         # (prediction - target) * mask, squared, over the one observed member
-        loss = ad.masked_mse(tape.constant([[4.0], [9.0]]), np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+        loss = ad.masked_mse(tape, tape.constant([[4.0], [9.0]]), np.array([1.0, 2.0]), np.array([1.0, 0.0]))
         assert loss.value == 9.0
 
     def test_bad_broadcast(self):
         tape = ad.Tape()
-        with pytest.raises(DimensionError):
-            tape.constant(np.ones((2, 3))) * np.ones((2, 4))
+        # one prediction would broadcast against three targets
+        with pytest.raises(DimensionError, match="masked_mse"):
+            ad.masked_mse(tape, tape.constant([[1.0]]), np.zeros(3), np.ones(3))
 
     def test_reshape(self):
         tape = ad.Tape()
-        x = tape.constant(np.arange(6.0))
-        assert x.reshape((2, 3)).value.shape == (2, 3)
+        x = tape.constant(np.arange(6.0)[:, None])
+        assert np.array_equal(ad.flatten(tape, x, [3, 3], False).value, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
         with pytest.raises(DimensionError):
-            x.reshape((4, 2))
+            ad.flatten(tape, x, [2, 4], False)
+        with pytest.raises(DimensionError):
+            ad.flatten(tape, x, [4, 4], False)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
             as_tensor([1.0, np.nan])
         tape = ad.Tape()
-        with pytest.raises(NumericError):
-            tape.constant(np.array([1e308])) * np.array([1e308])
+        with pytest.raises(NumericError, match=r"node#1\[sum_pool\]"):
+            ad.set_pool(tape, tape.constant(np.array([[1e308], [1e308]])), [2], "sum")

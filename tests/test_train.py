@@ -18,7 +18,7 @@ from setnet.data import (
     synth_shapes,
 )
 from setnet.errors import ConfigError, ContractError, DimensionError, FormatError, NumericError
-from setnet.layers import Dense, SetBatch, SetPool, bind, evaluate, load_params, save_params
+from setnet.layers import Dense, EquivariantLayer, SetBatch, SetPool, bind, evaluate, load_params, save_params
 from setnet.optim import Optimizer
 from setnet.train import (
     EXPERIMENTS,
@@ -46,6 +46,7 @@ from helpers import (
     count_params,
     evaluate_whole,
     gradient_check,
+    negated_channel_mean_chain,
     peak_bytes,
     permute_members,
     save_cluster_catalog,
@@ -69,12 +70,12 @@ def training_output(model, tape, batch, rng=None):
 
 
 def gradient_report(model, loss, batch, rng_seed=None):
-    """``gradient_check`` over ``model``'s parameters of ``loss(output)``, with
+    """``gradient_check`` over ``model``'s parameters of ``loss(tape, output)``, with
     dropout (if any) drawn by a fresh ``default_rng(rng_seed)`` in every probe."""
 
     def build(tape, bound):
         rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-        return loss(model.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, rng))
+        return loss(tape, model.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, rng))
 
     return gradient_check(build, {p.name: p.value for p in model.params()}, step=1e-5, tolerance=1e-4)
 
@@ -243,7 +244,7 @@ class TestPointCloudModel:
         ds = synth_shapes(["sphere", "cube", "cylinder"], 6, 2, rng)
         model = model_for("pointcloud", ds, model_widths="5,4", model_trunk=4, seed=2)
         batch = make_set_batch(ds, range(2))
-        report = gradient_report(model, lambda out: ad.softmax_cross_entropy(out, ds.set_labels[:2]), batch)
+        report = gradient_report(model, lambda tape, out: ad.softmax_cross_entropy(tape, out, ds.set_labels[:2]), batch)
         assert report.passed, report.failures[:3]
 
 
@@ -275,7 +276,7 @@ class TestRegressionModel:
         crazy[mask == 0.0] = 1e6  # unlabeled targets must not matter
         def loss_value(t):
             tape = ad.Tape()
-            return float(ad.masked_mse(training_output(model, tape, batch), t, mask).value)
+            return float(ad.masked_mse(tape, training_output(model, tape, batch), t, mask).value)
         assert loss_value(targets) == loss_value(crazy)
 
     def test_loss_requires_labels(self):
@@ -286,7 +287,7 @@ class TestRegressionModel:
         targets, _ = member_targets(ds, range(1))
         tape = ad.Tape()
         with pytest.raises(ContractError):
-            ad.masked_mse(training_output(model, tape, batch), targets, np.zeros_like(targets))
+            ad.masked_mse(tape, training_output(model, tape, batch), targets, np.zeros_like(targets))
 
     def test_parameter_matched_baseline(self):
         ds = synth_clusters(2, (4, 4), np.random.default_rng(4))
@@ -300,7 +301,7 @@ class TestRegressionModel:
         model = model_for("setregression", ds, model_widths="5,1", model_dropout=0.4, seed=5)
         batch = make_set_batch(ds, range(2))
         targets, mask = member_targets(ds, range(2))
-        report = gradient_report(model, lambda out: ad.masked_mse(out, targets, mask), batch, rng_seed=0)
+        report = gradient_report(model, lambda tape, out: ad.masked_mse(tape, out, targets, mask), batch, rng_seed=0)
         assert report.passed, report.failures[:3]
 
 
@@ -495,6 +496,26 @@ class TestActivationMaximization:
             gc.enable()
         assert steps == [1] * 5
 
+    @pytest.mark.parametrize("layer, unit, m", [(0, 0, 10), (0, 7, 2), (1, 3, 37)])
+    def test_objective_node_has_the_bits_of_the_chain(self, small_model, layer, unit, m):
+        # the objective of activation maximization on the points of one set,
+        # as one node and as the chain of nodes it replaced
+        points = np.random.default_rng(m).uniform(-1.0, 1.0, size=(m, 3))
+        ends = [i + 1 for i, l in enumerate(small_model.layers) if isinstance(l, EquivariantLayer)]
+
+        def run(objective):
+            tape = ad.Tape()
+            x = tape.variable(points, "x")
+            bound = {p.name: tape.constant(p.value) for p in small_model.params()}
+            h = small_model.apply(tape, x, np.array([m]), bound, upto=ends[layer])
+            root = objective(tape, h, unit)
+            return root.value, ad.backward(tape, root)["x"]
+
+        (node_value, node_grad), (chain_value, chain_grad) = (run(ad.negated_channel_mean),
+                                                              run(negated_channel_mean_chain))
+        assert np.array_equal(node_value, chain_value) and node_value.shape == ()
+        assert np.array_equal(node_grad, chain_grad)
+
     def test_bad_unit_rejected(self, small_model):
         with pytest.raises(ContractError):
             activation_maximization(small_model, 0, 99, m=10, iterations=1, rng=np.random.default_rng(0))
@@ -642,27 +663,30 @@ class TestNodeCounts:
     calls per default training step, as the benchmark's traced run reports
     them (``autodiff.nodes_per_step``, ``autodiff.node_mib_per_step`` and
     ``tensor.ensure_finite_calls``). Each equivariant and dense layer records
-    itself, activation included, as one fused node, and a training dropout as
-    one node whose mask is not scanned. So a change that splits a layer into
-    more nodes fails here, and so does one that scans a value a second time
-    or records an array no vjp reads, with no timing needed. The counts and
-    bytes repeat exactly for a seed. The data are smaller than the defaults;
+    itself, activation included, as one fused node, a set pool of any kind as
+    one node (a sum or mean pool scans its value once, a max pool not at
+    all), and a training dropout as one node whose mask is not scanned. So a
+    change that splits a layer into more nodes fails here, and so does one
+    that scans a value a second time or records an array no vjp reads, with
+    no timing needed. The counts and bytes repeat exactly for a seed. The data are smaller than the defaults;
     the graph of a step does not depend on how many sets there are, and its
     bytes depend on them only through the batch's cardinalities."""
 
-    SCANS = {"mnist_sum": 18, "pointcloud": 18, "setregression": 17}
-
     @pytest.mark.parametrize(
-        "experiment, data, nodes, node_bytes",
+        "experiment, data, nodes, node_bytes, scans",
         [
             ("mnist_sum", {"data.source_count": "200", "data.train_sets": "64", "data.val_sets": "8"}, 17,
-             [1595624, 1595624]),
-            ("pointcloud", {"data.train_sets": "32", "data.val_sets": "4"}, 17, [2578472, 2578472]),
-            ("setregression", {"data.train_sets": "32", "data.val_sets": "4"}, 16, [2953632, 3310448]),
+             [1595624, 1595624], 18),
+            ("pointcloud", {"data.train_sets": "32", "data.val_sets": "4"}, 17, [2578472, 2578472], 18),
+            ("setregression", {"data.train_sets": "32", "data.val_sets": "4"}, 16, [2953632, 3310448], 17),
+            ("mnist_sum", {"data.source_count": "200", "data.train_sets": "64", "data.val_sets": "8",
+                           "model.pool": "mean"}, 17, [1595624, 1595624], 18),
+            ("pointcloud", {"data.train_sets": "32", "data.val_sets": "4", "model.pool": "mean"}, 17,
+             [2578472, 2578472], 19),
         ],
-        ids=["mnist_sum", "pointcloud", "setregression"],
+        ids=["mnist_sum", "pointcloud", "setregression", "mnist_sum_mean_pool", "pointcloud_mean_pool"],
     )
-    def test_default_training_step(self, monkeypatch, experiment, data, nodes, node_bytes):
+    def test_default_training_step(self, monkeypatch, experiment, data, nodes, node_bytes, scans):
         counts, scanned, step_scans = [], [0], []
         real_backward, real_ensure_finite = ad.backward, tensor_module.ensure_finite
         real_make_set_batch, real_step = train_module.make_set_batch, Optimizer.step
@@ -692,7 +716,7 @@ class TestNodeCounts:
         monkeypatch.setattr(Optimizer, "step", step)
         train_loop(model, config, train_data, val_data)
         assert counts == [(nodes, node_bytes[0]), (nodes, node_bytes[1])]
-        assert step_scans[:2] == [self.SCANS[experiment]] * 2
+        assert step_scans[:2] == [scans] * 2
 
 
 SMALL_DATA = {  # the default configs with fewer sets: a step's graph and a batch's arrays are the same
@@ -740,8 +764,7 @@ class TestTracedPeaks:
         def step():  # as train_loop makes it
             tape = ad.Tape()
             out = model.apply(tape, tape.constant(batch.values), batch.cardinalities, bind(tape, opt.params), rng)
-            grads = ad.backward(tape, ad.softmax_cross_entropy(out, train_data.set_labels[idx]))
-            tape.release()
+            grads = ad.backward(tape, ad.softmax_cross_entropy(tape, out, train_data.set_labels[idx]))
             opt.step(grads)
 
         step()
