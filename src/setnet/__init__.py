@@ -8,7 +8,6 @@ data pipelines, training experiments, and a CLI.
 from .errors import (
     ConfigError,
     ContractError,
-    DegenerateMeshError,
     DegenerateSetError,
     DimensionError,
     EmptyReductionError,
@@ -37,7 +36,6 @@ __all__ = [
     "FormatError",
     "ConfigError",
     "DegenerateSetError",
-    "DegenerateMeshError",
     "SetBatch",
     "EquivariantLayer",
     "Dense",

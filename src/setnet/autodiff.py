@@ -432,9 +432,12 @@ def backward(tape: Tape, root: Node) -> GradientMap:
     parent. A root with no variable behind it gives zero gradients. The
     gradients are not checked for finiteness here: ``Optimizer.step`` checks
     them all at once before it changes anything. ``tape.nodes`` is left as
-    it was.
+    it was. Node indices are per tape, so the root and every recorded parent
+    of a visited node must be recorded on ``tape``; one that is not raises
+    ``ContractError``.
     """
-    if root.requires_grad and not any(node is root for node in reversed(tape.nodes)):
+    recorded = {id(node) for node in tape.nodes}
+    if root.requires_grad and id(root) not in recorded:
         raise ContractError("the root is not recorded on this tape")
     if root.value.shape != ():
         raise ContractError(f"backward root must be scalar, got shape {root.value.shape}")
@@ -452,6 +455,8 @@ def backward(tape: Tape, root: Node) -> GradientMap:
             for p, vjp in zip(node.parents, node.vjps):
                 if not p.requires_grad:
                     continue
+                if id(p) not in recorded:
+                    raise ContractError(f"node#{node.index}[{node.op}] has a parent recorded on another tape")
                 pg = vjp(g, pv, node.value)
                 if p.index in grads:
                     grads[p.index] = grads[p.index] + pg
@@ -462,9 +467,5 @@ def backward(tape: Tape, root: Node) -> GradientMap:
     out: GradientMap = {}
     for var in tape.variables:
         g = grads.get(var.index)
-        if g is None:
-            g = np.zeros_like(var.value)
-        elif g.shape != var.value.shape:
-            g = np.broadcast_to(g, var.value.shape).copy()
-        out[var.name] = g
+        out[var.name] = np.zeros_like(var.value) if g is None else g
     return out

@@ -1,23 +1,21 @@
 """Command-line entry point.
 
-Subcommands: verify-theorem, check-equivariance, train, eval, actmax,
-sample-mesh. Every run derives all randomness from one seed. In the four
-experiment commands (check-equivariance, train, eval, actmax) that is the
-config seed, which ``--seed`` overrides; sample-mesh takes ``--seed``, else
-0, and verify-theorem draws nothing. check-equivariance probes an
-experiment's model, built as training builds it. Training runs write their
-fully resolved config next to their outputs so any artifact can be
-reproduced exactly, given the same number of BLAS threads (a threaded matrix
-product sums in another order; see ``setnet.train``). A training run makes
-every refusal it can make before it writes anything under ``--out``, and a
-resumed run keeps the ``metrics.log`` lines of the epochs its checkpoint
-holds, so its log ends as the uninterrupted run's does.
+Subcommands: verify-theorem, check-equivariance, train, eval, actmax. Every
+run derives all randomness from one seed. In the four experiment commands
+(check-equivariance, train, eval, actmax) that is the config seed, which
+``--seed`` overrides; verify-theorem draws nothing. check-equivariance
+probes an experiment's model, built as training builds it. Training runs
+write their fully resolved config next to their outputs so any artifact can
+be reproduced exactly, given the same number of BLAS threads (a threaded
+matrix product sums in another order; see ``setnet.train``). A training run
+makes every refusal it can make before it writes anything under ``--out``,
+and a resumed run keeps the ``metrics.log`` lines of the epochs its
+checkpoint holds, so its log ends as the uninterrupted run's does.
 
 Exit codes, each carried by its ``SetNetError`` class: 0 success, 2
 config/usage error (a set too small or empty for the requested operation
 included) or an input file that cannot be opened or read, 3 file-format
-error (a mesh with no sampleable area included), 4 numeric error, 1
-anything else.
+error, 4 numeric error, 1 anything else.
 
 Allocator: ``main`` asks glibc's malloc (through ``mallopt``) to serve
 blocks below 32 MiB from its heap (``M_MMAP_THRESHOLD``, which also stops
@@ -233,17 +231,6 @@ def cmd_actmax(args) -> int:
     return 0
 
 
-def cmd_sample_mesh(args) -> int:
-    mesh = datamod.load_off(args.off)
-    rng = np.random.default_rng(args.seed)
-    points = datamod.sample_point_cloud(mesh, args.points, rng)
-    if args.augment:
-        points = datamod.augment_cloud(points, rng)
-    datamod.save_xyz(args.out, points)
-    print(f"sampled {args.points} points from {args.off} -> {args.out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="setnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,14 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="xyz output file")
     p.set_defaults(func=cmd_actmax)
 
-    p = sub.add_parser("sample-mesh", help="sample a point cloud from an OFF mesh")
-    p.add_argument("--off", required=True)
-    p.add_argument("--points", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--augment", action="store_true", help="apply random z-rotation and scale")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample_mesh)
-
     return parser
 
 
@@ -321,7 +300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SetNetError, OSError) as exc:  # an OSError: e.g. a missing --config, --off or --checkpoint file
+    except (SetNetError, OSError) as exc:  # an OSError: e.g. a missing --config or --checkpoint file
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, SetNetError) else 2
 

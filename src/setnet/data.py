@@ -1,11 +1,10 @@
 """Dataset ingestion and set construction.
 
-Real sources: MNIST IDX files, OFF triangle meshes (including the ModelNet
-dialect where the header and the counts share the first line), and CSV
-catalogs of clustered records. Every experiment also has a synthetic
-generator so the full pipeline runs offline at desk scale: template digits,
-analytic shape surfaces, and clusters whose per-member target is a latent
-shared by the whole set.
+Real sources: MNIST IDX files and CSV catalogs of clustered records. Every
+experiment also has a synthetic generator so the full pipeline runs offline
+at desk scale: template digits, analytic shape surfaces (the only source of
+point clouds), and clusters whose per-member target is a latent shared by
+the whole set.
 
 All builders are deterministic given their rng.
 """
@@ -17,13 +16,12 @@ import io
 import math
 import os
 import struct
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateMeshError, DimensionError, FormatError
+from .errors import DimensionError, FormatError
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -240,31 +238,7 @@ def synth_digits(
     return np.clip(imgs, 0.0, 1.0, out=imgs), labels.astype(np.intp)
 
 
-# --- meshes and point clouds ------------------------------------------------------
-
-
-@dataclass
-class TriangleMesh:
-    vertices: np.ndarray  # [V, 3]
-    faces: np.ndarray  # [F, 3] int
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64)
-        self.faces = np.asarray(self.faces, dtype=np.intp)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise FormatError("mesh vertices must be [V, 3]")
-        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
-            raise FormatError("mesh faces must be [F, 3]")
-        if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
-            raise FormatError("face index out of range")
-        if not np.any(self.face_areas() > 0.0):
-            raise DegenerateMeshError("mesh has no face with positive area")
-
-    def face_areas(self) -> np.ndarray:
-        a = self.vertices[self.faces[:, 0]]
-        b = self.vertices[self.faces[:, 1]]
-        c = self.vertices[self.faces[:, 2]]
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+# --- text files -----------------------------------------------------------------
 
 
 def _read_text(path, newline=None) -> str:
@@ -274,102 +248,6 @@ def _read_text(path, newline=None) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-
-
-def load_off(path) -> TriangleMesh:
-    """Parse an ASCII OFF mesh, tolerating the dialect where the counts share
-    the header line (with or without a space after "OFF"). Faces with more
-    than three vertices are fan-triangulated; unknown trailing tokens on
-    vertex or face lines (e.g. per-element colors) are ignored with a warning.
-    """
-    lines = [ln.split("#", 1)[0].strip() for ln in _read_text(path).split("\n")]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    head = lines[0]
-    if not head.upper().startswith("OFF"):
-        raise FormatError(f"{path}: missing OFF header")
-    rest = head[3:].strip()
-    if rest:
-        counts_line, body = rest, lines[1:]
-    else:
-        if len(lines) < 2:
-            raise FormatError(f"{path}: missing element counts")
-        counts_line, body = lines[1], lines[2:]
-    try:
-        counts = counts_line.split()
-        nv, nf = int(counts[0]), int(counts[1])  # third count (edges) unused
-    except (ValueError, IndexError) as exc:
-        raise FormatError(f"{path}: malformed count line {counts_line!r}") from exc
-    if nv < 0 or nf < 0:
-        raise FormatError(f"{path}: negative element count in {counts_line!r}")
-    if len(body) < nv + nf:
-        raise FormatError(f"{path}: truncated, expected {nv} vertex and {nf} face lines")
-    trailing = 0
-    verts = np.empty((nv, 3))
-    for i in range(nv):
-        toks = body[i].split()
-        if len(toks) < 3:
-            raise FormatError(f"{path}: vertex line {i} has fewer than three coordinates")
-        try:
-            verts[i] = [float(t) for t in toks[:3]]
-        except ValueError as exc:
-            raise FormatError(f"{path}: non-numeric vertex on line {i}") from exc
-        trailing += len(toks) - 3
-    if not np.all(np.isfinite(verts)):
-        raise FormatError(f"{path}: non-finite vertex coordinate")
-    faces: List[Tuple[int, int, int]] = []
-    for i in range(nf):
-        toks = body[nv + i].split()
-        try:
-            cnt = int(toks[0])
-            ids = [int(t) for t in toks[1 : 1 + cnt]]
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"{path}: malformed face on line {nv + i}") from exc
-        if len(ids) != cnt or cnt < 3:
-            raise FormatError(f"{path}: face on line {nv + i} declares {cnt} vertices")
-        if not all(0 <= j < nv for j in ids):
-            raise FormatError(f"{path}: face on line {nv + i} has a vertex index outside 0..{nv - 1}")
-        trailing += len(toks) - 1 - cnt
-        for k in range(1, cnt - 1):  # fan triangulation
-            faces.append((ids[0], ids[k], ids[k + 1]))
-    trailing += sum(len(ln.split()) for ln in body[nv + nf :])
-    if trailing:
-        warnings.warn(f"{path}: ignoring {trailing} trailing tokens")
-    return TriangleMesh(verts, np.array(faces, dtype=np.intp))
-
-
-def sample_point_cloud(mesh: TriangleMesh, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m surface points: faces chosen by area, uniform within each triangle."""
-    if m < 1:
-        raise DimensionError(f"need at least one point to sample, got {m}")
-    areas = mesh.face_areas()
-    total = areas.sum()
-    if total <= 0.0:
-        raise DegenerateMeshError("mesh has zero total surface area")
-    cum = np.cumsum(areas) / total
-    face_idx = np.searchsorted(cum, rng.random(m), side="right")
-    face_idx = np.minimum(face_idx, len(areas) - 1)
-    a = mesh.vertices[mesh.faces[face_idx, 0]]
-    b = mesh.vertices[mesh.faces[face_idx, 1]]
-    c = mesh.vertices[mesh.faces[face_idx, 2]]
-    r1 = np.sqrt(rng.random((m, 1)))
-    r2 = rng.random((m, 1))
-    return (1 - r1) * a + r1 * (1 - r2) * b + r1 * r2 * c
-
-
-def rotate_z(points: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate [m, 3] points about the z axis."""
-    ca, sa = np.cos(angle), np.sin(angle)
-    rot = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    return points @ rot.T
-
-
-def augment_cloud(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random z rotation then uniform rescale by s ~ U(0.8, 1/0.8)."""
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    s = rng.uniform(0.8, 1.0 / 0.8)
-    return rotate_z(np.asarray(points, dtype=np.float64), angle) * s
 
 
 def save_xyz(path, points: np.ndarray) -> None:
@@ -477,10 +355,11 @@ _CLOUDS_PER_PLACE = 8
 def _place_clouds(rows, clouds, place, draws, angles, scales):
     """Write the points of ``clouds``, indices into ``rows`` [count, m, 3],
     from their draws: placed on their surface, then rotated about z and
-    scaled, with the bits of ``rotate_z(points, angle) * scale``."""
+    scaled, with the bits of the per-cloud oracle ``synth_shapes_per_cloud``
+    in ``tests/helpers.py`` (``rotate_z(points, angle) * scale``)."""
     pts = place(*(np.concatenate(part) for part in zip(*draws))).reshape(len(clouds), -1, 3)
     ca, sa = np.cos(angles[clouds]), np.sin(angles[clouds])
-    rot = np.zeros((len(clouds), 3, 3))  # ``rotate_z``'s matrices; the product takes their transposes, as it does
+    rot = np.zeros((len(clouds), 3, 3))  # the oracle's matrices; the product takes their transposes, as it does
     rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1], rot[:, 2, 2] = ca, -sa, sa, ca, 1.0
     pts = np.matmul(pts, rot.transpose(0, 2, 1))
     pts *= scales[clouds, None, None]

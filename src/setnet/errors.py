@@ -45,7 +45,3 @@ class DegenerateSetError(SetNetError):
     """A set is too small for the requested operation (e.g. normalize)."""
     exit_code = 2
 
-
-class DegenerateMeshError(SetNetError):
-    """A mesh has no sampleable area."""
-    exit_code = 3

@@ -2,7 +2,9 @@
 and activation maximization.
 
 Three experiments are wired end to end, each runnable purely from synthetic
-data at desk scale or from real files when paths are configured:
+data at desk scale. mnist_sum also reads IDX files (``data.images`` and
+``data.labels``) and setregression a cluster catalog (``data.catalog``) when
+those paths are configured; pointcloud trains only on synthetic shapes:
 
 * ``mnist_sum``      predict the sum of a set of digit images from set-level
                      labels only, with four model variants (flat

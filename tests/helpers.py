@@ -38,7 +38,7 @@ import numpy as np
 
 from setnet import autodiff as ad
 from setnet import tensor as T
-from setnet.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, LabeledSetDataset, _read_text, rotate_z
+from setnet.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, LabeledSetDataset, _read_text
 from setnet.errors import ContractError, DimensionError, FormatError, NumericError
 from setnet.layers import SetBatch
 
@@ -59,20 +59,9 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
         fh.write(labels.tobytes())
 
 
-def save_off(path, mesh) -> None:
-    """Write a TriangleMesh as an OFF file that load_off round-trips."""
-    with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(mesh.vertices)} {len(mesh.faces)} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {int(f[0])} {int(f[1])} {int(f[2])}\n")
-
-
 def load_xyz(path) -> np.ndarray:
-    """Read the [m, 3] points of an x y z file, as ``setnet sample-mesh``
-    writes it; m >= 1 and every value finite."""
+    """Read the [m, 3] points of an x y z file, as ``setnet actmax`` writes
+    it (``setnet.data.save_xyz``); m >= 1 and every value finite."""
     rows = []
     for lineno, line in enumerate(_read_text(path).split("\n"), 1):
         line = line.strip()
@@ -172,6 +161,13 @@ _PER_CLOUD_SAMPLERS = {
     "cylinder": _per_cloud_cylinder,
     "torus": _per_cloud_torus,
 }
+
+
+def rotate_z(points: np.ndarray, angle: float) -> np.ndarray:
+    """Rotate [m, 3] points about the z axis."""
+    ca, sa = np.cos(angle), np.sin(angle)
+    rot = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    return points @ rot.T
 
 
 def synth_shapes_per_cloud(classes, m, count, rng, scale_range=(0.8, 1.2)):

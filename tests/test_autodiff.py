@@ -490,6 +490,17 @@ class TestTapeLifetime:
         with pytest.raises(ContractError, match="not recorded on this tape"):
             ad.backward(tape, other_root)
 
+    def test_a_parent_from_another_tape_is_refused(self):
+        # w and x are both node 0 of their tapes, so by index alone the sweep
+        # would give x's gradient to w and w's to x
+        rng = np.random.default_rng(0)
+        w = ad.Tape().variable(rng.normal(size=(2, 2)), "w")
+        tape = ad.Tape()
+        x = tape.variable(rng.normal(size=(2, 2)), "x")
+        logits = ad.affine(tape, x, w, tape.constant(np.zeros(2)), "identity")
+        with pytest.raises(ContractError, match=r"node#\d+\[affine\] has a parent recorded on another tape"):
+            ad.backward(tape, ad.softmax_cross_entropy(tape, logits, np.array([0, 1])))
+
 
 class TestGradientCheck:
     def test_linear_model_is_exact(self):

@@ -3,7 +3,6 @@ import os
 import re
 import struct
 import tempfile
-import warnings
 
 import numpy as np
 import pytest
@@ -14,23 +13,18 @@ from scipy import stats
 from setnet.data import (
     SHAPE_CLASSES,
     LabeledSetDataset,
-    TriangleMesh,
-    augment_cloud,
     build_sum_sets,
     load_cluster_catalog,
     load_idx_images,
     load_idx_labels,
     load_mnist_idx,
-    load_off,
-    rotate_z,
-    sample_point_cloud,
     save_xyz,
     split_instance_indices,
     synth_clusters,
     synth_digits,
     synth_shapes,
 )
-from setnet.errors import DegenerateMeshError, DimensionError, FormatError
+from setnet.errors import DimensionError, FormatError
 
 from helpers import (
     exact_sum_distribution,
@@ -38,7 +32,6 @@ from helpers import (
     peak_bytes,
     per_set,
     save_cluster_catalog,
-    save_off,
     sets_of,
     synth_shapes_per_cloud,
     write_idx_images,
@@ -207,148 +200,6 @@ class TestSynthDigits:
         assert (nearest == labels).mean() > 0.95
 
 
-class TestMeshes:
-    def unit_right_triangle(self):
-        return TriangleMesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]), np.array([[0, 1, 2]]))
-
-    def cube_mesh(self):
-        corners = np.array(
-            [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
-        )
-        faces = []
-        for axis in range(3):
-            for side in (0, 1):
-                ids = [i for i, c in enumerate(corners) if c[axis] == side]
-                a, b, c, d = ids  # grid order within the face plane
-                faces.append([a, b, c])
-                faces.append([b, d, c])
-        return TriangleMesh(corners, np.array(faces))
-
-    def test_points_inside_triangle_and_centroid(self):
-        rng = np.random.default_rng(0)
-        pts = sample_point_cloud(self.unit_right_triangle(), 10_000, rng)
-        assert np.all(pts[:, 0] >= -1e-12)
-        assert np.all(pts[:, 1] >= -1e-12)
-        assert np.all(pts[:, 0] + pts[:, 1] <= 1.0 + 1e-12)
-        assert np.all(np.abs(pts[:, 2]) < 1e-12)
-        centroid = pts.mean(axis=0)
-        assert np.linalg.norm(centroid - [1 / 3, 1 / 3, 0.0]) < 0.02
-
-    def test_single_point(self):
-        pts = sample_point_cloud(self.unit_right_triangle(), 1, np.random.default_rng(1))
-        assert pts.shape == (1, 3)
-
-    def test_cube_faces_sampled_by_area(self):
-        mesh = self.cube_mesh()
-        rng = np.random.default_rng(2)
-        pts = sample_point_cloud(mesh, 12_000, rng)
-        counts = []
-        for axis in range(3):
-            for side in (0.0, 1.0):
-                counts.append(np.sum(np.abs(pts[:, axis] - side) < 1e-9))
-        assert sum(counts) == 12_000  # every point lies on exactly one face
-        chi = stats.chisquare(counts)  # equal face areas
-        assert chi.pvalue > 0.01
-
-    def test_degenerate_mesh(self):
-        with pytest.raises(DegenerateMeshError):
-            TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
-
-    def test_face_index_out_of_range(self):
-        with pytest.raises(FormatError):
-            TriangleMesh(np.zeros((2, 3)), np.array([[0, 1, 2]]))
-
-
-class TestOff:
-    def test_round_trip(self, tmp_path):
-        mesh = TestMeshes().cube_mesh()
-        path = tmp_path / "cube.off"
-        save_off(path, mesh)
-        loaded = load_off(path)
-        assert np.array_equal(loaded.vertices, mesh.vertices)
-        assert np.array_equal(loaded.faces, mesh.faces)
-
-    def test_header_on_first_line_dialect(self, tmp_path):
-        # the ModelNet quirk: counts glued to the OFF keyword
-        path = tmp_path / "glued.off"
-        path.write_text("OFF3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-        mesh = load_off(path)
-        assert len(mesh.vertices) == 3 and len(mesh.faces) == 1
-        spaced = tmp_path / "spaced.off"
-        spaced.write_text("OFF 3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-        assert len(load_off(spaced).vertices) == 3
-
-    def test_trailing_tokens_warn(self, tmp_path):
-        path = tmp_path / "colors.off"
-        path.write_text("OFF\n3 1 0\n0 0 0 255 0 0\n1 0 0 255 0 0\n0 1 0 255 0 0\n3 0 1 2\n")
-        with pytest.warns(UserWarning, match="trailing"):
-            mesh = load_off(path)
-        assert mesh.vertices.shape == (3, 3)
-
-    def test_quad_faces_are_fan_triangulated(self, tmp_path):
-        path = tmp_path / "quad.off"
-        path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
-        mesh = load_off(path)
-        assert len(mesh.faces) == 2
-
-    def test_missing_header(self, tmp_path):
-        path = tmp_path / "no.off"
-        path.write_text("3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-        with pytest.raises(FormatError):
-            load_off(path)
-
-    def test_truncated(self, tmp_path):
-        path = tmp_path / "short.off"
-        path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n")
-        with pytest.raises(FormatError):
-            load_off(path)
-
-    @pytest.mark.parametrize("counts", ["-3 1 0", "3 -1 0"])
-    def test_negative_counts(self, tmp_path, counts):
-        path = tmp_path / "neg.off"
-        path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-        with pytest.raises(FormatError, match="negative element count"):
-            load_off(path)
-
-    @pytest.mark.parametrize("index", ["3", "-1", "99999999999999999999"])
-    def test_face_index_out_of_range(self, tmp_path, index):
-        path = tmp_path / "far.off"
-        path.write_text(f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 {index}\n")
-        with pytest.raises(FormatError, match="vertex index outside 0..2"):
-            load_off(path)
-
-    def test_non_finite_vertex(self, tmp_path):
-        path = tmp_path / "inf.off"
-        path.write_text("OFF\n3 1 0\n0 0 0\ninf 0 0\n0 1 0\n3 0 1 2\n")
-        with pytest.raises(FormatError, match="non-finite"):
-            load_off(path)
-
-
-class TestAugment:
-    def test_identity_draw(self):
-        x = np.random.default_rng(0).normal(size=(20, 3))
-        assert np.allclose(rotate_z(x, 0.0) * 1.0, x)
-
-    def test_pairwise_distances_scale_exactly(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(15, 3))
-        y = augment_cloud(x, np.random.default_rng(7))
-        # recover the scale from one pair, then check every pair
-        dx = np.linalg.norm(x[None] - x[:, None], axis=2)
-        dy = np.linalg.norm(y[None] - y[:, None], axis=2)
-        mask = dx > 0
-        ratios = dy[mask] / dx[mask]
-        assert ratios.max() - ratios.min() < 1e-9
-        assert 0.8 <= ratios[0] <= 1.25 + 1e-12
-
-    def test_z_axis_rotation_preserves_z_and_radius(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(10, 3))
-        y = rotate_z(x, 1.234)
-        assert np.allclose(y[:, 2], x[:, 2])
-        assert np.allclose(np.hypot(y[:, 0], y[:, 1]), np.hypot(x[:, 0], x[:, 1]))
-
-
 class TestXyz:
     def test_round_trip(self, tmp_path):
         pts = np.random.default_rng(0).normal(size=(9, 3))
@@ -389,12 +240,11 @@ CATALOG_HEADER = b"cluster_id,f0,target,has_target\n"
 @pytest.mark.parametrize(
     "load, text",
     [
-        (load_off, b"OFF\n3 1 0\n0 0 0\n1 \xff 0\n0 1 0\n3 0 1 2\n"),
         (load_xyz, b"1.0 2.0 3.0\n1.0 \xff 3.0\n"),
         (lambda path: load_cluster_catalog(path, ["f0"], "target", "has_target", "cluster_id"),
          CATALOG_HEADER + b"a,1.0,0.5,1\na,\xff,0.5,1\n"),
     ],
-    ids=["off", "xyz", "catalog"],
+    ids=["xyz", "catalog"],
 )
 def test_non_utf8_file_raises_format_error(tmp_path, load, text):
     path = tmp_path / "bad"
@@ -603,17 +453,11 @@ class TestLabeledSetDataset:
 
 
 # --- loader fuzzing: every input loads to finite, well-shaped data or raises
-# FormatError (DegenerateMeshError for a well-formed mesh with no area)
+# FormatError
 
 
 def _catalog(path):
     return load_cluster_catalog(path, ["f0", "f1"], "target", "has_target", "cluster_id")
-
-
-def _check_mesh(mesh):
-    assert mesh.vertices.ndim == 2 and mesh.vertices.shape[1] == 3 and np.all(np.isfinite(mesh.vertices))
-    assert mesh.faces.ndim == 2 and mesh.faces.shape[1] == 3
-    assert mesh.faces.min() >= 0 and mesh.faces.max() < len(mesh.vertices)
 
 
 def _check_points(points):
@@ -636,7 +480,6 @@ def _check_labels(labels):
 
 # loader name -> (load, check of what it returns)
 LOADERS = {
-    "off": (load_off, _check_mesh),
     "xyz": (load_xyz, _check_points),
     "catalog": (_catalog, _check_catalog),
     "idx_images": (load_idx_images, _check_images),
@@ -650,10 +493,7 @@ def _valid_bytes(loader):
     rng = np.random.default_rng(0)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "valid")
-        if loader == "off":
-            save_off(path, TriangleMesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-                                        np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])))
-        elif loader == "xyz":
+        if loader == "xyz":
             save_xyz(path, rng.normal(size=(3, 3)))
         elif loader == "catalog":
             save_cluster_catalog(path, synth_clusters(2, (2, 3), rng, num_features=2, informative=1))
@@ -684,21 +524,16 @@ def _load_or_format_error(tmp, loader, data):
     load, check = LOADERS[loader]
     path = tmp / f"fuzz.{loader}"
     path.write_bytes(data)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # OFF trailing tokens
-        try:
-            out = load(path)
-        except FormatError:
-            return
-        except DegenerateMeshError:
-            assert loader == "off"
-            return
+    try:
+        out = load(path)
+    except FormatError:
+        return
     check(out)
 
 
 # bytes that make a mutation likely to reach a parser's edge cases
 TOKENS = [b"0", b"-1", b"3", b"4", b"1e999", b"nan", b"-inf", b" ", b"\n", b"#", b",", b"\xff", b"\x00",
-          b"99999999999999999999", b"OFF", b"\xff\xff\xff\xff"]
+          b"99999999999999999999", b"\xff\xff\xff\xff"]
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
