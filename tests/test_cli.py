@@ -243,6 +243,12 @@ def _raising(error):
     return command
 
 
+def test_empty_reduction_maps_to_usage_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_verify_theorem", _raising(errors.EmptyReductionError))
+    assert main(["verify-theorem"]) == 2
+    assert capsys.readouterr().err == "error (EmptyReductionError): refused\n"
+
+
 EXIT_CODES = {"SetNetError": 1, "DimensionError": 2, "EmptyReductionError": 2, "NumericError": 4, "ContractError": 2,
               "FormatError": 3, "ConfigError": 2, "DegenerateSetError": 2}
 
