@@ -37,10 +37,10 @@ too. Gradients are exact for every differentiable composite; a max is given
 the single-argmax subgradient (lowest index on ties) and a mean distributes
 1/N, so training runs are deterministic.
 
-Set batches store their members as stacked rows, one set after another; the
-set ops reduce those member rows to one row per set. When all sets of a
-batch have one size, they work on the rows as one [sets, size, channels]
-block instead of set by set, with the same bits.
+Set batches store their members as stacked rows, one set after another. A
+``Segments`` record, made once per batch, holds that layout, and its methods
+are the only member reductions: the set ops take it and check only that their
+input has its member row count.
 
 Each op is one node, whose vjps are written out by hand. Each gives the
 value and the gradients, to the bit, of the chain of generic nodes it
@@ -61,7 +61,8 @@ variance instead, which bounds its output.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -71,52 +72,72 @@ from .errors import ContractError, DimensionError, EmptyReductionError
 GradientMap = Dict[str, np.ndarray]
 
 
-def _segments(cards, rows: int) -> Tuple[np.ndarray, Optional[int]]:
-    """For the member rows of sets with ``cards`` members each, stored one set
-    after another: [0, end of set 0, end of set 1, ...], and the common
-    cardinality if every set has the same one (else None)."""
-    cards = np.asarray(cards)
-    if np.any(cards < 1):
-        raise EmptyReductionError("sets must have at least one member")
-    if rows != cards.sum():
-        raise DimensionError(f"{rows} member rows for cardinalities summing to {cards.sum()}")
-    size = int(cards[0]) if cards.size and np.all(cards == cards[0]) else None
-    return np.concatenate(([0], np.cumsum(cards))), size
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """The layout of a packed batch of sets with ``cards`` members each, whose
+    constructor is where cardinalities are checked: the read-only ``cards``,
+    ``bounds`` [0, end of set 0, ...], ``inv_n`` [B, 1] each set's 1/N,
+    ``rows`` the member row count M, and ``size`` the common cardinality or
+    None. With a common size a method works on the rows as one [B, size, K]
+    block; numpy combines a set's members in the same order either way."""
 
+    cards: np.ndarray
+    bounds: np.ndarray = field(init=False)
+    inv_n: np.ndarray = field(init=False)
+    rows: int = field(init=False)
+    size: Optional[int] = field(init=False)
 
-def _per_set(fn, a: np.ndarray, bounds: np.ndarray, size: Optional[int]) -> np.ndarray:
-    """``fn(rows, axis)`` over each set's rows, e.g. ``np.add.reduce`` or
-    ``np.argmax``: [M, K] -> [B, K]. When every set has ``size`` members it is
-    one call over the [B, size, K] block. numpy combines a set's members in
-    the same order either way, so both give the same bits."""
-    if size is not None:
-        return fn(a.reshape((-1, size) + a.shape[1:]), axis=1)
-    return np.array([fn(a[s:e], axis=0) for s, e in zip(bounds[:-1], bounds[1:])])
+    def __post_init__(self):
+        cards = np.array(self.cards, dtype=np.intp)
+        if cards.ndim != 1:
+            raise DimensionError("need one cardinality per set")
+        if np.any(cards < 1):
+            raise EmptyReductionError("sets must have at least one member")
+        bounds = np.concatenate(([0], np.cumsum(cards)))
+        inv_n = 1.0 / cards.astype(np.float64)[:, None]
+        size = int(cards[0]) if cards.size and np.all(cards == cards[0]) else None
+        for arr in (cards, bounds, inv_n):
+            arr.setflags(write=False)
+        for name, val in dict(cards=cards, bounds=bounds, inv_n=inv_n, rows=int(bounds[-1]), size=size).items():
+            object.__setattr__(self, name, val)
 
+    def check(self, x: Node, op: str) -> None:
+        """``DimensionError`` unless node ``x`` has one row per member."""
+        if x.value.shape[0] != self.rows:
+            raise DimensionError(f"{op}: {x.value.shape[0]} rows for sets of {self.rows} members")
 
-def _first_hits(a: np.ndarray, bounds: np.ndarray, size: Optional[int]) -> np.ndarray:
-    """The row of ``a`` that holds each (set, channel) max, the lowest on ties;
-    for a boolean ``a``, the first True row."""
-    return _per_set(np.argmax, a, bounds, size) + bounds[:-1].reshape((-1,) + (1,) * (a.ndim - 1))
+    def _per_set(self, fn, a: np.ndarray) -> np.ndarray:
+        """``fn(rows, axis)``, e.g. ``np.add.reduce``, over each set's rows: [M, K] -> [B, K]."""
+        if self.size is not None:
+            return fn(a.reshape((-1, self.size) + a.shape[1:]), axis=1)
+        return np.array([fn(a[s:e], axis=0) for s, e in zip(self.bounds[:-1], self.bounds[1:])])
 
+    def sum(self, a: np.ndarray) -> np.ndarray:
+        """Each set's sum of its rows of ``a``, adding the members in row order: [M, K] -> [B, K]."""
+        return self._per_set(np.add.reduce, a)
 
-def _add_at_rows(rows: np.ndarray, hits: np.ndarray, per_set: np.ndarray) -> None:
-    """``rows[hits] += per_set`` column by column, in place: each (set, channel)
-    entry of ``per_set`` added at the row ``hits`` names."""
-    won = np.take_along_axis(rows, hits, axis=0)
-    won += per_set
-    np.put_along_axis(rows, hits, won, axis=0)
+    def max(self, a: np.ndarray) -> np.ndarray:
+        """Each set's max of its rows of ``a``, channel by channel: [M, K] -> [B, K]."""
+        return self._per_set(np.maximum.reduce, a)
 
+    def first_hits(self, a: np.ndarray) -> np.ndarray:
+        """The row of ``a`` that holds each (set, channel) max, the lowest on
+        ties; for a boolean ``a``, the first True row: [M, K] -> [B, K]."""
+        return self._per_set(np.argmax, a) + self.bounds[:-1].reshape((-1,) + (1,) * (a.ndim - 1))
 
-def _per_member(op, rows: np.ndarray, per_set: np.ndarray, bounds: np.ndarray, size: Optional[int], out=None):
-    """The ufunc ``op`` of each member row of ``rows`` [M, K] and its set's row
-    of ``per_set`` ([B, K] or [B, 1]), into ``out`` or a new [M, K] array."""
-    if size is not None:
-        shape = (-1, size) + rows.shape[1:]
-        res = op(rows.reshape(shape), per_set[:, None], out=None if out is None else out.reshape(shape))
-        return res.reshape(rows.shape)
-    rep = np.repeat(per_set, np.diff(bounds), axis=0)
-    return op(rows, rep, out=rep if out is None and rep.shape == rows.shape else out)
+    def spread(self, per_set: np.ndarray) -> np.ndarray:
+        """Each set's row of ``per_set`` once per member: [B, K] -> [M, K]."""
+        return np.repeat(per_set, self.cards, axis=0)
+
+    def per_member(self, op, rows: np.ndarray, per_set: np.ndarray, out=None) -> np.ndarray:
+        """The ufunc ``op`` of each member row of ``rows`` [M, K] and its set's row
+        of ``per_set`` ([B, K] or [B, 1]), into ``out`` or a new [M, K] array."""
+        if self.size is not None:
+            shape = (-1, self.size) + rows.shape[1:]
+            res = op(rows.reshape(shape), per_set[:, None], out=None if out is None else out.reshape(shape))
+            return res.reshape(rows.shape)
+        rep = self.spread(per_set)
+        return op(rows, rep, out=rep if out is None and rep.shape == rows.shape else out)
 
 
 _AFFINE_VJPS = (  # x W + b, from the gradient of the pre-activation
@@ -213,9 +234,9 @@ def affine(tape: Tape, x: Node, w: Node, b: Node, activation: str) -> Node:
     return tape._record("affine", (x, w, b), fwd=fwd, vjps=_AFFINE_VJPS, activation=activation)
 
 
-def max_centred_affine(tape: Tape, x: Node, gam: Node, beta: Node, cards, activation: str) -> Node:
-    """``activation(beta + (x - 1 max(x)) Gamma)`` over the member rows of sets
-    with ``cards`` members, as one node: [M, K] -> [M, K'].
+def max_centred_affine(tape: Tape, x: Node, gam: Node, beta: Node, seg: Segments, activation: str) -> Node:
+    """``activation(beta + (x - 1 max(x)) Gamma)`` over the member rows of the
+    sets ``seg`` lays out, as one node: [M, K] -> [M, K'].
 
     Given the pre-activation's gradient ``g``, the vjps are those of the
     max pool, ``repeat``, ``sub``, ``matmul`` and ``add`` chain: Gamma
@@ -225,129 +246,117 @@ def max_centred_affine(tape: Tape, x: Node, gam: Node, beta: Node, cards, activa
     of each set's column of ``d``.
     """
     _rank2(x, gam, beta)
-    bounds, size = _segments(cards, x.value.shape[0])
+    seg.check(x, "max_centred_affine")
     d = None  # the centred rows, kept by the forward for the Gamma gradient
 
     def centred_product(xv, gv, bv):
         nonlocal d
-        d = _per_member(np.subtract, xv, _per_set(np.maximum.reduce, xv, bounds, size), bounds, size)
+        d = seg.per_member(np.subtract, xv, seg.max(xv))
         out = T.matmul(d, gv)
         out += bv
         return out
 
     def x_vjp(g, pv, out):
         gd = g @ pv[1].T
-        sums = _per_set(np.add.reduce, gd, bounds, size)
         # for finite values x - max is 0 exactly where x == max, so the first
         # zero of each set's centred column is argmax's winner
-        _add_at_rows(gd, _first_hits(d == 0.0, bounds, size), np.negative(sums, out=sums))
+        hits = seg.first_hits(d == 0.0)
+        won = np.take_along_axis(gd, hits, axis=0)
+        won -= seg.sum(gd)
+        np.put_along_axis(gd, hits, won, axis=0)
         return gd
 
-    return tape._record(
-        "max_centred_affine", (x, gam, beta),
-        fwd=centred_product,
-        vjps=(x_vjp, lambda g, pv, out: d.T @ g, _AFFINE_VJPS[2]),
-        activation=activation,
-    )
+    return tape._record("max_centred_affine", (x, gam, beta), fwd=centred_product,
+                        vjps=(x_vjp, lambda g, pv, out: d.T @ g, _AFFINE_VJPS[2]), activation=activation)
 
 
-def set_pool(tape: Tape, x: Node, cards, kind: str) -> Node:
+def set_pool(tape: Tape, x: Node, seg: Segments, kind: str) -> Node:
     """Each set's sum, max or mean (``kind``) of its member rows, channel by
     channel, as one node: [M, K] -> [B, K]. A sum adds each set's members one
     after another, in row order, and a mean is that sum times 1/N. The max's
     subgradient goes to the lowest-index member that attains it, and its
     value, one of x's, is not scanned again."""
-    bounds, size = _segments(cards, x.value.shape[0])
+    seg.check(x, "set_pool")
     if kind == "max":
         def vjp(g, pv, out):
             grad = np.zeros_like(pv[0])
-            np.put_along_axis(grad, _first_hits(pv[0], bounds, size), g, axis=0)
+            np.put_along_axis(grad, seg.first_hits(pv[0]), g, axis=0)
             return grad
 
-        return tape._record("max_pool", (x,), fwd=lambda a: _per_set(np.maximum.reduce, a, bounds, size),
-                            vjps=(vjp,), check=False)
+        return tape._record("max_pool", (x,), fwd=seg.max, vjps=(vjp,), check=False)
     if kind == "sum":
-        return tape._record("sum_pool", (x,), fwd=lambda a: _per_set(np.add.reduce, a, bounds, size),
-                            vjps=(lambda g, pv, out: np.repeat(g, cards, axis=0),))
+        return tape._record("sum_pool", (x,), fwd=seg.sum, vjps=(lambda g, pv, out: seg.spread(g),))
     if kind != "mean":
         raise DimensionError(f"unknown pool kind {kind!r}")
-    inv = 1.0 / np.asarray(cards, dtype=np.float64)[:, None]
-    return tape._record("mean_pool", (x,), fwd=lambda a: np.multiply(_per_set(np.add.reduce, a, bounds, size), inv),
-                        vjps=(lambda g, pv, out: np.repeat(g * inv, cards, axis=0),))
+    return tape._record("mean_pool", (x,), fwd=lambda a: np.multiply(seg.sum(a), seg.inv_n),
+                        vjps=(lambda g, pv, out: seg.spread(g * seg.inv_n),))
 
 
-def normalize_sets(tape: Tape, x: Node, cards, eps: float) -> Node:
-    """Each member row of sets with ``cards`` members less its set's
+def normalize_sets(tape: Tape, x: Node, seg: Segments, eps: float) -> Node:
+    """Each member row of the sets ``seg`` lays out less its set's
     per-channel mean, divided by one deviation per set: the root of ``eps``
     plus the set's variance, the mean of its squared centred values over
-    members and channels. One node, [M, K] -> [M, K].
-
-    The forward runs the numpy ops of the chain of generic nodes this node
-    replaces, in the chain's order, and the vjp is that chain's, written out,
-    so values and gradients have the chain's bits (the test suite keeps the
-    chain as its oracle); x's gradient from this node is one term. The one
+    members and channels. One node, [M, K] -> [M, K], whose forward and vjp
+    run the numpy ops of the chain it replaced in the chain's order. The one
     finiteness check is of the [B, 1] variance, before the division: an
     overflow in the sums or the squares makes it infinite or NaN. When it is
-    finite, so is every centred value, and no output of a set of N members
-    and K channels exceeds about ``sqrt(N K)`` in magnitude, so the output is
-    not scanned.
-    """
-    k = x.value.shape[1]
-    bounds, size = _segments(cards, x.value.shape[0])
-    inv_n = 1.0 / np.asarray(cards, dtype=np.float64)[:, None]
+    finite, so is every centred value, and no output of a set of N members and
+    K channels exceeds about ``sqrt(N K)`` in magnitude, so the output is not
+    scanned."""
+    seg.check(x, "normalize_sets")
+    k, inv_n = x.value.shape[1], seg.inv_n
     c = shifted = inv_std = None  # the centred rows, eps + variance and its power -0.5, kept for the vjp
 
     def fwd(xv):
         nonlocal c, shifted, inv_std
-        mean = _per_set(np.add.reduce, xv, bounds, size)
+        mean = seg.sum(xv)
         mean *= inv_n
-        c = _per_member(np.subtract, xv, mean, bounds, size)
-        var = np.sum(_per_set(np.add.reduce, c * c, bounds, size), axis=1, keepdims=True) * inv_n * (1.0 / k)
+        c = seg.per_member(np.subtract, xv, mean)
+        var = np.sum(seg.sum(c * c), axis=1, keepdims=True) * inv_n * (1.0 / k)
         T.ensure_finite(var, f"node#{tape._created}[normalize_sets]")
         shifted = var + eps
         inv_std = np.power(shifted, -0.5)
-        return _per_member(np.multiply, c, inv_std, bounds, size)
+        return seg.per_member(np.multiply, c, inv_std)
 
     def vjp(g, pv, out):
-        gc = _per_member(np.multiply, g, inv_std, bounds, size)
-        gvar = np.sum(_per_set(np.add.reduce, g * c, bounds, size), axis=1, keepdims=True)
+        gc = seg.per_member(np.multiply, g, inv_std)
+        gvar = np.sum(seg.sum(g * c), axis=1, keepdims=True)
         gvar = gvar * -0.5 * np.power(shifted, -1.5) * (1.0 / k) * inv_n
-        spread = _per_member(np.multiply, c, gvar, bounds, size)
+        spread = seg.per_member(np.multiply, c, gvar)
         gc += spread  # from each factor of the square, one after the other
         gc += spread
-        gmean = _per_set(np.add.reduce, gc, bounds, size) * -inv_n  # the chain's sum of -gc, negated: same bits
-        return _per_member(np.add, gc, gmean, bounds, size, out=gc)
+        gmean = seg.sum(gc) * -inv_n  # the chain's sum of -gc, negated: same bits
+        return seg.per_member(np.add, gc, gmean, out=gc)
 
     return tape._record("normalize_sets", (x,), fwd=fwd, vjps=(vjp,), check=False)
 
 
-def dropout(tape: Tape, x: Node, keep: np.ndarray, cards) -> Node:
+def dropout(tape: Tape, x: Node, keep: np.ndarray, seg: Optional[Segments]) -> Node:
     """``x`` times the scaled keep mask ``keep``, as one node. ``keep`` has x's
-    shape, or with ``cards`` one row per set, repeated to the members in the
+    shape, or with ``seg`` one row per set, spread to the members in the
     forward and again in the vjp. Only the product is checked: the mask is 0
     or ``1 / (1 - rate)``, and the product can overflow."""
-    spread = (lambda k: k) if cards is None else (lambda k: np.repeat(k, cards, axis=0))
+    if seg is not None:
+        seg.check(x, "dropout")
+    spread = (lambda k: k) if seg is None else seg.spread
     return tape._record("dropout", (x,), fwd=lambda a: a * spread(keep), vjps=(lambda g, pv, out: g * spread(keep),))
 
 
-def flatten(tape: Tape, x: Node, cards, interleave: bool) -> Node:
+def flatten(tape: Tape, x: Node, seg: Segments, interleave: bool) -> Node:
     """Each set's member rows joined into one row, as one node: [B*N, K] ->
     [B, N*K] for sets of N members each. The members follow each other, or
     with ``interleave`` the row runs channel by channel across the members.
     Its value only moves x's, so it is not scanned again."""
-    _, size = _segments(cards, x.value.shape[0])
-    if size is None:
+    seg.check(x, "flatten")
+    if seg.size is None:
         raise DimensionError("Flatten needs sets of equal cardinality")
-    b, k = len(cards), x.value.shape[1]
+    b, k = len(seg.cards), x.value.shape[1]
     if not interleave:
         return tape._record("flatten", (x,), fwd=lambda a: a.reshape((b, -1)),
                             vjps=(lambda g, pv, out: g.reshape(pv[0].shape),), check=False)
-    return tape._record(
-        "flatten", (x,),
-        fwd=lambda a: a.reshape((b, -1, k)).transpose((0, 2, 1)).reshape((b, -1)),
-        vjps=(lambda g, pv, out: g.reshape((b, k, -1)).transpose((0, 2, 1)).reshape(pv[0].shape),),
-        check=False,
-    )
+    return tape._record("flatten", (x,), fwd=lambda a: a.reshape((b, -1, k)).transpose((0, 2, 1)).reshape((b, -1)),
+                        vjps=(lambda g, pv, out: g.reshape((b, k, -1)).transpose((0, 2, 1)).reshape(pv[0].shape),),
+                        check=False)
 
 
 def softmax_cross_entropy(tape: Tape, logits: Node, labels: np.ndarray) -> Node:

@@ -10,7 +10,9 @@ be reproduced exactly, given the same number of BLAS threads (a threaded
 matrix product sums in another order; see ``setnet.train``). A training run
 makes every refusal it can make before it writes anything under ``--out``,
 and a resumed run keeps the ``metrics.log`` lines of the epochs its
-checkpoint holds, so its log ends as the uninterrupted run's does.
+checkpoint holds, so its log ends as the uninterrupted run's does. Each file
+of a run is written whole (``data.write_whole``) and ``metrics.log`` is then
+appended to, so a killed run leaves no cut file and loses no kept line.
 
 Exit codes, each carried by its ``SetNetError`` class: 0 success, 2
 config/usage error (a set too small or empty for the requested operation
@@ -160,12 +162,11 @@ def cmd_train(args) -> int:
     logged = _log_through(metrics_path, start.epoch) if args.resume else ""
     # a run that cannot start has failed by now and leaves --out as it was
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved.cfg"), "w") as fh:
-        fh.write(config_lines(config.values))
+    datamod.write_whole(os.path.join(out_dir, "config.resolved.cfg"), [config_lines(config.values)])
     best_path = os.path.join(out_dir, "checkpoint_best.txt")
     last_path = os.path.join(out_dir, "checkpoint_last.txt")
-    with open(metrics_path, "w") as metrics_file:
-        metrics_file.write(logged)
+    datamod.write_whole(metrics_path, [logged])  # the kept lines are on file before the log is appended to
+    with open(metrics_path, "a") as metrics_file:
 
         def sink(rec):  # flushed, so an epoch's lines are on file before its checkpoint
             metrics_file.write(rec.line() + "\n")
@@ -189,8 +190,7 @@ def cmd_train(args) -> int:
         f"best_epoch={result.best_epoch}",
         f"best_val_{model.metric_name}={result.best_metric!r}",
     ]
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write("\n".join(summary) + "\n")
+    datamod.write_whole(os.path.join(out_dir, "summary.txt"), ["\n".join(summary) + "\n"])
     for line in summary:
         print(line)
     return 0

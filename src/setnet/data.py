@@ -11,13 +11,14 @@ All builders are deterministic given their rng.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 import os
 import struct
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -250,12 +251,27 @@ def _read_text(path, newline=None) -> str:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
+def write_whole(path, chunks: Iterable[str]) -> None:
+    """Write the strings of ``chunks`` to a temporary file next to ``path``,
+    then move it onto ``path`` with ``os.replace``: a failed or killed write
+    leaves any previous file there as it was, and a failed one removes its
+    temporary file. Without an fsync, this is atomic against a crashing
+    process, not against a power loss."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def save_xyz(path, points: np.ndarray) -> None:
-    """One whitespace-separated x y z line per point."""
-    points = np.asarray(points, dtype=np.float64)
-    with open(path, "w") as fh:
-        for p in points.reshape(-1, 3):
-            fh.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
+    """One whitespace-separated x y z line per point, written whole."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    write_whole(path, (f"{float(x)!r} {float(y)!r} {float(z)!r}\n" for x, y, z in points))
 
 
 # --- synthetic shape surfaces ------------------------------------------------------

@@ -10,13 +10,14 @@ its output over each set then gives a permutation-invariant set
 representation.
 
 A batch is packed: the member rows of all its sets stacked one set after
-another, [M, K] with M the total number of members, plus each set's
-cardinality. Per-member maps are one [M, K] matrix product; an aggregate is a
-reduction of each set's rows to one row per set ([B, K]), repeated back to
-the members where a layer needs it. No row belongs to more than one set and
-there are no padding rows, so a set's outputs depend on its own members
-only. A ``SetBatch`` keeps the member array it is given; its values are
-scanned for finiteness once, where they enter a tape.
+another, [M, K] with M the total number of members, plus its layout, an
+``autodiff.Segments`` made once per batch from each set's cardinality.
+Per-member maps are one [M, K] matrix product; an aggregate is a reduction of
+each set's rows to one row per set ([B, K]) by the layout's methods, spread
+back to the members where a layer needs it. No row belongs to more than one
+set and there are no padding rows, so a set's outputs depend on its own
+members only. A ``SetBatch`` keeps the member array it is given; its values
+are scanned for finiteness once, where they enter a tape.
 
 Every layer records on the ``tape`` its ``apply`` is given, and each is one
 node there: an ``EquivariantLayer`` or a ``Dense`` layer, activation
@@ -26,31 +27,26 @@ included (``sigma(beta + (x - 1 max(x)) Gamma)``, or ``sigma(x W + b)``), a
 
 Every layer has the same protocol: ``params()`` lists its named ``Param``
 objects (none for pooling, normalisation, flattening and dropout) and
-``apply(tape, x, cards, bound, rng=None)`` builds its autodiff nodes from the
-input node, the set cardinalities and the tape nodes bound to the parameters.
-Layers before a ``SetPool`` see member rows, layers after it one row per set.
-Dropout is active exactly when an ``rng`` is passed. ``evaluate`` runs any
-such module on a batch with the parameters held constant.
+``apply(tape, x, seg, bound, rng=None)`` builds its autodiff nodes from the
+input node, the batch's ``Segments`` and the tape nodes bound to the
+parameters. Layers before a ``SetPool`` see member rows, layers after it one
+row per set. Dropout is active exactly when an ``rng`` is passed.
+``evaluate`` runs any such module on a batch with the parameters held
+constant.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from . import tensor as T
-from .errors import (
-    DegenerateSetError,
-    DimensionError,
-    EmptyReductionError,
-    FormatError,
-)
+from .data import write_whole
+from .errors import DegenerateSetError, DimensionError, FormatError
 
 POOL_KINDS = ("sum", "max", "mean")
 
@@ -58,33 +54,30 @@ POOL_KINDS = ("sum", "max", "mean")
 @dataclass(frozen=True)
 class SetBatch:
     """A packed batch of sets: ``values`` [M, K] holds every member as one row,
-    the sets one after another, and ``cardinalities`` [B] says how many rows
-    each set has (M is their sum, every set has at least one member).
+    the sets one after another, ``cardinalities`` [B] says how many rows each
+    set has, and ``segments`` is the layout the layers take, made from them
+    here (its constructor checks them; the batch checks that M is their sum).
 
-    Both arrays are read-only. The batch keeps the float64 ``values`` array it
+    The arrays are read-only. The batch keeps the float64 ``values`` array it
     is given, without a copy: the caller hands it over and does not change it
-    after. The batch checks shapes and cardinalities only; its values are
-    checked for finiteness where they enter a tape, as a ``Tape.constant``.
+    after. Its values are checked for finiteness where they enter a tape, as a
+    ``Tape.constant``.
     """
 
     values: np.ndarray
     cardinalities: np.ndarray
+    segments: ad.Segments = field(init=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
             raise DimensionError(f"SetBatch values must be [M, K], got shape {vals.shape}")
-        cards = np.array(self.cardinalities, dtype=np.intp)
-        if cards.ndim != 1:
-            raise DimensionError("need one cardinality per set")
-        if np.any(cards < 1):
-            raise EmptyReductionError("sets must have at least one member")
-        if cards.sum() != vals.shape[0]:
-            raise DimensionError(f"cardinalities sum to {cards.sum()} but there are {vals.shape[0]} member rows")
+        seg = ad.Segments(self.cardinalities)
+        if seg.rows != vals.shape[0]:
+            raise DimensionError(f"cardinalities sum to {seg.rows} but there are {vals.shape[0]} member rows")
         vals.setflags(write=False)
-        cards.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "cardinalities", cards)
+        for name, val in dict(values=vals, cardinalities=seg.cards, segments=seg).items():
+            object.__setattr__(self, name, val)
 
     @property
     def num_sets(self) -> int:
@@ -146,12 +139,10 @@ class EquivariantLayer:
     def params(self) -> List[Param]:
         return [self.gam, self.beta]
 
-    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
+    def apply(self, tape: ad.Tape, x: ad.Node, seg: ad.Segments, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if x.value.shape[1] != self.k_in:
-            raise DimensionError(
-                f"{self.name}: expected {self.k_in} input channels, got {x.value.shape[1]}"
-            )
-        return ad.max_centred_affine(tape, x, bound[self.gam.name], bound[self.beta.name], cards, self.activation)
+            raise DimensionError(f"{self.name}: expected {self.k_in} input channels, got {x.value.shape[1]}")
+        return ad.max_centred_affine(tape, x, bound[self.gam.name], bound[self.beta.name], seg, self.activation)
 
 
 class Dense:
@@ -171,13 +162,20 @@ class Dense:
     def params(self) -> List[Param]:
         return [self.w, self.b]
 
-    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
+    def apply(self, tape: ad.Tape, x: ad.Node, seg: ad.Segments, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         if x.value.shape[-1] != self.k_in:
             raise DimensionError(f"{self.name}: expected {self.k_in} inputs, got {x.value.shape[-1]}")
         return ad.affine(tape, x, bound[self.w.name], bound[self.b.name], self.activation)
 
 
-class SetPool:
+class _Stateless:
+    """A layer without parameters."""
+
+    def params(self) -> List[Param]:
+        return []
+
+
+class SetPool(_Stateless):
     """Commutative reduction over each set's members: [M, K] -> [B, K]."""
 
     def __init__(self, kind: str = "sum"):
@@ -185,14 +183,11 @@ class SetPool:
             raise DimensionError(f"unknown pool kind {kind!r}")
         self.kind = kind
 
-    def params(self) -> List[Param]:
-        return []
-
-    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
-        return ad.set_pool(tape, x, cards, self.kind)
+    def apply(self, tape: ad.Tape, x: ad.Node, seg: ad.Segments, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
+        return ad.set_pool(tape, x, seg, self.kind)
 
 
-class Dropout:
+class Dropout(_Stateless):
     """Inverted dropout over channels; optionally one shared mask per set.
 
     With ``simultaneous`` the same channels are dropped for every member of a
@@ -206,10 +201,7 @@ class Dropout:
         self.rate = rate
         self.simultaneous = simultaneous
 
-    def params(self) -> List[Param]:
-        return []
-
-    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
+    def apply(self, tape: ad.Tape, x: ad.Node, seg: ad.Segments, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
         """Set rows (rows == B) draw a [B, K] mask; member rows share a [B, K]
         draw within each set if ``simultaneous``, kept at that shape, else draw
         [B, max cardinality, K] and keep each set's first rows. With one member
@@ -217,16 +209,16 @@ class Dropout:
         if rng is None or self.rate == 0.0:
             return x
         rows, k = x.value.shape
-        b = len(cards)
+        b = len(seg.cards)
         per_member = rows != b and not self.simultaneous
-        draw = rng.random((b, int(cards.max()), k) if per_member else (b, k))
+        draw = rng.random((b, int(seg.cards.max()), k) if per_member else (b, k))
         keep = (draw >= self.rate).astype(np.float64) / (1.0 - self.rate)
         if per_member:
-            keep = keep[np.arange(keep.shape[1]) < cards[:, None]]  # each set's first rows
-        return ad.dropout(tape, x, keep, None if len(keep) == rows else cards)
+            keep = keep[np.arange(keep.shape[1]) < seg.cards[:, None]]  # each set's first rows
+        return ad.dropout(tape, x, keep, None if len(keep) == rows else seg)
 
 
-class NormalizeSets:
+class NormalizeSets(_Stateless):
     """Center each set per axis and scale to unit global variance.
 
     Means and the (single, per-set) standard deviation are computed over the
@@ -238,16 +230,13 @@ class NormalizeSets:
 
     eps = 1e-8
 
-    def params(self) -> List[Param]:
-        return []
-
-    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
-        if np.any(cards < 2):
+    def apply(self, tape: ad.Tape, x: ad.Node, seg: ad.Segments, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
+        if np.any(seg.cards < 2):
             raise DegenerateSetError("normalization needs sets of at least two members")
-        return ad.normalize_sets(tape, x, cards, self.eps)
+        return ad.normalize_sets(tape, x, seg, self.eps)
 
 
-class Flatten:
+class Flatten(_Stateless):
     """Join each set's members into one vector: [B*N, K] -> [B, N*K], for
     sets that all have N members.
 
@@ -259,11 +248,8 @@ class Flatten:
     def __init__(self, interleave: bool = False):
         self.interleave = interleave
 
-    def params(self) -> List[Param]:
-        return []
-
-    def apply(self, tape: ad.Tape, x: ad.Node, cards: np.ndarray, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
-        return ad.flatten(tape, x, cards, self.interleave)
+    def apply(self, tape: ad.Tape, x: ad.Node, seg: ad.Segments, bound: Dict[str, ad.Node], rng=None) -> ad.Node:
+        return ad.flatten(tape, x, seg, self.interleave)
 
 
 # The most member rows one forward pass of ``evaluate`` takes at once.
@@ -286,7 +272,7 @@ def evaluate(module, batch: SetBatch, **options) -> np.ndarray:
     clouds at the memory of a training step."""
     tape = ad.Tape()
     bound = {p.name: tape.constant(p.value) for p in module.params()}
-    outs = [module.apply(tape, tape.constant(piece.values), piece.cardinalities, bound, **options).value
+    outs = [module.apply(tape, tape.constant(piece.values), piece.segments, bound, **options).value
             for piece in _pieces(batch)]
     return outs[0] if len(outs) == 1 else np.concatenate(outs)
 
@@ -298,7 +284,7 @@ def _pieces(batch: SetBatch):
     if batch.values.shape[0] <= _EVAL_ROWS:
         yield batch
         return
-    bounds = np.concatenate(([0], np.cumsum(batch.cardinalities)))
+    bounds = batch.segments.bounds
     first = 0
     while first < batch.num_sets:
         # the sets that end within _EVAL_ROWS rows of this piece's start, at least one
@@ -330,35 +316,24 @@ _CHECKPOINT_HEADER = f"{_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION}"
 
 
 def save_params(path, params: Sequence[Param], meta: Optional[Dict[str, str]] = None) -> None:
-    """Write a format-2 checkpoint (see above); float64 values round-trip exactly.
-
-    The meta is checked before any file is touched. The text is then written
-    line by line, one parameter's payload at a time, to a temporary file next
-    to ``path``, and moved onto ``path`` with ``os.replace``. An error or a
-    crash during the write therefore leaves any previous checkpoint at
-    ``path`` byte-identical, and a failed write removes its temporary file.
-    There is no fsync, so the replacement is atomic against a crashing
-    process, not against a power loss.
-    """
+    """Write a format-2 checkpoint (see above) with ``write_whole``, one
+    parameter's payload at a time, once the meta is checked; float64 values
+    round-trip exactly."""
     head = [_CHECKPOINT_HEADER]
     for key, val in sorted((meta or {}).items()):
         if any(ch.isspace() for ch in key) or any(ch.isspace() for ch in str(val)):
             raise FormatError("checkpoint meta keys/values must not contain whitespace")
         head.append(f"meta {key} {val}")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in head))
-            for p in params:
-                dims = "".join(f" {d}" for d in p.value.shape)
-                fh.write(f"param {p.name} {p.value.ndim}{dims}\n")
-                fh.write(memoryview(np.ascontiguousarray(p.value, dtype="<f8")).hex())
-                fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+
+    def chunks():
+        yield "".join(line + "\n" for line in head)
+        for p in params:
+            dims = "".join(f" {d}" for d in p.value.shape)
+            yield f"param {p.name} {p.value.ndim}{dims}\n"
+            yield memoryview(np.ascontiguousarray(p.value, dtype="<f8")).hex()
+            yield "\n"
+
+    write_whole(path, chunks())
 
 
 def load_params(path):

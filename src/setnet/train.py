@@ -343,12 +343,12 @@ class SetModel:
     def params(self) -> List[Param]:
         return [p for layer in self.layers for p in layer.params()]
 
-    def apply(self, tape, x: ad.Node, cards, bound, rng=None, upto: Optional[int] = None) -> ad.Node:
+    def apply(self, tape, x: ad.Node, seg: ad.Segments, bound, rng=None, upto: Optional[int] = None) -> ad.Node:
         """Output of the first ``upto`` layers (all by default); dropout is on when ``rng`` is given."""
-        if self.set_size is not None and np.any(cards != self.set_size):
+        if self.set_size is not None and seg.size != self.set_size:
             raise DimensionError(f"model expects exactly {self.set_size} members per set")
         for layer in self.layers[:upto]:
-            x = layer.apply(tape, x, cards, bound, rng)
+            x = layer.apply(tape, x, seg, bound, rng)
         return x
 
 
@@ -557,7 +557,7 @@ def train_loop(
             bound = bind(tape, params)
             x = tape.constant(batch.values)  # a non-finite batch is reported as input, not as divergence
             try:
-                out = model.apply(tape, x, batch.cardinalities, bound, dropout_rng)
+                out = model.apply(tape, x, batch.segments, bound, dropout_rng)
                 if classification:
                     loss = ad.softmax_cross_entropy(tape, out, train_data.set_labels[idx])
                 else:
@@ -723,11 +723,11 @@ def activation_maximization(
     if not 0 <= unit < width:
         raise ContractError(f"unit {unit} out of range for width {width}")
     coords = Param("input.points", rng.uniform(-1.0, 1.0, size=(m, 3)))
-    cards = np.array([m])
+    seg = ad.Segments([m])
 
     def objective(tape: ad.Tape, x: ad.Node) -> ad.Node:
         bound = {p.name: tape.constant(p.value) for p in model.params()}
-        h = model.apply(tape, x, cards, bound, upto=ends[layer_index])
+        h = model.apply(tape, x, seg, bound, upto=ends[layer_index])
         return ad.negated_channel_mean(tape, h, unit)
 
     opt = Optimizer("adamax", [coords], lr=0.01, beta1=0.1, beta2=0.9)

@@ -25,6 +25,10 @@ same way when an entry of the pre-activation of a recorded node with elu
 fused in takes the other branch of elu (above 0, or at or below it) in the
 two probes. An input that stays at 0 in both is not flagged: elu is smooth
 along it.
+
+The adjoint oracle, ``adjoint_gap``, needs no step and skips no point: it
+checks an op's vjp against a JVP written out here, ``<u, J v> = <J^T u, v>``
+to float64 rounding, ties and kinks included.
 """
 
 import csv
@@ -346,14 +350,13 @@ def mean_axis(tape, x, axis):
                         vjps=(lambda g, pv, out: np.broadcast_to(g / pv[0].shape[axis], pv[0].shape).copy(),))
 
 
-def repeat(tape, x, cards):
-    """Each set's row of node ``x`` once per member, [B, K] -> [M, K], as a
-    ``repeat`` node: the vjp of a sum pool and vice versa."""
-    if x.value.shape[0] != len(cards):
-        raise DimensionError(f"repeat: {x.value.shape[0]} rows for {len(cards)} sets")
-    bounds, size = ad._segments(cards, int(np.sum(cards)))
-    return tape._record("repeat", (x,), fwd=lambda a: np.repeat(a, cards, axis=0),
-                        vjps=(lambda g, pv, out: ad._per_set(np.add.reduce, g, bounds, size),))
+def repeat(tape, x, seg):
+    """Each set's row of node ``x`` once per member of the sets ``seg`` lays
+    out, [B, K] -> [M, K], as a ``repeat`` node: the vjp of a sum pool and
+    vice versa."""
+    if x.value.shape[0] != len(seg.cards):
+        raise DimensionError(f"repeat: {x.value.shape[0]} rows for {len(seg.cards)} sets")
+    return tape._record("repeat", (x,), fwd=seg.spread, vjps=(lambda g, pv, out: seg.sum(g),))
 
 
 def sum_axis(tape, x, axis):
@@ -368,19 +371,19 @@ def pow_const(tape, x, p):
                         vjps=(lambda g, pv, out: g * p * np.power(pv[0], p - 1.0),))
 
 
-def normalize_sets_chain(tape, x, cards, eps):
+def normalize_sets_chain(tape, x, seg, eps):
     """``autodiff.normalize_sets`` as the chain of generic nodes that
     ``NormalizeSets`` recorded before it became one node: the oracle for that
     node's values and gradients, bit for bit."""
     k = x.value.shape[1]
-    inv_n = tape.constant(1.0 / cards.astype(np.float64)[:, None])
-    centered = sub(tape, x, repeat(tape, mul(tape, ad.set_pool(tape, x, cards, "sum"), inv_n), cards))
-    squares = ad.set_pool(tape, mul(tape, centered, centered), cards, "sum")
+    inv_n = tape.constant(1.0 / seg.cards.astype(np.float64)[:, None])
+    centered = sub(tape, x, repeat(tape, mul(tape, ad.set_pool(tape, x, seg, "sum"), inv_n), seg))
+    squares = ad.set_pool(tape, mul(tape, centered, centered), seg, "sum")
     var = mul(tape, mul(tape, sum_axis(tape, squares, 1), inv_n), 1.0 / k)  # [B, 1]
     # widened to [B, K] before it goes to the members, so the gradient of
     # the deviation adds each channel over the members, then the channels
     inv_std = mul(tape, pow_const(tape, add(tape, var, eps), -0.5), np.ones((1, k)))
-    return mul(tape, centered, repeat(tape, inv_std, cards))
+    return mul(tape, centered, repeat(tape, inv_std, seg))
 
 
 def masked_mse_chain(tape, pred, targets, mask):
@@ -405,17 +408,17 @@ def evaluate_whole(module, batch, **options):
     many member rows it has: the oracle for the values of its pieces."""
     tape = ad.Tape()
     bound = {p.name: tape.constant(p.value) for p in module.params()}
-    return module.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, **options).value
+    return module.apply(tape, tape.constant(batch.values), batch.segments, bound, **options).value
 
 
-def composite_pre_activation(tape, layer, x, cards, bound):
+def composite_pre_activation(tape, layer, x, seg, bound):
     """The pre-activation of an ``EquivariantLayer`` or a ``Dense`` layer
     built from the unfused nodes (a max pool, ``repeat``, ``sub``,
     ``matmul`` and ``add``), as the layers recorded it before each became one
     fused node. Oracle for the fused nodes' values and gradients."""
     if hasattr(layer, "w"):  # Dense
         return add(tape, matmul(tape, x, bound[layer.w.name]), bound[layer.b.name])
-    centred = sub(tape, x, repeat(tape, ad.set_pool(tape, x, cards, "max"), cards))
+    centred = sub(tape, x, repeat(tape, ad.set_pool(tape, x, seg, "max"), seg))
     return add(tape, matmul(tape, centred, bound[layer.gam.name]), bound[layer.beta.name])
 
 
@@ -563,3 +566,112 @@ def gradient_check(build, values, step: float = 1e-5, tolerance: float = 1e-4) -
                 report.failures.append(f"{name}[{j}]: analytic {ad_j:.6e} vs central-difference {fd:.6e} (rel {err:.3e})")
         report.max_rel_error = max(report.max_rel_error, worst)
     return report
+
+
+# Written-out Jacobian-vector products (JVPs) of the set ops, the oracles of
+# the adjoint test. Each takes the op's primal point and returns a function
+# of one tangent per differentiated parent that gives the tangent of the
+# output, computed set by set with numpy, independently of ``Segments``. A max
+# is linearised at its lowest-index winner, as the op's vjp is.
+
+
+def set_slices(cards) -> list:
+    """Each set's member rows as a slice, from its cardinalities."""
+    ends = np.cumsum(cards)
+    return [slice(int(e - n), int(e)) for n, e in zip(cards, ends)]
+
+
+def set_winners(x, cards) -> np.ndarray:
+    """[B, K] the row of each (set, channel) max of ``x``, the lowest on ties."""
+    return np.array([s.start + np.argmax(x[s], axis=0) for s in set_slices(cards)])
+
+
+def jvp_set_pool(x, cards, kind):
+    def jvp(vx):
+        if kind == "max":
+            return np.take_along_axis(vx, set_winners(x, cards), axis=0)
+        sums = np.array([np.sum(vx[s], axis=0) for s in set_slices(cards)])
+        return sums / np.asarray(cards, dtype=np.float64)[:, None] if kind == "mean" else sums
+    return jvp
+
+
+def jvp_max_centred_affine(x, gam, beta, cards, activation):
+    won = set_winners(x, cards)
+    d = x - np.repeat(np.take_along_axis(x, won, axis=0), cards, axis=0)
+    pre = d @ gam + beta
+    slope = 1.0 if activation == "identity" else T.elementwise_grad(pre, activation, T.elementwise(pre, activation))
+
+    def jvp(vx, vgam, vbeta):
+        dd = vx - np.repeat(np.take_along_axis(vx, won, axis=0), cards, axis=0)
+        return slope * (dd @ gam + d @ vgam + vbeta)
+    return jvp
+
+
+def jvp_normalize_sets(x, cards, eps):
+    k, slices = x.shape[1], set_slices(cards)
+    per_n = np.repeat(1.0 / np.asarray(cards, dtype=np.float64), cards)[:, None]
+
+    def centred(a):
+        return a - np.concatenate([np.broadcast_to(a[s].mean(axis=0), a[s].shape) for s in slices])
+
+    def per_member_sum(a):
+        return np.concatenate([np.full((s.stop - s.start, 1), np.sum(a[s])) for s in slices])
+
+    c = centred(x)
+    shifted = per_member_sum(c * c) * per_n / k + eps
+
+    def jvp(vx):
+        dc = centred(vx)
+        dvar = 2.0 * per_member_sum(c * dc) * per_n / k
+        return dc / np.sqrt(shifted), -0.5 * c * dvar * shifted ** -1.5  # terms that can cancel
+    return jvp
+
+
+def jvp_dropout(keep, cards=None):
+    """With ``cards``, ``keep`` has one row per set, spread to its members."""
+    mask = keep if cards is None else np.repeat(keep, cards, axis=0)
+    return lambda vx: vx * mask
+
+
+def jvp_flatten(cards, interleave):
+    def jvp(vx):
+        rows = [vx[s].T if interleave else vx[s] for s in set_slices(cards)]
+        return np.array([r.ravel() for r in rows])
+    return jvp
+
+
+def adjoint_gap(build, jvp, primals, rng):
+    """The adjoint (dot-product) test of one op at one point: the op is
+    ``build(tape, *nodes)`` with a tape variable for each array of
+    ``primals``, and ``jvp`` its written-out JVP there, a function of one
+    tangent per primal that returns the output's tangent, or a tuple of terms
+    that sum to it. For a random cotangent u and tangents v it returns
+    (|<u, J v> - <J^T u, v>|, bound), with ``J^T u`` from ``autodiff.backward``.
+
+    The bound is ``4 n eps |u| |J| |v|`` in 2-norms, with n the number of
+    entries in and out and ``|J|`` the Jacobian's Frobenius norm taken column
+    by column through ``jvp``, a column's norm being the sum of its terms'
+    norms, so that terms which cancel do not shrink it. Each side is a
+    float64 inner product of length at most n over values whose own rounding
+    is bounded the same way, so a correct pair stays well within it; a vjp
+    off by 1e-6 relative does not."""
+    tape = ad.Tape()
+    nodes = [tape.variable(p, f"p{i}") for i, p in enumerate(primals)]
+    out = build(tape, *nodes)
+    u = rng.normal(size=out.value.shape)
+    grads = ad.backward(tape, sum_all(tape, mul(tape, out, u)))
+    vs = [rng.normal(size=p.shape) for p in primals]
+    def terms(*tangents):
+        out = jvp(*tangents)
+        return out if isinstance(out, tuple) else (out,)
+
+    gap = abs(np.sum(u * sum(terms(*vs))) - sum(np.sum(grads[f"p{i}"] * v) for i, v in enumerate(vs)))
+    frob = 0.0
+    for i, p in enumerate(primals):
+        for j in range(p.size):
+            basis = [np.zeros(q.shape) for q in primals]
+            basis[i].flat[j] = 1.0
+            frob += sum(np.linalg.norm(t) for t in terms(*basis)) ** 2
+    n = out.value.size + sum(p.size for p in primals)
+    norm_v = np.sqrt(sum(np.sum(v * v) for v in vs))
+    return gap, 4 * n * np.finfo(np.float64).eps * np.linalg.norm(u) * np.sqrt(frob) * norm_v

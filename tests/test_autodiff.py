@@ -12,7 +12,23 @@ from setnet import tensor as T
 from setnet.errors import ContractError, DimensionError, EmptyReductionError, NumericError
 from setnet.layers import Dense, EquivariantLayer, SetBatch, SetPool, bind, evaluate
 
-from helpers import add, gradient_check, max_winners, mul, pow_const, repeat, sub, sum_all
+from helpers import (
+    add,
+    adjoint_gap,
+    gradient_check,
+    jvp_dropout,
+    jvp_flatten,
+    jvp_max_centred_affine,
+    jvp_normalize_sets,
+    jvp_set_pool,
+    max_winners,
+    mul,
+    pow_const,
+    repeat,
+    set_slices,
+    sub,
+    sum_all,
+)
 
 
 class TestForward:
@@ -26,20 +42,21 @@ class TestForward:
     def test_max_of_vector(self):
         tape = ad.Tape()
         x = tape.variable(np.array([1.0, 5.0, 2.0]), "x")
-        assert np.array_equal(ad.set_pool(tape, x, [3], "max").value, [5.0])
+        assert np.array_equal(ad.set_pool(tape, x, ad.Segments([3]), "max").value, [5.0])
 
     def test_max_normalized_identity_layer(self):
         # one channel, weight 1, no bias: y = x - max(x), per set
         tape = ad.Tape()
         x = tape.variable(np.array([[1.0], [2.0], [7.0]]), "x")
-        y = ad.max_centred_affine(tape, x, tape.constant(np.eye(1)), tape.constant(np.zeros(1)), [2, 1], "identity")
+        w, b = tape.constant(np.eye(1)), tape.constant(np.zeros(1))
+        y = ad.max_centred_affine(tape, x, w, b, ad.Segments([2, 1]), "identity")
         assert np.array_equal(y.value, [[-1.0], [0.0], [0.0]])
 
     def test_tape_records_only_the_gradient_graph(self):
         tape = ad.Tape()
         x = tape.constant(np.arange(6.0).reshape(3, 2))
-        top = ad.set_pool(tape, sub(tape, mul(tape, x, 2.0), 1.0), [2, 1], "max")
-        c = sum_all(tape, mul(tape, top, ad.set_pool(tape, x, [2, 1], "sum")))
+        top = ad.set_pool(tape, sub(tape, mul(tape, x, 2.0), 1.0), ad.Segments([2, 1]), "max")
+        c = sum_all(tape, mul(tape, top, ad.set_pool(tape, x, ad.Segments([2, 1]), "sum")))
         assert c.value == 3.0 * 2.0 + 5.0 * 4.0 + 7.0 * 4.0 + 9.0 * 5.0
         assert tape.nodes == [] and c.parents == () and c.vjps is None and not c.requires_grad
         w = tape.variable(np.array([2.0, 3.0]), "w")
@@ -55,7 +72,7 @@ class TestForward:
             def params(self):
                 return []
 
-            def apply(self, tape, x, cards, bound, rng=None):
+            def apply(self, tape, x, seg, bound, rng=None):
                 for _ in range(2):
                     with pytest.raises(NumericError, match=r"node#\d+\[affine\]") as info:
                         ad.affine(tape, x, tape.constant([[1e308]]), tape.constant([1e308]), "identity")
@@ -69,7 +86,7 @@ class TestForward:
         tape = ad.Tape()
         x = tape.variable(np.array([[1e308], [1e308]]), "x")
         with pytest.raises(NumericError, match=r"node#1\[sum_pool\]: 1 non-finite"):
-            ad.set_pool(tape, x, [2], "sum")
+            ad.set_pool(tape, x, ad.Segments([2]), "sum")
         w = tape.variable(np.array([[1e200]]), "w")
         with pytest.raises(NumericError, match=r"node#3\[affine\]: 1 non-finite"):
             ad.affine(tape, w, w, tape.constant(np.zeros(1)), "identity")
@@ -78,7 +95,7 @@ class TestForward:
         tape = ad.Tape()
         x, w, b = tape.variable(np.ones((4, 3)), "x"), tape.variable(np.ones((2, 5)), "w"), tape.variable(np.ones(5), "b")
         for product in (lambda: ad.affine(tape, x, w, b, "tanh"),
-                        lambda: ad.max_centred_affine(tape, x, w, b, [2, 2], "tanh")):
+                        lambda: ad.max_centred_affine(tape, x, w, b, ad.Segments([2, 2]), "tanh")):
             with pytest.raises(DimensionError, match=r"matmul inner dimensions differ: \(4, 3\) x \(2, 5\)"):
                 product()
         assert tape.nodes == [x, w, b]  # nothing recorded
@@ -90,7 +107,7 @@ class TestForward:
         x, w = tape.variable(np.ones((4, 2)), "x"), tape.variable(np.ones((2, 5)), "w")
         b = tape.variable(np.ones(bias_shape), "b")
         for product in (lambda: ad.affine(tape, x, w, b, "tanh"),
-                        lambda: ad.max_centred_affine(tape, x, w, b, [2, 2], "tanh")):
+                        lambda: ad.max_centred_affine(tape, x, w, b, ad.Segments([2, 2]), "tanh")):
             with pytest.raises(DimensionError, match=r"bias of shape .* for 5 output channels"):
                 product()
         assert tape.nodes == [x, w, b]
@@ -100,20 +117,21 @@ class TestForward:
 # node of sets of 2 and 2 members or 3 and 1, the array function behind it on
 # that node's value).
 FINITE_PRESERVING_OPS = {
-    "max_pool": ("max_pool", lambda tape, x: ad.set_pool(tape, x, [3, 1], "max"),
+    "max_pool": ("max_pool", lambda tape, x: ad.set_pool(tape, x, ad.Segments([3, 1]), "max"),
                  lambda a: np.stack([a[:3].max(axis=0), a[3:].max(axis=0)])),
-    "flatten": ("flatten", lambda tape, x: ad.flatten(tape, x, [2, 2], False), lambda a: a.reshape((2, 4))),
-    "flatten_interleaved": ("flatten", lambda tape, x: ad.flatten(tape, x, [2, 2], True),
+    "flatten": ("flatten", lambda tape, x: ad.flatten(tape, x, ad.Segments([2, 2]), False),
+                lambda a: a.reshape((2, 4))),
+    "flatten_interleaved": ("flatten", lambda tape, x: ad.flatten(tape, x, ad.Segments([2, 2]), True),
                             lambda a: a.reshape((2, 2, 2)).transpose((0, 2, 1)).reshape((2, 4))),
 }
 # Every other op, on the same node.
 CHECKED_OPS = {
     "affine": lambda tape, x: ad.affine(tape, x, tape.constant(np.ones((2, 3))), tape.constant(np.zeros(3)), "tanh"),
     "max_centred_affine": lambda tape, x: ad.max_centred_affine(
-        tape, x, tape.constant(np.ones((2, 3))), tape.constant(np.zeros(3)), [3, 1], "tanh"),
-    "sum_pool": lambda tape, x: ad.set_pool(tape, x, [3, 1], "sum"),
-    "mean_pool": lambda tape, x: ad.set_pool(tape, x, [3, 1], "mean"),
-    "normalize_sets": lambda tape, x: ad.normalize_sets(tape, x, [2, 2], 1e-8),
+        tape, x, tape.constant(np.ones((2, 3))), tape.constant(np.zeros(3)), ad.Segments([3, 1]), "tanh"),
+    "sum_pool": lambda tape, x: ad.set_pool(tape, x, ad.Segments([3, 1]), "sum"),
+    "mean_pool": lambda tape, x: ad.set_pool(tape, x, ad.Segments([3, 1]), "mean"),
+    "normalize_sets": lambda tape, x: ad.normalize_sets(tape, x, ad.Segments([2, 2]), 1e-8),
     "dropout": lambda tape, x: ad.dropout(tape, x, np.full((4, 2), 2.0), None),
     "softmax_ce": lambda tape, x: ad.softmax_cross_entropy(tape, x, np.array([0, 1, 1, 0])),
     "masked_mse": lambda tape, x: ad.masked_mse(
@@ -167,7 +185,7 @@ class TestFiniteChecks:
         x = tape.variable(np.array([[-1.7e308], [1.7e308]]), "x")  # x - max(x) overflows
         w, b = tape.variable(np.ones((1, 1)), "w"), tape.variable(np.zeros(1), "b")
         with pytest.raises(NumericError, match=r"node#\d+\[max_centred_affine\]"):
-            ad.max_centred_affine(tape, x, w, b, [2], "identity")
+            ad.max_centred_affine(tape, x, w, b, ad.Segments([2]), "identity")
         with pytest.raises(NumericError, match=r"node#\d+\[affine\]: 1 non-finite"):
             ad.affine(tape, tape.constant([[1e200]]), tape.constant([[1e200]]), b, "identity")
 
@@ -183,14 +201,14 @@ class TestBackward:
         # gradient of sum(max over the set's members) hits one argmax row per channel
         tape = ad.Tape()
         x = tape.variable(np.array([[1.0, 9.0], [5.0, 2.0], [5.0, 2.0]]), "x")
-        loss = sum_all(tape, ad.set_pool(tape, x, [3], "max"))
+        loss = sum_all(tape, ad.set_pool(tape, x, ad.Segments([3]), "max"))
         grads = ad.backward(tape, loss)
         assert np.array_equal(grads["x"], [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
 
     def test_mean_distributes(self):
         tape = ad.Tape()
         x = tape.variable(np.arange(4.0)[:, None], "x")
-        grads = ad.backward(tape, sum_all(tape, ad.set_pool(tape, x, [4], "mean")))
+        grads = ad.backward(tape, sum_all(tape, ad.set_pool(tape, x, ad.Segments([4]), "mean")))
         assert np.array_equal(grads["x"], np.full((4, 1), 0.25))
 
     def test_matmul_and_broadcast_bias(self):
@@ -224,8 +242,8 @@ class TestBackward:
         tape = ad.Tape()
         x = tape.constant(np.array([[1.0, 4.0], [3.0, 2.0], [5.0, 0.0]]))
         scaled = mul(tape, x, 2.0)
-        top = ad.set_pool(tape, scaled, [2, 1], "max")
-        spread = repeat(tape, top, [2, 1])
+        top = ad.set_pool(tape, scaled, ad.Segments([2, 1]), "max")
+        spread = repeat(tape, top, ad.Segments([2, 1]))
         centred = sub(tape, scaled, spread)
         for node in (scaled, top, spread, centred):
             node.vjps = tuple(spy for _ in node.parents)
@@ -293,12 +311,13 @@ class TestBackward:
 
 class TestSegmentOps:
     CARDS = [3, 1, 4]
+    SEG = ad.Segments(CARDS)
 
     def test_segment_sum_adds_members_in_row_order(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(8, 5)) * 10.0 ** rng.integers(-8, 8, size=(8, 5))
         tape = ad.Tape()
-        got = ad.set_pool(tape, tape.constant(x), self.CARDS, "sum").value
+        got = ad.set_pool(tape, tape.constant(x), self.SEG, "sum").value
         want = np.zeros((3, 5))
         for row, s in zip(x, np.repeat(np.arange(3), self.CARDS)):
             want[s] = want[s] + row  # one member after another
@@ -310,11 +329,11 @@ class TestSegmentOps:
         tape = ad.Tape()
         y = tape.variable(per_set, "y")
         x = tape.variable(per_member, "x")
-        loss = add(tape, sum_all(tape, mul(tape, repeat(tape, y, self.CARDS), per_member)),
-                   sum_all(tape, mul(tape, ad.set_pool(tape, x, self.CARDS, "sum"), per_set)))
+        loss = add(tape, sum_all(tape, mul(tape, repeat(tape, y, self.SEG), per_member)),
+                   sum_all(tape, mul(tape, ad.set_pool(tape, x, self.SEG, "sum"), per_set)))
         grads = ad.backward(tape, loss)
-        assert np.array_equal(grads["y"], ad.set_pool(tape, tape.constant(per_member), self.CARDS, "sum").value)
-        assert np.array_equal(grads["x"], repeat(tape, tape.constant(per_set), self.CARDS).value)
+        assert np.array_equal(grads["y"], ad.set_pool(tape, tape.constant(per_member), self.SEG, "sum").value)
+        assert np.array_equal(grads["x"], repeat(tape, tape.constant(per_set), self.SEG).value)
 
     def test_segment_max_routes_to_first_hit_in_each_set(self):
         x_val = np.array([[2.0, 0.0], [2.0, 1.0], [1.0, 1.0],  # set 0: ties in channel 0
@@ -322,7 +341,7 @@ class TestSegmentOps:
                           [0.0, 5.0], [4.0, 5.0], [4.0, 1.0], [0.0, 0.0]])  # set 2: ties in both channels
         tape = ad.Tape()
         x = tape.variable(x_val, "x")
-        top = ad.set_pool(tape, x, self.CARDS, "max")
+        top = ad.set_pool(tape, x, self.SEG, "max")
         assert np.array_equal(top.value, [[2.0, 1.0], [-3.0, -3.0], [4.0, 5.0]])
         want = np.zeros((8, 2))
         want[[0, 3, 5], 0] = 1.0
@@ -336,8 +355,8 @@ class TestSegmentOps:
 
         def build(tape, variables):
             x = variables["x"]
-            y = mul(tape, ad.set_pool(tape, x, self.CARDS, "max"), ad.set_pool(tape, x, self.CARDS, "sum"))
-            return sum_all(tape, mul(tape, sub(tape, x, repeat(tape, y, self.CARDS)), weights))
+            y = mul(tape, ad.set_pool(tape, x, self.SEG, "max"), ad.set_pool(tape, x, self.SEG, "sum"))
+            return sum_all(tape, mul(tape, sub(tape, x, repeat(tape, y, self.SEG)), weights))
 
         report = gradient_check(build, {"x": x_val})
         assert report.passed and report.entries_checked == 24
@@ -362,7 +381,7 @@ class TestSegmentOps:
             start += n
         tape = ad.Tape()
         x = tape.variable(x_val, "x")
-        top = ad.set_pool(tape, x, cards, "max")
+        top = ad.set_pool(tape, x, ad.Segments(cards), "max")
         assert np.array_equal(max_winners(top), want)
         routed = np.zeros((m, k))
         routed[want, np.arange(k)] = 1.0
@@ -383,13 +402,13 @@ class TestSegmentOps:
         def per_set(fn, a):
             return np.array([fn(a[s : s + n]) for s in starts])
 
-        cards = [n] * sets
+        seg = ad.Segments([n] * sets)
         tape = ad.Tape()
         x = tape.variable(x_val, "x")
         y = tape.variable(rng.normal(size=(sets, k)), "y")
-        total = ad.set_pool(tape, x, cards, "sum")
-        top = ad.set_pool(tape, x, cards, "max")
-        spread = repeat(tape, y, cards)
+        total = ad.set_pool(tape, x, seg, "sum")
+        top = ad.set_pool(tape, x, seg, "max")
+        spread = repeat(tape, y, seg)
         loss = add(tape, add(tape, sum_all(tape, total), sum_all(tape, top)), sum_all(tape, mul(tape, spread, weights)))
         grads = ad.backward(tape, loss)
         assert total.value.tobytes() == per_set(lambda b: np.add.reduce(b, axis=0), x_val).tobytes()
@@ -401,11 +420,46 @@ class TestSegmentOps:
         tape = ad.Tape()
         x = tape.constant(np.ones((5, 2)))
         with pytest.raises(DimensionError):
-            ad.set_pool(tape, x, [2, 2], "sum")
+            ad.set_pool(tape, x, ad.Segments([2, 2]), "sum")
         with pytest.raises(DimensionError):
-            ad.set_pool(tape, x, [4, 2], "max")
+            ad.set_pool(tape, x, ad.Segments([4, 2]), "max")
+
+
+class TestSegments:
+    """The one record of a batch's layout, and the one place cardinalities are checked."""
+
+    def test_the_layout_of_a_ragged_and_an_equal_size_batch(self):
+        seg = ad.Segments([3, 1, 4])
+        assert (seg.cards.tolist(), seg.bounds.tolist(), seg.rows, seg.size) == ([3, 1, 4], [0, 3, 4, 8], 8, None)
+        assert seg.inv_n.tolist() == [[1 / 3], [1.0], [0.25]]
+        assert (ad.Segments(np.array([2, 2])).size, ad.Segments([]).rows, ad.Segments([]).size) == (2, 0, None)
+
+    def test_the_record_and_its_arrays_are_read_only(self):
+        seg = ad.Segments([2, 1])
+        assert not any(a.flags.writeable for a in (seg.cards, seg.bounds, seg.inv_n))
+        with pytest.raises(AttributeError):
+            seg.size = 2
+
+    def test_an_empty_set_is_refused(self):
+        # the EmptyReductionError every set op once raised itself
+        with pytest.raises(EmptyReductionError, match="at least one member"):
+            ad.Segments([5, 0])
         with pytest.raises(EmptyReductionError):
-            ad.set_pool(tape, x, [5, 0], "mean")
+            SetBatch(np.ones((5, 2)), [5, 0])
+
+    def test_one_cardinality_per_set(self):
+        with pytest.raises(DimensionError, match="one cardinality per set"):
+            ad.Segments([[2, 2]])
+
+    def test_a_set_op_checks_only_the_member_row_count(self):
+        tape = ad.Tape()
+        x = tape.constant(np.ones((5, 2)))
+        for op in (lambda seg: ad.normalize_sets(tape, x, seg, 1e-8), lambda seg: ad.flatten(tape, x, seg, False),
+                   lambda seg: ad.dropout(tape, x, np.ones((2, 2)), seg),
+                   lambda seg: ad.max_centred_affine(tape, x, tape.constant(np.eye(2)), tape.constant(np.zeros(2)),
+                                                     seg, "tanh")):
+            with pytest.raises(DimensionError, match=r"\d+ rows for sets of 4 members"):
+                op(ad.Segments([2, 2]))
 
 
 class TestSoftmaxCrossEntropy:
@@ -438,22 +492,23 @@ class TestTapeLifetime:
     def _step(self):
         tape = ad.Tape()
         x = tape.variable(np.array([[1.0, 4.0], [3.0, 2.0]]), "x")
-        return tape, sum_all(tape, mul(tape, ad.set_pool(tape, x, [2], "max"), ad.set_pool(tape, x, [2], "sum")))
+        seg = ad.Segments([2])
+        return tape, sum_all(tape, mul(tape, ad.set_pool(tape, x, seg, "max"), ad.set_pool(tape, x, seg, "sum")))
 
     @staticmethod
     def _every_op_step():
         """A tape and a scalar root that runs every op of ``autodiff`` once or more."""
         tape = ad.Tape()
-        cards = [2, 2]
+        seg = ad.Segments([2, 2])
         x = tape.variable(np.array([[1.0, 4.0], [3.0, 2.0], [0.5, -1.0], [2.0, 2.5]]), "x")
         w = tape.variable(np.full((2, 3), 0.5), "w")
-        h = ad.max_centred_affine(tape, ad.normalize_sets(tape, x, cards, 1e-8), w, tape.constant(np.zeros(3)),
-                                  cards, "elu")
-        flat = ad.dropout(tape, ad.flatten(tape, h, cards, True), np.full((2, 6), 2.0), None)
+        h = ad.max_centred_affine(tape, ad.normalize_sets(tape, x, seg, 1e-8), w, tape.constant(np.zeros(3)),
+                                  seg, "elu")
+        flat = ad.dropout(tape, ad.flatten(tape, h, seg, True), np.full((2, 6), 2.0), None)
         logits = ad.affine(tape, flat, tape.constant(np.ones((6, 2))), tape.constant(np.zeros(2)), "tanh")
-        pred = ad.affine(tape, ad.set_pool(tape, h, cards, "mean"), tape.constant(np.ones((3, 1))),
+        pred = ad.affine(tape, ad.set_pool(tape, h, seg, "mean"), tape.constant(np.ones((3, 1))),
                          tape.constant(np.zeros(1)), "identity")
-        pools = mul(tape, ad.set_pool(tape, h, cards, "sum"), ad.set_pool(tape, h, cards, "max"))
+        pools = mul(tape, ad.set_pool(tape, h, seg, "sum"), ad.set_pool(tape, h, seg, "max"))
         losses = [ad.softmax_cross_entropy(tape, logits, np.array([0, 1])),
                   ad.masked_mse(tape, pred, np.zeros(2), np.ones(2)),
                   ad.negated_channel_mean(tape, h, 0), sum_all(tape, pools)]
@@ -516,13 +571,13 @@ class TestGradientCheck:
     def test_layer_pool_loss_combination(self):
         rng = np.random.default_rng(4)
         layer = EquivariantLayer(3, 4, "tanh", rng=rng)
-        cards = np.array([5, 3])
+        seg = ad.Segments([5, 3])
         values = {p.name: p.value for p in layer.params()}
         values["x"] = rng.normal(size=(8, 3))
 
         def build(tape, bound):
-            h = layer.apply(tape, bound["x"], cards, bound)
-            pooled = SetPool("max").apply(tape, h, cards, bound)
+            h = layer.apply(tape, bound["x"], seg, bound)
+            pooled = SetPool("max").apply(tape, h, seg, bound)
             return ad.softmax_cross_entropy(tape, pooled, np.array([1, 0]))
 
         report = gradient_check(build, values, step=1e-5, tolerance=1e-4)
@@ -534,7 +589,7 @@ class TestGradientCheck:
         x_val, weights = rng.normal(size=(6, 4)), rng.normal(size=(2, 12))
 
         def build(tape, variables):
-            flat = ad.flatten(tape, variables["x"], [3, 3], True)
+            flat = ad.flatten(tape, variables["x"], ad.Segments([3, 3]), True)
             assert np.array_equal(flat.value, variables["x"].value.reshape(2, 3, 4).transpose(0, 2, 1).reshape(2, 12))
             return sum_all(tape, mul(tape, flat, weights))
 
@@ -544,8 +599,8 @@ class TestGradientCheck:
 
     def test_tie_point_flagged_and_excluded(self):
         x_val = np.array([1.0, 1.0, 0.0])  # exact tie at the max
-        report = gradient_check(lambda tape, v: sum_all(tape, ad.set_pool(tape, v["x"], [3], "max")), {"x": x_val},
-                                step=1e-5, tolerance=1e-4)
+        report = gradient_check(lambda tape, v: sum_all(tape, ad.set_pool(tape, v["x"], ad.Segments([3]), "max")),
+                                {"x": x_val}, step=1e-5, tolerance=1e-4)
         assert report.entries_flagged >= 2
         assert report.passed
 
@@ -607,7 +662,7 @@ class TestGradientEquivariance:
             tape = ad.Tape()
             bound = bind(tape, layer.params())
             x = tape.variable(xv, "x")
-            y = layer.apply(tape, x, np.array([n]), bound)
+            y = layer.apply(tape, x, ad.Segments([n]), bound)
             loss = sum_all(tape, mul(tape, y, gv))
             return ad.backward(tape, loss)
 
@@ -616,3 +671,99 @@ class TestGradientEquivariance:
         assert np.max(np.abs(permuted["x"] - base["x"][perm])) < 1e-9
         for p in layer.params():
             assert np.max(np.abs(permuted[p.name] - base[p.name])) < 1e-9
+
+
+@st.composite
+def adjoint_batches(draw, equal=None):
+    """(cards, x, rng): 1-3 sets of 1-5 members each, all of one size (with
+    ``equal``, or when drawn so) or ragged, over 1-3 channels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = draw(st.integers(1, 3))
+    if draw(st.booleans()) if equal is None else equal:
+        cards = [draw(st.integers(1, 5))] * sets
+    else:
+        cards = draw(st.lists(st.integers(1, 5), min_size=sets, max_size=sets))
+    return cards, rng.normal(size=(sum(cards), draw(st.integers(1, 3)))), rng
+
+
+def with_ties(x, cards):
+    """``x`` with ties at the maxima of every set: set i's channel ``i mod K``
+    zeroed, as simultaneous dropout zeroes whole channels, and in a set of
+    two or more members the row that holds the max of its next channel copied
+    onto another member."""
+    x = x.copy()
+    k = x.shape[1]
+    for i, rows in enumerate(set_slices(cards)):
+        x[rows, i % k] = 0.0
+        if rows.stop - rows.start > 1:
+            top = rows.start + int(np.argmax(x[rows, (i + 1) % k]))
+            x[rows.stop - 1 if top != rows.stop - 1 else rows.start] = x[top]
+    return x
+
+
+def assert_adjoint(case, cards, x, rng):
+    """The adjoint identity for the op and JVP ``case(point)`` gives at ``x``,
+    and again at ``x`` with ties forced: half the points checked are ties."""
+    for point in (x, with_ties(x, cards)):
+        build, jvp, primals = case(point)
+        gap, bound = adjoint_gap(build, jvp, primals, rng)
+        assert gap <= bound, (gap, bound)
+
+
+ADJOINT = settings(max_examples=100, deadline=None)
+
+
+class TestAdjoint:
+    """Each set op's vjp is the transpose of its linearisation, to float64
+    rounding: ``<u, J v> == <J^T u, v>`` within the bound ``adjoint_gap``
+    states, against the JVPs written out in ``helpers``, on ragged and
+    equal-size batches, at ties too. A max tie is a point the
+    finite-difference check must leave out; here both sides take the
+    lowest-index winner, so the identity holds there as well."""
+
+    @ADJOINT
+    @given(st.sampled_from(["sum", "max", "mean"]), adjoint_batches())
+    def test_set_pool(self, kind, case):
+        cards, x, rng = case
+        seg = ad.Segments(cards)
+        assert_adjoint(lambda p: (lambda tape, v: ad.set_pool(tape, v, seg, kind), jvp_set_pool(p, cards, kind), [p]),
+                       cards, x, rng)
+
+    @ADJOINT
+    @given(adjoint_batches(), st.integers(1, 3), st.sampled_from(T.NONLINEARITIES))
+    def test_max_centred_affine(self, case, k_out, activation):
+        cards, x, rng = case
+        seg = ad.Segments(cards)
+        gam, beta = rng.normal(size=(x.shape[1], k_out)), rng.normal(size=k_out)
+
+        def op(tape, v, g, b):
+            return ad.max_centred_affine(tape, v, g, b, seg, activation)
+
+        assert_adjoint(lambda p: (op, jvp_max_centred_affine(p, gam, beta, cards, activation), [p, gam, beta]),
+                       cards, x, rng)
+
+    @ADJOINT
+    @given(adjoint_batches())
+    def test_normalize_sets(self, case):
+        cards, x, rng = case
+        seg, eps = ad.Segments(cards), 1e-8
+        assert_adjoint(lambda p: (lambda tape, v: ad.normalize_sets(tape, v, seg, eps),
+                                  jvp_normalize_sets(p, cards, eps), [p]), cards, x, rng)
+
+    @ADJOINT
+    @given(adjoint_batches(), st.booleans())
+    def test_dropout(self, case, per_set):
+        # a mask of member rows, or of one row per set spread to its members
+        cards, x, rng = case
+        seg = ad.Segments(cards) if per_set else None
+        keep = 2.0 * (rng.random((len(cards) if per_set else len(x), x.shape[1])) < 0.5)
+        assert_adjoint(lambda p: (lambda tape, v: ad.dropout(tape, v, keep, seg),
+                                  jvp_dropout(keep, cards if per_set else None), [p]), cards, x, rng)
+
+    @ADJOINT
+    @given(adjoint_batches(equal=True), st.booleans())
+    def test_flatten(self, case, interleave):
+        cards, x, rng = case
+        seg = ad.Segments(cards)
+        assert_adjoint(lambda p: (lambda tape, v: ad.flatten(tape, v, seg, interleave), jvp_flatten(cards, interleave),
+                                  [p]), cards, x, rng)

@@ -499,6 +499,29 @@ def test_resume_drops_log_lines_past_its_checkpoint(tmp_path, capsys):
         assert (cut / name).read_bytes() == (straight / name).read_bytes(), name
 
 
+def test_a_resume_killed_while_training_keeps_the_logged_lines(tmp_path, capsys):
+    # the child is killed where training starts, after every file of the run
+    # but the checkpoints is written and before the first epoch's lines
+    straight, out = tmp_path / "straight", tmp_path / "killed"
+    assert _train(straight, "setregression", 2) == 0
+    assert _train(out, "setregression", 1) == 0
+    logged = (out / "metrics.log").read_bytes()
+    assert logged.count(b"\n") == 2
+    code = ("import os, sys\nfrom setnet import cli\n"
+            "cli.train_loop = lambda *a, **k: os._exit(137)\ncli.main(sys.argv[1:])\n")
+    argv = ["train", "--experiment", "setregression", "--out", str(out), "--quiet",
+            "--resume", str(out / "checkpoint_last.txt")]
+    argv += [arg for kv in TINY["setregression"] + ["train.epochs=2"] for arg in ("--set", kv)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.run([sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src})
+    assert child.returncode == 137
+    assert (out / "metrics.log").read_bytes() == logged
+    assert _train(out, "setregression", 2, "--resume", str(out / "checkpoint_last.txt")) == 0
+    for name in RUN_FILES + ("config.resolved.cfg",):
+        assert (out / name).read_bytes() == (straight / name).read_bytes(), name
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in straight.iterdir())  # no temporary left
+
+
 def test_refused_resume_leaves_out_as_it_was(tmp_path, capsys):
     out = tmp_path / "rz"
     assert _train(out, "setregression", 2) == 0

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from setnet import autodiff as ad
-from setnet import layers as layers_module
+from setnet import data as data_module
 from setnet import tensor as tensor_module
 from setnet.errors import (
     DegenerateSetError,
@@ -292,7 +292,7 @@ class TestModelProperties:
         batch = SetBatch(rng.normal(size=(6, MODEL_CASES[experiment][1])), [3, 3])  # mnist_sum sets have 3 members
         tape = ad.Tape()
         x = tape.constant(batch.values)
-        model.apply(tape, x, batch.cardinalities, bind(tape, model.params()), rng)
+        model.apply(tape, x, batch.segments, bind(tape, model.params()), rng)
         assert len(tape.nodes) > len(tape.variables) and x not in tape.nodes
         assert all(n.op == "variable" or any(p.requires_grad for p in n.parents) for n in tape.nodes)
         tapes = []
@@ -327,7 +327,7 @@ def gradient_report(module, batch, rng, tie=False):
     weights = rng.normal(size=out.shape) / np.sqrt(out.size)
 
     def build(tape, bound):
-        return sum_all(tape, mul(tape, module.apply(tape, bound["x"], batch.cardinalities, bound), weights))
+        return sum_all(tape, mul(tape, module.apply(tape, bound["x"], batch.segments, bound), weights))
 
     return gradient_check(build, values, step=1e-5, tolerance=1e-4)
 
@@ -402,7 +402,7 @@ def bits(a):
 
 @st.composite
 def fused_cases(draw):
-    """(layer, values, cards, weights, x_is_variable): an ``EquivariantLayer``
+    """(layer, values, seg, weights, x_is_variable): an ``EquivariantLayer``
     or a ``Dense`` layer with any activation, on an equal-size or ragged
     batch, with ``weights`` for a linear loss on the output. Inputs drawn from
     a few levels tie the maxima and put elu's input at 0; large parameters
@@ -428,14 +428,14 @@ def fused_cases(draw):
     for p in layer.params():
         p.value = rng.normal(scale=scale, size=p.value.shape)
     weights = rng.normal(size=(shape[0], k_out))
-    return layer, values, np.array(cards), weights, draw(st.booleans())
+    return layer, values, ad.Segments(cards), weights, draw(st.booleans())
 
 
 class TestFusedPreActivation:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(fused_cases())
     def test_fused_node_matches_the_composite_bit_for_bit(self, case):
-        layer, values, cards, weights, x_is_variable = case
+        layer, values, seg, weights, x_is_variable = case
 
         def run(forward):
             tape = ad.Tape()
@@ -445,8 +445,8 @@ class TestFusedPreActivation:
             loss = sum_all(tape, mul(tape, out, weights))
             return out.value, ad.backward(tape, loss), tape.nodes
 
-        fused = run(lambda tape, x, bound: layer.apply(tape, x, cards, bound))
-        chain = run(lambda tape, x, bound: nonlinearity(tape, composite_pre_activation(tape, layer, x, cards, bound),
+        fused = run(lambda tape, x, bound: layer.apply(tape, x, seg, bound))
+        chain = run(lambda tape, x, bound: nonlinearity(tape, composite_pre_activation(tape, layer, x, seg, bound),
                                                         layer.activation))
         assert np.array_equal(bits(fused[0]), bits(chain[0]))
         assert fused[1].keys() == chain[1].keys()
@@ -469,7 +469,7 @@ class TestFusedPreActivation:
         bound[weight].value[...] = 1e308
         x = tape.constant([[-5.0], [0.0]])  # the set's max is 0, so centring leaves x as it is
         with pytest.raises(NumericError, match=rf"node#\d+\[{op}\]: 1 non-finite"):
-            layer.apply(tape, x, np.array([2]), bound)
+            layer.apply(tape, x, ad.Segments([2]), bound)
 
 
 class TestSetPool:
@@ -493,7 +493,7 @@ def dropout_mask(drop, rng, cards, shape):
     """The scaled keep mask ``drop`` draws from ``rng`` for [rows, K] rows of
     sets with ``cards`` members: its training output on ones."""
     tape = ad.Tape()
-    return drop.apply(tape, tape.constant(np.ones(shape)), np.asarray(cards), {}, rng).value
+    return drop.apply(tape, tape.constant(np.ones(shape)), ad.Segments(cards), {}, rng).value
 
 
 class TestDropout:
@@ -501,7 +501,7 @@ class TestDropout:
         batch = single_set(np.arange(6.0).reshape(3, 2))
         tape = ad.Tape()
         x = tape.constant(batch.values)
-        assert Dropout(0.0, True).apply(tape, x, batch.cardinalities, {}, np.random.default_rng(0)) is x
+        assert Dropout(0.0, True).apply(tape, x, batch.segments, {}, np.random.default_rng(0)) is x
 
     def test_eval_time_identity(self):
         batch = single_set(np.arange(6.0).reshape(3, 2))
@@ -511,7 +511,7 @@ class TestDropout:
         rate = 0.5
         batch = SetBatch(np.ones((17, 6)), [5, 2, 6, 4])
         tape = ad.Tape()
-        out = Dropout(rate, True).apply(tape, tape.constant(batch.values), batch.cardinalities, {},
+        out = Dropout(rate, True).apply(tape, tape.constant(batch.values), batch.segments, {},
                                         np.random.default_rng(3)).value
         assert set(np.unique(out)) <= {0.0, 1.0 / (1.0 - rate)}
         for rows in batch_sets(SetBatch(out, batch.cardinalities)):
@@ -563,7 +563,7 @@ class TestDropout:
         tape = ad.Tape()
         x = tape.variable(np.random.default_rng(1).normal(size=(rows, 4)), "x")
         del scanned[:]
-        out = drop.apply(tape, x, cards, {}, np.random.default_rng(9))
+        out = drop.apply(tape, x, ad.Segments(cards), {}, np.random.default_rng(9))
         assert tape.nodes == [x, out] and out.op == "dropout" and len(scanned) == 1
         assert np.array_equal(bits(out.value), bits(x.value * mask))
         assert np.array_equal(bits(ad.backward(tape, sum_all(tape, out))["x"]), bits(mask))
@@ -573,7 +573,7 @@ class TestDropout:
         x = tape.variable(np.full((2, 1), 1e308), "x")
         with pytest.raises(NumericError, match=r"node#\d+\[dropout\]: 2 non-finite"):
             # this draw keeps the channel, so both entries become 1e308 / 0.5
-            Dropout(0.5).apply(tape, x, np.array([2]), {}, np.random.default_rng(0))
+            Dropout(0.5).apply(tape, x, ad.Segments([2]), {}, np.random.default_rng(0))
 
     def test_monte_carlo_mean_matches_identity(self):
         # inverted dropout is unbiased: the mask average approaches 1 within 3 sigma
@@ -665,7 +665,7 @@ class TestNormalize:
         def run(normalize):
             tape = ad.Tape()
             x = tape.variable(values, "x")
-            out = normalize(tape, x, batch.cardinalities, NormalizeSets.eps)
+            out = normalize(tape, x, batch.segments, NormalizeSets.eps)
             return out.value, ad.backward(tape, sum_all(tape, mul(tape, out, weights)))["x"], [n.op for n in tape.nodes]
 
         node, chain = run(ad.normalize_sets), run(normalize_sets_chain)
@@ -677,7 +677,7 @@ class TestNormalize:
     def test_an_overflow_is_refused_naming_the_node(self, values):
         tape = ad.Tape()
         with pytest.raises(NumericError, match=r"node#\d+\[normalize_sets\]: 1 non-finite"):
-            NormalizeSets().apply(tape, tape.variable(values, "x"), np.array([2]), {})
+            NormalizeSets().apply(tape, tape.variable(values, "x"), ad.Segments([2]), {})
 
 
 class TestEvaluatePieces:
@@ -694,8 +694,8 @@ class TestEvaluatePieces:
         def params(self):
             return []
 
-        def apply(self, tape, x, cards, bound, rng=None):
-            self.calls.append((cards.tolist(), x.value))
+        def apply(self, tape, x, seg, bound, rng=None):
+            self.calls.append((seg.cards.tolist(), x.value))
             return x
 
     @pytest.mark.parametrize(
@@ -728,6 +728,61 @@ class TestEvaluatePieces:
         pieces, whole = evaluate(model, batch), evaluate_whole(model, batch)
         assert pieces.shape == whole.shape
         assert np.max(np.abs(pieces - whole)) <= 1e-12 * max(1.0, np.max(np.abs(whole)))
+
+
+class TestLinearTime:
+    """The paper's layer costs time linear in the size of each set. Here that
+    is checked by counts, which do not vary from run to run: a training
+    forward and backward through ``NormalizeSets``, an ``EquivariantLayer``
+    and a ``SetPool`` of each kind, at a fixed number of sets B and channels
+    K, records the same nodes and calls the methods of ``Segments`` as often
+    for sets of 10 members as for sets of 10,000, and the bytes of its node
+    values are one affine function of the member count M, equal-size and
+    ragged batches alike."""
+
+    B, K = 4, 3
+
+    def step(self, monkeypatch, kind, cards):
+        """(recorded nodes, their value bytes, calls per ``Segments`` method)
+        of one step over sets of ``cards`` members."""
+        calls = {}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        for name, method in list(vars(ad.Segments).items()):
+            if callable(method) and not name.startswith("__"):
+                monkeypatch.setattr(ad.Segments, name, counted(name, method))
+        rng = np.random.default_rng(0)
+        layers = [NormalizeSets(), EquivariantLayer(self.K, self.K, "tanh", rng=rng), SetPool(kind)]
+        batch = SetBatch(rng.normal(size=(sum(cards), self.K)), cards)
+        tape = ad.Tape()
+        bound = bind(tape, [p for layer in layers for p in layer.params()])
+        h = tape.variable(batch.values, "x")
+        for layer in layers:
+            h = layer.apply(tape, h, batch.segments, bound)
+        ad.backward(tape, sum_all(tape, h))
+        monkeypatch.undo()
+        return len(tape.nodes), sum(node.value.nbytes for node in tape.nodes), calls
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["equal", "ragged"])
+    @pytest.mark.parametrize("kind", ["sum", "max", "mean"])
+    def test_counts_are_constant_and_bytes_affine_in_the_members(self, monkeypatch, kind, ragged):
+        sizes = (10, 100, 1000, 10000)
+        cards = [[n, n // 2, n // 5, 2] if ragged else [n] * self.B for n in sizes]
+        steps = [self.step(monkeypatch, kind, c) for c in cards]
+        members = [sum(c) for c in cards]
+        assert len({nodes for nodes, _, _ in steps}) == 1
+        assert all(calls == steps[0][2] for _, _, calls in steps) and steps[0][2]
+        # bytes = a + b M, exactly, with b from the first two sizes
+        (m0, m1), (y0, y1) = members[:2], [nbytes for _, nbytes, _ in steps[:2]]
+        per_member = (y1 - y0) // (m1 - m0)
+        assert per_member * (m1 - m0) == y1 - y0
+        assert [nbytes - per_member * m for (_, nbytes, _), m in zip(steps, members)] == [y0 - per_member * m0] * 4
+        assert per_member == 3 * self.K * 8  # x, its normalisation and the layer's output: K float64 each
 
 
 def hex_payload(*values):
@@ -880,7 +935,7 @@ class TestCheckpoint:
             fh.target = target
             return fh
 
-        monkeypatch.setattr(layers_module, "open", failing_open, raising=False)
+        monkeypatch.setattr(data_module, "open", failing_open, raising=False)  # data.write_whole opens the file
         with pytest.raises(OSError, match="No space"):
             save_params(path, [Param("w", np.arange(1000.0))], {"epoch": "2"})
         monkeypatch.undo()

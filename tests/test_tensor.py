@@ -56,14 +56,14 @@ class TestMatmul:
 def reduce(x, kind):
     tape = ad.Tape()
     x = tape.variable(np.asarray(x, dtype=np.float64), "x")
-    return ad.set_pool(tape, x, [x.value.shape[0]], kind).value[0]
+    return ad.set_pool(tape, x, ad.Segments([x.value.shape[0]]), kind).value[0]
 
 
 class TestReduce:
     def test_max(self):
         tape = ad.Tape()
         x = tape.variable(np.array([[1.0, 2.0], [3.0, 0.0]]), "x")
-        top = ad.set_pool(tape, x, [2], "max")
+        top = ad.set_pool(tape, x, ad.Segments([2]), "max")
         assert np.array_equal(top.value, [[3.0, 2.0]])
         # the subgradient goes to the argmax row of each column
         assert np.array_equal(ad.backward(tape, sum_all(tape, top))["x"], [[0.0, 1.0], [1.0, 0.0]])
@@ -77,7 +77,8 @@ class TestReduce:
     def test_max_tie_takes_lowest_index(self):
         tape = ad.Tape()
         x = tape.variable(np.array([2.0, 5.0, 5.0]), "x")
-        assert np.array_equal(ad.backward(tape, sum_all(tape, ad.set_pool(tape, x, [3], "max")))["x"], [0.0, 1.0, 0.0])
+        top = ad.set_pool(tape, x, ad.Segments([3]), "max")
+        assert np.array_equal(ad.backward(tape, sum_all(tape, top))["x"], [0.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("kind", ["sum", "max", "mean"])
     def test_reduction_invariant_under_permutation(self, kind):
@@ -193,15 +194,15 @@ class TestPlumbing:
     def test_reshape(self):
         tape = ad.Tape()
         x = tape.constant(np.arange(6.0)[:, None])
-        assert np.array_equal(ad.flatten(tape, x, [3, 3], False).value, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        assert np.array_equal(ad.flatten(tape, x, ad.Segments([3, 3]), False).value, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
         with pytest.raises(DimensionError):
-            ad.flatten(tape, x, [2, 4], False)
+            ad.flatten(tape, x, ad.Segments([2, 4]), False)
         with pytest.raises(DimensionError):
-            ad.flatten(tape, x, [4, 4], False)
+            ad.flatten(tape, x, ad.Segments([4, 4]), False)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
             as_tensor([1.0, np.nan])
         tape = ad.Tape()
         with pytest.raises(NumericError, match=r"node#1\[sum_pool\]"):
-            ad.set_pool(tape, tape.constant(np.array([[1e308], [1e308]])), [2], "sum")
+            ad.set_pool(tape, tape.constant(np.array([[1e308], [1e308]])), ad.Segments([2]), "sum")

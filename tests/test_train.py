@@ -66,7 +66,7 @@ def model_for(experiment, dataset, **settings):
 
 def training_output(model, tape, batch, rng=None):
     bound = bind(tape, model.params())
-    return model.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, rng)
+    return model.apply(tape, tape.constant(batch.values), batch.segments, bound, rng)
 
 
 def gradient_report(model, loss, batch, rng_seed=None):
@@ -75,7 +75,7 @@ def gradient_report(model, loss, batch, rng_seed=None):
 
     def build(tape, bound):
         rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-        return loss(tape, model.apply(tape, tape.constant(batch.values), batch.cardinalities, bound, rng))
+        return loss(tape, model.apply(tape, tape.constant(batch.values), batch.segments, bound, rng))
 
     return gradient_check(build, {p.name: p.value for p in model.params()}, step=1e-5, tolerance=1e-4)
 
@@ -507,7 +507,7 @@ class TestActivationMaximization:
             tape = ad.Tape()
             x = tape.variable(points, "x")
             bound = {p.name: tape.constant(p.value) for p in small_model.params()}
-            h = small_model.apply(tape, x, np.array([m]), bound, upto=ends[layer])
+            h = small_model.apply(tape, x, ad.Segments([m]), bound, upto=ends[layer])
             root = objective(tape, h, unit)
             return root.value, ad.backward(tape, root)["x"]
 
@@ -763,7 +763,7 @@ class TestTracedPeaks:
 
         def step():  # as train_loop makes it
             tape = ad.Tape()
-            out = model.apply(tape, tape.constant(batch.values), batch.cardinalities, bind(tape, opt.params), rng)
+            out = model.apply(tape, tape.constant(batch.values), batch.segments, bind(tape, opt.params), rng)
             grads = ad.backward(tape, ad.softmax_cross_entropy(tape, out, train_data.set_labels[idx]))
             opt.step(grads)
 
